@@ -8,6 +8,7 @@ double cover and the section counts for M live in :mod:`flagchess.chern`.
 """
 
 from .board import (
+    MOVES,
     Board,
     Box,
     MoveRecord,
@@ -28,6 +29,7 @@ from .board import (
     move_serre_global,
     move_serre_translate,
     move_transpose,
+    play,
 )
 from .chern import (
     TruncPoly,
@@ -98,6 +100,7 @@ __all__ = [
     "move_gather_to_end", "move_global_twist", "move_opacify_boxes",
     "move_orange_merge", "move_push_right", "move_rule1", "move_rule2",
     "move_serre_global", "move_serre_translate", "move_transpose",
+    "MOVES", "play",
     "TruncPoly", "binom", "condition3_bound", "cover_degree",
     "h0_twisted_quotient", "poly_inv_unit", "poly_mul", "poly_pow",
     "section_count_ld", "section_count_syzygy",

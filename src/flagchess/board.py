@@ -14,12 +14,14 @@ move.  The mutation moves (transpose / absorb / rule1 / rule2) optionally
 consult the Ext oracle on M and refuse when a required vanishing fails or
 comes back indeterminate; the shape-based refusals (e.g. transposing a
 pair that pairs nontrivially) are enforced even with validation off, so a
-validated and an unvalidated run agree move for move.
+validated and an unvalidated run agree move for move.  :data:`MOVES` says
+how each kind is called, and :func:`play` calls a move by its kind name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import ext_on_M
 from .schur import INDETERMINATE, BundleDescriptor
@@ -311,9 +313,13 @@ def move_gather_to_end(board: Board, positions: list[tuple[int, int]],
     past retired material never changes any pairing.
     """
     kind = "gather_to_end"
-    idxs = sorted(board.index(pos) for pos in positions)
-    if not idxs:
+    if not positions:
         raise MoveRefused(kind, "nothing to gather")
+    if len(set(positions)) != len(positions):
+        raise MoveRefused(kind, "a position is listed twice")
+    for pos in positions:
+        _get(board, pos, kind)
+    idxs = sorted(board.index(pos) for pos in positions)
     listed = set(idxs)
     for j in range(idxs[0] + 1, len(board.boxes)):
         if j not in listed and not board.boxes[j].opaque:
@@ -494,6 +500,7 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
     """
     kind = "rule2"
     zx, zy = zeros_start
+    _get(board, zeros_start, kind)
     block = _get(board, block_pos, kind)
     bc = _sym(block, kind, "block")
     if block_pos != (zx - 1, zy + 1):
@@ -548,6 +555,8 @@ def move_orange_merge(board: Board, orange_pos: tuple[int, int],
     arrangement rather than by a pairing computation.
     """
     kind = "orange_merge"
+    if orange_pos == target_pos:
+        raise MoveRefused(kind, "orange and target must be different boxes")
     orange = _get(board, orange_pos, kind)
     target = _get(board, target_pos, kind)
     oc = _sym(orange, kind, "orange")
@@ -563,38 +572,57 @@ def move_orange_merge(board: Board, orange_pos: tuple[int, int],
     return _commit(board, new_boxes, kind, (orange_pos, target_pos), ())
 
 
+class MoveSpec(NamedTuple):
+    """How a move kind is called: ``move_<kind>(board, *positions, **params)``."""
+
+    positions: int | None  # how many positions it takes; None for one list
+    params: tuple[str, ...]  # parameter names, in record order
+    validates: bool = False  # whether it takes ``validate``
+    optional: tuple[str, ...] = ()  # parameters a record may leave out
+
+
+# One entry per ``move_*`` function above.
+MOVES: dict[str, MoveSpec] = {
+    "serre_translate": MoveSpec(0, ("y", "direction", "steps")),
+    "serre_global": MoveSpec(0, ("k", "direction")),
+    "global_twist": MoveSpec(0, ("dx", "dy", "note"), optional=("note",)),
+    "push_right": MoveSpec(1, ("count", "opacify")),
+    "opacify_boxes": MoveSpec(None, ()),
+    "gather_to_end": MoveSpec(None, ()),
+    "transpose": MoveSpec(2, (), validates=True),
+    "absorb": MoveSpec(2, (), validates=True),
+    "rule1": MoveSpec(2, (), validates=True),
+    "rule2": MoveSpec(2, ("t", "r"), validates=True),
+    "orange_merge": MoveSpec(2, ()),
+}
+
+
+def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
+         params: dict[str, int | str | bool], validate: bool,
+         ) -> tuple[Board, MoveRecord]:
+    """Call ``move_<kind>`` as :data:`MOVES` describes it.
+
+    The call's shape is checked against the table first, and a kind, a
+    position count or a parameter set the table does not allow raises
+    ``ValueError``.  The move is looked up among the module's names at call
+    time, so a rebinding of ``move_<kind>`` is seen here too.
+    """
+    spec = MOVES.get(kind)
+    if spec is None:
+        raise ValueError(f"unknown move kind {kind!r}")
+    if spec.positions is not None and len(positions) != spec.positions:
+        raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")
+    if not set(spec.params) - set(spec.optional) <= set(params) <= set(spec.params):
+        raise ValueError(f"{kind} takes parameters {spec.params}, got {tuple(params)}")
+    args = (list(positions),) if spec.positions is None else tuple(positions)
+    if spec.validates:
+        params = {**params, "validate": validate}
+    return globals()[f"move_{kind}"](board, *args, **params)
+
+
 def apply_record(board: Board, record: MoveRecord) -> Board:
     """Re-apply a logged move (validation off) and check the log signature."""
-    params = dict(record.params)
-    kind = record.kind
-    if kind == "serre_translate":
-        new_board, rec = move_serre_translate(
-            board, params["y"], params["direction"], params["steps"])
-    elif kind == "serre_global":
-        new_board, rec = move_serre_global(board, params["k"], params["direction"])
-    elif kind == "global_twist":
-        new_board, rec = move_global_twist(
-            board, params["dx"], params["dy"], params.get("note"))
-    elif kind == "push_right":
-        new_board, rec = move_push_right(
-            board, record.positions[0], params["count"], params["opacify"])
-    elif kind == "opacify_boxes":
-        new_board, rec = move_opacify_boxes(board, list(record.positions))
-    elif kind == "gather_to_end":
-        new_board, rec = move_gather_to_end(board, list(record.positions))
-    elif kind == "transpose":
-        new_board, rec = move_transpose(board, *record.positions, validate=False)
-    elif kind == "absorb":
-        new_board, rec = move_absorb(board, *record.positions, validate=False)
-    elif kind == "rule1":
-        new_board, rec = move_rule1(board, *record.positions, validate=False)
-    elif kind == "rule2":
-        new_board, rec = move_rule2(board, *record.positions,
-                                    t=params["t"], r=params["r"], validate=False)
-    elif kind == "orange_merge":
-        new_board, rec = move_orange_merge(board, *record.positions)
-    else:
-        raise ValueError(f"unknown move kind {kind!r}")
+    new_board, rec = play(board, record.kind, record.positions, dict(record.params), False)
     if log_signature(rec) != log_signature(record):
-        raise ValueError(f"replayed {kind} diverged from its record")
+        raise ValueError(f"replayed {record.kind} diverged from its record")
     return new_board

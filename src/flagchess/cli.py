@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .board import MoveRefused
 from .chern import (
@@ -42,19 +41,6 @@ EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
 class UsageError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for the game-family subcommands."""
-
-    subcommand: str
-    n: int = 0
-    eps: int = 0
-    mode: str = "fibration"
-    validate: bool | None = None
-    emit: str = "text"
-    output: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,9 +162,8 @@ def cmd_game(args: argparse.Namespace) -> int:
     emit = args.emit if args.emit is not None else os.environ.get("FLAGCHESS_EMIT", "text")
     if emit not in EMIT_FORMATS:
         raise UsageError(f"unknown emit format {emit!r}; expected one of {EMIT_FORMATS}")
-    cfg = RunConfig("game", args.n, args.eps, args.mode, args.validate, emit, args.output)
     phases: list[tuple[str, object, int]] = []
-    result = run_game(cfg.n, cfg.eps, mode=cfg.mode, validate=cfg.validate,
+    result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate,
                       phase_hook=lambda name, board, count: phases.append((name, board, count)))
     if emit == "json":
         lines = [game_result_to_json(result)]
@@ -204,7 +189,7 @@ def cmd_game(args: argparse.Namespace) -> int:
         lines.append(f"residual copies: {result.residual_f_count}")
         for flag in result.flags:
             lines.append(f"flag: {flag}")
-    _write(lines, cfg.output)
+    _write(lines, args.output)
     return EXIT_FLAGGED if result.flags else EXIT_OK
 
 

@@ -15,23 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .board import (
-    Board,
-    Box,
-    MoveRecord,
-    Opaque,
-    SymBlock,
-    apply_record,
-    move_gather_to_end,
-    move_global_twist,
-    move_opacify_boxes,
-    move_orange_merge,
-    move_push_right,
-    move_rule1,
-    move_rule2,
-    move_serre_global,
-    move_serre_translate,
-)
+from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
 
 PhaseHook = Callable[[str, Board, int], None]
 
@@ -84,49 +68,20 @@ class _Runner:
         self.validate = validate
         self.log: list[MoveRecord] = []
 
-    def _do(self, step: tuple[Board, MoveRecord]) -> None:
-        self.board, record = step
+    def do(self, kind: str, *positions: tuple[int, int], **params) -> None:
+        self.board, record = play(self.board, kind, positions, params, self.validate)
         self.log.append(record)
-
-    def serre_translate(self, y: int, direction: str, steps: int) -> None:
-        self._do(move_serre_translate(self.board, y, direction, steps))
-
-    def serre_global(self, k: int, direction: str) -> None:
-        self._do(move_serre_global(self.board, k, direction))
-
-    def global_twist(self, dx: int, dy: int, note: str | None = None) -> None:
-        self._do(move_global_twist(self.board, dx, dy, note))
-
-    def push_right(self, pos: tuple[int, int], count: int, opacify: bool) -> None:
-        self._do(move_push_right(self.board, pos, count, opacify))
-
-    def opacify_boxes(self, positions: list[tuple[int, int]]) -> None:
-        self._do(move_opacify_boxes(self.board, positions))
-
-    def gather_to_end(self, positions: list[tuple[int, int]]) -> None:
-        self._do(move_gather_to_end(self.board, positions))
-
-    def rule1(self, gray_pos: tuple[int, int], block_pos: tuple[int, int]) -> None:
-        self._do(move_rule1(self.board, gray_pos, block_pos, self.validate))
-
-    def rule2(self, zeros_start: tuple[int, int], block_pos: tuple[int, int],
-              t: int, r: int) -> None:
-        self._do(move_rule2(self.board, zeros_start, block_pos, t, r, self.validate))
-
-    def orange_merge(self, orange_pos: tuple[int, int],
-                     target_pos: tuple[int, int]) -> None:
-        self._do(move_orange_merge(self.board, orange_pos, target_pos))
 
 
 def _even_script(g: _Runner, n: int, hook: PhaseHook) -> None:
     # Cascade rows n-1 .. 2 into row 1, retiring each row's leftmost zero.
     for y in range(n - 1, 1, -1):
         seg = list(range(-n + 1, 2 - y))
-        g.push_right((-n, y), count=len(seg), opacify=True)
+        g.do("push_right", (-n, y), count=len(seg), opacify=True)
         for x in seg:
-            g.rule1((x + 1, y - 1), (x, y))
+            g.do("rule1", (x + 1, y - 1), (x, y))
     hook("phase1", g.board, len(g.log))
-    g.serre_global(n, "front_to_back")
+    g.do("serre_global", k=n, direction="front_to_back")
     hook("serre", g.board, len(g.log))
     # Cascade the relocated bottom row back down through rows 2n-1 .. 3.
     for y in range(2 * n - 1, 2, -1):
@@ -134,21 +89,21 @@ def _even_script(g: _Runner, n: int, hook: PhaseHook) -> None:
             seg = list(range(-n + 1, 0))
         elif y > n:
             seg = list(range(-n + 1, 0))
-            g.push_right((-n, y), count=len(seg), opacify=True)
+            g.do("push_right", (-n, y), count=len(seg), opacify=True)
         elif y == n:
             seg = list(range(-n + 2, 0))
-            g.push_right((-n, y), count=1 + len(seg), opacify=True)
-            g.push_right((-n + 1, y), count=len(seg), opacify=False)
+            g.do("push_right", (-n, y), count=1 + len(seg), opacify=True)
+            g.do("push_right", (-n + 1, y), count=len(seg), opacify=False)
         else:
             seg = list(range(2 - y, 0))
         for x in seg:
-            g.rule1((x + 1, y - 1), (x, y))
+            g.do("rule1", (x + 1, y - 1), (x, y))
     hook("phase2", g.board, len(g.log))
     if n == 2:
-        g.push_right((-2, 2), count=1, opacify=True)
-    g.orange_merge((-n + 1, n), (0, 1))
-    g.rule2((1, 2 * n - 2), (0, 2 * n - 1), t=n - 2, r=n - 1)
-    g.serre_global(1, "back_to_front")
+        g.do("push_right", (-2, 2), count=1, opacify=True)
+    g.do("orange_merge", (-n + 1, n), (0, 1))
+    g.do("rule2", (1, 2 * n - 2), (0, 2 * n - 1), t=n - 2, r=n - 1)
+    g.do("serre_global", k=1, direction="back_to_front")
     hook("endgame", g.board, len(g.log))
 
 
@@ -157,25 +112,25 @@ def _odd_script(g: _Runner, n: int, hook: PhaseHook) -> None:
     # Cascade every row down into row 1.
     for y in range(N - 2, 1, -1):
         seg = list(range(-n + 1, min(-1, n - y) + 1))
-        g.push_right((-n, y), count=len(seg), opacify=True)
+        g.do("push_right", (-n, y), count=len(seg), opacify=True)
         for x in seg:
-            g.rule1((x + 1, y - 1), (x, y))
+            g.do("rule1", (x + 1, y - 1), (x, y))
     hook("phase1", g.board, len(g.log))
-    g.serre_global(n, "front_to_back")
+    g.do("serre_global", k=n, direction="front_to_back")
     hook("serre", g.board, len(g.log))
     # Cascade the relocated bottom row back up to row n+1.
     for y in range(N - 1, n + 1, -1):
         lo = -n + 1 if y == N - 1 else n + 1 - y
         for x in range(lo, 1):
-            g.rule1((x + 1, y - 1), (x, y))
+            g.do("rule1", (x + 1, y - 1), (x, y))
     hook("phase2", g.board, len(g.log))
     # Endgame: retire stray zeros, gather the upper column, split the last block.
-    g.opacify_boxes([(x, y) for y in range(n + 1, N - 1) for x in range(2, n + 1)])
-    g.gather_to_end([(1, y) for y in range(n + 1, N - 1)])
-    g.serre_global(n - 1, "back_to_front")
-    g.rule2((1, n), (0, n + 1), t=n - 1, r=n)
-    g.gather_to_end([(1, n)])
-    g.serre_global(1, "back_to_front")
+    g.do("opacify_boxes", *[(x, y) for y in range(n + 1, N - 1) for x in range(2, n + 1)])
+    g.do("gather_to_end", *[(1, y) for y in range(n + 1, N - 1)])
+    g.do("serre_global", k=n - 1, direction="back_to_front")
+    g.do("rule2", (1, n), (0, n + 1), t=n - 1, r=n)
+    g.do("gather_to_end", (1, n))
+    g.do("serre_global", k=1, direction="back_to_front")
     hook("endgame", g.board, len(g.log))
 
 
@@ -266,9 +221,9 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     g = _Runner(board, validate)
     hook("initial", g.board, 0)
     if mode == "flip":
-        g.global_twist(n + eps - 2, N - 1, note="normalize-flip-start")
+        g.do("global_twist", dx=n + eps - 2, dy=N - 1, note="normalize-flip-start")
     for row in range(2, N - 1):
-        g.serre_translate(row, "left", row - 1)
+        g.do("serre_translate", y=row, direction="left", steps=row - 1)
     hook("align", g.board, len(g.log))
     if eps == 0:
         _even_script(g, n, hook)

@@ -78,14 +78,13 @@ def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> G
     return total
 
 
-def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims | _Indeterminate:
+def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
     """Ext^*_{F(1,2,N)}(source, target) as a graded dimension dict."""
     return dict(_ext_on_flag_cached(source, target))
 
 
-def koszul_terms(
-    source: BundleDescriptor, target: BundleDescriptor
-) -> tuple[GradedDims | _Indeterminate, GradedDims | _Indeterminate]:
+def koszul_terms(source: BundleDescriptor,
+                 target: BundleDescriptor) -> tuple[GradedDims, GradedDims]:
     """The two flag-level groups feeding Ext on M: (A, B) with
 
     A = Ext_F(source, target(-1,-1)) and B = Ext_F(source, target).
@@ -102,9 +101,6 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
     by 0 or 1, and otherwise reports INDETERMINATE.
     """
     A, B = koszul_terms(source, target)
-    if A is INDETERMINATE or B is INDETERMINATE:
-        return INDETERMINATE
-    assert isinstance(A, dict) and isinstance(B, dict)
     if not A:
         return B
     if not B:

@@ -38,6 +38,15 @@ def _cell(box: Box | None) -> str:
     return str(box.content.m)
 
 
+def _grid(board: Board) -> tuple[dict[tuple[int, int], Box], range, range]:
+    """Boxes by position, and the x and y ranges of the bounding rectangle,
+    which always takes in the origin."""
+    by_pos = {b.pos: b for b in board.boxes}
+    xs = [b.x for b in board.boxes] + [0]
+    ys = [b.y for b in board.boxes] + [0]
+    return by_pos, range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
+
+
 def render_ascii(board: Board) -> str:
     """Plain-text grid over the bounding rectangle, rows by ascending y.
 
@@ -46,22 +55,18 @@ def render_ascii(board: Board) -> str:
     """
     if not board.boxes:
         return ""
-    by_pos = {b.pos: b for b in board.boxes}
-    xs = [b.x for b in board.boxes]
-    ys = [b.y for b in board.boxes]
-    x_lo, x_hi = min(xs + [0]), max(xs + [0])
-    y_lo, y_hi = min(ys + [0]), max(ys + [0])
+    by_pos, xs, ys = _grid(board)
     cells: dict[tuple[int, int], str] = {}
-    for y in range(y_lo, y_hi + 1):
-        for x in range(x_lo, x_hi + 1):
+    for y in ys:
+        for x in xs:
             text = _cell(by_pos.get((x, y)))
             if (x, y) == (0, 0):
                 text = f"[{text or '·'}]"
             cells[(x, y)] = text
     width = max(len(t) for t in cells.values())
-    lines = [f"x: {x_lo}..{x_hi}"]
-    for y in range(y_lo, y_hi + 1):
-        row = " ".join(cells[(x, y)].rjust(width) for x in range(x_lo, x_hi + 1))
+    lines = [f"x: {xs[0]}..{xs[-1]}"]
+    for y in ys:
+        row = " ".join(cells[(x, y)].rjust(width) for x in xs)
         lines.append(f"y={y:>3} | {row.rstrip()}")
     return "\n".join(lines)
 
@@ -70,15 +75,11 @@ def render_latex(board: Board) -> str:
     """ytableau-style source for the board, rows by ascending y."""
     if not board.boxes:
         return "\\begin{ytableau}\n\\end{ytableau}"
-    by_pos = {b.pos: b for b in board.boxes}
-    xs = [b.x for b in board.boxes]
-    ys = [b.y for b in board.boxes]
-    x_lo, x_hi = min(xs + [0]), max(xs + [0])
-    y_lo, y_hi = min(ys + [0]), max(ys + [0])
+    by_pos, xs, ys = _grid(board)
     lines = []
-    for y in range(y_lo, y_hi + 1):
+    for y in ys:
         row = []
-        for x in range(x_lo, x_hi + 1):
+        for x in xs:
             box = by_pos.get((x, y))
             if box is None:
                 cell = "*(lightgray) \\none" if (x, y) == (0, 0) else "\\none"
@@ -175,8 +176,18 @@ def game_result_to_json(result: GameResult) -> str:
 
 
 def parse_game_result(text: str) -> GameResult:
-    """Exact inverse of :func:`game_result_to_json`."""
-    d = json.loads(text)
+    """Exact inverse of :func:`game_result_to_json`.
+
+    A document that is not valid JSON or lacks the expected structure
+    raises ``ValueError``.
+    """
+    try:
+        return _game_result_from_dict(json.loads(text))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed game document: {exc!r}") from exc
+
+
+def _game_result_from_dict(d: dict) -> GameResult:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d['schema_version']}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]

@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
+import inspect
+
 from flagchess import (
+    MOVES,
     Board,
     Box,
     MoveRecord,
@@ -24,6 +27,7 @@ from flagchess import (
     move_serre_translate,
     move_transpose,
 )
+from flagchess import board as board_module
 
 
 def board_of(n, eps, *cells) -> Board:
@@ -135,8 +139,9 @@ class TestGlobalTwist:
 
     def test_note_is_optional(self):
         board = board_of(2, 0, (0, 1, 0))
-        _, rec = move_global_twist(board, 1, 0)
+        new, rec = move_global_twist(board, 1, 0)
         assert rec.params == (("dx", 1), ("dy", 0))
+        assert apply_record(board, rec) == new
 
 
 class TestPushRight:
@@ -179,6 +184,16 @@ class TestOpacifyAndGather:
         board = board_of(2, 0, (0, 1, 0), (1, 1, 0), (2, 1, 0))
         with pytest.raises(MoveRefused):
             move_gather_to_end(board, [(0, 1), (2, 1)])
+
+    def test_gather_refuses_a_missing_position(self):
+        board = board_of(2, 0, (0, 1, 0), (1, 1, "x"))
+        with pytest.raises(MoveRefused, match="no box at"):
+            move_gather_to_end(board, [(0, 1), (9, 9)])
+
+    def test_gather_refuses_a_repeated_position(self):
+        board = board_of(2, 0, (0, 1, 0), (1, 1, "x"))
+        with pytest.raises(MoveRefused, match="listed twice"):
+            move_gather_to_end(board, [(0, 1), (0, 1)])
 
 
 class TestTranspose:
@@ -356,6 +371,11 @@ class TestRule2:
         with pytest.raises(MoveRefused):  # wrong declared grade
             move_rule2(board, (0, 1), (-1, 2), t=2, r=1)
 
+    def test_missing_zeros_start_refused(self):
+        board = board_of(2, 1, (2, 2, 0), (0, 3, 1))
+        with pytest.raises(MoveRefused, match="no box at"):
+            move_rule2(board, (1, 2), (0, 3), t=1, r=2)
+
     def test_window_count_must_match(self):
         board = board_of(2, 1, (1, 2, 0), (0, 3, 1))
         with pytest.raises(MoveRefused):
@@ -377,6 +397,11 @@ class TestOrangeMerge:
             move_orange_merge(board_of(3, 0, (-2, 3, 0), (0, 1, 2)),
                               (-2, 3), (0, 1))
 
+    def test_same_box_as_orange_and_target_refused(self):
+        board = board_of(2, 0, (0, 1, 0))
+        with pytest.raises(MoveRefused, match="different boxes"):
+            move_orange_merge(board, (0, 1), (0, 1))
+
 
 class TestRecordsAndReplay:
     def test_every_move_conserves_copies(self):
@@ -395,6 +420,22 @@ class TestRecordsAndReplay:
         with pytest.raises(ValueError):
             apply_record(board, bogus)
 
+    def test_replay_rejects_a_wrong_position_count(self):
+        board = board_of(2, 1, (0, 1, 0), (1, 1, 0), (-1, 2, 0))
+        _, rec = move_rule1(board, (0, 1), (-1, 2))
+        for positions in (rec.positions[:1], rec.positions + ((1, 1),)):
+            bad = MoveRecord("rule1", positions, (), (), "applied", 3, 3)
+            with pytest.raises(ValueError, match="positions"):
+                apply_record(board, bad)
+
+    def test_replay_rejects_unknown_and_missing_params(self):
+        board = board_of(2, 1, (0, 1, 0), (1, 1, 0))
+        for params in ((("k", 1),),
+                       (("k", 1), ("direction", "front_to_back"), ("extra", 0))):
+            bad = MoveRecord("serre_global", (), params, (), "applied", 2, 2)
+            with pytest.raises(ValueError, match="parameters"):
+                apply_record(board, bad)
+
     def test_replay_rejects_divergence(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0))
         _, rec = move_serre_translate(board, 1, "left", 1)
@@ -408,3 +449,20 @@ class TestRecordsAndReplay:
             move_transpose(board, (2, 0), (-1, 1))
         assert err.value.kind == "transpose"
         assert "pairing" in err.value.reason
+
+
+class TestMoveTable:
+    def test_table_lists_every_move_function(self):
+        moves = {name[len("move_"):] for name, value in vars(board_module).items()
+                 if name.startswith("move_") and callable(value)}
+        assert set(MOVES) == moves
+
+    def test_table_matches_each_signature(self):
+        for kind, spec in MOVES.items():
+            names = list(inspect.signature(getattr(board_module, f"move_{kind}")).parameters)
+            assert names[0] == "board"
+            takes = names[1:]
+            if spec.validates:
+                assert takes.pop() == "validate"
+            count = 1 if spec.positions is None else spec.positions
+            assert tuple(takes[count:]) == spec.params, kind

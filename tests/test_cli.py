@@ -205,6 +205,11 @@ class TestWireSchema:
         with pytest.raises(ValueError):
             parse_game_result(json.dumps(doc))
 
+    @pytest.mark.parametrize("text", ['{"schema_version":1}', "[]"])
+    def test_malformed_documents_raise_value_error(self, text):
+        with pytest.raises(ValueError):
+            parse_game_result(text)
+
     def test_graded_to_json(self):
         assert graded_to_json({1: 1, 0: 2}) == [[0, 2], [1, 1]]
         assert graded_to_json({}) == []
