@@ -20,7 +20,7 @@ how each kind is called, and :func:`play` calls a move by its kind name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .oracle import ext_on_M
@@ -74,43 +74,39 @@ class Box:
 
 @dataclass(frozen=True)
 class Board:
-    """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N)."""
+    """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
+
+    The position index and the copy total are built once, from ``boxes``.
+    """
 
     n: int
     eps: int
     boxes: tuple[Box, ...]
-    mode: str = "fibration"
+    copies: int = field(init=False, compare=False, repr=False)
+    _slot: dict[tuple[int, int], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        seen = set()
-        for b in self.boxes:
-            if b.pos in seen:
+        slot: dict[tuple[int, int], int] = {}
+        for i, b in enumerate(self.boxes):
+            if slot.setdefault(b.pos, i) != i:
                 raise ValueError(f"duplicate box position {b.pos}")
-            seen.add(b.pos)
+        object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "copies", sum(b.copies for b in self.boxes))
 
     @property
     def N(self) -> int:
         return 2 * self.n + self.eps
 
-    @property
-    def copies(self) -> int:
-        return sum(b.copies for b in self.boxes)
-
     def at(self, pos: tuple[int, int]) -> Box | None:
-        for b in self.boxes:
-            if b.pos == pos:
-                return b
-        return None
+        i = self._slot.get(pos)
+        return None if i is None else self.boxes[i]
 
     def index(self, pos: tuple[int, int]) -> int:
-        for i, b in enumerate(self.boxes):
-            if b.pos == pos:
-                return i
-        raise KeyError(pos)
+        return self._slot[pos]
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,7 @@ def _run_oracle(kind: str, board: Board,
 def _commit(board: Board, new_boxes: list[Box], kind: str,
             positions: tuple[tuple[int, int], ...], params: Params,
             oracle: tuple[OracleCheck, ...] = ()) -> tuple[Board, MoveRecord]:
-    new_board = Board(board.n, board.eps, tuple(new_boxes), board.mode)
+    new_board = Board(board.n, board.eps, tuple(new_boxes))
     assert new_board.copies == board.copies, f"{kind} broke copy conservation"
     record = MoveRecord(kind, positions, params, oracle, "applied",
                         board.copies, new_board.copies)
@@ -295,13 +291,11 @@ def move_opacify_boxes(board: Board, positions: list[tuple[int, int]],
                        ) -> tuple[Board, MoveRecord]:
     """Retire the listed blocks in place, keeping their copy counts."""
     kind = "opacify_boxes"
-    targets = set()
+    new_boxes = list(board.boxes)
     for pos in positions:
         box = _get(board, pos, kind)
         _sym(box, kind, "box")
-        targets.add(pos)
-    new_boxes = [Box(b.x, b.y, Opaque(b.copies)) if b.pos in targets else b
-                 for b in board.boxes]
+        new_boxes[board.index(pos)] = Box(box.x, box.y, Opaque(box.copies))
     return _commit(board, new_boxes, kind, tuple(positions), ())
 
 
@@ -418,6 +412,16 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     return _commit(board, new_boxes, kind, (target_pos, source_pos), (), oracle)
 
 
+def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
+    """Refuse unless the window is grade-0 blocks at (x0, y), (x0+1, y), ..."""
+    for k, b in enumerate(window):
+        if not (isinstance(b.content, SymBlock) and b.content.m == 0
+                and b.pos == (x0 + k, y)):
+            raise MoveRefused(
+                kind, f"window box at {b.pos} is not the expected zero at "
+                      f"({x0 + k}, {y})")
+
+
 def _rule_oracle(N: int, grades: range, span: int) -> list:
     """The transpose/absorb Ext requirements shared by the window rules.
 
@@ -460,12 +464,7 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
     if i >= j:
         raise MoveRefused(kind, "head must precede mover in SOD order")
     window = _between(board, i, j)
-    for k, b in enumerate(window):
-        if not (isinstance(b.content, SymBlock) and b.content.m == 0
-                and b.pos == (gray.x + 1 + k, gray.y)):
-            raise MoveRefused(
-                kind, f"window box at {b.pos} is not the expected zero at "
-                      f"({gray.x + 1 + k}, {gray.y})")
+    _check_zeros(kind, window, gray.x + 1, gray.y)
     l = len(window)
     n, eps = board.n, board.eps
     if not 1 <= r <= n - 1:
@@ -521,12 +520,7 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
     if len(window) != t + 1:
         raise MoveRefused(
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
-    for k, b in enumerate(window):
-        if not (isinstance(b.content, SymBlock) and b.content.m == 0
-                and b.pos == (zx + k, zy)):
-            raise MoveRefused(
-                kind, f"window box at {b.pos} is not the expected zero at "
-                      f"({zx + k}, {zy})")
+    _check_zeros(kind, window, zx, zy)
     oracle: tuple[OracleCheck, ...] = ()
     if validate:
         oracle = _run_oracle(kind, board, _rule_oracle(board.N, range(r - 1), t))
@@ -566,9 +560,9 @@ def move_orange_merge(board: Board, orange_pos: tuple[int, int],
         raise MoveRefused(kind, "orange box must have grade 0")
     if tc.m != n - 2:
         raise MoveRefused(kind, f"target grade must be {n - 2}, got {tc.m}")
-    new_boxes = [b for b in board.boxes if b.pos != orange_pos]
-    k = next(idx for idx, b in enumerate(new_boxes) if b.pos == target_pos)
-    new_boxes[k] = Box(target.x, target.y, SymBlock(n - 1))
+    new_boxes = list(board.boxes)
+    new_boxes[board.index(target_pos)] = Box(target.x, target.y, SymBlock(n - 1))
+    del new_boxes[board.index(orange_pos)]
     return _commit(board, new_boxes, kind, (orange_pos, target_pos), ())
 
 
@@ -576,24 +570,24 @@ class MoveSpec(NamedTuple):
     """How a move kind is called: ``move_<kind>(board, *positions, **params)``."""
 
     positions: int | None  # how many positions it takes; None for one list
-    params: tuple[str, ...]  # parameter names, in record order
+    params: dict[str, type]  # parameter names, in record order, and their types
     validates: bool = False  # whether it takes ``validate``
     optional: tuple[str, ...] = ()  # parameters a record may leave out
 
 
 # One entry per ``move_*`` function above.
 MOVES: dict[str, MoveSpec] = {
-    "serre_translate": MoveSpec(0, ("y", "direction", "steps")),
-    "serre_global": MoveSpec(0, ("k", "direction")),
-    "global_twist": MoveSpec(0, ("dx", "dy", "note"), optional=("note",)),
-    "push_right": MoveSpec(1, ("count", "opacify")),
-    "opacify_boxes": MoveSpec(None, ()),
-    "gather_to_end": MoveSpec(None, ()),
-    "transpose": MoveSpec(2, (), validates=True),
-    "absorb": MoveSpec(2, (), validates=True),
-    "rule1": MoveSpec(2, (), validates=True),
-    "rule2": MoveSpec(2, ("t", "r"), validates=True),
-    "orange_merge": MoveSpec(2, ()),
+    "serre_translate": MoveSpec(0, {"y": int, "direction": str, "steps": int}),
+    "serre_global": MoveSpec(0, {"k": int, "direction": str}),
+    "global_twist": MoveSpec(0, {"dx": int, "dy": int, "note": str}, optional=("note",)),
+    "push_right": MoveSpec(1, {"count": int, "opacify": bool}),
+    "opacify_boxes": MoveSpec(None, {}),
+    "gather_to_end": MoveSpec(None, {}),
+    "transpose": MoveSpec(2, {}, validates=True),
+    "absorb": MoveSpec(2, {}, validates=True),
+    "rule1": MoveSpec(2, {}, validates=True),
+    "rule2": MoveSpec(2, {"t": int, "r": int}, validates=True),
+    "orange_merge": MoveSpec(2, {}),
 }
 
 
@@ -603,17 +597,25 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     """Call ``move_<kind>`` as :data:`MOVES` describes it.
 
     The call's shape is checked against the table first, and a kind, a
-    position count or a parameter set the table does not allow raises
-    ``ValueError``.  The move is looked up among the module's names at call
-    time, so a rebinding of ``move_<kind>`` is seen here too.
+    position count, a parameter set or a parameter type the table does not
+    allow raises ``ValueError``, as does a position that is not a pair of
+    ints; a bool is not taken for an int.  The move is looked up among the
+    module's names at call time, so a rebinding of ``move_<kind>`` is seen
+    here too.
     """
     spec = MOVES.get(kind)
     if spec is None:
         raise ValueError(f"unknown move kind {kind!r}")
     if spec.positions is not None and len(positions) != spec.positions:
         raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")
+    if any(len(p) != 2 or not (type(p[0]) is type(p[1]) is int) for p in positions):
+        raise ValueError(f"{kind} positions must be pairs of ints, got {positions!r}")
     if not set(spec.params) - set(spec.optional) <= set(params) <= set(spec.params):
-        raise ValueError(f"{kind} takes parameters {spec.params}, got {tuple(params)}")
+        raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, got {tuple(params)}")
+    for name, value in params.items():
+        if type(value) is not spec.params[name]:
+            raise ValueError(f"{kind} parameter {name} must be "
+                             f"{spec.params[name].__name__}, got {value!r}")
     args = (list(positions),) if spec.positions is None else tuple(positions)
     if spec.validates:
         params = {**params, "validate": validate}

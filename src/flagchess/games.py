@@ -28,7 +28,7 @@ def initial_board_fibration(n: int, eps: int) -> Board:
         for y in range(1, N - 1)
         for x in range(y - n - 1, y + n + eps - 1)
     ]
-    return Board(n, eps, tuple(boxes), "fibration")
+    return Board(n, eps, tuple(boxes))
 
 
 def initial_board_flip(n: int, eps: int) -> Board:
@@ -43,7 +43,7 @@ def initial_board_flip(n: int, eps: int) -> Board:
         for y in range(-(2 * n + eps - 3), 0)
         for x in range(y, y + 2 * n + eps + 1)
     ]
-    return Board(n, eps, tuple(boxes), "flip")
+    return Board(n, eps, tuple(boxes))
 
 
 def corrected_flip_board(n: int, eps: int) -> Board:
@@ -57,7 +57,7 @@ def corrected_flip_board(n: int, eps: int) -> Board:
         for y in range(-(N - 2), 0)
         for x in range(y, y + N)
     ]
-    return Board(n, eps, tuple(boxes), "flip")
+    return Board(n, eps, tuple(boxes))
 
 
 class _Runner:
@@ -153,7 +153,6 @@ def extract_gr2(board: Board, n: int, eps: int,
     column order, flags); a failed search reports the best near-miss as a
     flag instead of raising.
     """
-    by_pos = {b.pos: b for b in board.boxes if isinstance(b.content, SymBlock)}
     anchor_grade = n - 2 if eps == 0 else n - 1
     best_hits, best_anchor = -1, None
     for box in board.boxes:
@@ -162,11 +161,11 @@ def extract_gr2(board: Board, n: int, eps: int,
         cells = _gr2_template(n, eps, box.pos)
         hits = 0
         for (x, y, grade) in cells:
-            got = by_pos.get((x, y))
+            got = board.at((x, y))
             if got is not None and isinstance(got.content, SymBlock) and got.content.m == grade:
                 hits += 1
         if hits == len(cells):
-            matched = tuple(by_pos[(x, y)] for (x, y, _) in cells)
+            matched = tuple(board.at((x, y)) for (x, y, _) in cells)
             return True, matched, ()
         if hits > best_hits:
             best_hits, best_anchor = hits, box.pos

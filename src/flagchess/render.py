@@ -38,13 +38,12 @@ def _cell(box: Box | None) -> str:
     return str(box.content.m)
 
 
-def _grid(board: Board) -> tuple[dict[tuple[int, int], Box], range, range]:
-    """Boxes by position, and the x and y ranges of the bounding rectangle,
-    which always takes in the origin."""
-    by_pos = {b.pos: b for b in board.boxes}
+def _grid(board: Board) -> tuple[range, range]:
+    """The x and y ranges of the bounding rectangle, which always takes in
+    the origin."""
     xs = [b.x for b in board.boxes] + [0]
     ys = [b.y for b in board.boxes] + [0]
-    return by_pos, range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
+    return range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
 
 
 def render_ascii(board: Board) -> str:
@@ -55,11 +54,11 @@ def render_ascii(board: Board) -> str:
     """
     if not board.boxes:
         return ""
-    by_pos, xs, ys = _grid(board)
+    xs, ys = _grid(board)
     cells: dict[tuple[int, int], str] = {}
     for y in ys:
         for x in xs:
-            text = _cell(by_pos.get((x, y)))
+            text = _cell(board.at((x, y)))
             if (x, y) == (0, 0):
                 text = f"[{text or '·'}]"
             cells[(x, y)] = text
@@ -75,12 +74,12 @@ def render_latex(board: Board) -> str:
     """ytableau-style source for the board, rows by ascending y."""
     if not board.boxes:
         return "\\begin{ytableau}\n\\end{ytableau}"
-    by_pos, xs, ys = _grid(board)
+    xs, ys = _grid(board)
     lines = []
     for y in ys:
         row = []
         for x in xs:
-            box = by_pos.get((x, y))
+            box = board.at((x, y))
             if box is None:
                 cell = "*(lightgray) \\none" if (x, y) == (0, 0) else "\\none"
             else:
@@ -191,8 +190,8 @@ def _game_result_from_dict(d: dict) -> GameResult:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d['schema_version']}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
-    initial = Board(n, eps, tuple(_box_from_dict(b) for b in d["initial"]["boxes"]), mode)
-    final = Board(n, eps, tuple(_box_from_dict(b) for b in d["final"]["boxes"]), mode)
+    initial = Board(n, eps, tuple(_box_from_dict(b) for b in d["initial"]["boxes"]))
+    final = Board(n, eps, tuple(_box_from_dict(b) for b in d["final"]["boxes"]))
     gr2_boxes = tuple(_box_from_dict(b) for b in d["gr2"]["boxes"])
     matched = {b.pos for b in gr2_boxes}
     residual = tuple(b for b in final.boxes if b.pos not in matched)

@@ -19,14 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .weights import (
-    GradedDims,
-    bwb_regularize,
-    graded_add,
-    line_bundle_cohomology,
-    rho,
-    weyl_dim,
-)
+from .weights import GradedDims, _line_bundle, graded_add, line_bundle_cohomology
 
 
 @dataclass(frozen=True)
@@ -129,13 +122,7 @@ def _gl2_weight_cohomology(a: int, b: int, N: int) -> GradedDims:
     """
     if a < b:
         raise ValueError(f"need a >= b, got ({a}, {b})")
-    w = (a - b, b) + (0,) * (N - 3)
-    reg = bwb_regularize(tuple(c + r for c, r in zip(w, rho(N))))
-    if reg.singular:
-        return {}
-    assert reg.weight is not None
-    dom = tuple(c - 1 for c in reg.weight)
-    return {reg.length: weyl_dim(dom)}
+    return _line_bundle(N, a - b, b).graded()
 
 
 def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:

@@ -134,6 +134,11 @@ class CohomResult:
 @lru_cache(maxsize=None)
 def line_bundle_cohomology(N: int, x: int, y: int) -> CohomResult:
     """Cohomology of O(x*h1 + y*h2) on F(1,2,N), i.e. of the weight (x,y,0,..,0)."""
+    return _line_bundle(N, x, y)
+
+
+def _line_bundle(N: int, x: int, y: int) -> CohomResult:
+    """Uncached BWB for the weight (x, y, 0, .., 0) in fundamental coordinates."""
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     w = (x, y) + (0,) * (N - 3)

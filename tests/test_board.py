@@ -73,8 +73,33 @@ class TestBoard:
             Board(1, 0, ())
         with pytest.raises(ValueError):
             Board(2, 2, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate box position"):
             board_of(2, 0, (0, 0, 0), (0, 0, 1))
+
+    def test_equality_hash_and_repr_ignore_the_index(self):
+        cells = ((0, 1, 0), (1, 1, 2), (2, 1, "x"))
+        a, b = board_of(2, 1, *cells), board_of(2, 1, *cells)
+        assert a == b and hash(a) == hash(b)
+        assert a != board_of(2, 1, *cells[:2])
+        assert repr(a) == f"Board(n=2, eps=1, boxes={a.boxes!r})"
+
+    @pytest.mark.parametrize("eps", (0, 1))
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_lookup_agrees_with_a_linear_scan(self, game, n, eps):
+        final = game(n, eps).final
+        xs = [b.x for b in final.boxes]
+        ys = [b.y for b in final.boxes]
+        for x in range(min(xs) - 1, max(xs) + 2):
+            for y in range(min(ys) - 1, max(ys) + 2):
+                slots = [i for i, b in enumerate(final.boxes) if b.pos == (x, y)]
+                if slots:
+                    assert final.index((x, y)) == slots[0]
+                    assert final.at((x, y)) is final.boxes[slots[0]]
+                else:
+                    assert final.at((x, y)) is None
+                    with pytest.raises(KeyError):
+                        final.index((x, y))
+        assert final.copies == sum(b.copies for b in final.boxes)
 
 
 class TestSerreTranslate:
@@ -436,6 +461,14 @@ class TestRecordsAndReplay:
             with pytest.raises(ValueError, match="parameters"):
                 apply_record(board, bad)
 
+    def test_replay_rejects_mistyped_positions(self):
+        board = board_of(2, 1, (1, 1, 0), (2, 1, 0))
+        for pos in (("1", 1), (True, 1), ([1], 1), (1,), (1, 1, 0)):
+            bad = MoveRecord("push_right", (pos,), (("count", 1), ("opacify", False)),
+                             (), "applied", 2, 2)
+            with pytest.raises(ValueError, match="pairs of ints"):
+                apply_record(board, bad)
+
     def test_replay_rejects_divergence(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0))
         _, rec = move_serre_translate(board, 1, "left", 1)
@@ -459,10 +492,15 @@ class TestMoveTable:
 
     def test_table_matches_each_signature(self):
         for kind, spec in MOVES.items():
-            names = list(inspect.signature(getattr(board_module, f"move_{kind}")).parameters)
+            parameters = inspect.signature(getattr(board_module, f"move_{kind}")).parameters
+            names = list(parameters)
             assert names[0] == "board"
             takes = names[1:]
             if spec.validates:
                 assert takes.pop() == "validate"
             count = 1 if spec.positions is None else spec.positions
-            assert tuple(takes[count:]) == spec.params, kind
+            assert tuple(takes[count:]) == tuple(spec.params), kind
+            for name, wanted in spec.params.items():
+                annotation = parameters[name].annotation
+                assert annotation.split(" | ")[0] == wanted.__name__, (kind, name)
+                assert (name in spec.optional) == annotation.endswith(" | None"), (kind, name)

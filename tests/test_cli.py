@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, emit formats, and the wire schema."""
 from __future__ import annotations
 
+import copy
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flagchess import Board, Box, Opaque, SymBlock
+from flagchess import Board, Box, Opaque, SymBlock, replay
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -209,6 +210,16 @@ class TestWireSchema:
     def test_malformed_documents_raise_value_error(self, text):
         with pytest.raises(ValueError):
             parse_game_result(text)
+
+    def test_replay_rejects_mistyped_move_parameters(self, game):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        assert doc["moves"][0]["params"] == {"y": 2, "direction": "left", "steps": 1}
+        for name, value in (("steps", "1"), ("steps", True), ("y", [2])):
+            bad = copy.deepcopy(doc)
+            bad["moves"][0]["params"][name] = value
+            result = parse_game_result(json.dumps(bad))
+            with pytest.raises(ValueError, match=f"parameter {name} must be int"):
+                replay(result.initial, result.log)
 
     def test_graded_to_json(self):
         assert graded_to_json({1: 1, 0: 2}) == [[0, 2], [1, 1]]
