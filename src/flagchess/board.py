@@ -207,8 +207,12 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
     """Rotate one row: each step wraps the row's outermost box by a full N-twist.
 
     A left step sends the rightmost box of the row to the row front at x - N;
-    a right step sends the leftmost to the row end at x + N.  N steps return
-    the row to its SOD arrangement shifted bodily by one period.
+    a right step sends the leftmost to the row end at x + N.  On a row of N
+    boxes in consecutive columns, N steps return the row to its SOD
+    arrangement shifted bodily by one period.  The row's boxes must lie in
+    distinct columns mod N, so that no step stacks two boxes on one
+    position; any number of steps then costs O(L log(steps * N)) for a row
+    of L boxes.
     """
     kind = "serre_translate"
     if direction not in ("left", "right"):
@@ -220,20 +224,50 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
         raise MoveRefused(kind, f"no boxes in row y={y}")
     row = [board.boxes[i] for i in slots]
     N = board.N
-    for _ in range(steps):
-        if direction == "left":
-            j = max(range(len(row)), key=lambda i: row[i].x)
-            moved = Box(row[j].x - N, y, row[j].content)
-            row = [moved] + row[:j] + row[j + 1:]
-        else:
-            j = min(range(len(row)), key=lambda i: row[i].x)
-            moved = Box(row[j].x + N, y, row[j].content)
-            row = row[:j] + row[j + 1:] + [moved]
+    if len({b.x % N for b in row}) < len(row):
+        raise MoveRefused(kind, f"two boxes of row y={y} share a column mod {N}")
     new_boxes = list(board.boxes)
-    for slot, box in zip(slots, row):
+    for slot, box in zip(slots, _serre_rotate(row, direction, steps, N)):
         new_boxes[slot] = box
     return _commit(board, new_boxes, kind, (),
                    (("y", y), ("direction", direction), ("steps", steps)))
+
+
+def _serre_rotate(row: list[Box], direction: str, steps: int, N: int) -> list[Box]:
+    """The row after ``steps`` steps of :func:`move_serre_translate`.
+
+    Write u = x for left steps and u = -x for right ones.  A box at u is
+    stepped at u, u - N, u - 2N, ..., and each step takes the largest value
+    left in the union of all boxes' progressions, which has no repeats since
+    the columns differ mod N.  So after s steps each box has been stepped
+    once for each of its values at or above theta, the s-th largest value of
+    the union.  The stepped boxes go to the front (left) or the end (right)
+    ordered by x, most recently stepped outermost; the others keep their
+    order.
+    """
+    if not steps:
+        return row
+    sign = 1 if direction == "left" else -1
+    us = [sign * b.x for b in row]
+
+    def count(theta: int) -> int:
+        return sum((u - theta) // N + 1 for u in us if u >= theta)
+
+    lo, hi = max(us) - steps * N, max(us)  # count(lo) > steps, count(hi) == 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if count(mid) >= steps:
+            lo = mid
+        else:
+            hi = mid - 1
+    stepped, kept = [], []
+    for b, u in zip(row, us):
+        if u >= lo:
+            stepped.append(Box(b.x - sign * ((u - lo) // N + 1) * N, b.y, b.content))
+        else:
+            kept.append(b)
+    stepped.sort(key=lambda b: b.x)
+    return stepped + kept if direction == "left" else kept + stepped
 
 
 def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, MoveRecord]:

@@ -29,7 +29,7 @@ from .render import (
     render_latex,
 )
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
-from .weights import line_bundle_cohomology, rho
+from .weights import bwb_regularize, line_bundle_cohomology, rho
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -92,7 +92,7 @@ def cmd_bwb(args: argparse.Namespace) -> int:
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
     lines = [f"line bundle O({args.x},{args.y}) on F(1,2,{args.N})",
              f"shifted weight: {start}"]
-    for idx, w in res.trace:
+    for idx, w in bwb_regularize(start).trace:
         lines.append(f"  reflect {idx}: {w}")
     if res.vanishes:
         lines.append("result: 0 (singular shifted weight)")

@@ -178,7 +178,9 @@ def parse_game_result(text: str) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`.
 
     A document that is not valid JSON or lacks the expected structure
-    raises ``ValueError``.
+    raises ``ValueError``, and so does one whose ``n`` is not an int >= 2,
+    whose ``eps`` is not 0 or 1 (a bool is not taken for an int), or whose
+    recorded board copy totals disagree with the boxes.
     """
     try:
         return _game_result_from_dict(json.loads(text))
@@ -190,8 +192,12 @@ def _game_result_from_dict(d: dict) -> GameResult:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d['schema_version']}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
-    initial = Board(n, eps, tuple(_box_from_dict(b) for b in d["initial"]["boxes"]))
-    final = Board(n, eps, tuple(_box_from_dict(b) for b in d["final"]["boxes"]))
+    if type(n) is not int or n < 2:
+        raise ValueError(f"params.n must be an int >= 2, got {n!r}")
+    if type(eps) is not int or eps not in (0, 1):
+        raise ValueError(f"params.eps must be 0 or 1, got {eps!r}")
+    initial = _board_from_dict(n, eps, d["initial"], "initial")
+    final = _board_from_dict(n, eps, d["final"], "final")
     gr2_boxes = tuple(_box_from_dict(b) for b in d["gr2"]["boxes"])
     matched = {b.pos for b in gr2_boxes}
     residual = tuple(b for b in final.boxes if b.pos not in matched)
@@ -201,6 +207,14 @@ def _game_result_from_dict(d: dict) -> GameResult:
         d["gr2"]["found"], gr2_boxes, residual,
         d["residual_f_count"], tuple(d["flags"]),
     )
+
+
+def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:
+    board = Board(n, eps, tuple(_box_from_dict(b) for b in d["boxes"]))
+    if type(d["copies"]) is not int or d["copies"] != board.copies:
+        raise ValueError(f"{name}.copies is {d['copies']!r} but its boxes "
+                         f"hold {board.copies} copies")
+    return board
 
 
 def emit_json_lines(result: GameResult,

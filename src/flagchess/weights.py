@@ -1,14 +1,22 @@
-"""Type-A weight arithmetic and Borel-Weil-Bott regularization.
+"""Type-A weight arithmetic and Borel-Weil-Bott on F(1,2,N).
 
 Weights live in fundamental-weight coordinates: a length-(N-1) tuple of exact
 integers describes a character of the maximal torus of GL(N) up to det-twists,
 and the flag threefold machinery below only ever needs N >= 3 so that the
 partial flag variety F(1,2,N) of (line in plane in C^N) exists.
 
-The regularization loop is the dotted Weyl action: add rho, then repeatedly
-reflect the smallest-index negative coordinate.  A zero coordinate anywhere
-means the weight is singular and the line bundle has no cohomology; otherwise
-the number of reflections is the unique cohomological degree.
+Line-bundle cohomology uses Bott's theorem in its sorting form (Demazure,
+"A very simple proof of Bott's theorem", Invent. Math. 33, 1976).  In
+partition coordinates the Weyl group permutes the entries of lambda+rho, so
+the weight is singular exactly when two entries agree, the cohomological
+degree is the number of inversions, and the dominant weight is the
+descending sort minus rho.  For O(x, y) only the first two of the N entries
+vary, so the degree and the Weyl dimension cost O(N) integer arithmetic.
+
+``bwb_regularize`` is the dotted Weyl action done by reflections: add rho,
+then repeatedly reflect the smallest-index negative coordinate.  It gives the
+reflection trace that the ``bwb`` command prints and serves as an
+independent cross-check of the sorting form.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, perm
 
 Weight = tuple[int, ...]
 
@@ -119,7 +128,6 @@ class CohomResult:
     degree: int | None
     dominant: Weight | None
     dim: int
-    trace: tuple[tuple[int, Weight], ...] = field(default=())
 
     @property
     def vanishes(self) -> bool:
@@ -138,16 +146,33 @@ def line_bundle_cohomology(N: int, x: int, y: int) -> CohomResult:
 
 
 def _line_bundle(N: int, x: int, y: int) -> CohomResult:
-    """Uncached BWB for the weight (x, y, 0, .., 0) in fundamental coordinates."""
+    """Uncached BWB for the weight (x, y, 0, .., 0) in fundamental coordinates.
+
+    In partition coordinates lambda+rho is (a, b, N-3, .., 1, 0) with
+    a = x+y+N-1 and b = y+N-2: only a and b vary, and the fixed tail is
+    already strictly descending.
+    """
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
-    w = (x, y) + (0,) * (N - 3)
-    reg = bwb_regularize(tuple(a + b for a, b in zip(w, rho(N))))
-    if reg.singular:
-        return CohomResult(None, None, 0, reg.trace)
-    assert reg.weight is not None
-    dom = tuple(a - 1 for a in reg.weight)
-    return CohomResult(reg.length, dom, weyl_dim(dom), reg.trace)
+    a, b = x + y + N - 1, y + N - 2
+    if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
+        return CohomResult(None, None, 0)
+    # a and b each sit above or below the whole tail; below it they invert
+    # with all N-2 of its entries.
+    degree = (a < b) + (N - 2) * ((a < 0) + (b < 0))
+    entries = sorted((a, b, *range(N - 3, -1, -1)), reverse=True)
+    dom = tuple(entries[i] - entries[i + 1] - 1 for i in range(N - 1))
+    # Weyl's product over pairs of entries: the pairs inside the tail cancel
+    # against the denominator, leaving (N-2)! (N-1)! below.
+    num = abs(a - b) * _tail_product(a, N) * _tail_product(b, N)
+    dim, rem = divmod(num, factorial(N - 2) * factorial(N - 1))
+    assert rem == 0
+    return CohomResult(degree, dom, dim)
+
+
+def _tail_product(a: int, N: int) -> int:
+    """|a - k| multiplied over k = 0..N-3, for a outside that range."""
+    return perm(a, N - 2) if a > 0 else perm(N - 3 - a, N - 2)
 
 
 def canonical_fiber(N: int) -> tuple[int, int]:

@@ -4,6 +4,9 @@ from __future__ import annotations
 import pytest
 
 import inspect
+import time
+
+from hypothesis import given, strategies as st
 
 from flagchess import (
     MOVES,
@@ -28,6 +31,7 @@ from flagchess import (
     move_transpose,
 )
 from flagchess import board as board_module
+from flagchess import run_game
 
 
 def board_of(n, eps, *cells) -> Board:
@@ -102,6 +106,16 @@ class TestBoard:
         assert final.copies == sum(b.copies for b in final.boxes)
 
 
+@st.composite
+def spread_rows(draw):
+    """An n=2, eps=1 board (N = 5) whose row y=1 holds boxes in distinct
+    columns mod 5, up to four periods apart, in any SOD order."""
+    residues = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5, unique=True))
+    cells = [(r + 5 * draw(st.integers(-4, 4)), 1, m) for m, r in enumerate(residues)]
+    cells = draw(st.permutations(cells))
+    return board_of(2, 1, *cells, (0, 2, 1))
+
+
 class TestSerreTranslate:
     def row(self):
         return board_of(2, 1, *[(x, 1, 0) for x in range(5)], (0, 2, 1))
@@ -124,6 +138,63 @@ class TestSerreTranslate:
         back, _ = move_serre_translate(stepped, 1, "right", 3)
         assert back.boxes == board.boxes
 
+    @staticmethod
+    def stepwise(board, y, direction, steps):
+        """Reference: the move one step at a time, as its docstring states it."""
+        slots = [i for i, b in enumerate(board.boxes) if b.y == y]
+        row = [board.boxes[i] for i in slots]
+        for _ in range(steps):
+            if direction == "left":
+                j = max(range(len(row)), key=lambda i: row[i].x)
+                row = [Box(row[j].x - board.N, y, row[j].content)] + row[:j] + row[j + 1:]
+            else:
+                j = min(range(len(row)), key=lambda i: row[i].x)
+                row = row[:j] + row[j + 1:] + [Box(row[j].x + board.N, y, row[j].content)]
+        boxes = list(board.boxes)
+        for slot, box in zip(slots, row):
+            boxes[slot] = box
+        return tuple(boxes)
+
+    def test_agrees_with_stepping_on_real_boards(self):
+        boards = []
+        for n, eps in ((2, 0), (2, 1), (3, 0), (3, 1)):
+            run_game(n, eps, validate=False,
+                     phase_hook=lambda name, board, count: boards.append(board))
+        for board in boards:
+            for y in sorted({b.y for b in board.boxes}):
+                L = sum(1 for b in board.boxes if b.y == y)
+                for direction in ("left", "right"):
+                    for steps in range(3 * L + 1):
+                        new, _ = move_serre_translate(board, y, direction, steps)
+                        assert new.boxes == self.stepwise(board, y, direction, steps)
+
+    @given(spread_rows(), st.sampled_from(["left", "right"]), st.integers(0, 40))
+    def test_agrees_with_stepping_on_any_row(self, board, direction, steps):
+        new, _ = move_serre_translate(board, 1, direction, steps)
+        assert new.boxes == self.stepwise(board, 1, direction, steps)
+
+    @given(spread_rows(), st.sampled_from(["left", "right"]),
+           st.integers(0, 10**12), st.integers(0, 10**12))
+    def test_huge_step_counts_compose(self, board, direction, a, b):
+        once, _ = move_serre_translate(board, 1, direction, a + b)
+        part, _ = move_serre_translate(board, 1, direction, a)
+        twice, _ = move_serre_translate(part, 1, direction, b)
+        assert once.boxes == twice.boxes
+
+    def test_huge_step_counts_return_at_once(self):
+        board = run_game(3, 1, validate=False).initial
+        L = sum(1 for b in board.boxes if b.y == 2)
+        for direction, sign in (("left", -1), ("right", 1)):
+            start = time.perf_counter()
+            new, rec = move_serre_translate(board, 2, direction, 10**9)
+            assert time.perf_counter() - start < 1.0
+            q, r = divmod(10**9, L)
+            shifted = Board(board.n, board.eps, tuple(
+                Box(b.x + sign * q * board.N, b.y, b.content) if b.y == 2 else b
+                for b in board.boxes))
+            assert new.boxes == self.stepwise(shifted, 2, direction, r)
+            assert dict(rec.params)["steps"] == 10**9
+
     def test_refusals(self):
         with pytest.raises(MoveRefused):
             move_serre_translate(self.row(), 1, "sideways", 1)
@@ -131,6 +202,10 @@ class TestSerreTranslate:
             move_serre_translate(self.row(), 1, "left", -1)
         with pytest.raises(MoveRefused):
             move_serre_translate(self.row(), 7, "left", 1)
+        shared = board_of(2, 1, (0, 1, 0), (5, 1, 1))
+        for steps in (0, 1, 10**9):
+            with pytest.raises(MoveRefused, match="share a column mod 5"):
+                move_serre_translate(shared, 1, "left", steps)
 
 
 class TestSerreGlobal:

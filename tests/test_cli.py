@@ -43,6 +43,18 @@ class TestExitCodes:
         assert "H^0 of dimension 1" in out
         assert "reflect" not in out  # zero reflections, empty trace
 
+    def test_bwb_prints_the_reflection_trace(self, capsys):
+        code, out, _ = run_cli(capsys, "bwb", "--N", "4", "--x", "1", "--y", "-5")
+        assert code == EXIT_OK
+        assert out == (
+            "line bundle O(1,-5) on F(1,2,4)\n"
+            "shifted weight: (2, -4, 1)\n"
+            "  reflect 2: (-2, 4, -3)\n"
+            "  reflect 1: (2, 2, -3)\n"
+            "  reflect 3: (2, -1, 3)\n"
+            "  reflect 2: (1, 1, 2)\n"
+            "result: H^4 of dimension 4, dominant weight (0, 0, 1)\n")
+
     def test_bwb_vanishing(self, capsys):
         code, out, _ = run_cli(capsys, "bwb", "--N", "5", "--x", "-1", "--y", "0")
         assert code == EXIT_OK
@@ -210,6 +222,41 @@ class TestWireSchema:
     def test_malformed_documents_raise_value_error(self, text):
         with pytest.raises(ValueError):
             parse_game_result(text)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 2.5), ("n", True), ("eps", True), ("eps", 1.0)])
+    def test_bad_params_raise_value_error(self, game, name, value):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        doc["params"][name] = value
+        with pytest.raises(ValueError, match=f"params.{name} must be"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("board, value", [
+        ("initial", 999), ("final", 14), ("final", 15.0)])
+    def test_false_copy_totals_raise_value_error(self, game, board, value):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        assert doc["initial"]["copies"] == doc["final"]["copies"] == 15
+        doc[board]["copies"] = value
+        with pytest.raises(ValueError, match=f"{board}.copies is"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("n, eps", [(2, 0), (2, 1), (3, 0), (3, 1)])
+    def test_rebuilt_json_lines_parse(self, capsys, n, eps):
+        argv = ("game", "--n", str(n), "--eps", str(eps), "--validate", "--emit")
+        _, text, _ = run_cli(capsys, *argv, "json")
+        _, stream, _ = run_cli(capsys, *argv, "json-lines")
+        records = [json.loads(line) for line in stream.splitlines()]
+        by_kind = {r["record"]: r for r in records}
+        doc = {"schema_version": by_kind["header"]["schema_version"],
+               "params": by_kind["header"]["params"],
+               "initial": by_kind["initial"]["board"],
+               "moves": [{k: v for k, v in r.items() if k not in ("record", "index")}
+                         for r in records if r["record"] == "move"],
+               "final": by_kind["final"]["board"],
+               "gr2": {"found": by_kind["gr2"]["found"], "boxes": by_kind["gr2"]["boxes"]},
+               "residual_f_count": by_kind["summary"]["residual_f_count"],
+               "flags": by_kind["summary"]["flags"]}
+        assert parse_game_result(json.dumps(doc)) == parse_game_result(text)
 
     def test_replay_rejects_mistyped_move_parameters(self, game):
         doc = json.loads(game_result_to_json(game(2, 1)))

@@ -1,9 +1,12 @@
 """Line-bundle cohomology core, checked against independent oracles.
 
-The regularization oracle here deliberately avoids the production algorithm:
-instead of iterated simple reflections it converts to suffix-sum coordinates,
-where the group acts by permutation, so singularity is a repeated entry,
-the length is an inversion count, and the dominant form is a descending sort.
+``line_bundle_cohomology`` uses Bott's theorem in its sorting form, so it is
+checked against the reflection route: ``bwb_regularize`` by iterated simple
+reflections, then Weyl's product formula in ``weyl_dim``.  The reflection
+loop in turn is checked against a brute-force sort oracle over all suffix
+sums, where the group acts by permutation, so singularity is a repeated
+entry, the length is an inversion count, and the dominant form is a
+descending sort.
 """
 from __future__ import annotations
 
@@ -42,6 +45,16 @@ def sort_regularize(w_plus_rho):
     desc = sorted(sums, reverse=True)
     fund = tuple(desc[i] - desc[i + 1] for i in range(len(desc) - 1))
     return inversions, fund
+
+
+def reflection_route(N: int, x: int, y: int):
+    """(degree, dominant, dim) of O(x, y) by reflections and Weyl's product."""
+    start = tuple(a + b for a, b in zip((x, y) + (0,) * (N - 3), rho(N)))
+    reg = bwb_regularize(start)
+    if reg.singular:
+        return None, None, 0
+    dominant = tuple(c - 1 for c in reg.weight)
+    return reg.length, dominant, weyl_dim(dominant)
 
 
 def monomial_count(N: int, k: int) -> int:
@@ -198,6 +211,26 @@ class TestLineBundleCohomology:
         if not r.vanishes:
             assert 0 <= r.degree <= 2 * N - 3
             assert r.dim >= 1
+
+    @given(st.data())
+    def test_agrees_with_the_reflection_route(self, data):
+        N = data.draw(st.integers(3, 40), label="N")
+        x = data.draw(st.integers(-3 * N, 3 * N), label="x")
+        y = data.draw(st.integers(-3 * N, 3 * N), label="y")
+        r = line_bundle_cohomology(N, x, y)
+        assert (r.degree, r.dominant, r.dim) == reflection_route(N, x, y)
+
+    @pytest.mark.parametrize("N", [20, 40, 80])
+    def test_agrees_with_the_reflection_route_at_large_N(self, N):
+        step = N // 2 + 1
+        degrees = set()
+        for x in range(-3 * N, 3 * N + 1, step):
+            for y in range(-3 * N, 3 * N + 1, step):
+                r = line_bundle_cohomology(N, x, y)
+                assert (r.degree, r.dominant, r.dim) == reflection_route(N, x, y)
+                degrees.add(r.degree)
+        # every kind of answer occurs: vanishing, and a, b above or below the tail
+        assert {None, 0, 1, N - 2, N - 1, 2 * N - 4, 2 * N - 3} <= degrees
 
     def test_serre_duality_full_window(self):
         for N in range(3, 8):
