@@ -10,12 +10,15 @@ longer participates in moves and may be slid past freely.
 Every move is a pure function Board -> (Board, MoveRecord).  Moves either
 apply (returning the mutated board and a replayable record) or raise
 :class:`MoveRefused`; total copy count is asserted invariant across every
-move.  The mutation moves (transpose / absorb / rule1 / rule2) optionally
-consult the Ext oracle on M and refuse when a required vanishing fails or
-comes back indeterminate; the shape-based refusals (e.g. transposing a
-pair that pairs nontrivially) are enforced even with validation off, so a
-validated and an unvalidated run agree move for move.  :data:`MOVES` says
-how each kind is called, and :func:`play` calls a move by its kind name.
+move.  The mutation moves (transpose / absorb / rule1 / rule2) act on the
+SOD slots between two blocks: each looks its window up with :func:`_window`,
+checks its own shape, and hands the new live boxes to :func:`_rewrite`,
+which keeps every opaque box in its slot.  With validation on they consult
+the Ext oracle on M and refuse when a required vanishing fails or comes
+back indeterminate; the shape-based refusals (e.g. transposing a pair that
+pairs nontrivially) are enforced even with validation off, so a validated
+and an unvalidated run agree move for move.  :data:`MOVES` says how each
+kind is called, and :func:`play` calls a move by its kind name.
 """
 
 from __future__ import annotations
@@ -325,6 +328,8 @@ def move_opacify_boxes(board: Board, positions: list[tuple[int, int]],
                        ) -> tuple[Board, MoveRecord]:
     """Retire the listed blocks in place, keeping their copy counts."""
     kind = "opacify_boxes"
+    if len(set(positions)) != len(positions):
+        raise MoveRefused(kind, "a position is listed twice")
     new_boxes = list(board.boxes)
     for pos in positions:
         box = _get(board, pos, kind)
@@ -358,9 +363,39 @@ def move_gather_to_end(board: Board, positions: list[tuple[int, int]],
     return _commit(board, new_boxes, kind, tuple(positions), ())
 
 
-def _between(board: Board, i: int, j: int) -> list[Box]:
-    """Non-opaque boxes strictly between SOD slots i and j."""
-    return [b for b in board.boxes[i + 1:j] if not b.opaque]
+def _window(board: Board, kind: str, first_pos: tuple[int, int],
+            last_pos: tuple[int, int], roles: tuple[str, str],
+            ) -> tuple[Box, Box, int, int, list[Box]]:
+    """The two blocks that bound a windowed move, their SOD slots, and the
+    live boxes strictly between them.
+
+    Refuses a missing or opaque bounding box, and a first box that does not
+    precede the last in SOD order; ``roles`` names the two in the refusal.
+    """
+    first_role, last_role = roles
+    first, last = _get(board, first_pos, kind), _get(board, last_pos, kind)
+    _sym(first, kind, first_role)
+    _sym(last, kind, last_role)
+    i, j = board.index(first_pos), board.index(last_pos)
+    if i >= j:
+        raise MoveRefused(kind, f"{first_role} must precede {last_role} in SOD order")
+    return first, last, i, j, [b for b in board.boxes[i + 1:j] if not b.opaque]
+
+
+def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
+             positions: tuple[tuple[int, int], ...], params: Params,
+             wanted: list | None) -> tuple[Board, MoveRecord]:
+    """Check ``wanted`` on the oracle when given, then commit the window edit.
+
+    The live boxes of slots i..j are replaced, in order, by ``live``; live
+    slots left over are dropped, and every opaque box keeps its slot.
+    """
+    oracle = () if wanted is None else _run_oracle(kind, board, wanted)
+    fill = iter(live)
+    window = [b if b.opaque else next(fill, None) for b in board.boxes[i:j + 1]]
+    new_boxes = list(board.boxes)
+    new_boxes[i:j + 1] = [b for b in window if b is not None]
+    return _commit(board, new_boxes, kind, positions, params, oracle)
 
 
 def move_transpose(board: Board, left_pos: tuple[int, int],
@@ -374,31 +409,20 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
     actual vanishing Ext_M(left, right-relative) = 0 is checked as well.
     """
     kind = "transpose"
-    left = _get(board, left_pos, kind)
-    right = _get(board, right_pos, kind)
-    lm = _sym(left, kind, "left box")
-    rm = _sym(right, kind, "right box")
-    i, j = board.index(left_pos), board.index(right_pos)
-    if i >= j:
-        raise MoveRefused(kind, "left box must precede right box in SOD order")
-    if _between(board, i, j):
+    left, right, i, j, between = _window(board, kind, left_pos, right_pos,
+                                         ("left box", "right box"))
+    if between:
         raise MoveRefused(kind, "boxes are not SOD-adjacent")
-    if lm.m == 0 and right.y - left.y == 1:
+    lm, rm = left.content.m, right.content.m
+    if lm == 0 and right.y - left.y == 1:
         t = left.x - right.x - 1
-        if t >= 1 and rm.m == t - 1:
+        if t >= 1 and rm == t - 1:
             raise MoveRefused(
                 kind, f"pairing-shaped pair at relative twist ({t}, 0) vs (-1, 1)")
-    oracle: tuple[OracleCheck, ...] = ()
-    if validate:
-        N = board.N
-        oracle = _run_oracle(kind, board, [(
-            BundleDescriptor(lm.m, 0, 0, N),
-            BundleDescriptor(rm.m, right.x - left.x, right.y - left.y, N),
-            {},
-        )])
-    new_boxes = list(board.boxes)
-    new_boxes[i], new_boxes[j] = new_boxes[j], new_boxes[i]
-    return _commit(board, new_boxes, kind, (left_pos, right_pos), (), oracle)
+    wanted = [(BundleDescriptor(lm, 0, 0, board.N),
+               BundleDescriptor(rm, right.x - left.x, right.y - left.y, board.N),
+               {})] if validate else None
+    return _rewrite(board, kind, i, j, [right, left], (left_pos, right_pos), (), wanted)
 
 
 def move_absorb(board: Board, target_pos: tuple[int, int],
@@ -411,39 +435,27 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     common origin (source x + 1, source y - 1).
     """
     kind = "absorb"
-    target = _get(board, target_pos, kind)
-    source = _get(board, source_pos, kind)
-    tc = _sym(target, kind, "target")
-    sc = _sym(source, kind, "source")
-    if tc.m != 0:
+    target, source, i, j, between = _window(board, kind, target_pos, source_pos,
+                                            ("target", "source"))
+    if target.content.m != 0:
         raise MoveRefused(kind, "absorbing box must have grade 0")
     t = target.x - source.x - 1
     if source.y - target.y != 1 or t < 1:
         raise MoveRefused(
             kind, f"source must sit at relative twist (-1-t, 1); got offset "
                   f"({source.x - target.x}, {source.y - target.y})")
-    if sc.m != t - 1:
-        raise MoveRefused(kind, f"source grade must be {t - 1}, got {sc.m}")
-    i, j = board.index(target_pos), board.index(source_pos)
-    if i >= j:
-        raise MoveRefused(kind, "target must precede source in SOD order")
-    if _between(board, i, j):
+    if source.content.m != t - 1:
+        raise MoveRefused(kind, f"source grade must be {t - 1}, got {source.content.m}")
+    if between:
         raise MoveRefused(kind, "boxes are not SOD-adjacent")
     landing = (source.x + 1, source.y - 1)
     if board.at(landing) is not None:
         raise MoveRefused(kind, f"landing position {landing} is occupied")
-    oracle: tuple[OracleCheck, ...] = ()
-    if validate:
-        N = board.N
-        oracle = _run_oracle(kind, board, [(
-            BundleDescriptor(0, t, 0, N),
-            BundleDescriptor(t - 1, -1, 1, N),
-            {1: 1},
-        )])
-    new_boxes = list(board.boxes)
-    new_boxes[i] = Box(landing[0], landing[1], SymBlock(t))
-    del new_boxes[j]
-    return _commit(board, new_boxes, kind, (target_pos, source_pos), (), oracle)
+    wanted = [(BundleDescriptor(0, t, 0, board.N),
+               BundleDescriptor(t - 1, -1, 1, board.N),
+               {1: 1})] if validate else None
+    return _rewrite(board, kind, i, j, [Box(*landing, SymBlock(t))],
+                    (target_pos, source_pos), (), wanted)
 
 
 def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
@@ -484,28 +496,20 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
     grade-r block, the mover disappears, and the row of zeros survives.
     """
     kind = "rule1"
-    gray = _get(board, gray_pos, kind)
-    mover = _get(board, block_pos, kind)
-    gc = _sym(gray, kind, "head")
-    mc = _sym(mover, kind, "mover")
-    if gc.m != 0:
+    gray, mover, i, j, window = _window(board, kind, gray_pos, block_pos,
+                                        ("head", "mover"))
+    if gray.content.m != 0:
         raise MoveRefused(kind, "head box must have grade 0")
     if block_pos != (gray.x - 1, gray.y + 1):
         raise MoveRefused(
             kind, f"mover must sit at ({gray.x - 1}, {gray.y + 1}), got {block_pos}")
-    r = mc.m + 1
-    i, j = board.index(gray_pos), board.index(block_pos)
-    if i >= j:
-        raise MoveRefused(kind, "head must precede mover in SOD order")
-    window = _between(board, i, j)
     _check_zeros(kind, window, gray.x + 1, gray.y)
-    l = len(window)
-    n, eps = board.n, board.eps
+    r, l, n = mover.content.m + 1, len(window), board.n
     if not 1 <= r <= n - 1:
         raise MoveRefused(kind, f"grade bound 1 <= r <= n-1 fails for r={r}")
-    if not r <= l <= 2 * n - 3 + eps:
+    if not r <= l <= 2 * n - 3 + board.eps:
         raise MoveRefused(kind, f"window bound r <= l <= 2n-3+eps fails for r={r}, l={l}")
-    oracle: tuple[OracleCheck, ...] = ()
+    wanted = None
     if validate:
         N = board.N
         wanted = _rule_oracle(N, range(r), l)
@@ -513,11 +517,8 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
             for back in range(1, m + 1):
                 wanted.append((BundleDescriptor(0, back, 0, N),
                                BundleDescriptor(m + 1, 0, 0, N), {}))
-        oracle = _run_oracle(kind, board, wanted)
-    new_boxes = list(board.boxes)
-    new_boxes[i] = Box(gray.x, gray.y, SymBlock(r))
-    del new_boxes[j]
-    return _commit(board, new_boxes, kind, (gray_pos, block_pos), (), oracle)
+    return _rewrite(board, kind, i, j, [Box(gray.x, gray.y, SymBlock(r)), *window],
+                    (gray_pos, block_pos), (), wanted)
 
 
 def move_rule2(board: Board, zeros_start: tuple[int, int],
@@ -533,46 +534,24 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
     """
     kind = "rule2"
     zx, zy = zeros_start
-    _get(board, zeros_start, kind)
-    block = _get(board, block_pos, kind)
-    bc = _sym(block, kind, "block")
+    first, block, i, j, between = _window(board, kind, zeros_start, block_pos,
+                                          ("zeros", "block"))
     if block_pos != (zx - 1, zy + 1):
         raise MoveRefused(
             kind, f"block must sit at ({zx - 1}, {zy + 1}), got {block_pos}")
-    if r < 1 or bc.m != r - 1:
-        raise MoveRefused(kind, f"block grade must be {r - 1}, got {bc.m}")
-    n = board.n
+    if r < 1 or block.content.m != r - 1:
+        raise MoveRefused(kind, f"block grade must be {r - 1}, got {block.content.m}")
     boundary = r == t + 1
-    if not ((r + 1 <= t <= n - 2) or (boundary and 0 <= t <= n - 1)):
+    if not ((r + 1 <= t <= board.n - 2) or (boundary and 0 <= t <= board.n - 1)):
         raise MoveRefused(kind, f"bounds fail for t={t}, r={r}")
-    i = board.index(zeros_start)
-    j = board.index(block_pos)
-    if i >= j:
-        raise MoveRefused(kind, "zeros must precede the block in SOD order")
-    first = board.boxes[i]
-    window = [first] + _between(board, i, j)
+    window = [first, *between]
     if len(window) != t + 1:
         raise MoveRefused(
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
     _check_zeros(kind, window, zx, zy)
-    oracle: tuple[OracleCheck, ...] = ()
-    if validate:
-        oracle = _run_oracle(kind, board, _rule_oracle(board.N, range(r - 1), t))
-    consumed = min(r, t + 1)
-    survivors = window[consumed:]
-    replacement = [block, Box(zx, zy, SymBlock(r - 1))] + survivors
-    new_boxes = []
-    queue = list(replacement)
-    for idx, b in enumerate(board.boxes):
-        if idx < i or idx > j:
-            new_boxes.append(b)
-        elif b.opaque:
-            new_boxes.append(b)
-        elif queue:
-            new_boxes.append(queue.pop(0))
-    assert not queue, "rule2 window bookkeeping failed"
-    return _commit(board, new_boxes, kind, (zeros_start, block_pos),
-                   (("t", t), ("r", r)), oracle)
+    wanted = _rule_oracle(board.N, range(r - 1), t) if validate else None
+    return _rewrite(board, kind, i, j, [block, Box(zx, zy, SymBlock(r - 1)), *window[r:]],
+                    (zeros_start, block_pos), (("t", t), ("r", r)), wanted)
 
 
 def move_orange_merge(board: Board, orange_pos: tuple[int, int],

@@ -56,6 +56,8 @@ def _triple(text: str) -> tuple[int, int, int]:
         m, x, y = (int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
+    if m < 0:
+        raise argparse.ArgumentTypeError(f"symmetric power must be >= 0, got {m}")
     return m, x, y
 
 
@@ -71,9 +73,12 @@ def _write(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
 
 
 def _need_N(N: int) -> None:
@@ -105,6 +110,8 @@ def cmd_bwb(args: argparse.Namespace) -> int:
 
 def cmd_cohom(args: argparse.Namespace) -> int:
     _need_N(args.N)
+    if args.m < 0:
+        raise UsageError(f"symmetric power must be >= 0, got {args.m}")
     d = BundleDescriptor(args.m, args.x, args.y, args.N)
     lines = [f"Sym^{args.m} twisted by ({args.x},{args.y}) on F(1,2,{args.N})"]
     for px, py in sym_filtration(d):

@@ -185,9 +185,18 @@ class GameResult:
     log: tuple[MoveRecord, ...]
     gr2_found: bool
     gr2_boxes: tuple[Box, ...]
-    residual_boxes: tuple[Box, ...]
     residual_f_count: int
     flags: tuple[str, ...]
+
+    @property
+    def residual_boxes(self) -> tuple[Box, ...]:
+        return _residual(self.final, self.gr2_boxes)
+
+
+def _residual(final: Board, gr2_boxes: tuple[Box, ...]) -> tuple[Box, ...]:
+    """The final board's boxes outside the column, in SOD order."""
+    matched = {b.pos for b in gr2_boxes}
+    return tuple(b for b in final.boxes if b.pos not in matched)
 
 
 def reference_residual_count(n: int, eps: int) -> int:
@@ -234,9 +243,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
 
     found, gr2_boxes, flags = extract_gr2(final, n, eps)
     flags = list(flags)
-    matched = {b.pos for b in gr2_boxes}
-    residual = tuple(b for b in final.boxes if b.pos not in matched)
-    residual_count = sum(b.copies for b in residual)
+    residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
     gr2_copies = sum(b.copies for b in gr2_boxes)
     assert gr2_copies + residual_count == initial.copies
 
@@ -247,7 +254,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
                          f"reference value {expected}")
 
     return GameResult(n, eps, mode, initial, final, tuple(g.log), found,
-                      gr2_boxes, residual, residual_count, tuple(flags))
+                      gr2_boxes, residual_count, tuple(flags))
 
 
 def replay(initial: Board, log: tuple[MoveRecord, ...]) -> Board:

@@ -98,16 +98,24 @@ def box_to_dict(box: Box) -> dict:
     return {"x": box.x, "y": box.y, "content": content}
 
 
+def _int_at_least(value: Any, low: int, name: str) -> int:
+    if type(value) is not int or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+    return value
+
+
 def _box_from_dict(d: dict) -> Box:
-    c = d["content"]
+    x, y, c = d["x"], d["y"], d["content"]
+    if not type(x) is type(y) is int:
+        raise ValueError(f"box position must be a pair of ints, got {(x, y)!r}")
     content: SymBlock | Opaque
     if c["kind"] == "opaque":
-        content = Opaque(c["copies"])
+        content = Opaque(_int_at_least(c["copies"], 1, "opaque copies"))
     elif c["kind"] == "sym":
-        content = SymBlock(c["m"])
+        content = SymBlock(_int_at_least(c["m"], 0, "sym grade m"))
     else:
         raise ValueError(f"unknown content kind {c['kind']!r}")
-    return Box(d["x"], d["y"], content)
+    return Box(x, y, content)
 
 
 def board_to_dict(board: Board) -> dict:
@@ -178,9 +186,16 @@ def parse_game_result(text: str) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`.
 
     A document that is not valid JSON or lacks the expected structure
-    raises ``ValueError``, and so does one whose ``n`` is not an int >= 2,
-    whose ``eps`` is not 0 or 1 (a bool is not taken for an int), or whose
-    recorded board copy totals disagree with the boxes.
+    raises ``ValueError``, and so does one holding any of these (a bool is
+    never taken for an int):
+    - an ``n`` that is not an int >= 2, an ``eps`` other than 0 or 1, a
+      ``mode`` other than ``fibration`` or ``flip``, or ``flags`` that are
+      not a list of strings;
+    - a box x or y that is not an int, a grade ``m`` that is not an
+      int >= 0, or an opaque ``copies`` that is not an int >= 1;
+    - a recorded copy total that disagrees with its boards' boxes, or
+      initial and final boards of different copy totals;
+    - a ``gr2`` box that is not on the final board.
     """
     try:
         return _game_result_from_dict(json.loads(text))
@@ -192,20 +207,27 @@ def _game_result_from_dict(d: dict) -> GameResult:
     if d["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {d['schema_version']}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
-    if type(n) is not int or n < 2:
-        raise ValueError(f"params.n must be an int >= 2, got {n!r}")
+    _int_at_least(n, 2, "params.n")
     if type(eps) is not int or eps not in (0, 1):
         raise ValueError(f"params.eps must be 0 or 1, got {eps!r}")
+    if mode not in ("fibration", "flip"):
+        raise ValueError(f"params.mode must be fibration or flip, got {mode!r}")
+    flags = d["flags"]
+    if type(flags) is not list or any(type(f) is not str for f in flags):
+        raise ValueError(f"flags must be a list of strings, got {flags!r}")
     initial = _board_from_dict(n, eps, d["initial"], "initial")
     final = _board_from_dict(n, eps, d["final"], "final")
+    if initial.copies != final.copies:
+        raise ValueError(f"initial board holds {initial.copies} copies "
+                         f"but the final board holds {final.copies}")
     gr2_boxes = tuple(_box_from_dict(b) for b in d["gr2"]["boxes"])
-    matched = {b.pos for b in gr2_boxes}
-    residual = tuple(b for b in final.boxes if b.pos not in matched)
+    for b in gr2_boxes:
+        if final.at(b.pos) != b:
+            raise ValueError(f"gr2 box at {b.pos} is not on the final board")
     return GameResult(
         n, eps, mode, initial, final,
         tuple(_move_from_dict(m) for m in d["moves"]),
-        d["gr2"]["found"], gr2_boxes, residual,
-        d["residual_f_count"], tuple(d["flags"]),
+        d["gr2"]["found"], gr2_boxes, d["residual_f_count"], tuple(flags),
     )
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import pytest
 
 import inspect
+import itertools
 import time
 
 from hypothesis import given, strategies as st
@@ -295,6 +296,11 @@ class TestOpacifyAndGather:
         with pytest.raises(MoveRefused, match="listed twice"):
             move_gather_to_end(board, [(0, 1), (0, 1)])
 
+    def test_opacify_refuses_a_repeated_position(self):
+        board = board_of(2, 0, (0, 1, 0), (1, 1, 2))
+        with pytest.raises(MoveRefused, match="listed twice"):
+            move_opacify_boxes(board, [(0, 1), (0, 1)])
+
 
 class TestTranspose:
     def test_vanishing_pair_swaps(self):
@@ -480,6 +486,84 @@ class TestRule2:
         board = board_of(2, 1, (1, 2, 0), (0, 3, 1))
         with pytest.raises(MoveRefused):
             move_rule2(board, (1, 2), (0, 3), t=1, r=2)
+
+
+def _swap(boxes, i, j, *_):
+    """Transpose's edit as it was first written: swap the two slots."""
+    boxes[i], boxes[j] = boxes[j], boxes[i]
+    return boxes
+
+
+def _set_then_del(boxes, i, j, merged):
+    """Absorb's and rule 1's edit as first written: set slot i, drop slot j."""
+    boxes[i] = merged
+    del boxes[j]
+    return boxes
+
+
+def _queue(boxes, i, j, replacement):
+    """Rule 2's edit as first written: refill the live slots of i..j in order."""
+    out, queue = [], list(replacement)
+    for idx, b in enumerate(boxes):
+        if idx < i or idx > j or b.opaque:
+            out.append(b)
+        elif queue:
+            out.append(queue.pop(0))
+    assert not queue
+    return out
+
+
+# (move, board (n, eps, live cells in SOD order), positions, params, reference
+# edit, what it puts in place).  The first and last cells lie outside the window.
+WINDOWED = [
+    (move_transpose, (2, 1, [(7, 7, 0), (0, 0, 0), (-3, 1, 0), (8, 8, 1)]),
+     ((0, 0), (-3, 1)), {}, _swap, None),
+    (move_absorb, (2, 1, [(7, 7, 0), (2, 0, 0), (0, 1, 0), (8, 8, 1)]),
+     ((2, 0), (0, 1)), {}, _set_then_del, Box(1, 0, SymBlock(1))),
+    (move_rule1, (3, 0, [(7, 7, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0),
+                         (-1, 2, 1), (8, 8, 1)]),
+     ((0, 1), (-1, 2)), {}, _set_then_del, Box(0, 1, SymBlock(2))),
+    (move_rule2, (2, 1, [(7, 7, 0), (1, 2, 0), (2, 2, 0), (0, 3, 1), (8, 8, 1)]),
+     ((1, 2), (0, 3)), {"t": 1, "r": 2}, _queue,
+     [Box(0, 3, SymBlock(1)), Box(1, 2, SymBlock(1))]),
+    (move_rule2, (5, 0, [(7, 7, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0),
+                         (-1, 2, 1), (8, 8, 1)]),
+     ((0, 1), (-1, 2)), {"t": 3, "r": 2}, _queue,
+     [Box(-1, 2, SymBlock(1)), Box(0, 1, SymBlock(1)), Box(2, 1, SymBlock(0)),
+      Box(3, 1, SymBlock(0))]),
+]
+
+
+class TestWindowedMovesWithOpaques:
+    """Opaque boxes placed anywhere in (or around) the window of a windowed
+    move keep their slots, and the move makes the edit first written for it."""
+
+    @staticmethod
+    def placements(cells):
+        """The live cells with one opaque box in each chosen gap, for every
+        set of gaps, plus two opaques in every gap at once."""
+        gaps = range(len(cells) + 1)
+        for chosen in itertools.chain.from_iterable(
+                itertools.combinations(gaps, k) for k in range(len(gaps) + 1)):
+            yield [c for g in gaps for c in
+                   ([(100 + g, 100, "x")] if g in chosen else []) + cells[g:g + 1]]
+        yield [c for g in gaps for c in
+               [(100 + g, 100, "x"), (100 + g, 101, "x")] + cells[g:g + 1]]
+
+    @pytest.mark.parametrize("move, start, positions, params, reference, put", WINDOWED,
+                             ids=["transpose", "absorb", "rule1", "rule2-boundary",
+                                  "rule2-interior"])
+    def test_opaques_keep_their_slots(self, move, start, positions, params, reference, put):
+        n, eps, cells = start
+        for placed in self.placements(cells):
+            board = board_of(n, eps, *placed)
+            i, j = (board.index(p) for p in positions)
+            new, rec = move(board, *positions, **params, validate=False)
+            assert list(new.boxes) == reference(list(board.boxes), i, j, put)
+            for slot in range(i, j + 1):
+                if board.boxes[slot].opaque:
+                    assert new.boxes[slot] is board.boxes[slot]
+            assert rec.copies_before == rec.copies_after == board.copies
 
 
 class TestOrangeMerge:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -140,6 +141,29 @@ class TestExitCodes:
                   "--src", "0,2", "--tgt", "1,-1,1"])
         assert err.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv, m", [
+        (("cohom", "--N", "5", "--m", "-1", "--x", "0", "--y", "0"), -1),
+        (("ext", "--N", "5", "--space", "M", "--src=-1,0,0", "--tgt=0,0,0"), -1),
+        (("ext", "--N", "5", "--space", "flag", "--src=0,0,0", "--tgt=-2,1,0"), -2),
+    ], ids=["cohom", "ext-src", "ext-tgt"])
+    def test_negative_symmetric_power_is_usage(self, capsys, argv, m):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("flagchess: error: ")
+        assert err.endswith(f"symmetric power must be >= 0, got {m}\n")
+
+    def test_output_into_a_missing_directory_is_usage(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(capsys, "bwb", "--N", "5", "--x", "0", "--y", "0",
+                                 "--output", str(target))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"flagchess: error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
 
 class TestEmitFormats:
     def test_text_shows_phases(self, capsys):
@@ -239,6 +263,79 @@ class TestWireSchema:
         doc[board]["copies"] = value
         with pytest.raises(ValueError, match=f"{board}.copies is"):
             parse_game_result(json.dumps(doc))
+
+    @staticmethod
+    def edited(game, edit):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        edit(doc)
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("board", ["initial", "final"])
+    @pytest.mark.parametrize("axis, value", [("x", "0"), ("y", "0"), ("x", True),
+                                             ("y", 1.0)])
+    def test_box_positions_must_be_ints(self, game, board, axis, value):
+        def edit(doc):
+            doc[board]["boxes"][0][axis] = value
+        with pytest.raises(ValueError, match="box position must be a pair of ints"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", ["1", True, 1.0, -1, None])
+    def test_sym_grades_must_be_ints_at_least_zero(self, game, value):
+        def edit(doc):
+            box = next(b for b in doc["initial"]["boxes"] if b["content"]["kind"] == "sym")
+            box["content"]["m"] = value
+        with pytest.raises(ValueError, match="sym grade m must be an int >= 0"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", [0, -1, True, 1.0, "1"])
+    def test_opaque_copies_must_be_ints_at_least_one(self, game, value):
+        def edit(doc):
+            box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "opaque")
+            doc["final"]["copies"] += (value if type(value) is int else 0) - box["content"]["copies"]
+            box["content"]["copies"] = value
+        with pytest.raises(ValueError, match="opaque copies must be an int >= 1"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", ["zzz", "", None, ["fibration"]])
+    def test_mode_must_be_fibration_or_flip(self, game, value):
+        def edit(doc):
+            doc["params"]["mode"] = value
+        with pytest.raises(ValueError, match="params.mode must be fibration or flip"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", ["ab", None, [1], ["a", None], {"a": 1}])
+    def test_flags_must_be_a_list_of_strings(self, game, value):
+        def edit(doc):
+            doc["flags"] = value
+        with pytest.raises(ValueError, match="flags must be a list of strings"):
+            parse_game_result(self.edited(game, edit))
+
+    def test_gr2_boxes_must_be_on_the_final_board(self, game):
+        def off_board(doc):
+            doc["gr2"]["boxes"][0].update(x=99, y=99)
+
+        def wrong_content(doc):
+            doc["gr2"]["boxes"][0]["content"]["m"] += 1
+        for edit in (off_board, wrong_content):
+            with pytest.raises(ValueError, match="is not on the final board"):
+                parse_game_result(self.edited(game, edit))
+
+    def test_initial_and_final_copies_must_agree(self, game):
+        def edit(doc):
+            column = {(b["x"], b["y"]) for b in doc["gr2"]["boxes"]}
+            box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "sym"
+                       and (b["x"], b["y"]) not in column)
+            box["content"]["m"] += 1
+            doc["final"]["copies"] += 1
+        with pytest.raises(ValueError, match="initial board holds 15 copies "
+                                             "but the final board holds 16"):
+            parse_game_result(self.edited(game, edit))
+
+    def test_residual_boxes_follow_the_final_board_and_column(self, game):
+        result = game(2, 1)
+        assert result.residual_boxes == tuple(
+            b for b in result.final.boxes if b not in result.gr2_boxes)
+        assert dataclasses.replace(result, gr2_boxes=()).residual_boxes == result.final.boxes
 
     @pytest.mark.parametrize("n, eps", [(2, 0), (2, 1), (3, 0), (3, 1)])
     def test_rebuilt_json_lines_parse(self, capsys, n, eps):
