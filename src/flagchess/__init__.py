@@ -54,15 +54,11 @@ from .games import (
     run_game,
 )
 from .oracle import (
-    SPACE_FLAG,
-    SPACE_M,
-    ExtQuery,
     LemmaPoint,
     LemmaReport,
     check_lemma,
     ext_on_M,
     ext_on_flag,
-    ext_query,
     hom_bundle,
     koszul_terms,
 )
@@ -107,9 +103,8 @@ __all__ = [
     "GameResult", "corrected_flip_board", "extract_gr2",
     "initial_board_fibration", "initial_board_flip",
     "reference_residual_count", "replay", "run_game",
-    "ExtQuery", "LemmaPoint", "LemmaReport", "SPACE_FLAG", "SPACE_M",
-    "check_lemma", "ext_on_M", "ext_on_flag", "ext_query", "hom_bundle",
-    "koszul_terms",
+    "LemmaPoint", "LemmaReport", "check_lemma", "ext_on_M", "ext_on_flag",
+    "hom_bundle", "koszul_terms",
     "INDETERMINATE", "BundleDescriptor", "clebsch_gordan_rank2", "dualize",
     "sym_cohomology", "sym_cohomology_via_pushforward", "sym_filtration",
     "sym_resolution_step",

@@ -328,6 +328,8 @@ def move_opacify_boxes(board: Board, positions: list[tuple[int, int]],
                        ) -> tuple[Board, MoveRecord]:
     """Retire the listed blocks in place, keeping their copy counts."""
     kind = "opacify_boxes"
+    if not positions:
+        raise MoveRefused(kind, "nothing to opacify")
     if len(set(positions)) != len(positions):
         raise MoveRefused(kind, "a position is listed twice")
     new_boxes = list(board.boxes)

@@ -9,7 +9,6 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .board import MoveRefused
@@ -35,8 +34,6 @@ EXIT_OK = 0
 EXIT_FLAGGED = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 3
-
-EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
 
 class UsageError(Exception):
@@ -166,17 +163,14 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 
 def cmd_game(args: argparse.Namespace) -> int:
     _need_n(args.n)
-    emit = args.emit if args.emit is not None else os.environ.get("FLAGCHESS_EMIT", "text")
-    if emit not in EMIT_FORMATS:
-        raise UsageError(f"unknown emit format {emit!r}; expected one of {EMIT_FORMATS}")
     phases: list[tuple[str, object, int]] = []
     result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate,
                       phase_hook=lambda name, board, count: phases.append((name, board, count)))
-    if emit == "json":
+    if args.emit == "json":
         lines = [game_result_to_json(result)]
-    elif emit == "json-lines":
+    elif args.emit == "json-lines":
         lines = emit_json_lines(result, phases)  # type: ignore[arg-type]
-    elif emit == "latex":
+    elif args.emit == "latex":
         lines = []
         for name, board, count in phases:
             lines.append(f"% phase: {name} (after {count} moves)")
@@ -268,8 +262,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("fibration", "flip"), default="fibration")
     p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=None,
                    help="force oracle validation on or off (default: on for n <= 4)")
-    p.add_argument("--emit", choices=EMIT_FORMATS, default=None,
-                   help="output format (default: FLAGCHESS_EMIT or text)")
+    p.add_argument("--emit", choices=("text", "latex", "json", "json-lines"),
+                   default="text", help="output format (default: text)")
 
     p = add("degree", cmd_degree, "branch-divisor degree, two independent ways")
     p.add_argument("--n", type=int, required=True)

@@ -23,25 +23,6 @@ from .schur import (
 )
 from .weights import GradedDims, graded_add, graded_shift
 
-SPACE_FLAG = "flag"
-SPACE_M = "M"
-
-
-@dataclass(frozen=True)
-class ExtQuery:
-    """An Ext^*(source, target) request on the flag variety or on M."""
-
-    source: BundleDescriptor
-    target: BundleDescriptor
-    space: str = SPACE_M
-
-    def __post_init__(self) -> None:
-        if self.source.N != self.target.N:
-            raise ValueError("source and target must live on the same F(1,2,N)")
-        if self.space not in (SPACE_FLAG, SPACE_M):
-            raise ValueError(f"unknown space {self.space!r}")
-
-
 def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
 
@@ -110,12 +91,6 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
             if abs(a - b) <= 1:
                 return INDETERMINATE
     return graded_add(B, graded_shift(A, -1))
-
-
-def ext_query(q: ExtQuery) -> GradedDims | _Indeterminate:
-    if q.space == SPACE_FLAG:
-        return ext_on_flag(q.source, q.target)
-    return ext_on_M(q.source, q.target)
 
 
 @dataclass(frozen=True)

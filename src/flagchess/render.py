@@ -13,21 +13,12 @@ from typing import Any, Iterable
 
 from .board import Board, Box, MoveRecord, Opaque, OracleCheck, SymBlock
 from .games import GameResult
-from .schur import INDETERMINATE, _Indeterminate
-from .weights import GradedDims
 
 SCHEMA_VERSION = 1
 
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"))
-
-
-def graded_to_json(g: GradedDims | _Indeterminate) -> list[list[int]] | str:
-    if g is INDETERMINATE:
-        return "indeterminate"
-    assert isinstance(g, dict)
-    return [[k, v] for k, v in sorted(g.items())]
 
 
 def _cell(box: Box | None) -> str:
@@ -123,27 +114,29 @@ def board_to_dict(board: Board) -> dict:
 
 
 def _check_to_dict(check: OracleCheck) -> dict:
-    got: Any = check.got if isinstance(check.got, str) else [list(p) for p in check.got]
-    return {
-        "source": list(check.source),
-        "target": list(check.target),
-        "space": check.space,
-        "expected": [list(p) for p in check.expected],
-        "got": got,
-        "ok": check.ok,
-    }
+    return {"source": check.source, "target": check.target, "space": check.space,
+            "expected": check.expected, "got": check.got, "ok": check.ok}
 
 
 def _check_from_dict(d: dict) -> OracleCheck:
+    for end in (d["source"], d["target"]):
+        if type(end) is not list or len(end) != 3 or any(type(v) is not int for v in end):
+            raise ValueError(f"oracle source and target must be three ints, got {end!r}")
+    if d["space"] != "M":
+        raise ValueError(f"oracle space must be M, got {d['space']!r}")
     got = d["got"] if isinstance(d["got"], str) else tuple(tuple(p) for p in d["got"])
-    return OracleCheck(tuple(d["source"]), tuple(d["target"]), d["space"],
-                       tuple(tuple(p) for p in d["expected"]), got)
+    check = OracleCheck(tuple(d["source"]), tuple(d["target"]), "M",
+                        tuple(tuple(p) for p in d["expected"]), got)
+    if d["ok"] is not check.ok:
+        raise ValueError(f"oracle ok is {d['ok']!r} but got {check.got} "
+                         f"against expected {check.expected}")
+    return check
 
 
 def move_to_dict(record: MoveRecord) -> dict:
     return {
         "kind": record.kind,
-        "positions": [list(p) for p in record.positions],
+        "positions": record.positions,
         "params": dict(record.params),
         "oracle": [_check_to_dict(c) for c in record.oracle],
         "verdict": record.verdict,
@@ -152,15 +145,20 @@ def move_to_dict(record: MoveRecord) -> dict:
     }
 
 
-def _move_from_dict(d: dict) -> MoveRecord:
+def _move_from_dict(d: dict, copies: int) -> MoveRecord:
+    if d["verdict"] != "applied":
+        raise ValueError(f"move verdict must be applied, got {d['verdict']!r}")
+    for key in ("copies_before", "copies_after"):
+        if type(d[key]) is not int or d[key] != copies:
+            raise ValueError(f"move {key} is {d[key]!r} but the boards hold {copies} copies")
     return MoveRecord(
         d["kind"],
         tuple(tuple(p) for p in d["positions"]),
         tuple(d["params"].items()),
         tuple(_check_from_dict(c) for c in d["oracle"]),
-        d["verdict"],
-        d["copies_before"],
-        d["copies_after"],
+        "applied",
+        copies,
+        copies,
     )
 
 
@@ -174,7 +172,7 @@ def game_result_to_dict(result: GameResult) -> dict:
         "gr2": {"found": result.gr2_found,
                 "boxes": [box_to_dict(b) for b in result.gr2_boxes]},
         "residual_f_count": result.residual_f_count,
-        "flags": list(result.flags),
+        "flags": result.flags,
     }
 
 
@@ -195,7 +193,13 @@ def parse_game_result(text: str) -> GameResult:
       int >= 0, or an opaque ``copies`` that is not an int >= 1;
     - a recorded copy total that disagrees with its boards' boxes, or
       initial and final boards of different copy totals;
-    - a ``gr2`` box that is not on the final board.
+    - a move whose ``verdict`` is not ``applied``, or whose
+      ``copies_before`` or ``copies_after`` differs from the boards' total;
+    - an oracle entry whose ``space`` is not ``M``, whose ``source`` or
+      ``target`` is not three ints, or whose ``ok`` disagrees with
+      ``got == expected``;
+    - a ``gr2`` box that is not on the final board, or a ``gr2.found`` that
+      is not a bool or disagrees with whether ``gr2.boxes`` is empty.
     """
     try:
         return _game_result_from_dict(json.loads(text))
@@ -224,10 +228,13 @@ def _game_result_from_dict(d: dict) -> GameResult:
     for b in gr2_boxes:
         if final.at(b.pos) != b:
             raise ValueError(f"gr2 box at {b.pos} is not on the final board")
+    found = d["gr2"]["found"]
+    if type(found) is not bool or found != bool(gr2_boxes):
+        raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")
     return GameResult(
         n, eps, mode, initial, final,
-        tuple(_move_from_dict(m) for m in d["moves"]),
-        d["gr2"]["found"], gr2_boxes, d["residual_f_count"], tuple(flags),
+        tuple(_move_from_dict(m, initial.copies) for m in d["moves"]),
+        found, gr2_boxes, d["residual_f_count"], tuple(flags),
     )
 
 
@@ -241,29 +248,24 @@ def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:
 
 def emit_json_lines(result: GameResult,
                     phases: Iterable[tuple[str, Board, int]] = ()) -> list[str]:
-    """Streaming form: header, initial, each move (with phase snapshots
-    interleaved at the move counts where they were taken), then final,
-    column, and summary records."""
-    phase_at: dict[int, list[tuple[str, Board]]] = {}
+    """Streaming form of :func:`game_result_to_dict`: header, initial, each
+    move (with phase snapshots interleaved at the move counts where they
+    were taken), then final, column, and summary records."""
+    doc = game_result_to_dict(result)
+    phase_at: dict[int, list[str]] = {}
     for name, board, count in phases:
-        if name in ("initial", "final"):
-            continue
-        phase_at.setdefault(count, []).append((name, board))
-    lines = [dumps({"record": "header", "schema_version": SCHEMA_VERSION,
-                    "params": {"n": result.n, "eps": result.eps, "mode": result.mode}}),
-             dumps({"record": "initial", "board": board_to_dict(result.initial)})]
-    for i, record in enumerate(result.log):
-        for name, board in phase_at.get(i, []):
-            lines.append(dumps({"record": "phase", "name": name,
-                                "board": board_to_dict(board)}))
-        lines.append(dumps({"record": "move", "index": i, **move_to_dict(record)}))
-    for name, board in phase_at.get(len(result.log), []):
-        lines.append(dumps({"record": "phase", "name": name,
-                            "board": board_to_dict(board)}))
-    lines.append(dumps({"record": "final", "board": board_to_dict(result.final)}))
-    lines.append(dumps({"record": "gr2", "found": result.gr2_found,
-                        "boxes": [box_to_dict(b) for b in result.gr2_boxes]}))
-    lines.append(dumps({"record": "summary",
-                        "residual_f_count": result.residual_f_count,
-                        "flags": list(result.flags)}))
+        if name not in ("initial", "final"):
+            phase_at.setdefault(count, []).append(dumps(
+                {"record": "phase", "name": name, "board": board_to_dict(board)}))
+    lines = [dumps({"record": "header", "schema_version": doc["schema_version"],
+                    "params": doc["params"]}),
+             dumps({"record": "initial", "board": doc["initial"]})]
+    for i, move in enumerate(doc["moves"]):
+        lines += phase_at.get(i, [])
+        lines.append(dumps({"record": "move", "index": i, **move}))
+    lines += phase_at.get(len(doc["moves"]), [])
+    lines.append(dumps({"record": "final", "board": doc["final"]}))
+    lines.append(dumps({"record": "gr2", **doc["gr2"]}))
+    lines.append(dumps({"record": "summary", "residual_f_count": doc["residual_f_count"],
+                        "flags": doc["flags"]}))
     return lines

@@ -271,6 +271,11 @@ class TestOpacifyAndGather:
         new, _ = move_opacify_boxes(board, [(0, 1), (1, 1)])
         assert [b.content for b in new.boxes] == [Opaque(1), Opaque(3)]
 
+    def test_opacify_refuses_an_empty_list(self):
+        board = board_of(2, 0, (0, 1, 0))
+        with pytest.raises(MoveRefused, match="nothing to opacify"):
+            move_opacify_boxes(board, [])
+
     def test_opacify_rejects_opaque_input(self):
         board = board_of(2, 0, (0, 1, "x"))
         with pytest.raises(MoveRefused):

@@ -18,6 +18,7 @@ from flagchess import (
     section_count_ld,
     section_count_syzygy,
 )
+from flagchess.weights import bwb_regularize, rho
 
 poly_st = st.builds(
     lambda mod, coeffs: TruncPoly.from_list(mod, coeffs),
@@ -111,6 +112,21 @@ class TestSectionCounts:
     def test_twisted_quotient_sections(self):
         assert h0_twisted_quotient(5) == 40
         assert h0_twisted_quotient(4) == 20
+
+    def test_correction_term_has_no_higher_cohomology(self):
+        # The Euler-sequence count in h0_twisted_quotient is the answer only
+        # because the twists of the weight (2, 0, ..., 0) by -e_j carry no
+        # cohomology for 2 <= j < N and only H^0 at j = N.
+        for N in range(3, 41):
+            for j in range(2, N + 1):
+                partition = [2] + [0] * (N - 1)
+                partition[j - 1] -= 1
+                fundamental = tuple(partition[i] - partition[i + 1] for i in range(N - 1))
+                reg = bwb_regularize(tuple(a + b for a, b in zip(fundamental, rho(N))))
+                if j < N:
+                    assert reg.singular, (N, j)
+                else:
+                    assert not reg.singular and reg.length == 0, N
 
     def test_closed_formula(self):
         for N in range(3, 12):

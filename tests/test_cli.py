@@ -21,14 +21,13 @@ from flagchess.cli import (
 )
 from flagchess.render import (
     SCHEMA_VERSION,
+    dumps,
     emit_json_lines,
     game_result_to_json,
-    graded_to_json,
     parse_game_result,
     render_ascii,
     render_latex,
 )
-from flagchess.schur import INDETERMINATE
 
 
 def run_cli(capsys, *argv):
@@ -120,7 +119,7 @@ class TestExitCodes:
             main(["frobnicate"])
         assert err.value.code == EXIT_USAGE
 
-    def test_domain_usage_errors_return_three(self, capsys, monkeypatch):
+    def test_domain_usage_errors_return_three(self, capsys):
         code, _, err = run_cli(capsys, "game", "--n", "1", "--eps", "0")
         assert code == EXIT_USAGE and "n >= 2" in err
         code, _, err = run_cli(capsys, "bwb", "--N", "2", "--x", "0", "--y", "0")
@@ -130,10 +129,6 @@ class TestExitCodes:
             main(["game", "--n", "2", "--eps", "0", "--emit", "yaml"])
         assert exc.value.code == EXIT_USAGE
         assert "emit" in capsys.readouterr().err
-        # the environment path goes through our own validation instead
-        monkeypatch.setenv("FLAGCHESS_EMIT", "yaml")
-        code, _, err = run_cli(capsys, "game", "--n", "2", "--eps", "0")
-        assert code == EXIT_USAGE and "yaml" in err
 
     def test_bad_triple_is_usage(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -202,16 +197,15 @@ class TestEmitFormats:
         assert records[0]["schema_version"] == SCHEMA_VERSION
         assert records[-1]["residual_f_count"] == 5
 
-    def test_env_var_selects_emit(self, capsys, monkeypatch):
+    def test_emit_env_var_is_ignored(self, capsys, monkeypatch):
+        # only --emit chooses the format; the default is text
+        _, plain, _ = run_cli(capsys, "game", "--n", "2", "--eps", "1")
         monkeypatch.setenv("FLAGCHESS_EMIT", "json")
         _, out, _ = run_cli(capsys, "game", "--n", "2", "--eps", "1")
-        assert json.loads(out)["schema_version"] == SCHEMA_VERSION
-
-    def test_flag_beats_env_var(self, capsys, monkeypatch):
-        monkeypatch.setenv("FLAGCHESS_EMIT", "json")
+        assert out == plain and "moves applied" in out
         _, out, _ = run_cli(capsys, "game", "--n", "2", "--eps", "1",
                             "--emit", "text")
-        assert "moves applied" in out
+        assert out == plain
 
     def test_output_writes_a_file(self, capsys, tmp_path):
         target = tmp_path / "run.json"
@@ -320,6 +314,62 @@ class TestWireSchema:
             with pytest.raises(ValueError, match="is not on the final board"):
                 parse_game_result(self.edited(game, edit))
 
+    @staticmethod
+    def first_check(doc):
+        return next(c for m in doc["moves"] for c in m["oracle"])
+
+    @pytest.mark.parametrize("value", ["refused", "", None, 7])
+    def test_move_verdicts_must_be_applied(self, game, value):
+        def edit(doc):
+            doc["moves"][0]["verdict"] = value
+        with pytest.raises(ValueError, match="move verdict must be applied"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("key", ["copies_before", "copies_after"])
+    @pytest.mark.parametrize("value", [14, 16, 15.0, "15"])
+    def test_move_copy_totals_must_match_the_boards(self, game, key, value):
+        def edit(doc):
+            doc["moves"][-1][key] = value
+        with pytest.raises(ValueError, match=f"move {key} is .* but the boards hold 15"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", ["flag", "m", None])
+    def test_oracle_space_must_be_m(self, game, value):
+        def edit(doc):
+            self.first_check(doc)["space"] = value
+        with pytest.raises(ValueError, match="oracle space must be M"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("end", ["source", "target"])
+    @pytest.mark.parametrize("value", [[0, 1], [0, 1, 2, 3], [0, 1, 2.0], [0, True, 2],
+                                       "0,1,2", None])
+    def test_oracle_ends_must_be_three_ints(self, game, end, value):
+        def edit(doc):
+            self.first_check(doc)[end] = value
+        with pytest.raises(ValueError, match="oracle source and target must be three ints"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("field, value", [
+        ("ok", False), ("ok", 1), ("ok", None), ("got", [[9, 9]]), ("got", "indeterminate"),
+        ("expected", [[9, 9]])])
+    def test_oracle_ok_must_agree_with_got_and_expected(self, game, field, value):
+        def edit(doc):
+            check = self.first_check(doc)
+            assert check["ok"] is True and check["got"] == check["expected"]
+            check[field] = value
+        with pytest.raises(ValueError, match="oracle ok is"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("found, boxes", [
+        ("zzz", None), (1, None), (None, None), (False, None), (True, [])])
+    def test_gr2_found_must_be_a_bool_that_matches_the_boxes(self, game, found, boxes):
+        def edit(doc):
+            doc["gr2"]["found"] = found
+            if boxes is not None:
+                doc["gr2"]["boxes"] = boxes
+        with pytest.raises(ValueError, match="gr2.found is"):
+            parse_game_result(self.edited(game, edit))
+
     def test_initial_and_final_copies_must_agree(self, game):
         def edit(doc):
             column = {(b["x"], b["y"]) for b in doc["gr2"]["boxes"]}
@@ -337,23 +387,29 @@ class TestWireSchema:
             b for b in result.final.boxes if b not in result.gr2_boxes)
         assert dataclasses.replace(result, gr2_boxes=()).residual_boxes == result.final.boxes
 
-    @pytest.mark.parametrize("n, eps", [(2, 0), (2, 1), (3, 0), (3, 1)])
-    def test_rebuilt_json_lines_parse(self, capsys, n, eps):
-        argv = ("game", "--n", str(n), "--eps", str(eps), "--validate", "--emit")
+    @pytest.mark.parametrize("n, eps, mode", [
+        pytest.param(n, eps, mode, id=f"{n}-{eps}" + ("-flip" if mode == "flip" else ""))
+        for mode in ("fibration", "flip") for n in (2, 3, 5) for eps in (0, 1)])
+    def test_rebuilt_json_lines_parse(self, capsys, n, eps, mode):
+        argv = ("game", "--n", str(n), "--eps", str(eps), "--mode", mode,
+                "--validate", "--emit")
         _, text, _ = run_cli(capsys, *argv, "json")
         _, stream, _ = run_cli(capsys, *argv, "json-lines")
         records = [json.loads(line) for line in stream.splitlines()]
         by_kind = {r["record"]: r for r in records}
+
+        def body(kind):
+            return {k: v for k, v in by_kind[kind].items() if k != "record"}
         doc = {"schema_version": by_kind["header"]["schema_version"],
                "params": by_kind["header"]["params"],
                "initial": by_kind["initial"]["board"],
                "moves": [{k: v for k, v in r.items() if k not in ("record", "index")}
                          for r in records if r["record"] == "move"],
                "final": by_kind["final"]["board"],
-               "gr2": {"found": by_kind["gr2"]["found"], "boxes": by_kind["gr2"]["boxes"]},
-               "residual_f_count": by_kind["summary"]["residual_f_count"],
-               "flags": by_kind["summary"]["flags"]}
+               "gr2": body("gr2"),
+               **body("summary")}
         assert parse_game_result(json.dumps(doc)) == parse_game_result(text)
+        assert dumps(doc) + "\n" == text
 
     def test_replay_rejects_mistyped_move_parameters(self, game):
         doc = json.loads(game_result_to_json(game(2, 1)))
@@ -364,11 +420,6 @@ class TestWireSchema:
             result = parse_game_result(json.dumps(bad))
             with pytest.raises(ValueError, match=f"parameter {name} must be int"):
                 replay(result.initial, result.log)
-
-    def test_graded_to_json(self):
-        assert graded_to_json({1: 1, 0: 2}) == [[0, 2], [1, 1]]
-        assert graded_to_json({}) == []
-        assert graded_to_json(INDETERMINATE) == "indeterminate"
 
     def test_json_lines_matches_the_log_length(self, game):
         result = game(2, 0)

@@ -8,15 +8,11 @@ from hypothesis import given, strategies as st
 
 from flagchess import (
     INDETERMINATE,
-    SPACE_FLAG,
-    SPACE_M,
     BundleDescriptor,
-    ExtQuery,
     canonical_fiber,
     check_lemma,
     ext_on_M,
     ext_on_flag,
-    ext_query,
     hom_bundle,
     koszul_terms,
 )
@@ -125,19 +121,6 @@ class TestExtOnM:
 
     def test_combined_when_degrees_are_separated(self):
         assert ext_on_M(BD(0, 3, 0, 5), BD(2, -1, 1, 5)) == {1: 1, 3: 15}
-
-
-class TestExtQuery:
-    def test_dispatch(self):
-        src, tgt = BD(0, 2, 0, 5), BD(1, -1, 1, 5)
-        assert ext_query(ExtQuery(src, tgt, SPACE_FLAG)) == ext_on_flag(src, tgt)
-        assert ext_query(ExtQuery(src, tgt, SPACE_M)) == {1: 1}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExtQuery(BD(0, 0, 0, 4), BD(0, 0, 0, 5), SPACE_FLAG)
-        with pytest.raises(ValueError):
-            ExtQuery(BD(0, 0, 0, 5), BD(0, 0, 0, 5), "torus")
 
 
 class TestCheckLemma:
