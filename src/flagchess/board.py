@@ -26,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .oracle import ext_on_M
-from .schur import INDETERMINATE, BundleDescriptor
-from .weights import GradedDims
+from .oracle import ext_on_M, lemma_a4, recorded
+from .schur import BundleDescriptor
 
 
 @dataclass(frozen=True)
@@ -157,22 +156,13 @@ class MoveRefused(RuntimeError):
         self.check = check
 
 
-def _graded_key(g: GradedDims) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(g.items()))
-
-
-def _run_oracle(kind: str, board: Board,
-                wanted: list[tuple[BundleDescriptor, BundleDescriptor, GradedDims]],
-                ) -> tuple[OracleCheck, ...]:
+def _run_oracle(kind: str, wanted: list) -> tuple[OracleCheck, ...]:
     checks = []
     for source, target, expected in wanted:
-        got = ext_on_M(source, target)
-        shown = "indeterminate" if got is INDETERMINATE else _graded_key(got)
-        check = OracleCheck((source.m, source.x, source.y),
-                            (target.m, target.x, target.y),
-                            "M", _graded_key(expected), shown)
+        check = OracleCheck((source.m, source.x, source.y), (target.m, target.x, target.y),
+                            "M", recorded(expected), recorded(ext_on_M(source, target)))
         checks.append(check)
-        if got is INDETERMINATE:
+        if check.got == "indeterminate":
             raise MoveRefused(kind, f"oracle indeterminate for {check.source} vs {check.target}", check)
         if not check.ok:
             raise MoveRefused(
@@ -392,7 +382,7 @@ def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
     The live boxes of slots i..j are replaced, in order, by ``live``; live
     slots left over are dropped, and every opaque box keeps its slot.
     """
-    oracle = () if wanted is None else _run_oracle(kind, board, wanted)
+    oracle = () if wanted is None else _run_oracle(kind, wanted)
     fill = iter(live)
     window = [b if b.opaque else next(fill, None) for b in board.boxes[i:j + 1]]
     new_boxes = list(board.boxes)
@@ -453,9 +443,7 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     landing = (source.x + 1, source.y - 1)
     if board.at(landing) is not None:
         raise MoveRefused(kind, f"landing position {landing} is occupied")
-    wanted = [(BundleDescriptor(0, t, 0, board.N),
-               BundleDescriptor(t - 1, -1, 1, board.N),
-               {1: 1})] if validate else None
+    wanted = [lemma_a4(t, t - 1, board.N)] if validate else None
     return _rewrite(board, kind, i, j, [Box(*landing, SymBlock(t))],
                     (target_pos, source_pos), (), wanted)
 
@@ -475,16 +463,9 @@ def _rule_oracle(N: int, grades: range, span: int) -> list:
 
     For each piece grade m the mover commutes past the window zeros at
     relative twists (m+2, 0) .. (span, 0) and then pairs with the zero at
-    (m+1, 0) in a single degree.
+    (m+1, 0) in a single degree: lemma A4 at t = m+2 .. span, then m+1.
     """
-    wanted = []
-    for m in grades:
-        for tp in range(m + 2, span + 1):
-            wanted.append((BundleDescriptor(0, tp, 0, N),
-                           BundleDescriptor(m, -1, 1, N), {}))
-        wanted.append((BundleDescriptor(0, m + 1, 0, N),
-                       BundleDescriptor(m, -1, 1, N), {1: 1}))
-    return wanted
+    return [lemma_a4(t, m, N) for m in grades for t in (*range(m + 2, span + 1), m + 1)]
 
 
 def move_rule1(board: Board, gray_pos: tuple[int, int],

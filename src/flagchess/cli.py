@@ -35,6 +35,14 @@ EXIT_FLAGGED = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 3
 
+# Size bounds: past one, a command exits 3 before any work starts.  At the
+# bounds the slowest commands (validated game at n = 28, lemma A6 at n = 100)
+# take about 21 s and 20 s on a 2-core Xeon.
+MAX_GAME_n = 28  # game
+MAX_n = 100  # lemma, degree, conditions
+MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
+MAX_m = 200  # cohom, ext
+
 
 class UsageError(Exception):
     pass
@@ -53,9 +61,13 @@ def _triple(text: str) -> tuple[int, int, int]:
         m, x, y = (int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
-    if m < 0:
-        raise argparse.ArgumentTypeError(f"symmetric power must be >= 0, got {m}")
+    if not 0 <= m <= MAX_m:
+        raise argparse.ArgumentTypeError(_power_refusal(m))
     return m, x, y
+
+
+def _power_refusal(m: int) -> str:
+    return f"symmetric power must be {'>= 0' if m < 0 else f'<= {MAX_m}'}, got {m}"
 
 
 def _fmt_graded(g) -> str:
@@ -78,18 +90,15 @@ def _write(lines: list[str], output: str | None) -> None:
         raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
 
 
-def _need_N(N: int) -> None:
-    if N < 3:
-        raise UsageError(f"need N >= 3, got {N}")
-
-
-def _need_n(n: int) -> None:
-    if n < 2:
-        raise UsageError(f"need n >= 2, got {n}")
+def _need(name: str, value: int, low: int, high: int) -> None:
+    if value < low:
+        raise UsageError(f"need {name} >= {low}, got {value}")
+    if value > high:
+        raise UsageError(f"need {name} <= {high}, got {value}")
 
 
 def cmd_bwb(args: argparse.Namespace) -> int:
-    _need_N(args.N)
+    _need("N", args.N, 3, MAX_N)
     res = line_bundle_cohomology(args.N, args.x, args.y)
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
     lines = [f"line bundle O({args.x},{args.y}) on F(1,2,{args.N})",
@@ -106,9 +115,9 @@ def cmd_bwb(args: argparse.Namespace) -> int:
 
 
 def cmd_cohom(args: argparse.Namespace) -> int:
-    _need_N(args.N)
-    if args.m < 0:
-        raise UsageError(f"symmetric power must be >= 0, got {args.m}")
+    _need("N", args.N, 3, MAX_N)
+    if not 0 <= args.m <= MAX_m:
+        raise UsageError(_power_refusal(args.m))
     d = BundleDescriptor(args.m, args.x, args.y, args.N)
     lines = [f"Sym^{args.m} twisted by ({args.x},{args.y}) on F(1,2,{args.N})"]
     for px, py in sym_filtration(d):
@@ -124,7 +133,7 @@ def cmd_cohom(args: argparse.Namespace) -> int:
 
 
 def cmd_ext(args: argparse.Namespace) -> int:
-    _need_N(args.N)
+    _need("N", args.N, 3, MAX_N)
     src = BundleDescriptor(*args.src, args.N)
     tgt = BundleDescriptor(*args.tgt, args.N)
     lines = [f"Ext on {args.space} between Sym^{src.m}({src.x},{src.y}) "
@@ -144,7 +153,7 @@ def cmd_ext(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    _need_n(args.n)
+    _need("n", args.n, 2, MAX_n)
     report = check_lemma(args.which, args.n, args.eps)
     lines = [f"{args.which} sweep at n={args.n}, eps={args.eps} "
              f"(N={2 * args.n + args.eps}): {report.total} points",
@@ -162,7 +171,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def cmd_game(args: argparse.Namespace) -> int:
-    _need_n(args.n)
+    _need("n", args.n, 2, MAX_GAME_n)
     phases: list[tuple[str, object, int]] = []
     result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate,
                       phase_hook=lambda name, board, count: phases.append((name, board, count)))
@@ -195,7 +204,7 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
-    _need_n(args.n)
+    _need("n", args.n, 2, MAX_n)
     via_series, via_closed, agree = cover_degree(args.n, args.eps)
     lines = [f"branch degree at n={args.n}, eps={args.eps}",
              f"series expansion: {via_series}",
@@ -206,7 +215,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:
-    _need_n(args.n)
+    _need("n", args.n, 2, MAX_n)
     N = 2 * args.n + args.eps
     h0 = h0_twisted_quotient(N)
     ld = section_count_ld(N)

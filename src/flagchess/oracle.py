@@ -5,6 +5,8 @@ twist-invariant, so a query between two descriptors only depends on their
 relative twist.  Ext on M is computed through the Koszul two-term complex of
 the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
+Lemma A4 is stated once, in :func:`lemma_a4`, for both the sweep and the
+board's moves, and :func:`recorded` gives the one recorded form of an answer.
 """
 
 from __future__ import annotations
@@ -129,20 +131,24 @@ class LemmaReport:
         return self.mismatches == 0 and self.indeterminates == 0
 
 
-def _sweep_point(
-    params: dict[str, int],
-    source: BundleDescriptor,
-    target: BundleDescriptor,
-    expected: GradedDims,
-) -> LemmaPoint:
-    got = ext_on_M(source, target)
-    if got is INDETERMINATE:
-        verdict, computed = "indeterminate", "indeterminate"
-    else:
-        assert isinstance(got, dict)
-        verdict = "match" if got == expected else "mismatch"
-        computed = tuple(sorted(got.items()))
-    return LemmaPoint(tuple(params.items()), tuple(sorted(expected.items())), computed, verdict)
+def recorded(answer: GradedDims | _Indeterminate) -> tuple[tuple[int, int], ...] | str:
+    """An Ext answer as recorded: sorted (degree, dim) pairs, or "indeterminate"."""
+    return "indeterminate" if answer is INDETERMINATE else tuple(sorted(answer.items()))
+
+
+def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
+    """Lemma A4 at one point, for 0 <= r <= t-1: Ext_M(O(t,0), Sym^r U2v(-1,1))
+    as (source, target, expected), expected C[-1] at r = t-1 and zero below."""
+    return (BundleDescriptor(0, t, 0, N), BundleDescriptor(r, -1, 1, N),
+            {1: 1} if r == t - 1 else {})
+
+
+def _sweep_point(params: dict[str, int], source: BundleDescriptor,
+                 target: BundleDescriptor, expected: GradedDims) -> LemmaPoint:
+    computed, wanted = recorded(ext_on_M(source, target)), recorded(expected)
+    verdict = ("indeterminate" if computed == "indeterminate"
+               else "match" if computed == wanted else "mismatch")
+    return LemmaPoint(tuple(params.items()), wanted, computed, verdict)
 
 
 def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
@@ -162,16 +168,8 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
     points: list[LemmaPoint] = []
     if lemma == "A4":
         for t in range(1, 2 * n - 3 + eps + 1):
-            src = BundleDescriptor(0, t, 0, N)
-            points.append(_sweep_point(
-                {"t": t, "r": t - 1},
-                src, BundleDescriptor(t - 1, -1, 1, N), {1: 1},
-            ))
-            for r in range(0, min(t - 2, n - 1) + 1):
-                points.append(_sweep_point(
-                    {"t": t, "r": r},
-                    src, BundleDescriptor(r, -1, 1, N), {},
-                ))
+            for r in (t - 1, *range(min(t - 2, n - 1) + 1)):
+                points.append(_sweep_point({"t": t, "r": r}, *lemma_a4(t, r, N)))
     elif lemma == "A5":
         for t in range(1, 2 * n - 3 + eps + 1):
             for r in range(0, min(t - 1, n - 1) + 1):

@@ -130,6 +130,9 @@ def _check_from_dict(d: dict) -> OracleCheck:
     if d["ok"] is not check.ok:
         raise ValueError(f"oracle ok is {d['ok']!r} but got {check.got} "
                          f"against expected {check.expected}")
+    if not check.ok:
+        raise ValueError(f"an applied move holds a failed oracle check: got {check.got} "
+                         f"against expected {check.expected}")
     return check
 
 
@@ -197,13 +200,15 @@ def parse_game_result(text: str) -> GameResult:
       ``copies_before`` or ``copies_after`` differs from the boards' total;
     - an oracle entry whose ``space`` is not ``M``, whose ``source`` or
       ``target`` is not three ints, or whose ``ok`` disagrees with
-      ``got == expected``;
+      ``got == expected`` or is false (a failed or indeterminate check
+      refuses its move, so an applied move holds none);
+    - a ``residual_f_count`` that is not an int >= 0;
     - a ``gr2`` box that is not on the final board, or a ``gr2.found`` that
       is not a bool or disagrees with whether ``gr2.boxes`` is empty.
     """
     try:
         return _game_result_from_dict(json.loads(text))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed game document: {exc!r}") from exc
 
 
@@ -234,7 +239,7 @@ def _game_result_from_dict(d: dict) -> GameResult:
     return GameResult(
         n, eps, mode, initial, final,
         tuple(_move_from_dict(m, initial.copies) for m in d["moves"]),
-        found, gr2_boxes, d["residual_f_count"], tuple(flags),
+        found, gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
     )
 
 

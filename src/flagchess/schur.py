@@ -8,6 +8,8 @@ its cohomology to line bundles:
   tautological sequence 0 -> O(h2-h1) -> U2v -> O(h1) -> 0.  Vanishing
   conclusions are always sound; when surviving pieces sit in adjacent degrees
   the long exact sequences could cancel them, so the result is Indeterminate.
+  That rule lives in ``sym_cohomology`` alone, as one test on the summed
+  degrees.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by rank-2 Clebsch-Gordan, and finishes with Bott on G(2,N).  Always
@@ -92,25 +94,18 @@ def dualize(d: BundleDescriptor) -> BundleDescriptor:
 def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     """Cohomology of d via the line-bundle filtration.
 
-    Sums the surviving pieces when no two occupy adjacent degrees (the
-    filtration's long exact sequences cannot connect them); otherwise returns
-    INDETERMINATE.  Total vanishing is always a sound conclusion.
+    Sums the surviving pieces by degree in one pass; when two surviving
+    degrees are adjacent the filtration's long exact sequences could connect
+    them, so the result is INDETERMINATE.  Total vanishing is always sound.
     """
-    surviving: list[tuple[int, int]] = []
+    out: GradedDims = {}
     for (px, py) in sym_filtration(d):
         res = line_bundle_cohomology(d.N, px, py)
         if not res.vanishes:
-            assert res.degree is not None
-            surviving.append((res.degree, res.dim))
-    degrees = [deg for deg, _ in surviving]
-    for i, a in enumerate(degrees):
-        for b in degrees[i + 1:]:
-            if abs(a - b) == 1:
-                return INDETERMINATE
-    out: GradedDims = {}
-    for deg, dim in surviving:
-        out[deg] = out.get(deg, 0) + dim
-    return {k: v for k, v in sorted(out.items())}
+            out[res.degree] = out.get(res.degree, 0) + res.dim  # type: ignore[index]
+    if any(k + 1 in out for k in out):
+        return INDETERMINATE
+    return dict(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)

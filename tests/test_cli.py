@@ -17,6 +17,10 @@ from flagchess.cli import (
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_USAGE,
+    MAX_GAME_n,
+    MAX_N,
+    MAX_m,
+    MAX_n,
     main,
 )
 from flagchess.render import (
@@ -151,6 +155,46 @@ class TestExitCodes:
         assert err.startswith("flagchess: error: ")
         assert err.endswith(f"symmetric power must be >= 0, got {m}\n")
 
+    @pytest.mark.parametrize("argv, refusal", [
+        (("game", "--n", str(MAX_GAME_n + 1), "--eps", "0", "--validate", "--emit", "json"),
+         f"need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}"),
+        (("lemma", "--which", "A6", "--n", str(MAX_n + 1), "--eps", "1"),
+         f"need n <= {MAX_n}, got {MAX_n + 1}"),
+        (("degree", "--n", str(MAX_n + 1), "--eps", "0"), f"need n <= {MAX_n}, got {MAX_n + 1}"),
+        (("conditions", "--n", str(MAX_n + 1), "--eps", "1"),
+         f"need n <= {MAX_n}, got {MAX_n + 1}"),
+        (("bwb", "--N", str(MAX_N + 1), "--x", "0", "--y", "0"),
+         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+        (("cohom", "--N", str(MAX_N + 1), "--m", "0", "--x", "0", "--y", "0"),
+         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+        (("cohom", "--N", "5", "--m", str(MAX_m + 1), "--x", "0", "--y", "0"),
+         f"symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+        (("ext", "--N", str(MAX_N + 1), "--space", "M", "--src=0,0,0", "--tgt=0,0,0"),
+         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+        (("ext", "--N", "5", "--space", "M", f"--src={MAX_m + 1},0,0", "--tgt=0,0,0"),
+         f"argument --src: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+        (("ext", "--N", "5", "--space", "flag", "--src=0,0,0", f"--tgt={MAX_m + 1},1,0"),
+         f"argument --tgt: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+    ], ids=["game-n", "lemma-n", "degree-n", "conditions-n", "bwb-N", "cohom-N", "cohom-m",
+            "ext-N", "ext-src-m", "ext-tgt-m"])
+    def test_sizes_past_their_bound_are_usage(self, capsys, argv, refusal):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"flagchess: error: {refusal}\n"
+
+    def test_sizes_at_their_bound_are_accepted(self, capsys):
+        for argv in (("degree", "--n", str(MAX_n), "--eps", "1"),
+                     ("bwb", "--N", str(MAX_N), "--x", "3", "--y", "-2"),
+                     ("cohom", "--N", "5", "--m", str(MAX_m), "--x", "0", "--y", "0"),
+                     ("ext", "--N", "5", "--space", "flag", f"--src={MAX_m},0,0",
+                      "--tgt=0,0,0")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_REFUSED) and out and "error" not in err
+
     def test_output_into_a_missing_directory_is_usage(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(capsys, "bwb", "--N", "5", "--x", "0", "--y", "0",
@@ -236,7 +280,8 @@ class TestWireSchema:
         with pytest.raises(ValueError):
             parse_game_result(json.dumps(doc))
 
-    @pytest.mark.parametrize("text", ['{"schema_version":1}', "[]"])
+    @pytest.mark.parametrize("text", ['{"schema_version":1}', "[]",
+                                      pytest.param("[" * 100000, id="deeply-nested")])
     def test_malformed_documents_raise_value_error(self, text):
         with pytest.raises(ValueError):
             parse_game_result(text)
@@ -358,6 +403,21 @@ class TestWireSchema:
             assert check["ok"] is True and check["got"] == check["expected"]
             check[field] = value
         with pytest.raises(ValueError, match="oracle ok is"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("got", [[[0, 7]], "zzz", "indeterminate"])
+    def test_applied_moves_hold_no_failed_check(self, game, got):
+        def edit(doc):
+            check = self.first_check(doc)
+            check["got"], check["ok"] = got, False
+        with pytest.raises(ValueError, match="an applied move holds a failed oracle check"):
+            parse_game_result(self.edited(game, edit))
+
+    @pytest.mark.parametrize("value", ["abc", True, -4, None, 1.5])
+    def test_residual_count_must_be_an_int_at_least_zero(self, game, value):
+        def edit(doc):
+            doc["residual_f_count"] = value
+        with pytest.raises(ValueError, match="residual_f_count must be an int >= 0"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("found, boxes", [

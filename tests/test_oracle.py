@@ -16,6 +16,8 @@ from flagchess import (
     hom_bundle,
     koszul_terms,
 )
+from flagchess.board import Board, Box, SymBlock, move_absorb
+from flagchess.oracle import lemma_a4, recorded
 
 
 def BD(m, x, y, N):
@@ -174,3 +176,53 @@ class TestCheckLemma:
         assert report.mismatches == by_verdict["mismatch"]
         assert report.indeterminates == by_verdict["indeterminate"]
         assert report.passed == (by_verdict["match"] == report.total)
+
+
+class TestRecorded:
+    def test_sorted_pairs_or_indeterminate(self):
+        assert recorded({3: 1, 0: 2}) == ((0, 2), (3, 1))
+        assert recorded({}) == ()
+        assert recorded(INDETERMINATE) == "indeterminate"
+
+
+class TestLemmaA4:
+    def test_statement(self):
+        assert lemma_a4(3, 2, 7) == (BD(0, 3, 0, 7), BD(2, -1, 1, 7), {1: 1})
+        assert lemma_a4(3, 1, 7) == (BD(0, 3, 0, 7), BD(1, -1, 1, 7), {})
+
+    @pytest.mark.parametrize("n, eps", [(2, 0), (3, 1), (5, 0), (6, 1)])
+    def test_sweep_points_are_the_statement(self, n, eps):
+        for point in check_lemma("A4", n, eps).points:
+            params = dict(point.params)
+            source, target, expected = lemma_a4(params["t"], params["r"], 2 * n + eps)
+            assert point.expected == recorded(expected)
+            assert point.computed == recorded(ext_on_M(source, target))
+
+    def test_absorb_checks_the_statement_at_r_equal_t_minus_1(self):
+        for t in (1, 2, 4):
+            board = Board(3, 1, (Box(t, 0, SymBlock(0)), Box(-1, 1, SymBlock(t - 1))))
+            _, rec = move_absorb(board, (t, 0), (-1, 1))
+            source, target, expected = lemma_a4(t, t - 1, board.N)
+            (check,) = rec.oracle
+            assert check.source == (source.m, source.x, source.y)
+            assert check.target == (target.m, target.x, target.y)
+            assert check.expected == recorded(expected) == ((1, 1),)
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("n, eps", [(n, eps) for n in range(2, 7) for eps in (0, 1)])
+    def test_game_checks_of_a4_shape_are_sweep_points(self, game, n, eps, mode):
+        """Every A4-shaped requirement a validated game makes, source O(t,0)
+        against target Sym^r U2v(-1,1), is a point of the A4 sweep, with the
+        sweep's expected and computed values."""
+        sweep = {tuple(v for _, v in p.params): p for p in check_lemma("A4", n, eps).points}
+        seen = 0
+        for rec in game(n, eps, mode, True).log:
+            for check in rec.oracle:
+                (sm, t, sy), (r, tx, ty) = check.source, check.target
+                if (sm, sy, tx, ty) != (0, 0, -1, 1):
+                    continue
+                point = sweep.get((t, r))
+                assert point is not None, (rec.kind, check)
+                assert (check.expected, check.got) == (point.expected, point.computed)
+                seen += 1
+        assert seen > 0

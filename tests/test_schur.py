@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from flagchess import schur
 from flagchess import (
     INDETERMINATE,
     BundleDescriptor,
@@ -169,3 +170,52 @@ class TestSymCohomology:
                             assert filtered == exact, d
                         else:
                             assert euler_char(exact) == pieces_euler(d)
+
+
+def pairwise_sym_cohomology(d: BundleDescriptor):
+    """The filtration rule written pairwise: collect the surviving pieces,
+    refuse when any two of them sit in adjacent degrees, else sum by degree."""
+    surviving = [(res.degree, res.dim)
+                 for res in (line_bundle_cohomology(d.N, px, py) for px, py in sym_filtration(d))
+                 if not res.vanishes]
+    for i, (a, _) in enumerate(surviving):
+        for b, _ in surviving[i + 1:]:
+            if abs(a - b) == 1:
+                return INDETERMINATE
+    out: dict[int, int] = {}
+    for deg, dim in surviving:
+        out[deg] = out.get(deg, 0) + dim
+    return dict(sorted(out.items()))
+
+
+class TestSymCohomologyAgainstPairwiseRule:
+    def test_grid(self):
+        indeterminate = 0
+        for N in range(3, 8):
+            for m in range(6):
+                for x in range(-9, 8):
+                    for y in range(-7, 8):
+                        d = BundleDescriptor(m, x, y, N)
+                        got = sym_cohomology(d)
+                        assert got == pairwise_sym_cohomology(d), d
+                        assert got is INDETERMINATE or list(got) == sorted(got), d
+                        indeterminate += got is INDETERMINATE
+        assert indeterminate > 0
+
+    @given(st.builds(BundleDescriptor, st.integers(0, 8), st.integers(-15, 15),
+                     st.integers(-15, 15), st.integers(3, 12)))
+    def test_random_descriptors(self, d):
+        assert sym_cohomology(d) == pairwise_sym_cohomology(d)
+
+    def test_one_line_bundle_query_per_piece_in_filtration_order(self, monkeypatch):
+        calls = []
+
+        def recording(N, x, y):
+            calls.append((N, x, y))
+            return line_bundle_cohomology(N, x, y)
+        monkeypatch.setattr(schur, "line_bundle_cohomology", recording)
+        for d in (BundleDescriptor(1, -1, 1, 3), BundleDescriptor(4, -6, 2, 9),
+                  BundleDescriptor(3, 2, -1, 5)):
+            calls.clear()
+            sym_cohomology(d)
+            assert calls == [(d.N, px, py) for px, py in sym_filtration(d)]
