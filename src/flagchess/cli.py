@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import render
 from .board import MoveRefused
 from .chern import (
     condition3_bound,
@@ -21,12 +22,6 @@ from .chern import (
 )
 from .games import run_game
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
-from .render import (
-    emit_json_lines,
-    game_result_to_json,
-    render_ascii,
-    render_latex,
-)
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import bwb_regularize, line_bundle_cohomology, rho
 
@@ -37,11 +32,13 @@ EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
 # bounds the slowest commands (validated game at n = 28, lemma A6 at n = 100)
-# take about 21 s and 20 s on a 2-core Xeon.
+# take about 21 s and 20 s on a 2-core Xeon.  The twist bound keeps every
+# printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = 100  # lemma, degree, conditions
 MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
 MAX_m = 200  # cohom, ext
+MAX_twist = 10**9  # |x| and |y| of bwb, cohom, ext
 
 
 class UsageError(Exception):
@@ -63,11 +60,20 @@ def _triple(text: str) -> tuple[int, int, int]:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
     if not 0 <= m <= MAX_m:
         raise argparse.ArgumentTypeError(_power_refusal(m))
+    if refusal := _twist_refusal(x, y):
+        raise argparse.ArgumentTypeError(refusal)
     return m, x, y
 
 
 def _power_refusal(m: int) -> str:
     return f"symmetric power must be {'>= 0' if m < 0 else f'<= {MAX_m}'}, got {m}"
+
+
+def _twist_refusal(x: int, y: int) -> str | None:
+    for name, value in (("x", x), ("y", y)):
+        if abs(value) > MAX_twist:
+            return f"need |{name}| <= {MAX_twist}, got {value}"
+    return None
 
 
 def _fmt_graded(g) -> str:
@@ -80,14 +86,16 @@ def _fmt_graded(g) -> str:
 
 def _write(lines: list[str], output: str | None) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
-    if output is None:
-        sys.stdout.write(text)
-        return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise UsageError(f"cannot write {output}: {exc.strerror}") from exc
+        where = "stdout" if output is None else output
+        raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
 
 
 def _need(name: str, value: int, low: int, high: int) -> None:
@@ -99,6 +107,8 @@ def _need(name: str, value: int, low: int, high: int) -> None:
 
 def cmd_bwb(args: argparse.Namespace) -> int:
     _need("N", args.N, 3, MAX_N)
+    if refusal := _twist_refusal(args.x, args.y):
+        raise UsageError(refusal)
     res = line_bundle_cohomology(args.N, args.x, args.y)
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
     lines = [f"line bundle O({args.x},{args.y}) on F(1,2,{args.N})",
@@ -118,6 +128,8 @@ def cmd_cohom(args: argparse.Namespace) -> int:
     _need("N", args.N, 3, MAX_N)
     if not 0 <= args.m <= MAX_m:
         raise UsageError(_power_refusal(args.m))
+    if refusal := _twist_refusal(args.x, args.y):
+        raise UsageError(refusal)
     d = BundleDescriptor(args.m, args.x, args.y, args.N)
     lines = [f"Sym^{args.m} twisted by ({args.x},{args.y}) on F(1,2,{args.N})"]
     for px, py in sym_filtration(d):
@@ -172,34 +184,8 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 
 def cmd_game(args: argparse.Namespace) -> int:
     _need("n", args.n, 2, MAX_GAME_n)
-    phases: list[tuple[str, object, int]] = []
-    result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate,
-                      phase_hook=lambda name, board, count: phases.append((name, board, count)))
-    if args.emit == "json":
-        lines = [game_result_to_json(result)]
-    elif args.emit == "json-lines":
-        lines = emit_json_lines(result, phases)  # type: ignore[arg-type]
-    elif args.emit == "latex":
-        lines = []
-        for name, board, count in phases:
-            lines.append(f"% phase: {name} (after {count} moves)")
-            lines.append(render_latex(board))  # type: ignore[arg-type]
-        for flag in result.flags:
-            lines.append(f"% flag: {flag}")
-    else:
-        lines = []
-        for name, board, count in phases:
-            lines.append(f"== {name} (after {count} moves) ==")
-            lines.append(render_ascii(board))  # type: ignore[arg-type]
-            lines.append("")
-        lines.append(f"moves applied: {len(result.log)}")
-        gr2_copies = sum(b.copies for b in result.gr2_boxes)
-        lines.append(f"column found: {'yes' if result.gr2_found else 'no'} "
-                     f"({len(result.gr2_boxes)} boxes, {gr2_copies} copies)")
-        lines.append(f"residual copies: {result.residual_f_count}")
-        for flag in result.flags:
-            lines.append(f"flag: {flag}")
-    _write(lines, args.output)
+    result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate)
+    _write(render.emit(result, args.emit), args.output)
     return EXIT_FLAGGED if result.flags else EXIT_OK
 
 
@@ -271,7 +257,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("fibration", "flip"), default="fibration")
     p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=None,
                    help="force oracle validation on or off (default: on for n <= 4)")
-    p.add_argument("--emit", choices=("text", "latex", "json", "json-lines"),
+    p.add_argument("--emit", choices=render.EMIT_FORMATS,
                    default="text", help="output format (default: text)")
 
     p = add("degree", cmd_degree, "branch-divisor degree, two independent ways")

@@ -12,12 +12,9 @@ the result, never as an exception: the games always run to completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
-
-PhaseHook = Callable[[str, Board, int], None]
 
 
 def initial_board_fibration(n: int, eps: int) -> Board:
@@ -61,28 +58,32 @@ def corrected_flip_board(n: int, eps: int) -> Board:
 
 
 class _Runner:
-    """Applies moves in sequence, collecting the records."""
+    """Applies moves in sequence, collecting the records and phase snapshots."""
 
     def __init__(self, board: Board, validate: bool):
         self.board = board
         self.validate = validate
         self.log: list[MoveRecord] = []
+        self.phases: list[tuple[str, Board, int]] = []
 
     def do(self, kind: str, *positions: tuple[int, int], **params) -> None:
         self.board, record = play(self.board, kind, positions, params, self.validate)
         self.log.append(record)
 
+    def phase(self, name: str) -> None:
+        self.phases.append((name, self.board, len(self.log)))
 
-def _even_script(g: _Runner, n: int, hook: PhaseHook) -> None:
+
+def _even_script(g: _Runner, n: int) -> None:
     # Cascade rows n-1 .. 2 into row 1, retiring each row's leftmost zero.
     for y in range(n - 1, 1, -1):
         seg = list(range(-n + 1, 2 - y))
         g.do("push_right", (-n, y), count=len(seg), opacify=True)
         for x in seg:
             g.do("rule1", (x + 1, y - 1), (x, y))
-    hook("phase1", g.board, len(g.log))
+    g.phase("phase1")
     g.do("serre_global", k=n, direction="front_to_back")
-    hook("serre", g.board, len(g.log))
+    g.phase("serre")
     # Cascade the relocated bottom row back down through rows 2n-1 .. 3.
     for y in range(2 * n - 1, 2, -1):
         if y == 2 * n - 1:
@@ -98,16 +99,16 @@ def _even_script(g: _Runner, n: int, hook: PhaseHook) -> None:
             seg = list(range(2 - y, 0))
         for x in seg:
             g.do("rule1", (x + 1, y - 1), (x, y))
-    hook("phase2", g.board, len(g.log))
+    g.phase("phase2")
     if n == 2:
         g.do("push_right", (-2, 2), count=1, opacify=True)
     g.do("orange_merge", (-n + 1, n), (0, 1))
     g.do("rule2", (1, 2 * n - 2), (0, 2 * n - 1), t=n - 2, r=n - 1)
     g.do("serre_global", k=1, direction="back_to_front")
-    hook("endgame", g.board, len(g.log))
+    g.phase("endgame")
 
 
-def _odd_script(g: _Runner, n: int, hook: PhaseHook) -> None:
+def _odd_script(g: _Runner, n: int) -> None:
     N = 2 * n + 1
     # Cascade every row down into row 1.
     for y in range(N - 2, 1, -1):
@@ -115,15 +116,15 @@ def _odd_script(g: _Runner, n: int, hook: PhaseHook) -> None:
         g.do("push_right", (-n, y), count=len(seg), opacify=True)
         for x in seg:
             g.do("rule1", (x + 1, y - 1), (x, y))
-    hook("phase1", g.board, len(g.log))
+    g.phase("phase1")
     g.do("serre_global", k=n, direction="front_to_back")
-    hook("serre", g.board, len(g.log))
+    g.phase("serre")
     # Cascade the relocated bottom row back up to row n+1.
     for y in range(N - 1, n + 1, -1):
         lo = -n + 1 if y == N - 1 else n + 1 - y
         for x in range(lo, 1):
             g.do("rule1", (x + 1, y - 1), (x, y))
-    hook("phase2", g.board, len(g.log))
+    g.phase("phase2")
     # Endgame: retire stray zeros, gather the upper column, split the last block.
     g.do("opacify_boxes", *[(x, y) for y in range(n + 1, N - 1) for x in range(2, n + 1)])
     g.do("gather_to_end", *[(1, y) for y in range(n + 1, N - 1)])
@@ -131,7 +132,7 @@ def _odd_script(g: _Runner, n: int, hook: PhaseHook) -> None:
     g.do("rule2", (1, n), (0, n + 1), t=n - 1, r=n)
     g.do("gather_to_end", (1, n))
     g.do("serre_global", k=1, direction="back_to_front")
-    hook("endgame", g.board, len(g.log))
+    g.phase("endgame")
 
 
 def _gr2_template(n: int, eps: int, anchor: tuple[int, int]) -> list[tuple[int, int, int]]:
@@ -177,16 +178,28 @@ def extract_gr2(board: Board, n: int, eps: int,
 
 @dataclass(frozen=True)
 class GameResult:
+    """The whole record of one game.
+
+    ``phases`` holds the snapshots ``(name, board, moves so far)`` that
+    ``run_game`` takes at the script's seven phase boundaries.  They are
+    views of the run, not part of its outcome: equality and ``repr`` leave
+    them out, and a result parsed from JSON has none.
+    """
+
     n: int
     eps: int
     mode: str
     initial: Board
     final: Board
     log: tuple[MoveRecord, ...]
-    gr2_found: bool
     gr2_boxes: tuple[Box, ...]
     residual_f_count: int
     flags: tuple[str, ...]
+    phases: tuple[tuple[str, Board, int], ...] = field(default=(), compare=False, repr=False)
+
+    @property
+    def gr2_found(self) -> bool:
+        return bool(self.gr2_boxes)
 
     @property
     def residual_boxes(self) -> tuple[Box, ...]:
@@ -205,8 +218,7 @@ def reference_residual_count(n: int, eps: int) -> int:
 
 
 def run_game(n: int, eps: int, mode: str = "fibration",
-             validate: bool | None = None,
-             phase_hook: PhaseHook | None = None) -> GameResult:
+             validate: bool | None = None) -> GameResult:
     """Play the full straightening game and split the final board.
 
     Validation (oracle checks behind every windowed move) defaults to on
@@ -221,27 +233,25 @@ def run_game(n: int, eps: int, mode: str = "fibration",
         raise ValueError(f"unknown mode {mode!r}")
     if validate is None:
         validate = n <= 4
-    hook: PhaseHook = phase_hook if phase_hook is not None else (lambda *_: None)
 
     N = 2 * n + eps
-    board = initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
-    initial = board
-    g = _Runner(board, validate)
-    hook("initial", g.board, 0)
+    initial = initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
+    g = _Runner(initial, validate)
+    g.phase("initial")
     if mode == "flip":
         g.do("global_twist", dx=n + eps - 2, dy=N - 1, note="normalize-flip-start")
     for row in range(2, N - 1):
         g.do("serre_translate", y=row, direction="left", steps=row - 1)
-    hook("align", g.board, len(g.log))
+    g.phase("align")
     if eps == 0:
-        _even_script(g, n, hook)
+        _even_script(g, n)
     else:
-        _odd_script(g, n, hook)
+        _odd_script(g, n)
+    g.phase("final")
     final = g.board
-    hook("final", final, len(g.log))
     assert final.copies == initial.copies
 
-    found, gr2_boxes, flags = extract_gr2(final, n, eps)
+    _, gr2_boxes, flags = extract_gr2(final, n, eps)
     flags = list(flags)
     residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
     gr2_copies = sum(b.copies for b in gr2_boxes)
@@ -253,8 +263,8 @@ def run_game(n: int, eps: int, mode: str = "fibration",
             flags.append(f"residual count {residual_count} differs from the "
                          f"reference value {expected}")
 
-    return GameResult(n, eps, mode, initial, final, tuple(g.log), found,
-                      gr2_boxes, residual_count, tuple(flags))
+    return GameResult(n, eps, mode, initial, final, tuple(g.log), gr2_boxes,
+                      residual_count, tuple(flags), tuple(g.phases))
 
 
 def replay(initial: Board, log: tuple[MoveRecord, ...]) -> Board:

@@ -9,7 +9,7 @@ fixed separators and explicitly ordered keys, graded dimensions as sorted
 from __future__ import annotations
 
 import json
-from typing import Any, Iterable
+from typing import Any, Callable
 
 from .board import Board, Box, MoveRecord, Opaque, OracleCheck, SymBlock
 from .games import GameResult
@@ -21,20 +21,26 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _cell(box: Box | None) -> str:
-    if box is None:
-        return ""
-    if isinstance(box.content, Opaque):
-        return "x"
-    return str(box.content.m)
-
-
-def _grid(board: Board) -> tuple[range, range]:
-    """The x and y ranges of the bounding rectangle, which always takes in
-    the origin."""
+def _grid(board: Board, cell: Callable[[Box | None, bool], str],
+          ) -> tuple[range, range, list[list[str]]]:
+    """One walk over the bounding rectangle, which always takes in the
+    origin: its x and y ranges and each row's cells, rows by ascending y.
+    ``cell`` gets the box at a point (or None) and whether it is the origin."""
     xs = [b.x for b in board.boxes] + [0]
     ys = [b.y for b in board.boxes] + [0]
-    return range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
+    xr, yr = range(min(xs), max(xs) + 1), range(min(ys), max(ys) + 1)
+    return xr, yr, [[cell(board.at((x, y)), (x, y) == (0, 0)) for x in xr] for y in yr]
+
+
+def _ascii_cell(box: Box | None, origin: bool) -> str:
+    text = "" if box is None else "x" if isinstance(box.content, Opaque) else str(box.content.m)
+    return f"[{text or '·'}]" if origin else text
+
+
+def _latex_cell(box: Box | None, origin: bool) -> str:
+    body = ("\\none" if box is None else "\\times" if isinstance(box.content, Opaque)
+            else str(box.content.m))
+    return f"*(lightgray) {body}" if origin else body
 
 
 def render_ascii(board: Board) -> str:
@@ -45,40 +51,19 @@ def render_ascii(board: Board) -> str:
     """
     if not board.boxes:
         return ""
-    xs, ys = _grid(board)
-    cells: dict[tuple[int, int], str] = {}
-    for y in ys:
-        for x in xs:
-            text = _cell(board.at((x, y)))
-            if (x, y) == (0, 0):
-                text = f"[{text or '·'}]"
-            cells[(x, y)] = text
-    width = max(len(t) for t in cells.values())
+    xs, ys, rows = _grid(board, _ascii_cell)
+    width = max(len(t) for row in rows for t in row)
     lines = [f"x: {xs[0]}..{xs[-1]}"]
-    for y in ys:
-        row = " ".join(cells[(x, y)].rjust(width) for x in xs)
-        lines.append(f"y={y:>3} | {row.rstrip()}")
+    for y, row in zip(ys, rows):
+        lines.append(f"y={y:>3} | {' '.join(t.rjust(width) for t in row).rstrip()}")
     return "\n".join(lines)
 
 
 def render_latex(board: Board) -> str:
     """ytableau-style source for the board, rows by ascending y."""
-    if not board.boxes:
-        return "\\begin{ytableau}\n\\end{ytableau}"
-    xs, ys = _grid(board)
-    lines = []
-    for y in ys:
-        row = []
-        for x in xs:
-            box = board.at((x, y))
-            if box is None:
-                cell = "*(lightgray) \\none" if (x, y) == (0, 0) else "\\none"
-            else:
-                body = "\\times" if isinstance(box.content, Opaque) else str(box.content.m)
-                cell = f"*(lightgray) {body}" if (x, y) == (0, 0) else body
-            row.append(cell)
-        lines.append(" & ".join(row) + " \\\\")
-    return "\\begin{ytableau}\n" + "\n".join(lines) + "\n\\end{ytableau}"
+    rows = _grid(board, _latex_cell)[2] if board.boxes else []
+    return "\n".join(["\\begin{ytableau}"] + [" & ".join(row) + " \\\\" for row in rows]
+                     + ["\\end{ytableau}"])
 
 
 def box_to_dict(box: Box) -> dict:
@@ -239,7 +224,7 @@ def _game_result_from_dict(d: dict) -> GameResult:
     return GameResult(
         n, eps, mode, initial, final,
         tuple(_move_from_dict(m, initial.copies) for m in d["moves"]),
-        found, gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
+        gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
     )
 
 
@@ -251,14 +236,13 @@ def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:
     return board
 
 
-def emit_json_lines(result: GameResult,
-                    phases: Iterable[tuple[str, Board, int]] = ()) -> list[str]:
+def emit_json_lines(result: GameResult) -> list[str]:
     """Streaming form of :func:`game_result_to_dict`: header, initial, each
-    move (with phase snapshots interleaved at the move counts where they
-    were taken), then final, column, and summary records."""
+    move (with the result's phase snapshots interleaved at the move counts
+    where they were taken), then final, column, and summary records."""
     doc = game_result_to_dict(result)
     phase_at: dict[int, list[str]] = {}
-    for name, board, count in phases:
+    for name, board, count in result.phases:
         if name not in ("initial", "final"):
             phase_at.setdefault(count, []).append(dumps(
                 {"record": "phase", "name": name, "board": board_to_dict(board)}))
@@ -274,3 +258,40 @@ def emit_json_lines(result: GameResult,
     lines.append(dumps({"record": "summary", "residual_f_count": doc["residual_f_count"],
                         "flags": doc["flags"]}))
     return lines
+
+
+def emit_text(result: GameResult) -> list[str]:
+    """Each phase snapshot as a plain-text grid, then a summary of the run."""
+    lines = []
+    for name, board, count in result.phases:
+        lines += [f"== {name} (after {count} moves) ==", render_ascii(board), ""]
+    gr2_copies = sum(b.copies for b in result.gr2_boxes)
+    lines += [f"moves applied: {len(result.log)}",
+              f"column found: {'yes' if result.gr2_found else 'no'} "
+              f"({len(result.gr2_boxes)} boxes, {gr2_copies} copies)",
+              f"residual copies: {result.residual_f_count}"]
+    return lines + [f"flag: {flag}" for flag in result.flags]
+
+
+def emit_latex(result: GameResult) -> list[str]:
+    """Each phase snapshot as ytableau source, then the flags as comments."""
+    lines = []
+    for name, board, count in result.phases:
+        lines += [f"% phase: {name} (after {count} moves)", render_latex(board)]
+    return lines + [f"% flag: {flag}" for flag in result.flags]
+
+
+EMIT_FORMATS = ("text", "latex", "json", "json-lines")
+
+
+def emit(result: GameResult, fmt: str) -> list[str]:
+    """The output lines of one of :data:`EMIT_FORMATS`.
+
+    The emitters are looked up by name on each call, never held in a table
+    built at import, so an emitter rebound on this module is the one called.
+    """
+    if fmt == "json":
+        return [game_result_to_json(result)]
+    if fmt not in EMIT_FORMATS:
+        raise ValueError(f"unknown emit format {fmt!r}")
+    return globals()[f"emit_{fmt.replace('-', '_')}"](result)

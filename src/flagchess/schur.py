@@ -24,7 +24,7 @@ from functools import lru_cache
 from .weights import GradedDims, _line_bundle, graded_add, line_bundle_cohomology
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleDescriptor:
     """Sym^m U2v(x*h1 + y*h2) on F(1,2,N); m = 0 is the line bundle O(x,y)."""
 

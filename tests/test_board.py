@@ -157,10 +157,8 @@ class TestSerreTranslate:
         return tuple(boxes)
 
     def test_agrees_with_stepping_on_real_boards(self):
-        boards = []
-        for n, eps in ((2, 0), (2, 1), (3, 0), (3, 1)):
-            run_game(n, eps, validate=False,
-                     phase_hook=lambda name, board, count: boards.append(board))
+        boards = [board for n, eps in ((2, 0), (2, 1), (3, 0), (3, 1))
+                  for _, board, _ in run_game(n, eps, validate=False).phases]
         for board in boards:
             for y in sorted({b.y for b in board.boxes}):
                 L = sum(1 for b in board.boxes if b.y == y)

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import errno
+import io
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from flagchess import Board, Box, Opaque, SymBlock, replay
+from flagchess import Board, Box, Opaque, SymBlock, render, replay
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -21,6 +25,7 @@ from flagchess.cli import (
     MAX_N,
     MAX_m,
     MAX_n,
+    MAX_twist,
     main,
 )
 from flagchess.render import (
@@ -175,8 +180,16 @@ class TestExitCodes:
          f"argument --src: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
         (("ext", "--N", "5", "--space", "flag", "--src=0,0,0", f"--tgt={MAX_m + 1},1,0"),
          f"argument --tgt: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+        (("bwb", "--N", str(MAX_N), "--x", str(MAX_twist + 1), "--y", "0"),
+         f"need |x| <= {MAX_twist}, got {MAX_twist + 1}"),
+        (("cohom", "--N", str(MAX_N), "--m", "0", "--x", "0", "--y", str(-MAX_twist - 1)),
+         f"need |y| <= {MAX_twist}, got {-MAX_twist - 1}"),
+        (("ext", "--N", str(MAX_N), "--space", "M", f"--src=0,{-MAX_twist - 1},0",
+          "--tgt=0,0,0"), f"argument --src: need |x| <= {MAX_twist}, got {-MAX_twist - 1}"),
+        (("ext", "--N", str(MAX_N), "--space", "flag", "--src=0,0,0", f"--tgt=0,0,{10**24}"),
+         f"argument --tgt: need |y| <= {MAX_twist}, got {10**24}"),
     ], ids=["game-n", "lemma-n", "degree-n", "conditions-n", "bwb-N", "cohom-N", "cohom-m",
-            "ext-N", "ext-src-m", "ext-tgt-m"])
+            "ext-N", "ext-src-m", "ext-tgt-m", "bwb-x", "cohom-y", "ext-src-x", "ext-tgt-y"])
     def test_sizes_past_their_bound_are_usage(self, capsys, argv, refusal):
         try:
             code = main(list(argv))
@@ -195,6 +208,21 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, *argv)
             assert code in (EXIT_OK, EXIT_REFUSED) and out and "error" not in err
 
+    def test_twists_at_their_bound_are_accepted(self, capsys):
+        # the widest twists print dimensions of about 3,000 digits, under the 4,300 limit
+        t, digits = MAX_twist, []
+        for argv in (("bwb", "--N", str(MAX_N), "--x", str(-t), "--y", str(t)),
+                     ("cohom", "--N", str(MAX_N), "--m", str(MAX_m), "--x", str(-t),
+                      "--y", str(-t)),
+                     ("ext", "--N", str(MAX_N), "--space", "flag", f"--src={MAX_m},{-t},{-t}",
+                      f"--tgt={MAX_m},{t},{t}"),
+                     ("ext", "--N", str(MAX_N), "--space", "M", f"--src=0,{-t},{-t}",
+                      f"--tgt={MAX_m},{t},{t}")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_REFUSED) and out and err == ""
+            digits += [len(w) for w in re.findall(r"\d+", out)]
+        assert 3_000 < max(digits) < 4_300
+
     def test_output_into_a_missing_directory_is_usage(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(capsys, "bwb", "--N", "5", "--x", "0", "--y", "0",
@@ -202,6 +230,25 @@ class TestExitCodes:
         assert code == EXIT_USAGE and out == ""
         assert err == f"flagchess: error: cannot write {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @pytest.mark.parametrize("argv", [("degree", "--n", "2", "--eps", "1"),
+                                      ("game", "--n", "2", "--eps", "0", "--emit", "json")])
+    def test_a_failed_write_to_stdout_is_usage(self, capsys, monkeypatch, argv, failing):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(list(argv))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"flagchess: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 class TestEmitFormats:
@@ -259,6 +306,30 @@ class TestEmitFormats:
         assert out == ""
         assert json.loads(target.read_text())["params"] == {
             "n": 2, "eps": 1, "mode": "fibration"}
+
+    @pytest.mark.parametrize("fmt, name", [
+        ("text", "emit_text"), ("latex", "emit_latex"),
+        ("json", "game_result_to_json"), ("json-lines", "emit_json_lines")])
+    def test_the_emitter_is_looked_up_when_called(self, capsys, monkeypatch, fmt, name):
+        # a tracer rebinds render's attributes after import; the CLI must reach the rebound one
+        monkeypatch.setattr(render, name, lambda result: "stub" if fmt == "json" else ["stub"])
+        assert run_cli(capsys, "game", "--n", "2", "--eps", "1", "--emit", fmt) == (
+            EXIT_OK, "stub\n", "")
+
+    def test_an_unknown_format_raises_value_error(self, game):
+        with pytest.raises(ValueError, match="unknown emit format 'yaml'"):
+            render.emit(game(2, 1), "yaml")
+
+    def test_a_parsed_result_renders_without_phases(self, game):
+        result = game(2, 0)
+        parsed = parse_game_result(game_result_to_json(result))
+        phases = len(result.phases)
+        assert render.emit_text(parsed) == render.emit_text(result)[3 * phases:]
+        assert render.emit_latex(parsed) == render.emit_latex(result)[2 * phases:] == [
+            f"% flag: {result.flags[0]}"]
+        assert emit_json_lines(parsed) == [
+            line for line in emit_json_lines(result)
+            if json.loads(line)["record"] != "phase"]
 
     def test_reruns_are_byte_identical(self, capsys):
         _, first, _ = run_cli(capsys, "game", "--n", "3", "--eps", "0",
@@ -483,7 +554,7 @@ class TestWireSchema:
 
     def test_json_lines_matches_the_log_length(self, game):
         result = game(2, 0)
-        lines = emit_json_lines(result, [])
+        lines = emit_json_lines(result)
         records = [json.loads(line) for line in lines]
         moves = [r for r in records if r["record"] == "move"]
         assert len(moves) == len(result.log)

@@ -1,6 +1,7 @@
 """Full game runs: completion, conservation, extraction, flip mode, replay."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from flagchess import (
     Board,
     Box,
+    GameResult,
     Opaque,
     SymBlock,
     corrected_flip_board,
@@ -19,7 +21,7 @@ from flagchess import (
     replay,
     run_game,
 )
-from flagchess.render import game_result_to_json
+from flagchess.render import game_result_to_json, parse_game_result
 
 # leftover copy counts measured from the deterministic scripts; the even
 # column leaves 2n^2-3n behind, which the runner flags against the reference
@@ -232,19 +234,46 @@ class TestReplayAndDeterminism:
         assert checked.final.boxes == unchecked.final.boxes
 
 
-class TestPhaseHooks:
-    def test_hook_sequence_and_monotone_counts(self):
-        seen: list[tuple[str, int]] = []
-        run_game(2, 1, phase_hook=lambda name, board, count: seen.append((name, count)))
-        names = [name for name, _ in seen]
+class TestPhases:
+    def test_phase_sequence_and_monotone_counts(self, game):
+        phases = game(2, 1).phases
+        names = [name for name, _, _ in phases]
         assert names == ["initial", "align", "phase1", "serre",
                          "phase2", "endgame", "final"]
-        counts = [count for _, count in seen]
+        counts = [count for _, _, count in phases]
         assert counts[0] == 0
         assert counts == sorted(counts)
+        assert counts[-1] == len(game(2, 1).log)
 
-    def test_hook_boards_conserve_copies(self):
-        boards: list[Board] = []
-        result = run_game(3, 0, phase_hook=lambda _n, board, _c: boards.append(board))
+    def test_phase_boards_conserve_copies(self, game):
+        result = game(3, 0)
+        boards = [board for _, board, _ in result.phases]
         assert all(b.copies == result.initial.copies for b in boards)
-        assert boards[-1].boxes == result.final.boxes
+        assert boards[0] is result.initial
+        assert boards[-1] is result.final
+
+    def test_phase_boards_replay_from_the_log(self, game):
+        result = game(3, 1, "flip")
+        for _, board, count in result.phases:
+            assert replay(result.initial, result.log[:count]).boxes == board.boxes
+
+    def test_phases_stay_out_of_equality_and_repr(self, game):
+        result = game(2, 0)
+        bare = dataclasses.replace(result, phases=())
+        assert bare == result
+        assert repr(bare) == repr(result)
+        assert "phases" not in repr(result)
+
+    def test_a_parsed_result_has_no_phases(self, game):
+        result = game(2, 1)
+        parsed = parse_game_result(game_result_to_json(result))
+        assert parsed.phases == ()
+        assert parsed == result
+
+
+class TestColumnFound:
+    def test_found_is_derived_from_the_boxes(self, game):
+        result = game(2, 1)
+        assert "gr2_found" not in {f.name for f in dataclasses.fields(GameResult)}
+        assert result.gr2_found is True
+        assert dataclasses.replace(result, gr2_boxes=()).gr2_found is False

@@ -46,6 +46,22 @@ GOLDEN = {
         (0, "cd3efa683797f4b32085a46446897dd86f800bb9f130452ea9083228b87654c5"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
         (0, "10ccc618e73105c0a05179afa274479d8d8a4e16329cc737440c6bd6c0d90b8b"),
+    "game --n 2 --eps 0 --emit text":
+        (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
+    "game --n 2 --eps 0 --emit latex":
+        (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
+    "game --n 2 --eps 0 --emit json":
+        (1, "18d75f3f84372a063fac7784fe553b4ca8ca97b8cfb8741af76aa017ed1ca206"),
+    "game --n 2 --eps 0 --emit json-lines":
+        (1, "5f8279df6176eaf2d43312d3e5a1e8bf9b3b82f3f92d4e6688fd247a9bc52bea"),
+    "game --n 5 --eps 1 --emit text":
+        (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
+    "game --n 5 --eps 1 --emit latex":
+        (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
+    "game --n 5 --eps 1 --emit json":
+        (0, "e53a5110978b5310324202f009298af3df3051bb3d707f031e92ca9f5fcd7b65"),
+    "game --n 5 --eps 1 --emit json-lines":
+        (0, "d713341e943f68ee70793696a847ddaabed937025e8285da278fcaf039d6230b"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     "cohom --N 5 --m 2 --x -1 --y 1":
