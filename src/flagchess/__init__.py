@@ -32,14 +32,9 @@ from .board import (
     play,
 )
 from .chern import (
-    TruncPoly,
-    binom,
     condition3_bound,
     cover_degree,
     h0_twisted_quotient,
-    poly_inv_unit,
-    poly_mul,
-    poly_pow,
     section_count_ld,
     section_count_syzygy,
 )
@@ -97,8 +92,7 @@ __all__ = [
     "move_orange_merge", "move_push_right", "move_rule1", "move_rule2",
     "move_serre_global", "move_serre_translate", "move_transpose",
     "MOVES", "play",
-    "TruncPoly", "binom", "condition3_bound", "cover_degree",
-    "h0_twisted_quotient", "poly_inv_unit", "poly_mul", "poly_pow",
+    "condition3_bound", "cover_degree", "h0_twisted_quotient",
     "section_count_ld", "section_count_syzygy",
     "GameResult", "corrected_flip_board", "extract_gr2",
     "initial_board_fibration", "initial_board_flip",

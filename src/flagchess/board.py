@@ -594,12 +594,12 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
     The call's shape is checked against the table first, and a kind, a
     position count, a parameter set or a parameter type the table does not
-    allow raises ``ValueError``, as does a position that is not a pair of
-    ints; a bool is not taken for an int.  The move is looked up among the
-    module's names at call time, so a rebinding of ``move_<kind>`` is seen
-    here too.
+    allow raises ``ValueError``, as does a kind that is not a string or a
+    position that is not a pair of ints; a bool is not taken for an int.
+    The move is looked up among the module's names at call time, so a
+    rebinding of ``move_<kind>`` is seen here too.
     """
-    spec = MOVES.get(kind)
+    spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
         raise ValueError(f"unknown move kind {kind!r}")
     if spec.positions is not None and len(positions) != spec.positions:

@@ -146,13 +146,13 @@ def _gr2_template(n: int, eps: int, anchor: tuple[int, int]) -> list[tuple[int, 
 
 
 def extract_gr2(board: Board, n: int, eps: int,
-                ) -> tuple[bool, tuple[Box, ...], tuple[str, ...]]:
+                ) -> tuple[tuple[Box, ...], tuple[str, ...]]:
     """Find the expected column of blocks anywhere on the board.
 
     The match is positional but anchor-free: every block of the right grade
-    is tried as the column's bottom cell.  Returns (found, matched boxes in
-    column order, flags); a failed search reports the best near-miss as a
-    flag instead of raising.
+    is tried as the column's bottom cell.  Returns (matched boxes in column
+    order, flags); a failed search returns no boxes and reports the best
+    near-miss as a flag instead of raising.
     """
     anchor_grade = n - 2 if eps == 0 else n - 1
     best_hits, best_anchor = -1, None
@@ -167,13 +167,13 @@ def extract_gr2(board: Board, n: int, eps: int,
                 hits += 1
         if hits == len(cells):
             matched = tuple(board.at((x, y)) for (x, y, _) in cells)
-            return True, matched, ()
+            return matched, ()
         if hits > best_hits:
             best_hits, best_anchor = hits, box.pos
     want = len(_gr2_template(n, eps, (0, 0)))
     flag = (f"no straightened column found; best anchor {best_anchor} "
             f"matched {max(best_hits, 0)} of {want} cells")
-    return False, (), (flag,)
+    return (), (flag,)
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     final = g.board
     assert final.copies == initial.copies
 
-    _, gr2_boxes, flags = extract_gr2(final, n, eps)
+    gr2_boxes, flags = extract_gr2(final, n, eps)
     flags = list(flags)
     residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
     gr2_copies = sum(b.copies for b in gr2_boxes)

@@ -188,8 +188,10 @@ def parse_game_result(text: str) -> GameResult:
       ``got == expected`` or is false (a failed or indeterminate check
       refuses its move, so an applied move holds none);
     - a ``residual_f_count`` that is not an int >= 0;
-    - a ``gr2`` box that is not on the final board, or a ``gr2.found`` that
-      is not a bool or disagrees with whether ``gr2.boxes`` is empty.
+    - a ``schema_version`` other than the int 1;
+    - a ``gr2`` box that is not on the final board or is named twice, or a
+      ``gr2.found`` that is not a bool or disagrees with whether
+      ``gr2.boxes`` is empty.
     """
     try:
         return _game_result_from_dict(json.loads(text))
@@ -198,8 +200,8 @@ def parse_game_result(text: str) -> GameResult:
 
 
 def _game_result_from_dict(d: dict) -> GameResult:
-    if d["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {d['schema_version']}")
+    if type(d["schema_version"]) is not int or d["schema_version"] != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {d['schema_version']!r}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
     _int_at_least(n, 2, "params.n")
     if type(eps) is not int or eps not in (0, 1):
@@ -218,6 +220,8 @@ def _game_result_from_dict(d: dict) -> GameResult:
     for b in gr2_boxes:
         if final.at(b.pos) != b:
             raise ValueError(f"gr2 box at {b.pos} is not on the final board")
+    if len({b.pos for b in gr2_boxes}) != len(gr2_boxes):
+        raise ValueError("gr2 names a box twice")
     found = d["gr2"]["found"]
     if type(found) is not bool or found != bool(gr2_boxes):
         raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")

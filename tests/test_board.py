@@ -603,9 +603,10 @@ class TestRecordsAndReplay:
 
     def test_replay_rejects_unknown_kinds(self):
         board = board_of(2, 1, (0, 1, 0))
-        bogus = MoveRecord("teleport", (), (), (), "applied", 1, 1)
-        with pytest.raises(ValueError):
-            apply_record(board, bogus)
+        for kind in ("teleport", ["rule1"], {"rule1": 1}):
+            bogus = MoveRecord(kind, (), (), (), "applied", 1, 1)
+            with pytest.raises(ValueError, match="unknown move kind"):
+                apply_record(board, bogus)
 
     def test_replay_rejects_a_wrong_position_count(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0), (-1, 2, 0))

@@ -1,84 +1,19 @@
-"""Integer-coefficient truncated polynomials and the enumerative counts."""
+"""The cover degree's two routes and the enumerative counts."""
 from __future__ import annotations
 
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from flagchess import (
-    TruncPoly,
-    binom,
     condition3_bound,
     cover_degree,
     h0_twisted_quotient,
-    poly_inv_unit,
-    poly_mul,
-    poly_pow,
     section_count_ld,
     section_count_syzygy,
 )
+from flagchess.cli import MAX_n
 from flagchess.weights import bwb_regularize, rho
-
-poly_st = st.builds(
-    lambda mod, coeffs: TruncPoly.from_list(mod, coeffs),
-    st.integers(1, 6),
-    st.lists(st.integers(-9, 9), max_size=6),
-)
-
-
-class TestBinom:
-    @given(st.integers(0, 60), st.integers(0, 60))
-    def test_matches_stdlib(self, n, k):
-        assert binom(n, k) == math.comb(n, k)
-
-    def test_out_of_range_is_zero(self):
-        assert binom(3, 5) == 0
-        assert binom(3, -1) == 0
-        assert binom(-2, 1) == 0
-
-
-class TestTruncPoly:
-    def test_square_of_linear(self):
-        p = TruncPoly.from_list(2, [1, 2])
-        assert poly_mul(p, p) == TruncPoly(2, (1, 4))
-
-    def test_from_list_pads_and_truncates(self):
-        assert TruncPoly.from_list(4, [1, 2]) == TruncPoly(4, (1, 2, 0, 0))
-        assert TruncPoly.from_list(2, [1, 2, 99]) == TruncPoly(2, (1, 2))
-
-    def test_getitem(self):
-        p = TruncPoly.from_list(3, [7, 0, -2])
-        assert (p[0], p[1], p[2]) == (7, 0, -2)
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            TruncPoly(3, (1, 2))
-
-    def test_modulus_mismatch(self):
-        with pytest.raises(ValueError):
-            poly_mul(TruncPoly.from_list(2, [1]), TruncPoly.from_list(3, [1]))
-
-    @given(poly_st)
-    def test_inverse_of_units(self, p):
-        if p[0] not in (1, -1):
-            with pytest.raises(ValueError):
-                poly_inv_unit(p)
-        else:
-            one = TruncPoly.from_list(p.modulus, [1])
-            assert poly_mul(p, poly_inv_unit(p)) == one
-
-    @given(poly_st, st.integers(0, 6))
-    def test_pow_matches_repeated_mul(self, p, e):
-        expected = TruncPoly.from_list(p.modulus, [1])
-        for _ in range(e):
-            expected = poly_mul(expected, p)
-        assert poly_pow(p, e) == expected
-
-    def test_geometric_series(self):
-        # (1+3H)^-1 = 1 - 3H + 9H^2 - 27H^3 + ...
-        inv = poly_inv_unit(TruncPoly.from_list(5, [1, 3]))
-        assert inv == TruncPoly(5, (1, -3, 9, -27, 81))
 
 
 class TestCoverDegree:
@@ -96,10 +31,11 @@ class TestCoverDegree:
 
     def test_independent_closed_evaluation(self):
         # summing the binomial series telescopes to (2^d - (-1)^d)/3, a third
-        # evaluation independent of both implemented paths
-        for N in range(4, 24):
-            got = cover_degree(N // 2, N % 2)[0]
-            assert got == (2**N - (-1) ** N) // 3
+        # evaluation independent of both implemented paths, over every N the
+        # CLI accepts
+        for N in range(4, 2 * MAX_n + 2):
+            want = (2**N - (-1) ** N) // 3
+            assert cover_degree(N // 2, N % 2) == (want, want, True), N
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -346,10 +346,12 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
+        # only the int 1 is version 1: a bool or a float that equals it is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        doc["schema_version"] = 99
-        with pytest.raises(ValueError):
-            parse_game_result(json.dumps(doc))
+        for version in (99, True, 1.0, "1"):
+            doc["schema_version"] = version
+            with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
+                parse_game_result(json.dumps(doc))
 
     @pytest.mark.parametrize("text", ['{"schema_version":1}', "[]",
                                       pytest.param("[" * 100000, id="deeply-nested")])
@@ -429,6 +431,13 @@ class TestWireSchema:
         for edit in (off_board, wrong_content):
             with pytest.raises(ValueError, match="is not on the final board"):
                 parse_game_result(self.edited(game, edit))
+
+    def test_gr2_boxes_must_not_repeat(self, game):
+        # a repeated box would count its copies twice in the column
+        def repeated(doc):
+            doc["gr2"]["boxes"].append(doc["gr2"]["boxes"][0])
+        with pytest.raises(ValueError, match="gr2 names a box twice"):
+            parse_game_result(self.edited(game, repeated))
 
     @staticmethod
     def first_check(doc):

@@ -140,15 +140,15 @@ class TestColumnAndResiduals:
     def test_near_miss_reports_a_flag(self, game):
         final = game(3, 1).final
         pruned = Board(3, 1, tuple(b for b in final.boxes if b.pos != (0, 0)))
-        found, boxes, flags = extract_gr2(pruned, 3, 1)
-        assert not found and boxes == ()
+        boxes, flags = extract_gr2(pruned, 3, 1)
+        assert boxes == ()
         assert len(flags) == 1 and "best anchor" in flags[0]
 
     def test_extraction_is_anchor_free(self):
         column = tuple(Box(5, 3 + i, SymBlock(1)) for i in range(5))
         noise = (Box(-9, 0, SymBlock(0)), Box(9, 9, Opaque()))
-        found, boxes, _ = extract_gr2(Board(2, 1, noise + column), 2, 1)
-        assert found
+        boxes, flags = extract_gr2(Board(2, 1, noise + column), 2, 1)
+        assert flags == ()
         assert [b.pos for b in boxes] == [(5, 3 + i) for i in range(5)]
 
 

@@ -72,6 +72,14 @@ GOLDEN = {
         (0, "aeb185cf83fd9ab28ac34c03771971b8f6bc7e6188e032a516720050aad9fff2"),
     "degree --n 4 --eps 1":
         (0, "15ea2d2da4d655ff9a0bffbee368e3edeff6dc45ca98926d0f58d68c15882f25"),
+    "degree --n 2 --eps 0":
+        (0, "7025ef84d93f8668502fcf4002d84b72502d2e67d51baed017e77ed2036ae802"),
+    "degree --n 100 --eps 1":
+        (0, "0cf78e4e774d507488159f17563b5ec48cb413cdccca86b48c6f73d18b832067"),
+    "conditions --n 2 --eps 1":
+        (0, "a857dd7f10d41c7b4495d1a95a22e2fa434fcd69ff84e678fd47bf8aec69ef32"),
+    "conditions --n 100 --eps 0":
+        (0, "37188d6df55481ae4a9e329e7b3d31c4ee74d69f8d341fc6746b7fdb0d53ad79"),
 }
 
 
