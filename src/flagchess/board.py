@@ -92,12 +92,15 @@ class Board:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        slot: dict[tuple[int, int], int] = {}
-        for i, b in enumerate(self.boxes):
-            if slot.setdefault(b.pos, i) != i:
-                raise ValueError(f"duplicate box position {b.pos}")
+        slot = {(b.x, b.y): i for i, b in enumerate(self.boxes)}
+        if len(slot) != len(self.boxes):
+            seen: set[tuple[int, int]] = set()
+            for b in self.boxes:
+                if b.pos in seen:
+                    raise ValueError(f"duplicate box position {b.pos}")
+                seen.add(b.pos)
         object.__setattr__(self, "_slot", slot)
-        object.__setattr__(self, "copies", sum(b.copies for b in self.boxes))
+        object.__setattr__(self, "copies", sum(b.content.copies for b in self.boxes))
 
     @property
     def N(self) -> int:

@@ -4,6 +4,13 @@ All emitters are deterministic down to the byte: no set iteration, JSON with
 fixed separators and explicitly ordered keys, graded dimensions as sorted
 ``[degree, dim]`` pairs.  ``parse_game_result`` inverts
 ``game_result_to_json`` exactly.
+
+A game document (schema version 2) writes each distinct oracle check and
+each distinct move transcript once, where it first appears.  A move's
+``oracle`` is either an int k, "the transcript of move k", or a list whose
+entries are check objects, numbered 0, 1, 2, ... in document order, or ints
+naming a check defined earlier.  Version 1, which writes every check in
+full, is still read.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from typing import Any, Callable
 from .board import Board, Box, MoveRecord, Opaque, OracleCheck, SymBlock
 from .games import GameResult
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def dumps(obj: Any) -> str:
@@ -121,19 +128,48 @@ def _check_from_dict(d: dict) -> OracleCheck:
     return check
 
 
-def move_to_dict(record: MoveRecord) -> dict:
+def _move_dict(record: MoveRecord, oracle: int | list) -> dict:
     return {
         "kind": record.kind,
         "positions": record.positions,
         "params": dict(record.params),
-        "oracle": [_check_to_dict(c) for c in record.oracle],
+        "oracle": oracle,
         "verdict": record.verdict,
         "copies_before": record.copies_before,
         "copies_after": record.copies_after,
     }
 
 
-def _move_from_dict(d: dict, copies: int) -> MoveRecord:
+def move_to_dict(record: MoveRecord) -> dict:
+    """One move with its transcript written in full, as in schema version 1."""
+    return _move_dict(record, [_check_to_dict(c) for c in record.oracle])
+
+
+def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
+    """The moves of a version 2 document: a transcript seen before becomes
+    the index of the move that wrote it, a check seen before its number."""
+    check_number: dict[OracleCheck, int] = {}
+    writer: dict[tuple[OracleCheck, ...], int] = {}
+    moves = []
+    for i, record in enumerate(log):
+        transcript = record.oracle
+        k = writer.setdefault(transcript, i) if transcript else i
+        if k != i:
+            moves.append(_move_dict(record, k))
+            continue
+        oracle: list[int | dict] = []
+        for check in transcript:
+            j = check_number.get(check)
+            if j is None:
+                check_number[check] = len(check_number)
+                oracle.append(_check_to_dict(check))
+            else:
+                oracle.append(j)
+        moves.append(_move_dict(record, oracle))
+    return moves
+
+
+def _move_from_dict(d: dict, copies: int, oracle: tuple[OracleCheck, ...]) -> MoveRecord:
     if d["verdict"] != "applied":
         raise ValueError(f"move verdict must be applied, got {d['verdict']!r}")
     for key in ("copies_before", "copies_after"):
@@ -143,11 +179,47 @@ def _move_from_dict(d: dict, copies: int) -> MoveRecord:
         d["kind"],
         tuple(tuple(p) for p in d["positions"]),
         tuple(d["params"].items()),
-        tuple(_check_from_dict(c) for c in d["oracle"]),
+        oracle,
         "applied",
         copies,
         copies,
     )
+
+
+def _reference(value: Any, bound: int, what: str, i: int) -> int:
+    if type(value) is not int or not 0 <= value < bound:
+        raise ValueError(f"move {i}: {what} reference {value!r} is not an int in [0, {bound})")
+    return value
+
+
+def _transcripts(moves: list, version: int) -> list[tuple[OracleCheck, ...]]:
+    """Each move's oracle checks, with a version 2 document's references
+    resolved; every check object is validated once, where it is written."""
+    checks: list[OracleCheck] = []
+    written: dict[int, tuple[OracleCheck, ...]] = {}
+    out = []
+    for i, move in enumerate(moves):
+        oracle = move["oracle"]
+        if version == 1 and (type(oracle) is not list
+                             or any(type(e) is not dict for e in oracle)):
+            raise ValueError(f"move {i}: a version 1 oracle is a list of checks, got {oracle!r}")
+        if type(oracle) is not list:
+            k = _reference(oracle, i, "transcript", i)
+            if k not in written:
+                raise ValueError(f"move {i}: transcript reference {k} names a move "
+                                 f"whose oracle is not a list")
+            out.append(written[k])
+            continue
+        transcript = []
+        for entry in oracle:
+            if type(entry) is dict:
+                checks.append(_check_from_dict(entry))
+                transcript.append(checks[-1])
+            else:
+                transcript.append(checks[_reference(entry, len(checks), "check", i)])
+        written[i] = tuple(transcript)
+        out.append(written[i])
+    return out
 
 
 def game_result_to_dict(result: GameResult) -> dict:
@@ -155,7 +227,7 @@ def game_result_to_dict(result: GameResult) -> dict:
         "schema_version": SCHEMA_VERSION,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
         "initial": board_to_dict(result.initial),
-        "moves": [move_to_dict(r) for r in result.log],
+        "moves": _interned_moves(result.log),
         "final": board_to_dict(result.final),
         "gr2": {"found": result.gr2_found,
                 "boxes": [box_to_dict(b) for b in result.gr2_boxes]},
@@ -169,7 +241,8 @@ def game_result_to_json(result: GameResult) -> str:
 
 
 def parse_game_result(text: str) -> GameResult:
-    """Exact inverse of :func:`game_result_to_json`.
+    """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
+    and 2.
 
     A document that is not valid JSON or lacks the expected structure
     raises ``ValueError``, and so does one holding any of these (a bool is
@@ -186,9 +259,14 @@ def parse_game_result(text: str) -> GameResult:
     - an oracle entry whose ``space`` is not ``M``, whose ``source`` or
       ``target`` is not three ints, or whose ``ok`` disagrees with
       ``got == expected`` or is false (a failed or indeterminate check
-      refuses its move, so an applied move holds none);
+      refuses its move, so an applied move holds none); each check object
+      is validated once, where it is written;
+    - in version 2, an oracle reference that is not an int, is negative,
+      names a check not yet defined, or names a transcript of this or a
+      later move or of a move whose own ``oracle`` is not a list; in
+      version 1, any oracle reference;
     - a ``residual_f_count`` that is not an int >= 0;
-    - a ``schema_version`` other than the int 1;
+    - a ``schema_version`` other than the int 1 or 2;
     - a ``gr2`` box that is not on the final board or is named twice, or a
       ``gr2.found`` that is not a bool or disagrees with whether
       ``gr2.boxes`` is empty.
@@ -200,8 +278,9 @@ def parse_game_result(text: str) -> GameResult:
 
 
 def _game_result_from_dict(d: dict) -> GameResult:
-    if type(d["schema_version"]) is not int or d["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {d['schema_version']!r}")
+    version = d["schema_version"]
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise ValueError(f"unsupported schema version {version!r}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
     _int_at_least(n, 2, "params.n")
     if type(eps) is not int or eps not in (0, 1):
@@ -227,7 +306,8 @@ def _game_result_from_dict(d: dict) -> GameResult:
         raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")
     return GameResult(
         n, eps, mode, initial, final,
-        tuple(_move_from_dict(m, initial.copies) for m in d["moves"]),
+        tuple(_move_from_dict(m, initial.copies, oracle)
+              for m, oracle in zip(d["moves"], _transcripts(d["moves"], version))),
         gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
     )
 

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flagchess import Board, Box, Opaque, SymBlock, render, replay
 from flagchess.cli import (
@@ -43,6 +44,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rebuilt_document(stream: str) -> dict:
+    """The JSON document a json-lines stream stands for, phases left out."""
+    records = [json.loads(line) for line in stream.splitlines()]
+    by_kind = {r["record"]: r for r in records}
+
+    def body(kind):
+        return {k: v for k, v in by_kind[kind].items() if k != "record"}
+    return {"schema_version": by_kind["header"]["schema_version"],
+            "params": by_kind["header"]["params"],
+            "initial": by_kind["initial"]["board"],
+            "moves": [{k: v for k, v in r.items() if k not in ("record", "index")}
+                      for r in records if r["record"] == "move"],
+            "final": by_kind["final"]["board"],
+            "gr2": body("gr2"),
+            **body("summary")}
 
 
 class TestExitCodes:
@@ -346,9 +364,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the int 1 is version 1: a bool or a float that equals it is not
+        # only the ints 1 and 2 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, True, 1.0, "1"):
+        for version in (99, 0, 3, True, 1.0, 2.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -535,19 +553,7 @@ class TestWireSchema:
                 "--validate", "--emit")
         _, text, _ = run_cli(capsys, *argv, "json")
         _, stream, _ = run_cli(capsys, *argv, "json-lines")
-        records = [json.loads(line) for line in stream.splitlines()]
-        by_kind = {r["record"]: r for r in records}
-
-        def body(kind):
-            return {k: v for k, v in by_kind[kind].items() if k != "record"}
-        doc = {"schema_version": by_kind["header"]["schema_version"],
-               "params": by_kind["header"]["params"],
-               "initial": by_kind["initial"]["board"],
-               "moves": [{k: v for k, v in r.items() if k not in ("record", "index")}
-                         for r in records if r["record"] == "move"],
-               "final": by_kind["final"]["board"],
-               "gr2": body("gr2"),
-               **body("summary")}
+        doc = rebuilt_document(stream)
         assert parse_game_result(json.dumps(doc)) == parse_game_result(text)
         assert dumps(doc) + "\n" == text
 
@@ -568,6 +574,97 @@ class TestWireSchema:
         moves = [r for r in records if r["record"] == "move"]
         assert len(moves) == len(result.log)
         assert [m["kind"] for m in moves] == [r.kind for r in result.log]
+
+
+class TestOracleReferences:
+    """Version 2 writes each distinct oracle check and transcript once."""
+
+    V1 = Path(__file__).with_name("game_n3_eps1_v1.json")
+    ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
+
+    def test_a_version_1_document_parses_as_its_version_2_form(self, capsys):
+        v1 = self.V1.read_text()
+        _, v2, _ = run_cli(capsys, *self.ARGV, "json")
+        _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
+        assert json.loads(v1)["schema_version"] == 1
+        assert json.loads(v2)["schema_version"] == SCHEMA_VERSION == 2
+        expected = parse_game_result(v1)
+        assert parse_game_result(v2) == expected
+        assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
+        assert len(v2) < len(v1)
+
+    def test_version_1_holds_no_references(self):
+        doc = json.loads(self.V1.read_text())
+        for i, move in enumerate(doc["moves"]):
+            if move["oracle"]:
+                break
+        for oracle in (i, [0], [*doc["moves"][i]["oracle"], 0]):
+            bad = copy.deepcopy(doc)
+            bad["moves"][i + 1]["oracle"] = oracle
+            with pytest.raises(ValueError, match="a version 1 oracle is a list of checks"):
+                parse_game_result(json.dumps(bad))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_round_trip_is_byte_identical(self, game, n, eps):
+        result = game(n, eps, validate=True)
+        text = game_result_to_json(result)
+        parsed = parse_game_result(text)
+        assert parsed == result
+        assert game_result_to_json(parsed) == text
+
+    def test_each_distinct_check_and_transcript_is_written_once(self, game):
+        result = game(3, 1, validate=True)
+        moves = json.loads(game_result_to_json(result))["moves"]
+        written = [e for m in moves if type(m["oracle"]) is list
+                   for e in m["oracle"] if type(e) is dict]
+        assert len(written) == len({c for r in result.log for c in r.oracle})
+        listed = [r.oracle for r, m in zip(result.log, moves)
+                  if r.oracle and type(m["oracle"]) is list]
+        assert len(listed) == len(set(listed)) == len({r.oracle for r in result.log} - {()})
+        for record, move in zip(result.log, moves):
+            if type(move["oracle"]) is int:
+                assert result.log[move["oracle"]].oracle == record.oracle
+
+    @staticmethod
+    def reference_sites(moves: list) -> list[tuple[int, int | None, int]]:
+        """Each reference as (move, entry or None for a transcript reference,
+        checks defined before it)."""
+        sites, defined = [], 0
+        for i, move in enumerate(moves):
+            if type(move["oracle"]) is int:
+                sites.append((i, None, defined))
+                continue
+            for j, entry in enumerate(move["oracle"]):
+                if type(entry) is int:
+                    sites.append((i, j, defined))
+                else:
+                    defined += 1
+        return sites
+
+    @given(st.data())
+    def test_bad_references_raise_value_error(self, game, data):
+        text = game_result_to_json(game(3, 1, validate=True))
+        doc = json.loads(text)
+        moves = doc["moves"]
+        i, j, defined = data.draw(st.sampled_from(self.reference_sites(moves)))
+        bad_forms = {
+            "not an int": st.sampled_from([True, False, 1.0, "0", None]),
+            "negative": st.integers(-50, -1),
+        }
+        if j is None:
+            bad_forms["this or a later move"] = st.just(i) | st.integers(i, len(moves) + 50)
+            bad_forms["a move that refers"] = st.sampled_from(
+                [k for k in range(i) if type(moves[k]["oracle"]) is int] or [None])
+        else:
+            bad_forms["not yet defined"] = st.just(defined) | st.integers(defined, defined + 50)
+        value = data.draw(st.sampled_from(sorted(bad_forms)).flatmap(bad_forms.__getitem__))
+        if j is None:
+            moves[i]["oracle"] = value
+        else:
+            moves[i]["oracle"][j] = value
+        with pytest.raises(ValueError, match="reference"):
+            parse_game_result(json.dumps(doc))
 
 
 class TestRendering:

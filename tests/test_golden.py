@@ -19,49 +19,49 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "55d9eaa65474d4df627e85441f614a332df748b4a6c4ca25103dd28856a19e63"),
+        (1, "b843a1e962e5bddaee02ba74f5337cbe25a3470f16724e32423003ca0fb21bf0"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "4aa3801d61a3469faee08f2dea07ea34ebf47959191550270a5473fda0566de4"),
+        (1, "609dfdac918477dafcccfb480a1f3e54c9f65675779010c05be21e7cdc61411b"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "3d8e5e3aea7afbd787ff6fb78f2a732f915ab1ed1d10483ead1f8993a0542cd9"),
+        (0, "19ef87f46d771031f4c1c80b9e46f755f7645d7ede44b3ccc4202b5b08671cee"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "b7612634d9d27d03c4fade5e6240004647386a695e920588b8bde6530d6be20e"),
+        (0, "8cc0cf0b90c2de64f2e7f671496ae27cc7fd0a65e0fec861ea6b31964c9916b9"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "9803a84b95ae70706fdbffe11f020a0c9d291f80bd44501913b51012091b05a4"),
+        (0, "42a956c8095cd96e5712452fa8ee1ba2d8eea0f4be609aed632260cf870dcca4"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "f98a70482555b8072f570fc93bd280b9bc2ba2bfe879cbb95d4a0a09f23b67dc"),
+        (0, "6470c2b97e792a7575cec6d5b375a08283d26399f752b93d254958c981e9f0ab"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "cd3efa683797f4b32085a46446897dd86f800bb9f130452ea9083228b87654c5"),
+        (0, "fa3d5a0b9bea5af6b87dfaac9f4dc72e0709e2d843612238ec119f4a58044ef1"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "10ccc618e73105c0a05179afa274479d8d8a4e16329cc737440c6bd6c0d90b8b"),
+        (0, "b0f304d968f4fa10488cd21f96258b7f27199ce0f21c4b6769f7438eaf09bfb8"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "18d75f3f84372a063fac7784fe553b4ca8ca97b8cfb8741af76aa017ed1ca206"),
+        (1, "c7632de77b3261fc1482e384fc4676954b484e59aa95027147f057694bf8bf23"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "5f8279df6176eaf2d43312d3e5a1e8bf9b3b82f3f92d4e6688fd247a9bc52bea"),
+        (1, "f511cec2f2214c4905c49c0b5009a6f490e52252897743fb34d0117f6b32ab67"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "e53a5110978b5310324202f009298af3df3051bb3d707f031e92ca9f5fcd7b65"),
+        (0, "6e6b9a3d8326f6832b0c418ea3e0c922688420fb8e1cedd6f07eea95c876cd51"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "d713341e943f68ee70793696a847ddaabed937025e8285da278fcaf039d6230b"),
+        (0, "487ab5732f100ac8e90d318792a9ae8f510ba81d0571082d1b9caf0ec7f5c9b6"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     "cohom --N 5 --m 2 --x -1 --y 1":
