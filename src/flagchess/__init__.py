@@ -43,7 +43,6 @@ from .games import (
     corrected_flip_board,
     extract_gr2,
     initial_board_fibration,
-    initial_board_flip,
     reference_residual_count,
     replay,
     run_game,
@@ -95,7 +94,7 @@ __all__ = [
     "condition3_bound", "cover_degree", "h0_twisted_quotient",
     "section_count_ld", "section_count_syzygy",
     "GameResult", "corrected_flip_board", "extract_gr2",
-    "initial_board_fibration", "initial_board_flip",
+    "initial_board_fibration",
     "reference_residual_count", "replay", "run_game",
     "LemmaPoint", "LemmaReport", "check_lemma", "ext_on_M", "ext_on_flag",
     "hom_bundle", "koszul_terms",

@@ -15,7 +15,9 @@ SOD slots between two blocks: each looks its window up with :func:`_window`,
 checks its own shape, and hands the new live boxes to :func:`_rewrite`,
 which keeps every opaque box in its slot.  With validation on they consult
 the Ext oracle on M and refuse when a required vanishing fails or comes
-back indeterminate; the shape-based refusals (e.g. transposing a pair that
+back indeterminate.  A move's oracle questions depend only on its shape, so
+:func:`_questions` builds them once per shape; the oracle answers them on
+every move.  The shape-based refusals (e.g. transposing a pair that
 pairs nontrivially) are enforced even with validation off, so a validated
 and an unvalidated run agree move for move.  :data:`MOVES` says how each
 kind is called, and :func:`play` calls a move by its kind name.
@@ -23,7 +25,8 @@ kind is called, and :func:`play` calls a move by its kind name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 from .oracle import ext_on_M, lemma_a4, recorded
@@ -159,20 +162,51 @@ class MoveRefused(RuntimeError):
         self.check = check
 
 
-def _run_oracle(kind: str, wanted: list) -> tuple[OracleCheck, ...]:
-    checks = []
-    for source, target, expected in wanted:
-        check = OracleCheck((source.m, source.x, source.y), (target.m, target.x, target.y),
-                            "M", recorded(expected), recorded(ext_on_M(source, target)))
-        checks.append(check)
-        if check.got == "indeterminate":
-            raise MoveRefused(kind, f"oracle indeterminate for {check.source} vs {check.target}", check)
-        if not check.ok:
-            raise MoveRefused(
-                kind,
-                f"oracle expected {check.expected} but got {check.got} "
-                f"for {check.source} vs {check.target}", check)
-    return tuple(checks)
+Question = tuple[BundleDescriptor, BundleDescriptor, OracleCheck]
+
+
+@lru_cache(maxsize=None)
+def _questions(kind: str, *key: int) -> tuple[Question, ...]:
+    """A windowed move shape's Ext_M requirements, built once per key, each
+    as (source, target, the check recorded when the oracle agrees).
+
+    transpose (lm, rm, dx, dy, N): no Ext from the left block to the right
+    one at relative twist (dx, dy).  absorb (t, N): lemma A4 at (t, t-1).
+    rule1 (r, l, N) and rule2 (r, t, N): each piece grade m, below r for
+    rule1 and below r-1 for rule2, commutes past the window zeros at
+    relative twists (m+2, 0) .. (span, 0), then pairs with the zero at
+    (m+1, 0) in one degree: lemma A4 at t = m+2 .. span, then m+1.  Rule1
+    also needs no Ext from each zero fed back at (b, 0), 1 <= b <= m, to
+    the grade m+1 block.
+    """
+    if kind == "transpose":
+        lm, rm, dx, dy, N = key
+        wanted = [(BundleDescriptor(lm, 0, 0, N), BundleDescriptor(rm, dx, dy, N), {})]
+    elif kind == "absorb":
+        t, N = key
+        wanted = [lemma_a4(t, t - 1, N)]
+    else:
+        r, span, N = key
+        grades = range(r) if kind == "rule1" else range(r - 1)
+        wanted = [lemma_a4(t, m, N) for m in grades for t in (*range(m + 2, span + 1), m + 1)]
+        if kind == "rule1":
+            wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), {})
+                       for m in grades for back in range(1, m + 1)]
+    return tuple((src, tgt, OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
+                                        recorded(expected), recorded(expected)))
+                 for src, tgt, expected in wanted)
+
+
+def _run_oracle(kind: str, questions: tuple[Question, ...]) -> tuple[OracleCheck, ...]:
+    """Ask the oracle every question; refuse at the first answer that differs."""
+    for source, target, passed in questions:
+        got = recorded(ext_on_M(source, target))
+        if got != passed.expected:
+            check = replace(passed, got=got)
+            reason = ("oracle indeterminate" if got == "indeterminate"
+                      else f"oracle expected {check.expected} but got {got}")
+            raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
+    return tuple(passed for _, _, passed in questions)
 
 
 def _commit(board: Board, new_boxes: list[Box], kind: str,
@@ -379,13 +413,15 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
 
 def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
              positions: tuple[tuple[int, int], ...], params: Params,
-             wanted: list | None) -> tuple[Board, MoveRecord]:
-    """Check ``wanted`` on the oracle when given, then commit the window edit.
+             questions: tuple[Question, ...] | None) -> tuple[Board, MoveRecord]:
+    """Ask the oracle ``questions`` when given, then commit the window edit.
 
-    The live boxes of slots i..j are replaced, in order, by ``live``; live
-    slots left over are dropped, and every opaque box keeps its slot.
+    The questions are built once per move shape by :func:`_questions`; the
+    oracle answers them on every move.  The live boxes of slots i..j are
+    replaced, in order, by ``live``; live slots left over are dropped, and
+    every opaque box keeps its slot.
     """
-    oracle = () if wanted is None else _run_oracle(kind, wanted)
+    oracle = () if questions is None else _run_oracle(kind, questions)
     fill = iter(live)
     window = [b if b.opaque else next(fill, None) for b in board.boxes[i:j + 1]]
     new_boxes = list(board.boxes)
@@ -414,10 +450,9 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
         if t >= 1 and rm == t - 1:
             raise MoveRefused(
                 kind, f"pairing-shaped pair at relative twist ({t}, 0) vs (-1, 1)")
-    wanted = [(BundleDescriptor(lm, 0, 0, board.N),
-               BundleDescriptor(rm, right.x - left.x, right.y - left.y, board.N),
-               {})] if validate else None
-    return _rewrite(board, kind, i, j, [right, left], (left_pos, right_pos), (), wanted)
+    questions = _questions(kind, lm, rm, right.x - left.x, right.y - left.y,
+                           board.N) if validate else None
+    return _rewrite(board, kind, i, j, [right, left], (left_pos, right_pos), (), questions)
 
 
 def move_absorb(board: Board, target_pos: tuple[int, int],
@@ -446,9 +481,9 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     landing = (source.x + 1, source.y - 1)
     if board.at(landing) is not None:
         raise MoveRefused(kind, f"landing position {landing} is occupied")
-    wanted = [lemma_a4(t, t - 1, board.N)] if validate else None
+    questions = _questions(kind, t, board.N) if validate else None
     return _rewrite(board, kind, i, j, [Box(*landing, SymBlock(t))],
-                    (target_pos, source_pos), (), wanted)
+                    (target_pos, source_pos), (), questions)
 
 
 def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
@@ -459,16 +494,6 @@ def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
             raise MoveRefused(
                 kind, f"window box at {b.pos} is not the expected zero at "
                       f"({x0 + k}, {y})")
-
-
-def _rule_oracle(N: int, grades: range, span: int) -> list:
-    """The transpose/absorb Ext requirements shared by the window rules.
-
-    For each piece grade m the mover commutes past the window zeros at
-    relative twists (m+2, 0) .. (span, 0) and then pairs with the zero at
-    (m+1, 0) in a single degree: lemma A4 at t = m+2 .. span, then m+1.
-    """
-    return [lemma_a4(t, m, N) for m in grades for t in (*range(m + 2, span + 1), m + 1)]
 
 
 def move_rule1(board: Board, gray_pos: tuple[int, int],
@@ -495,16 +520,9 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
         raise MoveRefused(kind, f"grade bound 1 <= r <= n-1 fails for r={r}")
     if not r <= l <= 2 * n - 3 + board.eps:
         raise MoveRefused(kind, f"window bound r <= l <= 2n-3+eps fails for r={r}, l={l}")
-    wanted = None
-    if validate:
-        N = board.N
-        wanted = _rule_oracle(N, range(r), l)
-        for m in range(r):
-            for back in range(1, m + 1):
-                wanted.append((BundleDescriptor(0, back, 0, N),
-                               BundleDescriptor(m + 1, 0, 0, N), {}))
+    questions = _questions(kind, r, l, board.N) if validate else None
     return _rewrite(board, kind, i, j, [Box(gray.x, gray.y, SymBlock(r)), *window],
-                    (gray_pos, block_pos), (), wanted)
+                    (gray_pos, block_pos), (), questions)
 
 
 def move_rule2(board: Board, zeros_start: tuple[int, int],
@@ -535,9 +553,9 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
         raise MoveRefused(
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
     _check_zeros(kind, window, zx, zy)
-    wanted = _rule_oracle(board.N, range(r - 1), t) if validate else None
+    questions = _questions(kind, r, t, board.N) if validate else None
     return _rewrite(board, kind, i, j, [block, Box(zx, zy, SymBlock(r - 1)), *window[r:]],
-                    (zeros_start, block_pos), (("t", t), ("r", r)), wanted)
+                    (zeros_start, block_pos), (("t", t), ("r", r)), questions)
 
 
 def move_orange_merge(board: Board, orange_pos: tuple[int, int],

@@ -28,21 +28,6 @@ def initial_board_fibration(n: int, eps: int) -> Board:
     return Board(n, eps, tuple(boxes))
 
 
-def initial_board_flip(n: int, eps: int) -> Board:
-    """The flipped staircase exactly as printed: N+1 zeros per row.
-
-    Kept verbatim for reference; its rows are one box too wide to carry the
-    right copy count, so the playable flip start is
-    :func:`corrected_flip_board` instead.
-    """
-    boxes = [
-        Box(x, y, SymBlock(0))
-        for y in range(-(2 * n + eps - 3), 0)
-        for x in range(y, y + 2 * n + eps + 1)
-    ]
-    return Board(n, eps, tuple(boxes))
-
-
 def corrected_flip_board(n: int, eps: int) -> Board:
     """Playable flip start: row y has N zeros at x in [y, y+N-1].
 

@@ -10,6 +10,7 @@ import time
 from hypothesis import given, strategies as st
 
 from flagchess import (
+    INDETERMINATE,
     MOVES,
     Board,
     Box,
@@ -33,6 +34,7 @@ from flagchess import (
 )
 from flagchess import board as board_module
 from flagchess import run_game
+from flagchess.oracle import lemma_a4, recorded
 
 
 def board_of(n, eps, *cells) -> Board:
@@ -645,6 +647,55 @@ class TestRecordsAndReplay:
             move_transpose(board, (2, 0), (-1, 1))
         assert err.value.kind == "transpose"
         assert "pairing" in err.value.reason
+
+
+# One validated move of each windowed kind whose first question is lemma A4
+# at t = 1, r = 0 on N = 5.
+FIRST_A4_MOVES = {
+    "absorb": lambda: move_absorb(board_of(2, 1, (2, 0, 0), (0, 1, 0)), (2, 0), (0, 1)),
+    "rule1": lambda: move_rule1(board_of(2, 1, (0, 1, 0), (1, 1, 0), (-1, 2, 0)),
+                                (0, 1), (-1, 2)),
+    "rule2": lambda: move_rule2(board_of(2, 1, (1, 2, 0), (2, 2, 0), (0, 3, 1)),
+                                (1, 2), (0, 3), t=1, r=2),
+}
+
+
+class TestOracleQuestions:
+    @pytest.mark.parametrize("answer, got", [({7: 3}, ((7, 3),)),
+                                             (INDETERMINATE, "indeterminate")])
+    @pytest.mark.parametrize("kind", sorted(FIRST_A4_MOVES))
+    def test_a_false_answer_refuses_after_the_questions_are_built(
+            self, monkeypatch, kind, answer, got):
+        move = FIRST_A4_MOVES[kind]
+        _, warm = move()  # builds and keeps this shape's questions
+        assert warm.oracle and all(check.ok for check in warm.oracle)
+        monkeypatch.setattr(board_module, "ext_on_M", lambda source, target: answer)
+        with pytest.raises(MoveRefused) as err:
+            move()
+        source, target, expected = lemma_a4(1, 0, 5)
+        check = err.value.check
+        assert err.value.kind == kind
+        assert check.got == got and not check.ok
+        assert check.expected == recorded(expected) == ((1, 1),)
+        assert check.source == (source.m, source.x, source.y)
+        assert check.target == (target.m, target.x, target.y)
+        monkeypatch.undo()
+        _, again = move()  # the kept questions hold no answer
+        assert again.oracle == warm.oracle
+
+    def test_a_validated_n8_even_game_asks_the_oracle_for_every_check(self, monkeypatch):
+        calls = 0
+        answer = board_module.ext_on_M
+
+        def counted(source, target):
+            nonlocal calls
+            calls += 1
+            return answer(source, target)
+
+        monkeypatch.setattr(board_module, "ext_on_M", counted)
+        result = run_game(8, 0, validate=True)
+        assert calls == sum(len(record.oracle) for record in result.log) == 3297
+        assert all(check.ok for record in result.log for check in record.oracle)
 
 
 class TestMoveTable:

@@ -15,7 +15,6 @@ from flagchess import (
     corrected_flip_board,
     extract_gr2,
     initial_board_fibration,
-    initial_board_flip,
     move_global_twist,
     reference_residual_count,
     replay,
@@ -29,6 +28,20 @@ MEASURED_RESIDUAL = {
     (2, 0): 2, (3, 0): 9, (4, 0): 20, (5, 0): 35, (6, 0): 54,
     (2, 1): 5, (3, 1): 14, (4, 1): 27, (5, 1): 44, (6, 1): 65,
 }
+
+
+def initial_board_flip(n: int, eps: int) -> Board:
+    """The flipped staircase exactly as printed: N+1 zeros per row.
+
+    Its rows are one box too wide to carry the right copy count, so the
+    playable flip start is :func:`corrected_flip_board` instead.
+    """
+    boxes = [
+        Box(x, y, SymBlock(0))
+        for y in range(-(2 * n + eps - 3), 0)
+        for x in range(y, y + 2 * n + eps + 1)
+    ]
+    return Board(n, eps, tuple(boxes))
 
 
 class TestInitialBoards:
