@@ -16,11 +16,13 @@ checks its own shape, and hands the new live boxes to :func:`_rewrite`,
 which keeps every opaque box in its slot.  With validation on they consult
 the Ext oracle on M and refuse when a required vanishing fails or comes
 back indeterminate.  A move's oracle questions depend only on its shape, so
-:func:`_questions` builds them once per shape; the oracle answers them on
-every move.  The shape-based refusals (e.g. transposing a pair that
-pairs nontrivially) are enforced even with validation off, so a validated
-and an unvalidated run agree move for move.  :data:`MOVES` says how each
-kind is called, and :func:`play` calls a move by its kind name.
+:func:`_questions` builds them once per shape, with their expected answers
+and the passing transcript; the oracle answers them on every move, and
+:func:`_run_oracle` compares each answer with the expected one by value.
+The shape-based refusals (e.g. transposing a pair that pairs nontrivially)
+are enforced even with validation off, so a validated and an unvalidated run
+agree move for move.  :data:`MOVES` says how each kind is called, and
+:func:`play` calls a move by its kind name.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import NamedTuple
 
 from .oracle import ext_on_M, lemma_a4, recorded
 from .schur import BundleDescriptor
+from .weights import GradedDims
 
 
 @dataclass(frozen=True)
@@ -162,13 +165,15 @@ class MoveRefused(RuntimeError):
         self.check = check
 
 
-Question = tuple[BundleDescriptor, BundleDescriptor, OracleCheck]
+Question = tuple[BundleDescriptor, BundleDescriptor, GradedDims, OracleCheck]
+Questions = tuple[tuple[Question, ...], tuple[OracleCheck, ...]]
 
 
 @lru_cache(maxsize=None)
-def _questions(kind: str, *key: int) -> tuple[Question, ...]:
-    """A windowed move shape's Ext_M requirements, built once per key, each
-    as (source, target, the check recorded when the oracle agrees).
+def _questions(kind: str, *key: int) -> Questions:
+    """A windowed move shape's Ext_M requirements, built once per key: each
+    as (source, target, expected answer, the check recorded when the oracle
+    agrees), and the move's whole passing transcript as one tuple.
 
     transpose (lm, rm, dx, dy, N): no Ext from the left block to the right
     one at relative twist (dx, dy).  absorb (t, N): lemma A4 at (t, t-1).
@@ -192,21 +197,27 @@ def _questions(kind: str, *key: int) -> tuple[Question, ...]:
         if kind == "rule1":
             wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), {})
                        for m in grades for back in range(1, m + 1)]
-    return tuple((src, tgt, OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
-                                        recorded(expected), recorded(expected)))
-                 for src, tgt, expected in wanted)
+    asked = tuple((src, tgt, expected,
+                   OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
+                               recorded(expected), recorded(expected)))
+                  for src, tgt, expected in wanted)
+    return asked, tuple(passed for *_, passed in asked)
 
 
-def _run_oracle(kind: str, questions: tuple[Question, ...]) -> tuple[OracleCheck, ...]:
-    """Ask the oracle every question; refuse at the first answer that differs."""
-    for source, target, passed in questions:
-        got = recorded(ext_on_M(source, target))
-        if got != passed.expected:
+def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
+    """Ask the oracle every question and compare each answer with the
+    expected one by value; refuse at the first that differs, else return
+    the shared passing transcript."""
+    asked, transcript = questions
+    for source, target, expected, passed in asked:
+        answer = ext_on_M(source, target)
+        if answer != expected:
+            got = recorded(answer)
             check = replace(passed, got=got)
             reason = ("oracle indeterminate" if got == "indeterminate"
                       else f"oracle expected {check.expected} but got {got}")
             raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
-    return tuple(passed for _, _, passed in questions)
+    return transcript
 
 
 def _commit(board: Board, new_boxes: list[Box], kind: str,
@@ -413,7 +424,7 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
 
 def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
              positions: tuple[tuple[int, int], ...], params: Params,
-             questions: tuple[Question, ...] | None) -> tuple[Board, MoveRecord]:
+             questions: Questions | None) -> tuple[Board, MoveRecord]:
     """Ask the oracle ``questions`` when given, then commit the window edit.
 
     The questions are built once per move shape by :func:`_questions`; the

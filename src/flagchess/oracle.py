@@ -5,6 +5,8 @@ twist-invariant, so a query between two descriptors only depends on their
 relative twist.  Ext on M is computed through the Koszul two-term complex of
 the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
+The flag-level groups are cached on the (source, target) descriptor pair,
+whose tuple hash and equality run in C, and every answer is a fresh dict.
 Lemma A4 is stated once, in :func:`lemma_a4`, for both the sweep and the
 board's moves, and :func:`recorded` gives the one recorded form of an answer.
 """
@@ -62,7 +64,8 @@ def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> G
 
 
 def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
-    """Ext^*_{F(1,2,N)}(source, target) as a graded dimension dict."""
+    """Ext^*_{F(1,2,N)}(source, target) as a graded dimension dict: a copy,
+    so a caller that changes it leaves the cached group as it was."""
     return dict(_ext_on_flag_cached(source, target))
 
 

@@ -1,7 +1,8 @@
 """Symmetric powers of the rank-2 tautological bundle on F(1,2,N).
 
 A ``BundleDescriptor`` (m, x, y, N) stands for Sym^m U2v(x*h1 + y*h2) where
-U2v is the dual of the rank-2 tautological subbundle.  Two evaluators reduce
+U2v is the dual of the rank-2 tautological subbundle; it is a named tuple,
+so the oracle's cache keys hash and compare in C.  Two evaluators reduce
 its cohomology to line bundles:
 
 * ``sym_cohomology`` filters Sym^m U2v by the m+1 line bundles coming from the
@@ -18,29 +19,28 @@ its cohomology to line bundles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .weights import GradedDims, _line_bundle, graded_add, line_bundle_cohomology
 
 
-@dataclass(frozen=True, slots=True)
-class BundleDescriptor:
+class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
     """Sym^m U2v(x*h1 + y*h2) on F(1,2,N); m = 0 is the line bundle O(x,y)."""
 
-    m: int
-    x: int
-    y: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise ValueError(f"symmetric power must be >= 0, got {self.m}")
-        if self.N < 3:
-            raise ValueError(f"need N >= 3, got {self.N}")
+    def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
+        if m < 0:
+            raise ValueError(f"symmetric power must be >= 0, got {m}")
+        if N < 3:
+            raise ValueError(f"need N >= 3, got {N}")
+        return super().__new__(cls, m, x, y, N)
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
-        return BundleDescriptor(self.m, self.x + dx, self.y + dy, self.N)
+        """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""
+        m, x, y, N = self
+        return tuple.__new__(BundleDescriptor, (m, x + dx, y + dy, N))
 
 
 class _Indeterminate:

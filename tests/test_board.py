@@ -5,7 +5,12 @@ import pytest
 
 import inspect
 import itertools
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from hypothesis import given, strategies as st
 
@@ -696,6 +701,24 @@ class TestOracleQuestions:
         result = run_game(8, 0, validate=True)
         assert calls == sum(len(record.oracle) for record in result.log) == 3297
         assert all(check.ok for record in result.log for check in record.oracle)
+
+    def test_a_validated_n8_even_game_does_pinned_work_from_cold_caches(self):
+        # a fresh interpreter, so that every cache starts empty
+        script = (
+            "import json\n"
+            "from flagchess import board, oracle, run_game, weights\n"
+            "run_game(8, 0, validate=True)\n"
+            "caches = {'ext_flag': oracle._ext_on_flag_cached,\n"
+            "          'bwb': weights.line_bundle_cohomology, 'questions': board._questions}\n"
+            "print(json.dumps({k: fn.cache_info()[:2] for k, fn in caches.items()}))\n"
+        )
+        src = str(Path(board_module.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        caches = json.loads(proc.stdout)
+        assert caches["ext_flag"] == [2 * 3297 - 140, 140]
+        assert caches["bwb"][1] == 125
+        assert caches["questions"][1] == 14
 
 
 class TestMoveTable:

@@ -125,6 +125,35 @@ class TestExtOnM:
         assert ext_on_M(BD(0, 3, 0, 5), BD(2, -1, 1, 5)) == {1: 1, 3: 15}
 
 
+class TestFreshAnswers:
+    """Each answer is a new dict, so a caller that mutates one cannot reach
+    the cached groups behind the next answer."""
+
+    @pytest.mark.parametrize("source, target, wanted", [
+        (BD(0, 0, 0, 5), BD(0, 0, 0, 5), {0: 1}),
+        (BD(2, 0, 0, 7), BD(2, -6, 3, 7), {1: 1}),
+        (BD(2, 0, 0, 7), BD(2, -7, 2, 7), {6: 210}),
+    ])
+    def test_ext_on_flag(self, source, target, wanted):
+        answer = ext_on_flag(source, target)
+        assert answer == wanted
+        answer[99] = 1
+        del answer[next(iter(wanted))]
+        assert ext_on_flag(source, target) == wanted
+
+    @pytest.mark.parametrize("source, target, wanted", [
+        (BD(0, 0, 0, 7), BD(0, -5, 4, 7), {1: 84}),  # only the plain term, as is
+        (BD(0, 0, 0, 7), BD(0, -6, 1, 7), {5: 1}),  # only the twisted term, shifted
+        (BD(2, 0, 0, 7), BD(2, -6, 3, 7), {1: 1, 5: 210}),  # both, degrees apart
+    ])
+    def test_ext_on_M(self, source, target, wanted):
+        for _ in range(2):
+            answer = ext_on_M(source, target)
+            assert answer == wanted
+            answer[99] = 1
+            del answer[next(iter(wanted))]
+
+
 class TestCheckLemma:
     def test_a4_small_grids(self):
         for (n, eps), total in [((2, 0), 1), ((2, 1), 3), ((3, 0), 6), ((3, 1), 10)]:

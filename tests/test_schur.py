@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import schur
+from flagchess import oracle, schur
 from flagchess import (
     INDETERMINATE,
     BundleDescriptor,
@@ -44,10 +44,36 @@ class TestBundleDescriptor:
         assert BundleDescriptor(2, 1, -1, 5).twist(-1, 3) == BundleDescriptor(2, 0, 2, 5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="symmetric power must be >= 0, got -1"):
             BundleDescriptor(-1, 0, 0, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need N >= 3, got 2"):
             BundleDescriptor(0, 0, 0, 2)
+
+    def test_repr(self):
+        assert repr(BundleDescriptor(2, 1, -1, 5)) == "BundleDescriptor(m=2, x=1, y=-1, N=5)"
+
+    @pytest.mark.parametrize("name", ["m", "x", "y", "N", "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        d = BundleDescriptor(2, 1, -1, 5)
+        with pytest.raises(AttributeError):
+            setattr(d, name, 3)
+        assert d == BundleDescriptor(2, 1, -1, 5)
+
+    @given(descriptor_st, st.integers(-9, 9), st.integers(-9, 9))
+    def test_twist_keeps_m_and_N(self, d, dx, dy):
+        twisted = d.twist(dx, dy)
+        assert type(twisted) is BundleDescriptor
+        assert (twisted.m, twisted.x, twisted.y, twisted.N) == (d.m, d.x + dx, d.y + dy, d.N)
+
+    def test_equal_descriptors_share_one_oracle_cache_entry(self):
+        cached = oracle._ext_on_flag_cached
+        first = cached(BundleDescriptor(1, 4, -3, 11), BundleDescriptor(2, -5, 2, 11))
+        before = cached.cache_info()
+        source, target = BundleDescriptor(1, 4, -3, 11), BundleDescriptor(2, -2, 0, 11).twist(-3, 2)
+        assert cached(source, target) is first
+        after = cached.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (
+            before.hits + 1, before.misses, before.currsize)
 
 
 class TestIndeterminate:
