@@ -9,8 +9,12 @@ longer participates in moves and may be slid past freely.
 
 Every move is a pure function Board -> (Board, MoveRecord).  Moves either
 apply (returning the mutated board and a replayable record) or raise
-:class:`MoveRefused`; total copy count is asserted invariant across every
-move.  The mutation moves (transpose / absorb / rule1 / rule2) act on the
+:class:`MoveRefused`.  An applied move commits an edit through
+:func:`_commit`: the new SOD order, the boxes it removes and the boxes it
+adds.  The new board's position map is its parent's, patched where the edit
+removes and adds boxes, and its copy total is carried over once the copies
+removed equal the copies added, so no move rebuilds the board.  The
+mutation moves (transpose / absorb / rule1 / rule2) act on the
 SOD slots between two blocks: each looks its window up with :func:`_window`,
 checks its own shape, and hands the new live boxes to :func:`_rewrite`,
 which keeps every opaque box in its slot.  With validation on they consult
@@ -27,6 +31,7 @@ agree move for move.  :data:`MOVES` says how each kind is called, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -61,8 +66,14 @@ class Opaque:
 Content = SymBlock | Opaque
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple):
+    """A block or an opaque marker at lattice position (x, y).
+
+    A named tuple, so that comparing two boxes of one board stays in C: they
+    differ in x or y before any content is compared.  The content classes
+    stay distinct, so a block never equals an opaque marker.
+    """
+
     x: int
     y: int
     content: Content
@@ -84,28 +95,30 @@ class Box:
 class Board:
     """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
 
-    The position index and the copy total are built once, from ``boxes``.
+    Built from ``boxes``, a board checks its shape, maps each position to
+    its box and counts the copies.  A move's board is made by
+    :func:`_commit` instead, from its parent's map and copy total.
     """
 
     n: int
     eps: int
     boxes: tuple[Box, ...]
     copies: int = field(init=False, compare=False, repr=False)
-    _slot: dict[tuple[int, int], int] = field(init=False, compare=False, repr=False)
+    _at: dict[tuple[int, int], Box] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps}")
-        slot = {(b.x, b.y): i for i, b in enumerate(self.boxes)}
-        if len(slot) != len(self.boxes):
+        at = {(b.x, b.y): b for b in self.boxes}
+        if len(at) != len(self.boxes):
             seen: set[tuple[int, int]] = set()
             for b in self.boxes:
                 if b.pos in seen:
                     raise ValueError(f"duplicate box position {b.pos}")
                 seen.add(b.pos)
-        object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "_at", at)
         object.__setattr__(self, "copies", sum(b.content.copies for b in self.boxes))
 
     @property
@@ -113,11 +126,11 @@ class Board:
         return 2 * self.n + self.eps
 
     def at(self, pos: tuple[int, int]) -> Box | None:
-        i = self._slot.get(pos)
-        return None if i is None else self.boxes[i]
+        return self._at.get(pos)
 
     def index(self, pos: tuple[int, int]) -> int:
-        return self._slot[pos]
+        """The SOD slot of the box at ``pos``: a scan of ``boxes`` in C."""
+        return self.boxes.index(self._at[pos])
 
 
 @dataclass(frozen=True)
@@ -220,13 +233,30 @@ def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
     return transcript
 
 
-def _commit(board: Board, new_boxes: list[Box], kind: str,
-            positions: tuple[tuple[int, int], ...], params: Params,
-            oracle: tuple[OracleCheck, ...] = ()) -> tuple[Board, MoveRecord]:
-    new_board = Board(board.n, board.eps, tuple(new_boxes))
-    assert new_board.copies == board.copies, f"{kind} broke copy conservation"
-    record = MoveRecord(kind, positions, params, oracle, "applied",
-                        board.copies, new_board.copies)
+def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
+            added: Sequence[Box], kind: str, positions: tuple[tuple[int, int], ...],
+            params: Params, oracle: tuple[OracleCheck, ...] = ()) -> tuple[Board, MoveRecord]:
+    """Commit a move's edit: ``boxes`` in their new SOD order, of which
+    ``added`` are new and ``removed`` are the parent's boxes that left.
+
+    The copies removed must equal the copies added.  The parent's position
+    map is copied and patched at the edited positions only; an added box
+    on a position that stays occupied raises ``ValueError``.
+    """
+    copies = board.copies
+    if sum(b.content.copies for b in removed) != sum(b.content.copies for b in added):
+        raise AssertionError(f"{kind} broke copy conservation")
+    at = board._at.copy()
+    for b in removed:
+        del at[b.x, b.y]
+    for b in added:
+        if (b.x, b.y) in at:
+            raise ValueError(f"duplicate box position {(b.x, b.y)}")
+        at[b.x, b.y] = b
+    new_board = object.__new__(Board)
+    new_board.__dict__.update(n=board.n, eps=board.eps, boxes=tuple(boxes),
+                              copies=copies, _at=at)
+    record = MoveRecord(kind, positions, params, oracle, "applied", copies, copies)
     return new_board, record
 
 
@@ -267,10 +297,11 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
     N = board.N
     if len({b.x % N for b in row}) < len(row):
         raise MoveRefused(kind, f"two boxes of row y={y} share a column mod {N}")
+    new_row = _serre_rotate(row, direction, steps, N)
     new_boxes = list(board.boxes)
-    for slot, box in zip(slots, _serre_rotate(row, direction, steps, N)):
+    for slot, box in zip(slots, new_row):
         new_boxes[slot] = box
-    return _commit(board, new_boxes, kind, (),
+    return _commit(board, new_boxes, row, new_row, kind, (),
                    (("y", y), ("direction", direction), ("steps", steps)))
 
 
@@ -324,12 +355,16 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
         raise MoveRefused(kind, f"cannot rotate {k} of {len(board.boxes)} boxes")
     dy = board.N - 2
     if direction == "front_to_back":
-        moved = [Box(b.x + 1, b.y + dy, b.content) for b in board.boxes[:k]]
-        new_boxes = list(board.boxes[k:]) + moved
+        crossing, staying = board.boxes[:k], board.boxes[k:]
+        moved = [Box(b.x + 1, b.y + dy, b.content) for b in crossing]
+        new_boxes = [*staying, *moved]
     else:
-        moved = [Box(b.x - 1, b.y - dy, b.content) for b in board.boxes[-k:] if k]
-        new_boxes = moved + list(board.boxes[:len(board.boxes) - k])
-    return _commit(board, new_boxes, kind, (), (("k", k), ("direction", direction)))
+        split = len(board.boxes) - k
+        crossing, staying = board.boxes[split:], board.boxes[:split]
+        moved = [Box(b.x - 1, b.y - dy, b.content) for b in crossing]
+        new_boxes = [*moved, *staying]
+    return _commit(board, new_boxes, crossing, moved, kind, (),
+                   (("k", k), ("direction", direction)))
 
 
 def move_global_twist(board: Board, dx: int, dy: int,
@@ -339,7 +374,7 @@ def move_global_twist(board: Board, dx: int, dy: int,
     params: Params = (("dx", dx), ("dy", dy))
     if note is not None:
         params += (("note", note),)
-    return _commit(board, new_boxes, "global_twist", (), params)
+    return _commit(board, new_boxes, board.boxes, new_boxes, "global_twist", (), params)
 
 
 def move_push_right(board: Board, pos: tuple[int, int], count: int,
@@ -354,11 +389,10 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
     i = board.index(pos)
     if count < 0 or i + count >= len(board.boxes):
         raise MoveRefused(kind, f"cannot push past {count} boxes from slot {i}")
-    if opacify:
-        box = Box(box.x, box.y, Opaque(box.copies))
-    rest = list(board.boxes[:i]) + list(board.boxes[i + 1:])
-    rest.insert(i + count, box)
-    return _commit(board, rest, kind, (pos,),
+    moved = Box(box.x, box.y, Opaque(box.copies)) if opacify else box
+    new_boxes = list(board.boxes)
+    new_boxes[i:i + count + 1] = [*board.boxes[i + 1:i + count + 1], moved]
+    return _commit(board, new_boxes, (box,), (moved,), kind, (pos,),
                    (("count", count), ("opacify", opacify)))
 
 
@@ -370,12 +404,15 @@ def move_opacify_boxes(board: Board, positions: list[tuple[int, int]],
         raise MoveRefused(kind, "nothing to opacify")
     if len(set(positions)) != len(positions):
         raise MoveRefused(kind, "a position is listed twice")
-    new_boxes = list(board.boxes)
+    removed, retired = [], {}
     for pos in positions:
         box = _get(board, pos, kind)
         _sym(box, kind, "box")
-        new_boxes[board.index(pos)] = Box(box.x, box.y, Opaque(box.copies))
-    return _commit(board, new_boxes, kind, tuple(positions), ())
+        removed.append(box)
+        retired[pos] = Box(box.x, box.y, Opaque(box.copies))
+    new_boxes = [retired.get((b.x, b.y), b) for b in board.boxes]
+    return _commit(board, new_boxes, removed, list(retired.values()), kind,
+                   tuple(positions), ())
 
 
 def move_gather_to_end(board: Board, positions: list[tuple[int, int]],
@@ -400,7 +437,7 @@ def move_gather_to_end(board: Board, positions: list[tuple[int, int]],
                 kind, f"would cross live box at {board.boxes[j].pos}")
     new_boxes = [b for i, b in enumerate(board.boxes) if i not in listed]
     new_boxes += [board.boxes[i] for i in idxs]
-    return _commit(board, new_boxes, kind, tuple(positions), ())
+    return _commit(board, new_boxes, (), [], kind, tuple(positions), ())
 
 
 def _window(board: Board, kind: str, first_pos: tuple[int, int],
@@ -416,13 +453,16 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
     first, last = _get(board, first_pos, kind), _get(board, last_pos, kind)
     _sym(first, kind, first_role)
     _sym(last, kind, last_role)
-    i, j = board.index(first_pos), board.index(last_pos)
-    if i >= j:
-        raise MoveRefused(kind, f"{first_role} must precede {last_role} in SOD order")
+    i = board.index(first_pos)
+    try:
+        j = board.boxes.index(last, i + 1)
+    except ValueError:
+        raise MoveRefused(kind, f"{first_role} must precede {last_role} in SOD order") from None
     return first, last, i, j, [b for b in board.boxes[i + 1:j] if not b.opaque]
 
 
 def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
+             removed: list[Box], added: list[Box],
              positions: tuple[tuple[int, int], ...], params: Params,
              questions: Questions | None) -> tuple[Board, MoveRecord]:
     """Ask the oracle ``questions`` when given, then commit the window edit.
@@ -430,14 +470,15 @@ def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
     The questions are built once per move shape by :func:`_questions`; the
     oracle answers them on every move.  The live boxes of slots i..j are
     replaced, in order, by ``live``; live slots left over are dropped, and
-    every opaque box keeps its slot.
+    every opaque box keeps its slot.  Of the window's live boxes the move
+    takes ``removed`` off the board, and of ``live`` it puts ``added`` on.
     """
     oracle = () if questions is None else _run_oracle(kind, questions)
     fill = iter(live)
     window = [b if b.opaque else next(fill, None) for b in board.boxes[i:j + 1]]
     new_boxes = list(board.boxes)
     new_boxes[i:j + 1] = [b for b in window if b is not None]
-    return _commit(board, new_boxes, kind, positions, params, oracle)
+    return _commit(board, new_boxes, removed, added, kind, positions, params, oracle)
 
 
 def move_transpose(board: Board, left_pos: tuple[int, int],
@@ -463,7 +504,8 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
                 kind, f"pairing-shaped pair at relative twist ({t}, 0) vs (-1, 1)")
     questions = _questions(kind, lm, rm, right.x - left.x, right.y - left.y,
                            board.N) if validate else None
-    return _rewrite(board, kind, i, j, [right, left], (left_pos, right_pos), (), questions)
+    return _rewrite(board, kind, i, j, [right, left], [], [],
+                    (left_pos, right_pos), (), questions)
 
 
 def move_absorb(board: Board, target_pos: tuple[int, int],
@@ -493,7 +535,8 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     if board.at(landing) is not None:
         raise MoveRefused(kind, f"landing position {landing} is occupied")
     questions = _questions(kind, t, board.N) if validate else None
-    return _rewrite(board, kind, i, j, [Box(*landing, SymBlock(t))],
+    merged = Box(*landing, SymBlock(t))
+    return _rewrite(board, kind, i, j, [merged], [target, source], [merged],
                     (target_pos, source_pos), (), questions)
 
 
@@ -501,7 +544,7 @@ def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
     """Refuse unless the window is grade-0 blocks at (x0, y), (x0+1, y), ..."""
     for k, b in enumerate(window):
         if not (isinstance(b.content, SymBlock) and b.content.m == 0
-                and b.pos == (x0 + k, y)):
+                and (b.x, b.y) == (x0 + k, y)):
             raise MoveRefused(
                 kind, f"window box at {b.pos} is not the expected zero at "
                       f"({x0 + k}, {y})")
@@ -532,7 +575,8 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
     if not r <= l <= 2 * n - 3 + board.eps:
         raise MoveRefused(kind, f"window bound r <= l <= 2n-3+eps fails for r={r}, l={l}")
     questions = _questions(kind, r, l, board.N) if validate else None
-    return _rewrite(board, kind, i, j, [Box(gray.x, gray.y, SymBlock(r)), *window],
+    fed = Box(gray.x, gray.y, SymBlock(r))
+    return _rewrite(board, kind, i, j, [fed, *window], [gray, mover], [fed],
                     (gray_pos, block_pos), (), questions)
 
 
@@ -565,7 +609,8 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
     _check_zeros(kind, window, zx, zy)
     questions = _questions(kind, r, t, board.N) if validate else None
-    return _rewrite(board, kind, i, j, [block, Box(zx, zy, SymBlock(r - 1)), *window[r:]],
+    piece = Box(zx, zy, SymBlock(r - 1))
+    return _rewrite(board, kind, i, j, [block, piece, *window[r:]], window[:r], [piece],
                     (zeros_start, block_pos), (("t", t), ("r", r)), questions)
 
 
@@ -588,10 +633,12 @@ def move_orange_merge(board: Board, orange_pos: tuple[int, int],
         raise MoveRefused(kind, "orange box must have grade 0")
     if tc.m != n - 2:
         raise MoveRefused(kind, f"target grade must be {n - 2}, got {tc.m}")
+    merged = Box(target.x, target.y, SymBlock(n - 1))
     new_boxes = list(board.boxes)
-    new_boxes[board.index(target_pos)] = Box(target.x, target.y, SymBlock(n - 1))
+    new_boxes[board.index(target_pos)] = merged
     del new_boxes[board.index(orange_pos)]
-    return _commit(board, new_boxes, kind, (orange_pos, target_pos), ())
+    return _commit(board, new_boxes, (orange, target), (merged,), kind,
+                   (orange_pos, target_pos), ())
 
 
 class MoveSpec(NamedTuple):

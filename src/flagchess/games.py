@@ -234,13 +234,13 @@ def run_game(n: int, eps: int, mode: str = "fibration",
         _odd_script(g, n)
     g.phase("final")
     final = g.board
-    assert final.copies == initial.copies
+    _recount("the game", final.boxes, initial.copies)
 
     gr2_boxes, flags = extract_gr2(final, n, eps)
     flags = list(flags)
     residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
-    gr2_copies = sum(b.copies for b in gr2_boxes)
-    assert gr2_copies + residual_count == initial.copies
+    if sum(b.copies for b in gr2_boxes) + residual_count != initial.copies:
+        raise AssertionError("the column split broke copy conservation")
 
     if mode == "fibration":
         expected = reference_residual_count(n, eps)
@@ -252,9 +252,20 @@ def run_game(n: int, eps: int, mode: str = "fibration",
                       residual_count, tuple(flags), tuple(g.phases))
 
 
+def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:
+    """Raise unless ``boxes`` hold ``copies`` copies, counted box by box.
+
+    Each move checks only its own edit; this counts the boxes themselves.
+    """
+    if sum(b.content.copies for b in boxes) != copies:
+        raise AssertionError(f"{what} broke copy conservation")
+
+
 def replay(initial: Board, log: tuple[MoveRecord, ...]) -> Board:
-    """Re-apply a logged game; each step re-checks its own record."""
+    """Re-apply a logged game; each step re-checks its own record, and the
+    final board's boxes are recounted against the initial board's copies."""
     board = initial
     for record in log:
         board = apply_record(board, record)
+    _recount("the replay", board.boxes, initial.copies)
     return board
