@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .oracle import ext_on_M, lemma_a4, recorded
 from .schur import BundleDescriptor
-from .weights import GradedDims
+from .weights import GradedDims, _game_N
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,12 @@ class Board:
     n: int
     eps: int
     boxes: tuple[Box, ...]
+    N: int = field(init=False, compare=False, repr=False)
     copies: int = field(init=False, compare=False, repr=False)
     _at: dict[tuple[int, int], Box] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps}")
+        object.__setattr__(self, "N", _game_N(self.n, self.eps))
         at = {(b.x, b.y): b for b in self.boxes}
         if len(at) != len(self.boxes):
             seen: set[tuple[int, int]] = set()
@@ -120,10 +118,6 @@ class Board:
                 seen.add(b.pos)
         object.__setattr__(self, "_at", at)
         object.__setattr__(self, "copies", sum(b.content.copies for b in self.boxes))
-
-    @property
-    def N(self) -> int:
-        return 2 * self.n + self.eps
 
     def at(self, pos: tuple[int, int]) -> Box | None:
         return self._at.get(pos)
@@ -255,7 +249,7 @@ def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
         at[b.x, b.y] = b
     new_board = object.__new__(Board)
     new_board.__dict__.update(n=board.n, eps=board.eps, boxes=tuple(boxes),
-                              copies=copies, _at=at)
+                              N=board.N, copies=copies, _at=at)
     record = MoveRecord(kind, positions, params, oracle, "applied", copies, copies)
     return new_board, record
 

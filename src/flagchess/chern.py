@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .weights import _game_N
+
 
 def cover_degree(n: int, eps: int) -> tuple[int, int, bool]:
     """Degree of the branch divisor's defining data, two ways.
@@ -21,11 +23,7 @@ def cover_degree(n: int, eps: int) -> tuple[int, int, bool]:
     top coefficient; the closed form is the alternating binomial sum.
     The two share no code.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if eps not in (0, 1):
-        raise ValueError(f"eps must be 0 or 1, got {eps}")
-    d = 2 * n + eps
+    d = _game_N(n, eps)
 
     coeffs = [1] + [0] * (d - 1)
     for _ in range(d):  # times (1 + 2H), truncated at H^d

@@ -23,7 +23,7 @@ from .chern import (
 from .games import run_game
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
-from .weights import bwb_regularize, line_bundle_cohomology, rho
+from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -169,7 +169,7 @@ def cmd_lemma(args: argparse.Namespace) -> int:
     _need("n", args.n, 2, MAX_n)
     report = check_lemma(args.which, args.n, args.eps)
     lines = [f"{args.which} sweep at n={args.n}, eps={args.eps} "
-             f"(N={2 * args.n + args.eps}): {report.total} points",
+             f"(N={_game_N(args.n, args.eps)}): {report.total} points",
              f"matches {report.total - report.mismatches - report.indeterminates}, "
              f"mismatches {report.mismatches}, indeterminates {report.indeterminates}"]
     for p in report.points:
@@ -203,7 +203,7 @@ def cmd_degree(args: argparse.Namespace) -> int:
 
 def cmd_conditions(args: argparse.Namespace) -> int:
     _need("n", args.n, 2, MAX_n)
-    N = 2 * args.n + args.eps
+    N = _game_N(args.n, args.eps)
     h0 = h0_twisted_quotient(N)
     ld = section_count_ld(N)
     sy = section_count_syzygy(N)

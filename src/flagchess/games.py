@@ -15,11 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
+from .weights import _game_N
 
 
 def initial_board_fibration(n: int, eps: int) -> Board:
     """Staircase start: row y has N zeros at x in [y-n-1, y+n+eps-2]."""
-    N = 2 * n + eps
+    N = _game_N(n, eps)
     boxes = [
         Box(x, y, SymBlock(0))
         for y in range(1, N - 1)
@@ -33,7 +34,7 @@ def corrected_flip_board(n: int, eps: int) -> Board:
 
     One global twist by (n+eps-2, N-1) carries it onto the fibration start.
     """
-    N = 2 * n + eps
+    N = _game_N(n, eps)
     boxes = [
         Box(x, y, SymBlock(0))
         for y in range(-(N - 2), 0)
@@ -210,16 +211,12 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     for n <= 4 and off above, where the moves repeat shapes already
     exercised below.  The move log is identical either way.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if eps not in (0, 1):
-        raise ValueError(f"eps must be 0 or 1, got {eps}")
+    N = _game_N(n, eps)
     if mode not in ("fibration", "flip"):
         raise ValueError(f"unknown mode {mode!r}")
     if validate is None:
         validate = n <= 4
 
-    N = 2 * n + eps
     initial = initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
     g = _Runner(initial, validate)
     g.phase("initial")

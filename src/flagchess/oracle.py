@@ -25,7 +25,7 @@ from .schur import (
     sym_cohomology,
     sym_cohomology_via_pushforward,
 )
-from .weights import GradedDims, graded_add, graded_shift
+from .weights import GradedDims, _game_N, graded_add, graded_shift
 
 def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
@@ -163,18 +163,14 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
         0 <= r <= min(t-1, n-1).
     A6: Ext_M(Sym^m U2v, Sym^r U2v(-1,1)) = 0 for 0 <= m <= r <= n-2.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if eps not in (0, 1):
-        raise ValueError(f"eps must be 0 or 1, got {eps}")
-    N = 2 * n + eps
+    N = _game_N(n, eps)
     points: list[LemmaPoint] = []
     if lemma == "A4":
-        for t in range(1, 2 * n - 3 + eps + 1):
+        for t in range(1, N - 2):
             for r in (t - 1, *range(min(t - 2, n - 1) + 1)):
                 points.append(_sweep_point({"t": t, "r": r}, *lemma_a4(t, r, N)))
     elif lemma == "A5":
-        for t in range(1, 2 * n - 3 + eps + 1):
+        for t in range(1, N - 2):
             for r in range(0, min(t - 1, n - 1) + 1):
                 points.append(_sweep_point(
                     {"t": t, "r": r},

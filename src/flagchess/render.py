@@ -125,6 +125,13 @@ def _check_from_dict(d: dict) -> OracleCheck:
     if not check.ok:
         raise ValueError(f"an applied move holds a failed oracle check: got {check.got} "
                          f"against expected {check.expected}")
+    for name in ("expected", "got"):
+        pairs = getattr(check, name)
+        degrees = [p[0] for p in pairs if len(p) == 2 and type(p[0]) is type(p[1]) is int
+                   and p[1] >= 1]
+        if len(degrees) < len(pairs) or degrees != sorted(set(degrees)):
+            raise ValueError(f"oracle {name} must be [degree, dim] int pairs, degrees "
+                             f"increasing and dims >= 1, got {d[name]!r}")
     return check
 
 
@@ -259,8 +266,11 @@ def parse_game_result(text: str) -> GameResult:
     - an oracle entry whose ``space`` is not ``M``, whose ``source`` or
       ``target`` is not three ints, or whose ``ok`` disagrees with
       ``got == expected`` or is false (a failed or indeterminate check
-      refuses its move, so an applied move holds none); each check object
-      is validated once, where it is written;
+      refuses its move, so an applied move holds none), or whose
+      ``expected`` or ``got`` is not a list of ``[degree, dim]`` int pairs
+      with degrees strictly increasing and every dim >= 1, the form
+      ``oracle.recorded`` writes; each check object is validated once,
+      where it is written;
     - in version 2, an oracle reference that is not an int, is negative,
       names a check not yet defined, or names a transcript of this or a
       later move or of a move whose own ``oracle`` is not a list; in

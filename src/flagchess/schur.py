@@ -13,16 +13,16 @@ its cohomology to line bundles:
   degrees.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
-  expands by rank-2 Clebsch-Gordan, and finishes with Bott on G(2,N).  Always
-  determinate; agrees with the filtration route whenever that is determinate.
+  expands by rank-2 Clebsch-Gordan, and finishes with Bott on G(2,N) through
+  the uncached ``weights._line_bundle``.  Always determinate; agrees with
+  the filtration route whenever that is determinate.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
-from .weights import GradedDims, _line_bundle, graded_add, line_bundle_cohomology
+from .weights import GradedDims, _line_bundle, graded_add, graded_shift, line_bundle_cohomology
 
 
 class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
@@ -108,37 +108,26 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     return dict(sorted(out.items()))
 
 
-@lru_cache(maxsize=None)
-def _gl2_weight_cohomology(a: int, b: int, N: int) -> GradedDims:
-    """Bott on G(2,N) for the weight (a, b, 0, .., 0) (partition coordinates).
-
-    The fundamental-coordinate weight is (a-b, b, 0, .., 0); a >= b is required
-    while b may be any integer.
-    """
-    if a < b:
-        raise ValueError(f"need a >= b, got ({a}, {b})")
-    return _line_bundle(N, a - b, b).graded()
-
-
 def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
     """Exact cohomology of d via the projection F(1,2,N) -> G(2,N).
 
     Along the P^1-bundle P(U2), O(x*h1) pushes to Sym^x U2v (x >= 0), to zero
     (x = -1), or to Sym^{-x-2}U2 x det U2 in degree one (x <= -2); tensoring
     with Sym^m U2v and det-powers of U2v and expanding by Clebsch-Gordan leaves
-    a direct sum of irreducible G(2,N) bundles, where Bott is exact.
+    a direct sum of G(2,N) bundles Sym^p U2v(0, q), p >= 0, whose Bott answer
+    is that of O(p, q) on F.
     """
     m, x, y, N = d.m, d.x, d.y, d.N
     if x == -1:
         return {}
     if x >= 0:
-        pieces = [(m + x + y - i, y + i) for i in range(min(m, x) + 1)]
+        pieces = [(m + x - 2 * i, y + i) for i in range(min(m, x) + 1)]
         shift = 0
     else:
         s = -x - 2
-        pieces = [(m + y - 1 - i, y + x + 1 + i) for i in range(min(m, s) + 1)]
+        pieces = [(m + s - 2 * i, y + x + 1 + i) for i in range(min(m, s) + 1)]
         shift = 1
     total: GradedDims = {}
-    for (a, b) in pieces:
-        total = graded_add(total, {k + shift: v for k, v in _gl2_weight_cohomology(a, b, N).items()})
+    for (p, q) in pieces:
+        total = graded_add(total, graded_shift(_line_bundle(N, p, q).graded(), shift))
     return total

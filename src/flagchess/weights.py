@@ -11,7 +11,8 @@ partition coordinates the Weyl group permutes the entries of lambda+rho, so
 the weight is singular exactly when two entries agree, the cohomological
 degree is the number of inversions, and the dominant weight is the
 descending sort minus rho.  For O(x, y) only the first two of the N entries
-vary, so the degree and the Weyl dimension cost O(N) integer arithmetic.
+vary, so the degree and the Weyl dimension cost O(N) integer arithmetic,
+with one exact integer division.  ``_game_N`` is the one (n, eps) rule.
 
 ``bwb_regularize`` is the dotted Weyl action done by reflections: add rho,
 then repeatedly reflect the smallest-index negative coordinate.  It gives the
@@ -22,7 +23,6 @@ independent cross-check of the sorting form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, perm
 
@@ -37,6 +37,15 @@ def rho(N: int) -> Weight:
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     return (1,) * (N - 1)
+
+
+def _game_N(n: int, eps: int) -> int:
+    """N = 2n + eps, refusing n < 2 first and then eps outside {0, 1}."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if eps not in (0, 1):
+        raise ValueError(f"eps must be 0 or 1, got {eps}")
+    return 2 * n + eps
 
 
 def simple_reflection(w: Weight, i: int) -> Weight:
@@ -95,18 +104,21 @@ def weyl_dim(dominant: Weight) -> int:
     """Dimension of the GL(N) irrep with the given dominant fundamental weight.
 
     Works in partition coordinates lambda_i = suffix sums (lambda_N = 0) and
-    takes the product of (lambda_i - lambda_j + j - i)/(j - i) over i < j with
-    exact rational intermediates.
+    takes the product of (lambda_i - lambda_j + j - i)/(j - i) over i < j as
+    one integer numerator over one integer denominator, divided once.
     """
     if any(c < 0 for c in dominant):
         raise ValueError(f"weight {dominant} is not dominant")
     lam = _suffix_sums(dominant)
-    acc = Fraction(1)
+    num = den = 1
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
-            acc *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert acc.denominator == 1
-    return int(acc)
+            num *= lam[i] - lam[j] + j - i
+            den *= j - i
+    dim, rem = divmod(num, den)
+    if rem:
+        raise AssertionError(f"Weyl product of {dominant} is not an integer")
+    return dim
 
 
 def _suffix_sums(w: Weight) -> tuple[int, ...]:
@@ -166,7 +178,8 @@ def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     # against the denominator, leaving (N-2)! (N-1)! below.
     num = abs(a - b) * _tail_product(a, N) * _tail_product(b, N)
     dim, rem = divmod(num, factorial(N - 2) * factorial(N - 1))
-    assert rem == 0
+    if rem:
+        raise AssertionError(f"Weyl product of O({x},{y}) on F(1,2,{N}) is not an integer")
     return CohomResult(degree, dom, dim)
 
 

@@ -511,6 +511,17 @@ class TestWireSchema:
         with pytest.raises(ValueError, match="an applied move holds a failed oracle check"):
             parse_game_result(self.edited(game, edit))
 
+    @pytest.mark.parametrize("expected, got, field", [
+        *((v, v, "expected") for v in ([["x", "y"]], [[1]], [[2, 1], [1, 1]], [[1, 0]],
+                                       [[1, True]], [[0, 1], [0, 1]])),
+        ([[1, 1]], [[1, True]], "got")])
+    def test_oracle_answers_must_be_recorded_pairs(self, game, expected, got, field):
+        # ok agrees with got == expected in every case, True == 1 in the last
+        def edit(doc):
+            self.first_check(doc).update(expected=expected, got=got)
+        with pytest.raises(ValueError, match=rf"oracle {field} must be \[degree, dim\] int pairs"):
+            parse_game_result(self.edited(game, edit))
+
     @pytest.mark.parametrize("value", ["abc", True, -4, None, 1.5])
     def test_residual_count_must_be_an_int_at_least_zero(self, game, value):
         def edit(doc):

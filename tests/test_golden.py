@@ -68,6 +68,13 @@ GOLDEN = {
         (2, "7e1c305f098606eef03841f69695d80645ca7a644c543735c05e4b7b670de4a6"),
     "ext --N 5 --space M --src 0,2,0 --tgt 1,-1,1":
         (0, "dc9b27e4fdd140a830fd8893f55b9b4f2f32c0c2e14219027cce5fefad272393"),
+    # the filtration is indeterminate at these three, so the pushforward answers
+    "ext --N 29 --space flag --src 0,0,0 --tgt 2,0,-60":
+        (0, "34662114859335fe1da747d1f3ca1736edb535e725c5149b9db0e40b021b0d60"),
+    "ext --N 201 --space flag --src 0,0,0 --tgt 2,0,6":
+        (0, "422de8863adff80959f8d2df00ed88cca28682d8b8b9a3fe4d779cd641a7a429"),
+    "ext --N 29 --space M --src 0,0,0 --tgt 2,0,-60":
+        (0, "834cc50ef0b16150be2e02040a4d3d6308ba85401890b89bbf5d36f3e157e1d6"),
     "lemma --which A4 --n 3 --eps 0":
         (0, "aeb185cf83fd9ab28ac34c03771971b8f6bc7e6188e032a516720050aad9fff2"),
     "degree --n 4 --eps 1":
