@@ -7,6 +7,13 @@ with a content: a symmetric-power block ``SymBlock(m)`` worth m+1 copies
 of the generator count, or an ``Opaque`` marker for material that no
 longer participates in moves and may be slid past freely.
 
+Every record here is a named tuple, and no field of one can be assigned.
+``Box``, ``OracleCheck`` and ``MoveRecord`` hash and compare in C and equal
+plain tuples of their fields.  ``SymBlock`` and ``Opaque`` equal only
+content of their own class, so a block never equals an opaque marker of the
+same number.  ``Board`` is the tuple ``(n, eps, boxes)`` and keeps N, its
+copy total and its position map beside it.
+
 Every move is a pure function Board -> (Board, MoveRecord).  Moves either
 apply (returning the mutated board and a replayable record) or raise
 :class:`MoveRefused`.  An applied move commits an edit through
@@ -31,8 +38,8 @@ agree move for move.  :data:`MOVES` says how each kind is called, and
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -41,26 +48,40 @@ from .schur import BundleDescriptor
 from .weights import GradedDims, _game_N
 
 
-@dataclass(frozen=True)
-class SymBlock:
+class _Content(tuple):
+    """A box's content: a one-field named tuple that equals only content of
+    its own class, so a block never equals an opaque marker."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+
+class SymBlock(_Content, namedtuple("SymBlock", "m")):
     """Block standing for the m-th symmetric power of the rank-2 dual; m+1 copies."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __new__(cls, m: int) -> SymBlock:
+        if m < 0:
             raise ValueError("block grade must be >= 0")
+        return super().__new__(cls, m)
 
     @property
     def copies(self) -> int:
         return self.m + 1
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(_Content, namedtuple("Opaque", "copies", defaults=(1,))):
     """Inert content: keeps its copy count but never moves or pairs again."""
 
-    copies: int = 1
+    __slots__ = ()
 
 
 Content = SymBlock | Opaque
@@ -91,33 +112,34 @@ class Box(NamedTuple):
         return isinstance(self.content, Opaque)
 
 
-@dataclass(frozen=True)
-class Board:
+class Board(namedtuple("Board", "n eps boxes")):
     """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
 
-    Built from ``boxes``, a board checks its shape, maps each position to
-    its box and counts the copies.  A move's board is made by
-    :func:`_commit` instead, from its parent's map and copy total.
+    Equality, hash and ``repr`` see the tuple ``(n, eps, boxes)`` only.
+    Built from it, a board checks its shape and keeps ``N``, ``copies`` and
+    ``_at``, each position's box, beside the tuple.  A move's board is made
+    by :func:`_commit` instead, from its parent's map and copy total.
     """
 
-    n: int
-    eps: int
-    boxes: tuple[Box, ...]
-    N: int = field(init=False, compare=False, repr=False)
-    copies: int = field(init=False, compare=False, repr=False)
-    _at: dict[tuple[int, int], Box] = field(init=False, compare=False, repr=False)
+    N: int
+    copies: int
+    _at: dict[tuple[int, int], Box]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "N", _game_N(self.n, self.eps))
-        at = {(b.x, b.y): b for b in self.boxes}
-        if len(at) != len(self.boxes):
+    def __new__(cls, n: int, eps: int, boxes: tuple[Box, ...]) -> Board:
+        N = _game_N(n, eps)
+        at = {(b.x, b.y): b for b in boxes}
+        if len(at) != len(boxes):
             seen: set[tuple[int, int]] = set()
-            for b in self.boxes:
+            for b in boxes:
                 if b.pos in seen:
                     raise ValueError(f"duplicate box position {b.pos}")
                 seen.add(b.pos)
-        object.__setattr__(self, "_at", at)
-        object.__setattr__(self, "copies", sum(b.content.copies for b in self.boxes))
+        self = super().__new__(cls, n, eps, boxes)
+        self.__dict__.update(N=N, copies=sum(b.content.copies for b in boxes), _at=at)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def at(self, pos: tuple[int, int]) -> Box | None:
         return self._at.get(pos)
@@ -127,8 +149,7 @@ class Board:
         return self.boxes.index(self._at[pos])
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     """One Ext_M requirement issued while validating a move."""
 
     source: tuple[int, int, int]  # (m, x, y)
@@ -145,8 +166,7 @@ class OracleCheck:
 Params = tuple[tuple[str, int | str | bool], ...]
 
 
-@dataclass(frozen=True)
-class MoveRecord:
+class MoveRecord(NamedTuple):
     kind: str
     positions: tuple[tuple[int, int], ...]
     params: Params
@@ -220,7 +240,7 @@ def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
         answer = ext_on_M(source, target)
         if answer != expected:
             got = recorded(answer)
-            check = replace(passed, got=got)
+            check = passed._replace(got=got)
             reason = ("oracle indeterminate" if got == "indeterminate"
                       else f"oracle expected {check.expected} but got {got}")
             raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
@@ -247,9 +267,8 @@ def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
         if (b.x, b.y) in at:
             raise ValueError(f"duplicate box position {(b.x, b.y)}")
         at[b.x, b.y] = b
-    new_board = object.__new__(Board)
-    new_board.__dict__.update(n=board.n, eps=board.eps, boxes=tuple(boxes),
-                              N=board.N, copies=copies, _at=at)
+    new_board = tuple.__new__(Board, (board.n, board.eps, tuple(boxes)))
+    new_board.__dict__.update(N=board.N, copies=copies, _at=at)
     record = MoveRecord(kind, positions, params, oracle, "applied", copies, copies)
     return new_board, record
 
@@ -452,7 +471,8 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
         j = board.boxes.index(last, i + 1)
     except ValueError:
         raise MoveRefused(kind, f"{first_role} must precede {last_role} in SOD order") from None
-    return first, last, i, j, [b for b in board.boxes[i + 1:j] if not b.opaque]
+    return first, last, i, j, [b for b in board.boxes[i + 1:j]
+                                if not isinstance(b.content, Opaque)]
 
 
 def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
@@ -469,7 +489,8 @@ def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
     """
     oracle = () if questions is None else _run_oracle(kind, questions)
     fill = iter(live)
-    window = [b if b.opaque else next(fill, None) for b in board.boxes[i:j + 1]]
+    window = [b if isinstance(b.content, Opaque) else next(fill, None)
+              for b in board.boxes[i:j + 1]]
     new_boxes = list(board.boxes)
     new_boxes[i:j + 1] = [b for b in window if b is not None]
     return _commit(board, new_boxes, removed, added, kind, positions, params, oracle)

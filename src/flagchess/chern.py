@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .weights import _game_N
+from .weights import _flag_N, _game_N
 
 
 def cover_degree(n: int, eps: int) -> tuple[int, int, bool]:
@@ -46,9 +46,7 @@ def h0_twisted_quotient(N: int) -> int:
     in ``tests/test_chern.py`` derives that vanishing from the weight
     combinatorics for N = 3..40.
     """
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
-    return N * math.comb(N + 1, 2) - math.comb(N + 2, 3)
+    return _flag_N(N) * math.comb(N + 1, 2) - math.comb(N + 2, 3)
 
 
 def section_count_ld(N: int) -> int:

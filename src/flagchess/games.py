@@ -12,7 +12,7 @@ the result, never as an exception: the games always run to completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
 from .weights import _game_N
@@ -162,26 +162,26 @@ def extract_gr2(board: Board, n: int, eps: int,
     return (), (flag,)
 
 
-@dataclass(frozen=True)
-class GameResult:
+class GameResult(namedtuple("GameResult", "n eps mode initial final log "
+                                          "gr2_boxes residual_f_count flags")):
     """The whole record of one game.
 
     ``phases`` holds the snapshots ``(name, board, moves so far)`` that
     ``run_game`` takes at the script's seven phase boundaries.  They are
-    views of the run, not part of its outcome: equality and ``repr`` leave
-    them out, and a result parsed from JSON has none.
+    views of the run, not part of its outcome: they are kept outside the
+    named tuple, so equality, hash and ``repr`` leave them out, and a result
+    parsed from JSON has none.  No attribute can be assigned.
     """
 
-    n: int
-    eps: int
-    mode: str
-    initial: Board
-    final: Board
-    log: tuple[MoveRecord, ...]
-    gr2_boxes: tuple[Box, ...]
-    residual_f_count: int
-    flags: tuple[str, ...]
-    phases: tuple[tuple[str, Board, int], ...] = field(default=(), compare=False, repr=False)
+    phases: tuple[tuple[str, Board, int], ...] = ()
+
+    def __new__(cls, *fields, phases: tuple[tuple[str, Board, int], ...] = ()) -> GameResult:
+        self = super().__new__(cls, *fields)
+        self.__dict__["phases"] = phases
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def gr2_found(self) -> bool:
@@ -246,7 +246,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
                          f"reference value {expected}")
 
     return GameResult(n, eps, mode, initial, final, tuple(g.log), gr2_boxes,
-                      residual_count, tuple(flags), tuple(g.phases))
+                      residual_count, tuple(flags), phases=tuple(g.phases))
 
 
 def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:

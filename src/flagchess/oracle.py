@@ -13,8 +13,8 @@ board's moves, and :func:`recorded` gives the one recorded form of an answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .schur import (
     INDETERMINATE,
@@ -86,7 +86,9 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
     engine forces the answer only when the supports of A and B never differ
     by 0 or 1, and otherwise reports INDETERMINATE.
     """
-    A, B = koszul_terms(source, target)
+    m, x, y, N = target
+    A = ext_on_flag(source, tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N)))
+    B = ext_on_flag(source, target)
     if not A:
         return B
     if not B:
@@ -98,8 +100,7 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
     return graded_add(B, graded_shift(A, -1))
 
 
-@dataclass(frozen=True)
-class LemmaPoint:
+class LemmaPoint(NamedTuple):
     """One grid point of a lemma sweep."""
 
     params: tuple[tuple[str, int], ...]
@@ -108,14 +109,13 @@ class LemmaPoint:
     verdict: str  # "match" | "mismatch" | "indeterminate"
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     """Sweep result over a lemma's full stated parameter grid."""
 
     lemma: str
     n: int
     eps: int
-    points: tuple[LemmaPoint, ...] = field(default=())
+    points: tuple[LemmaPoint, ...] = ()
 
     @property
     def total(self) -> int:

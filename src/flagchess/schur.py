@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .weights import GradedDims, _line_bundle, graded_add, graded_shift, line_bundle_cohomology
+from .weights import (GradedDims, _flag_N, _line_bundle, graded_add, graded_shift,
+                      line_bundle_cohomology)
 
 
 class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
@@ -33,9 +34,7 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
     def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
         if m < 0:
             raise ValueError(f"symmetric power must be >= 0, got {m}")
-        if N < 3:
-            raise ValueError(f"need N >= 3, got {N}")
-        return super().__new__(cls, m, x, y, N)
+        return super().__new__(cls, m, x, y, _flag_N(N))
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
         """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""

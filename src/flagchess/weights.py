@@ -12,7 +12,8 @@ the weight is singular exactly when two entries agree, the cohomological
 degree is the number of inversions, and the dominant weight is the
 descending sort minus rho.  For O(x, y) only the first two of the N entries
 vary, so the degree and the Weyl dimension cost O(N) integer arithmetic,
-with one exact integer division.  ``_game_N`` is the one (n, eps) rule.
+with one exact integer division.  ``_game_N`` is the one (n, eps) rule,
+and ``_flag_N`` the one N >= 3 refusal.
 
 ``bwb_regularize`` is the dotted Weyl action done by reflections: add rho,
 then repeatedly reflect the smallest-index negative coordinate.  It gives the
@@ -22,9 +23,9 @@ independent cross-check of the sorting form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial, perm
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
@@ -34,9 +35,14 @@ GradedDims = dict[int, int]
 
 def rho(N: int) -> Weight:
     """Sum of fundamental weights of GL(N): the all-ones vector of length N-1."""
+    return (1,) * (_flag_N(N) - 1)
+
+
+def _flag_N(N: int) -> int:
+    """N itself, refusing N < 3, where F(1,2,N) does not exist."""
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
-    return (1,) * (N - 1)
+    return N
 
 
 def _game_N(n: int, eps: int) -> int:
@@ -66,8 +72,7 @@ def simple_reflection(w: Weight, i: int) -> Weight:
     return tuple(c)
 
 
-@dataclass(frozen=True)
-class Regularization:
+class Regularization(NamedTuple):
     """Outcome of the dotted-Weyl regularization of a lambda+rho weight.
 
     ``weight`` is the strictly dominant representative (still in lambda+rho
@@ -78,7 +83,7 @@ class Regularization:
     singular: bool
     length: int
     weight: Weight | None
-    trace: tuple[tuple[int, Weight], ...] = field(default=())
+    trace: tuple[tuple[int, Weight], ...] = ()
 
 
 def bwb_regularize(w_plus_rho: Weight) -> Regularization:
@@ -129,8 +134,7 @@ def _suffix_sums(w: Weight) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class CohomResult:
+class CohomResult(NamedTuple):
     """Cohomology of one line bundle: either vanishing or a single H^degree.
 
     ``degree is None`` encodes the vanishing variant; otherwise ``dominant``
@@ -164,8 +168,7 @@ def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     a = x+y+N-1 and b = y+N-2: only a and b vary, and the fixed tail is
     already strictly descending.
     """
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
+    _flag_N(N)
     a, b = x + y + N - 1, y + N - 2
     if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
         return CohomResult(None, None, 0)
@@ -190,9 +193,7 @@ def _tail_product(a: int, N: int) -> int:
 
 def canonical_fiber(N: int) -> tuple[int, int]:
     """(x, y) twist of the canonical line bundle of the fiber F(1,2,N)."""
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
-    return (-2, -(N - 1))
+    return (-2, -(_flag_N(N) - 1))
 
 
 def graded_add(a: GradedDims, b: GradedDims) -> GradedDims:

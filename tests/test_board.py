@@ -61,6 +61,26 @@ class TestContentTypes:
         with pytest.raises(ValueError):
             SymBlock(-1)
 
+    @pytest.mark.parametrize("m", (1, 2, 5))
+    def test_a_block_never_equals_an_opaque_marker(self, m):
+        pairs = [(SymBlock(m), Opaque(m)), (Box(0, 1, SymBlock(m)), Box(0, 1, Opaque(m))),
+                 (board_of(2, 1, (0, 1, m)), Board(2, 1, (Box(0, 1, Opaque(m)),)))]
+        for block, opaque in pairs:
+            assert block != opaque and opaque != block
+            assert not block == opaque and not opaque == block
+        assert SymBlock(m) == SymBlock(m) and hash(SymBlock(m)) == hash(SymBlock(m))
+        assert Opaque(m) == Opaque(m) and SymBlock(m) != (m,)
+
+    @pytest.mark.parametrize("record, name", [
+        (SymBlock(1), "m"), (Opaque(2), "copies"),
+        *((board_of(2, 1, (0, 1, 0)), name) for name in ("n", "eps", "boxes", "N", "copies", "_at")),
+    ])
+    def test_fields_cannot_be_assigned(self, record, name):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, before)
+        assert getattr(record, name) is before
+
     def test_box_views(self):
         b = Box(2, -1, SymBlock(3))
         assert b.pos == (2, -1)

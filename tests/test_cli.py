@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import errno
 import io
 import json
@@ -554,7 +553,7 @@ class TestWireSchema:
         result = game(2, 1)
         assert result.residual_boxes == tuple(
             b for b in result.final.boxes if b not in result.gr2_boxes)
-        assert dataclasses.replace(result, gr2_boxes=()).residual_boxes == result.final.boxes
+        assert result._replace(gr2_boxes=()).residual_boxes == result.final.boxes
 
     @pytest.mark.parametrize("n, eps, mode", [
         pytest.param(n, eps, mode, id=f"{n}-{eps}" + ("-flip" if mode == "flip" else ""))

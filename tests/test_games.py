@@ -1,7 +1,6 @@
 """Full game runs: completion, conservation, extraction, flip mode, replay."""
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -272,10 +271,17 @@ class TestPhases:
 
     def test_phases_stay_out_of_equality_and_repr(self, game):
         result = game(2, 0)
-        bare = dataclasses.replace(result, phases=())
-        assert bare == result
+        bare = GameResult(*result)
+        assert bare.phases == () and result.phases
+        assert bare == result and hash(bare) == hash(result)
         assert repr(bare) == repr(result)
         assert "phases" not in repr(result)
+
+    @pytest.mark.parametrize("name", ("n", "log", "gr2_boxes", "flags", "phases"))
+    def test_fields_cannot_be_assigned(self, game, name):
+        result = game(2, 0)
+        with pytest.raises(AttributeError):
+            setattr(result, name, ())
 
     def test_a_parsed_result_has_no_phases(self, game):
         result = game(2, 1)
@@ -287,6 +293,6 @@ class TestPhases:
 class TestColumnFound:
     def test_found_is_derived_from_the_boxes(self, game):
         result = game(2, 1)
-        assert "gr2_found" not in {f.name for f in dataclasses.fields(GameResult)}
+        assert "gr2_found" not in GameResult._fields
         assert result.gr2_found is True
-        assert dataclasses.replace(result, gr2_boxes=()).gr2_found is False
+        assert result._replace(gr2_boxes=()).gr2_found is False

@@ -17,17 +17,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flagchess import (
+    BundleDescriptor,
     CohomResult,
     bwb_regularize,
     canonical_fiber,
     euler_char,
     graded_add,
     graded_shift,
+    h0_twisted_quotient,
     line_bundle_cohomology,
     rho,
     simple_reflection,
     weyl_dim,
 )
+from flagchess.weights import _line_bundle
 
 
 def sort_regularize(w_plus_rho):
@@ -74,6 +77,16 @@ class TestRho:
     def test_domain(self):
         with pytest.raises(ValueError):
             rho(2)
+
+    @pytest.mark.parametrize("refuse", [
+        rho, canonical_fiber, h0_twisted_quotient,
+        lambda N: _line_bundle(N, 0, 0), lambda N: BundleDescriptor(0, 0, 0, N),
+    ], ids=["rho", "canonical_fiber", "h0_twisted_quotient", "_line_bundle",
+            "BundleDescriptor"])
+    @pytest.mark.parametrize("N", (2, 0, -1))
+    def test_every_caller_refuses_N_below_3_in_the_same_words(self, refuse, N):
+        with pytest.raises(ValueError, match=f"^need N >= 3, got {N}$"):
+            refuse(N)
 
 
 class TestSimpleReflection:
