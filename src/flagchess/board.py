@@ -21,15 +21,16 @@ apply (returning the mutated board and a replayable record) or raise
 adds.  The new board's position map is its parent's, patched where the edit
 removes and adds boxes, and its copy total is carried over once the copies
 removed equal the copies added, so no move rebuilds the board.  The
-mutation moves (transpose / absorb / rule1 / rule2) act on the
-SOD slots between two blocks: each looks its window up with :func:`_window`,
-checks its own shape, and hands the new live boxes to :func:`_rewrite`,
-which keeps every opaque box in its slot.  With validation on they consult
-the Ext oracle on M and refuse when a required vanishing fails or comes
-back indeterminate.  A move's oracle questions depend only on its shape, so
-:func:`_questions` builds them once per shape, with their expected answers
-and the passing transcript; the oracle answers them on every move, and
-:func:`_run_oracle` compares each answer with the expected one by value.
+mutation moves (transpose / absorb / rule1 / rule2) act on the SOD slots
+between two blocks: each looks its window up with :func:`_window`, checks
+its own shape, and hands :func:`_rewrite` the new live boxes and, with
+validation on, the key of its shape.  ``_rewrite`` alone asks the Ext
+oracle on M, refusing when a required vanishing fails or comes back
+indeterminate, and keeps every opaque box in its slot.  The questions
+depend only on the shape, so :func:`_questions` builds them once per key,
+with their expected answers and the passing transcript; the oracle answers
+them on every move, and :func:`_run_oracle` compares each answer with the
+expected one by value.
 The shape-based refusals (e.g. transposing a pair that pairs nontrivially)
 are enforced even with validation off, so a validated and an unvalidated run
 agree move for move.  :data:`MOVES` says how each kind is called, and
@@ -366,16 +367,12 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
         raise MoveRefused(kind, f"unknown direction {direction!r}")
     if not 0 <= k <= len(board.boxes):
         raise MoveRefused(kind, f"cannot rotate {k} of {len(board.boxes)} boxes")
-    dy = board.N - 2
-    if direction == "front_to_back":
-        crossing, staying = board.boxes[:k], board.boxes[k:]
-        moved = [Box(b.x + 1, b.y + dy, b.content) for b in crossing]
-        new_boxes = [*staying, *moved]
-    else:
-        split = len(board.boxes) - k
-        crossing, staying = board.boxes[split:], board.boxes[:split]
-        moved = [Box(b.x - 1, b.y - dy, b.content) for b in crossing]
-        new_boxes = [*moved, *staying]
+    sign = 1 if direction == "front_to_back" else -1
+    split = k if sign == 1 else len(board.boxes) - k
+    head, tail = board.boxes[:split], board.boxes[split:]
+    crossing = head if sign == 1 else tail
+    moved = [Box(b.x + sign, b.y + sign * (board.N - 2), b.content) for b in crossing]
+    new_boxes = [*tail, *moved] if sign == 1 else [*moved, *head]
     return _commit(board, new_boxes, crossing, moved, kind, (),
                    (("k", k), ("direction", direction)))
 
@@ -409,14 +406,19 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
                    (("count", count), ("opacify", opacify)))
 
 
+def _check_list(kind: str, positions: list[tuple[int, int]], verb: str) -> None:
+    """Refuse an empty list of positions, or one that repeats a position."""
+    if not positions:
+        raise MoveRefused(kind, f"nothing to {verb}")
+    if len(set(positions)) != len(positions):
+        raise MoveRefused(kind, "a position is listed twice")
+
+
 def move_opacify_boxes(board: Board, positions: list[tuple[int, int]],
                        ) -> tuple[Board, MoveRecord]:
     """Retire the listed blocks in place, keeping their copy counts."""
     kind = "opacify_boxes"
-    if not positions:
-        raise MoveRefused(kind, "nothing to opacify")
-    if len(set(positions)) != len(positions):
-        raise MoveRefused(kind, "a position is listed twice")
+    _check_list(kind, positions, "opacify")
     removed, retired = [], {}
     for pos in positions:
         box = _get(board, pos, kind)
@@ -436,10 +438,7 @@ def move_gather_to_end(board: Board, positions: list[tuple[int, int]],
     past retired material never changes any pairing.
     """
     kind = "gather_to_end"
-    if not positions:
-        raise MoveRefused(kind, "nothing to gather")
-    if len(set(positions)) != len(positions):
-        raise MoveRefused(kind, "a position is listed twice")
+    _check_list(kind, positions, "gather")
     for pos in positions:
         _get(board, pos, kind)
     idxs = sorted(board.index(pos) for pos in positions)
@@ -478,16 +477,17 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
 def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
              removed: list[Box], added: list[Box],
              positions: tuple[tuple[int, int], ...], params: Params,
-             questions: Questions | None) -> tuple[Board, MoveRecord]:
-    """Ask the oracle ``questions`` when given, then commit the window edit.
+             key: tuple[int, ...] | None) -> tuple[Board, MoveRecord]:
+    """Ask the oracle the questions of the move's shape ``key``, unless it
+    is None (validation off), then commit the window edit.
 
-    The questions are built once per move shape by :func:`_questions`; the
+    The questions are built once per shape by :func:`_questions`; the
     oracle answers them on every move.  The live boxes of slots i..j are
     replaced, in order, by ``live``; live slots left over are dropped, and
     every opaque box keeps its slot.  Of the window's live boxes the move
     takes ``removed`` off the board, and of ``live`` it puts ``added`` on.
     """
-    oracle = () if questions is None else _run_oracle(kind, questions)
+    oracle = () if key is None else _run_oracle(kind, _questions(kind, *key))
     fill = iter(live)
     window = [b if isinstance(b.content, Opaque) else next(fill, None)
               for b in board.boxes[i:j + 1]]
@@ -517,10 +517,8 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
         if t >= 1 and rm == t - 1:
             raise MoveRefused(
                 kind, f"pairing-shaped pair at relative twist ({t}, 0) vs (-1, 1)")
-    questions = _questions(kind, lm, rm, right.x - left.x, right.y - left.y,
-                           board.N) if validate else None
-    return _rewrite(board, kind, i, j, [right, left], [], [],
-                    (left_pos, right_pos), (), questions)
+    key = (lm, rm, right.x - left.x, right.y - left.y, board.N) if validate else None
+    return _rewrite(board, kind, i, j, [right, left], [], [], (left_pos, right_pos), (), key)
 
 
 def move_absorb(board: Board, target_pos: tuple[int, int],
@@ -549,10 +547,9 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     landing = (source.x + 1, source.y - 1)
     if board.at(landing) is not None:
         raise MoveRefused(kind, f"landing position {landing} is occupied")
-    questions = _questions(kind, t, board.N) if validate else None
     merged = Box(*landing, SymBlock(t))
     return _rewrite(board, kind, i, j, [merged], [target, source], [merged],
-                    (target_pos, source_pos), (), questions)
+                    (target_pos, source_pos), (), (t, board.N) if validate else None)
 
 
 def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
@@ -589,10 +586,9 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
         raise MoveRefused(kind, f"grade bound 1 <= r <= n-1 fails for r={r}")
     if not r <= l <= 2 * n - 3 + board.eps:
         raise MoveRefused(kind, f"window bound r <= l <= 2n-3+eps fails for r={r}, l={l}")
-    questions = _questions(kind, r, l, board.N) if validate else None
     fed = Box(gray.x, gray.y, SymBlock(r))
     return _rewrite(board, kind, i, j, [fed, *window], [gray, mover], [fed],
-                    (gray_pos, block_pos), (), questions)
+                    (gray_pos, block_pos), (), (r, l, board.N) if validate else None)
 
 
 def move_rule2(board: Board, zeros_start: tuple[int, int],
@@ -623,10 +619,10 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
         raise MoveRefused(
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
     _check_zeros(kind, window, zx, zy)
-    questions = _questions(kind, r, t, board.N) if validate else None
     piece = Box(zx, zy, SymBlock(r - 1))
     return _rewrite(board, kind, i, j, [block, piece, *window[r:]], window[:r], [piece],
-                    (zeros_start, block_pos), (("t", t), ("r", r)), questions)
+                    (zeros_start, block_pos), (("t", t), ("r", r)),
+                    (r, t, board.N) if validate else None)
 
 
 def move_orange_merge(board: Board, orange_pos: tuple[int, int],

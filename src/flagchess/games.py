@@ -60,31 +60,32 @@ class _Runner:
         self.phases.append((name, self.board, len(self.log)))
 
 
+def _feed_row(g: _Runner, y: int, xs: range, retire: bool) -> None:
+    """Feed row y into row y-1 by rule 1: for each x of ``xs`` in turn, the
+    block at (x, y) feeds the head zero at (x+1, y-1).  With ``retire``, the
+    row's leftmost box, at (xs[0]-1, y), is first pushed past the fed
+    blocks and retired."""
+    if retire:
+        g.do("push_right", (xs[0] - 1, y), count=len(xs), opacify=True)
+    for x in xs:
+        g.do("rule1", (x + 1, y - 1), (x, y))
+
+
 def _even_script(g: _Runner, n: int) -> None:
     # Cascade rows n-1 .. 2 into row 1, retiring each row's leftmost zero.
     for y in range(n - 1, 1, -1):
-        seg = list(range(-n + 1, 2 - y))
-        g.do("push_right", (-n, y), count=len(seg), opacify=True)
-        for x in seg:
-            g.do("rule1", (x + 1, y - 1), (x, y))
+        _feed_row(g, y, range(-n + 1, 2 - y), retire=True)
     g.phase("phase1")
     g.do("serre_global", k=n, direction="front_to_back")
     g.phase("serre")
     # Cascade the relocated bottom row back down through rows 2n-1 .. 3.
+    # Rows n+1 .. 2n-2 retire their leftmost box; row n pushes its two leftmost.
     for y in range(2 * n - 1, 2, -1):
-        if y == 2 * n - 1:
-            seg = list(range(-n + 1, 0))
-        elif y > n:
-            seg = list(range(-n + 1, 0))
-            g.do("push_right", (-n, y), count=len(seg), opacify=True)
-        elif y == n:
-            seg = list(range(-n + 2, 0))
-            g.do("push_right", (-n, y), count=1 + len(seg), opacify=True)
-            g.do("push_right", (-n + 1, y), count=len(seg), opacify=False)
-        else:
-            seg = list(range(2 - y, 0))
-        for x in seg:
-            g.do("rule1", (x + 1, y - 1), (x, y))
+        if y == n:
+            g.do("push_right", (-n, y), count=n - 1, opacify=True)
+            g.do("push_right", (-n + 1, y), count=n - 2, opacify=False)
+        lo = -n + 1 if y > n else -n + 2 if y == n else 2 - y
+        _feed_row(g, y, range(lo, 0), retire=n < y < 2 * n - 1)
     g.phase("phase2")
     if n == 2:
         g.do("push_right", (-2, 2), count=1, opacify=True)
@@ -98,18 +99,13 @@ def _odd_script(g: _Runner, n: int) -> None:
     N = 2 * n + 1
     # Cascade every row down into row 1.
     for y in range(N - 2, 1, -1):
-        seg = list(range(-n + 1, min(-1, n - y) + 1))
-        g.do("push_right", (-n, y), count=len(seg), opacify=True)
-        for x in seg:
-            g.do("rule1", (x + 1, y - 1), (x, y))
+        _feed_row(g, y, range(-n + 1, min(-1, n - y) + 1), retire=True)
     g.phase("phase1")
     g.do("serre_global", k=n, direction="front_to_back")
     g.phase("serre")
     # Cascade the relocated bottom row back up to row n+1.
     for y in range(N - 1, n + 1, -1):
-        lo = -n + 1 if y == N - 1 else n + 1 - y
-        for x in range(lo, 1):
-            g.do("rule1", (x + 1, y - 1), (x, y))
+        _feed_row(g, y, range(-n + 1 if y == N - 1 else n + 1 - y, 1), retire=False)
     g.phase("phase2")
     # Endgame: retire stray zeros, gather the upper column, split the last block.
     g.do("opacify_boxes", *[(x, y) for y in range(n + 1, N - 1) for x in range(2, n + 1)])

@@ -321,6 +321,11 @@ class TestOpacifyAndGather:
         with pytest.raises(MoveRefused, match="no box at"):
             move_gather_to_end(board, [(0, 1), (9, 9)])
 
+    def test_gather_refuses_an_empty_list(self):
+        board = board_of(2, 0, (0, 1, 0))
+        with pytest.raises(MoveRefused, match="^gather_to_end: nothing to gather$"):
+            move_gather_to_end(board, [])
+
     def test_gather_refuses_a_repeated_position(self):
         board = board_of(2, 0, (0, 1, 0), (1, 1, "x"))
         with pytest.raises(MoveRefused, match="listed twice"):
@@ -421,6 +426,12 @@ class TestAbsorb:
             move_absorb(board_of(2, 1, (2, 0, 0), (7, 7, 0), (0, 1, 0)),
                         (2, 0), (0, 1))
 
+    def test_refuses_a_landing_occupied_earlier_in_sod_order(self):
+        board = board_of(2, 1, (-1, 0, 0), (0, 0, 0), (-2, 1, 0))
+        with pytest.raises(MoveRefused,
+                           match=r"^absorb: landing position \(-1, 0\) is occupied$"):
+            move_absorb(board, (0, 0), (-2, 1))
+
 
 class TestRule1:
     def happy(self):
@@ -506,6 +517,12 @@ class TestRule2:
             move_rule2(board, (0, 1), (-1, 2), t=2, r=2)
         with pytest.raises(MoveRefused):  # wrong declared grade
             move_rule2(board, (0, 1), (-1, 2), t=2, r=1)
+
+    def test_block_must_sit_down_left_of_the_zeros(self):
+        board = board_of(3, 0, (1, 0, 0), (2, 0, 0), (5, 5, 0))
+        with pytest.raises(MoveRefused,
+                           match=r"^rule2: block must sit at \(0, 1\), got \(5, 5\)$"):
+            move_rule2(board, (1, 0), (5, 5), t=1, r=1)
 
     def test_missing_zeros_start_refused(self):
         board = board_of(2, 1, (2, 2, 0), (0, 3, 1))

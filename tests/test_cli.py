@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import Board, Box, Opaque, SymBlock, render, replay
+from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, Opaque, SymBlock,
+                       cli, render, replay, run_game)
+from flagchess import board as board_module
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -33,6 +35,7 @@ from flagchess.render import (
     dumps,
     emit_json_lines,
     game_result_to_json,
+    move_to_dict,
     parse_game_result,
     render_ascii,
     render_latex,
@@ -161,6 +164,42 @@ class TestExitCodes:
             main(["ext", "--N", "5", "--space", "M",
                   "--src", "0,2", "--tgt", "1,-1,1"])
         assert err.value.code == EXIT_USAGE
+
+    def test_a_triple_of_non_integers_is_usage(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["ext", "--N", "5", "--space", "M", "--src", "1,a,2", "--tgt", "0,0,0"])
+        out, stderr = capsys.readouterr()
+        assert err.value.code == EXIT_USAGE and out == ""
+        assert stderr.endswith("flagchess: error: argument --src: expected integers m,x,y; "
+                               "got '1,a,2'\n")
+
+    @staticmethod
+    def lemma_report(verdict):
+        points = (LemmaPoint((("t", 1),), ((1, 1),), ((1, 1),), "match"),
+                  LemmaPoint((("t", 2), ("r", 0)), (), ((0, 1),) if verdict == "mismatch"
+                             else "indeterminate", verdict))
+        return LemmaReport("A4", 2, 1, points)
+
+    def test_a_lemma_mismatch_exits_one_and_is_itemized(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_lemma", lambda which, n, eps: self.lemma_report("mismatch"))
+        code, out, _ = run_cli(capsys, "lemma", "--which", "A4", "--n", "2", "--eps", "1")
+        assert code == EXIT_FLAGGED
+        assert out == ("A4 sweep at n=2, eps=1 (N=5): 2 points\n"
+                       "matches 1, mismatches 1, indeterminates 0\n"
+                       "  mismatch at t=2, r=0: expected [], got ((0, 1),)\n")
+
+    def test_an_indeterminate_lemma_point_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_lemma",
+                            lambda which, n, eps: self.lemma_report("indeterminate"))
+        code, out, _ = run_cli(capsys, "lemma", "--which", "A4", "--n", "2", "--eps", "1")
+        assert code == EXIT_REFUSED
+        assert "  indeterminate at t=2, r=0: expected [], got indeterminate\n" in out
+
+    def test_an_indeterminate_oracle_refuses_a_validated_game(self, capsys, monkeypatch):
+        monkeypatch.setattr(board_module, "ext_on_M", lambda source, target: INDETERMINATE)
+        code, out, err = run_cli(capsys, "game", "--n", "2", "--eps", "1", "--validate")
+        assert (code, out) == (EXIT_REFUSED, "")
+        assert err == "flagchess: refused: rule1: oracle indeterminate for (0, 2, 0) vs (0, -1, 1)\n"
 
     @pytest.mark.parametrize("argv, m", [
         (("cohom", "--N", "5", "--m", "-1", "--x", "0", "--y", "0"), -1),
@@ -425,6 +464,12 @@ class TestWireSchema:
         with pytest.raises(ValueError, match="opaque copies must be an int >= 1"):
             parse_game_result(self.edited(game, edit))
 
+    def test_an_unknown_content_kind_raises_value_error(self, game):
+        def edit(doc):
+            doc["initial"]["boxes"][0]["content"]["kind"] = "zzz"
+        with pytest.raises(ValueError, match="^unknown content kind 'zzz'$"):
+            parse_game_result(self.edited(game, edit))
+
     @pytest.mark.parametrize("value", ["zzz", "", None, ["fibration"]])
     def test_mode_must_be_fibration_or_flip(self, game, value):
         def edit(doc):
@@ -602,6 +647,11 @@ class TestOracleReferences:
         assert parse_game_result(v2) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
         assert len(v2) < len(v1)
+
+    def test_the_version_1_writer_gives_the_recorded_moves(self):
+        moves = [json.loads(dumps(move_to_dict(m))) for m in run_game(3, 1, validate=True).log]
+        assert len(moves) == 27
+        assert moves == json.loads(self.V1.read_text())["moves"]
 
     def test_version_1_holds_no_references(self):
         doc = json.loads(self.V1.read_text())

@@ -8,9 +8,11 @@ the same change and says why.
 from __future__ import annotations
 
 import hashlib
+import random
 
 import pytest
 
+from flagchess import MOVES, Board, Box, MoveRefused, Opaque, SymBlock, apply_record, play
 from flagchess.cli import main
 
 GOLDEN = {
@@ -96,3 +98,155 @@ def test_stdout_and_exit_code_are_pinned(capsys, monkeypatch, command):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+# One digest over seeded random ``play`` calls: every kind in MOVES, on the
+# phase boards of the games at n <= 4 and on random small boards with random
+# positions and parameters, and each logged move of those games, as it was or
+# nudged, on the board it was played on.  Validation is on for about a third
+# of the calls.  Each call adds the repr of its board and record, or its
+# refusal text, so the digest pins each outcome, each refusal's wording and
+# which refusal comes first.  Nothing below iterates over a set, so the
+# digest does not depend on the hash seed.
+MOVE_OUTCOMES = (4000, "d816b10c73c8dee3e28014c4b3cd7621f12c8f58373f8f40b28a9a250fcbd8d4")
+
+
+def _random_board(rng):
+    """A random small board, and the positions of the pairing pair placed on
+    it, if one was."""
+    n, eps = rng.choice([(2, 0), (2, 1), (3, 0), (3, 1)])
+    cells = {}
+    for _ in range(rng.randint(0, 9)):
+        pos = (rng.randint(-3, 3), rng.randint(0, 4))
+        if rng.random() < 0.75:
+            cells[pos] = SymBlock(rng.choice([0, 0, 0, 1, 1, 2]))
+        else:
+            cells[pos] = Opaque(rng.randint(1, 2))
+    pair = []
+    if rng.random() < 0.5:
+        # a grade-0 block, then the grade t-1 block it pairs with, at relative twist (-1-t, 1)
+        t, x, y = rng.randint(1, 3), rng.randint(-1, 3), rng.randint(0, 3)
+        pair = [Box(x, y, SymBlock(0)), Box(x - 1 - t, y + 1, SymBlock(rng.choice([t - 1, t - 1, t])))]
+        for box in pair:
+            cells.pop(box.pos, None)
+        if rng.random() < 0.3:
+            pair.insert(1, Box(x - 1, y + 1, Opaque()))
+            cells.pop((x - 1, y + 1), None)
+    boxes = [Box(*pos, content) for pos, content in cells.items()]
+    rng.shuffle(boxes)
+    i = rng.randint(0, len(boxes))
+    boxes[i:i] = pair
+    return Board(n, eps, tuple(boxes)), (pair[0].pos, pair[-1].pos) if pair else None
+
+
+def _random_position(rng, board):
+    if board.boxes and rng.random() < 0.7:
+        return board.boxes[rng.randrange(len(board.boxes))].pos
+    return (rng.randint(-4, 4), rng.randint(-1, 5))
+
+
+def _random_positions(rng, board, spec, pair):
+    if spec.positions is None:
+        return tuple(_random_position(rng, board) for _ in range(rng.randint(0, 3)))
+    positions = [_random_position(rng, board) for _ in range(spec.positions)]
+    if spec.positions != 2:
+        return tuple(positions)
+    roll = rng.random()
+    if roll < 0.3 and pair:
+        return pair
+    if roll < 0.65 and len(board.boxes) > 1:
+        # two boxes one or two SOD slots apart, mostly in SOD order
+        i = rng.randrange(len(board.boxes) - 1)
+        j = min(i + rng.randint(1, 2), len(board.boxes) - 1)
+        positions = [board.boxes[i].pos, board.boxes[j].pos][::1 if roll < 0.55 else -1]
+    elif roll < 0.85:
+        # the second position down-left of the first and a row up, as absorb, rule1 and rule2 want
+        x, y = positions[0]
+        positions[1] = (x - rng.randint(1, 3), y + 1)
+    return tuple(positions)
+
+
+_PARAM_VALUES = {
+    "y": lambda rng: rng.randint(-1, 5),
+    "steps": lambda rng: rng.randint(-1, 9),
+    "k": lambda rng: rng.randint(-1, 6),
+    "dx": lambda rng: rng.randint(-3, 3),
+    "dy": lambda rng: rng.randint(-3, 3),
+    "note": lambda rng: rng.choice(["a", "normalize-flip-start"]),
+    "count": lambda rng: rng.randint(-1, 5),
+    "opacify": lambda rng: rng.random() < 0.5,
+    "t": lambda rng: rng.randint(-1, 4),
+    "r": lambda rng: rng.randint(0, 4),
+}
+_DIRECTIONS = {"serre_translate": ["left", "right", "up"],
+               "serre_global": ["front_to_back", "back_to_front", "left"]}
+
+
+def _random_params(rng, kind, spec):
+    params = {}
+    for name in spec.params:
+        if name in spec.optional and rng.random() < 0.5:
+            continue
+        if name == "direction":
+            params[name] = rng.choice(_DIRECTIONS[kind])
+        else:
+            params[name] = _PARAM_VALUES[name](rng)
+    if params and rng.random() < 0.03:
+        name = rng.choice(list(params))
+        params[name] = rng.choice([True, "1", 1.0])  # a value of the wrong type
+    return params
+
+
+def _perturbed(rng, record):
+    """A logged move's call, as it was or with one position or parameter moved by one."""
+    positions, params = list(record.positions), dict(record.params)
+    roll = rng.random()
+    if roll < 0.3 and positions:
+        i = rng.randrange(len(positions))
+        x, y = positions[i]
+        positions[i] = rng.choice([(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)])
+    elif roll < 0.45 and params:
+        name = rng.choice(list(params))
+        if type(params[name]) is int:
+            params[name] += rng.choice([-1, 1])
+    return tuple(positions), params
+
+
+def _random_call(rng, phase_boards, steps):
+    """One random ``play`` call's board, kind, positions and parameters."""
+    roll = rng.random()
+    if roll < 0.35:
+        board, record = rng.choice(steps)
+        return (board, record.kind, *_perturbed(rng, record))
+    board, pair = (rng.choice(phase_boards), None) if roll < 0.65 else _random_board(rng)
+    kind = rng.choice(list(MOVES))
+    spec = MOVES[kind]
+    return board, kind, _random_positions(rng, board, spec, pair), _random_params(rng, kind, spec)
+
+
+def move_outcomes(calls, results, seed=17):
+    """Digest of ``calls`` seeded random ``play`` calls on the phase boards
+    and the move-by-move boards of the games ``results``, and on random ones."""
+    rng = random.Random(seed)
+    phase_boards = [board for result in results for _, board, _ in result.phases]
+    steps = []  # (board before the move, the move's record) for every move of every game
+    for result in results:
+        board = result.initial
+        for record in result.log:
+            steps.append((board, record))
+            board = apply_record(board, record)
+    h = hashlib.sha256()
+    for _ in range(calls):
+        board, kind, positions, params = _random_call(rng, phase_boards, steps)
+        try:
+            outcome = repr(play(board, kind, positions, params, rng.random() < 1 / 3))
+        except (MoveRefused, ValueError) as err:
+            outcome = f"{type(err).__name__}: {err}"
+        h.update(outcome.encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_move_outcomes_are_pinned(game):
+    calls, digest = MOVE_OUTCOMES
+    results = [game(n, eps, mode) for n in (2, 3, 4) for eps in (0, 1) for mode in ("fibration", "flip")]
+    assert move_outcomes(calls, results) == digest

@@ -131,6 +131,10 @@ class TestClebschGordan:
     def test_two_by_two(self):
         assert clebsch_gordan_rank2(2, 2) == [(4, 0), (2, 1), (0, 2)]
 
+    def test_a_negative_power_raises(self):
+        with pytest.raises(ValueError):
+            clebsch_gordan_rank2(-1, 0)
+
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_dimension_identity(self, a, b):
         terms = clebsch_gordan_rank2(a, b)
