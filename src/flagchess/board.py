@@ -360,7 +360,8 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     """Rotate the whole SOD: k boxes cross the end, twisting by the canonical class.
 
     front_to_back moves the first k boxes to the end at (x+1, y+N-2);
-    back_to_front moves the last k to the front at (x-1, y-(N-2)).
+    back_to_front moves the last k to the front at (x-1, y-(N-2)).  A box
+    may not land on the position of a box that stays.
     """
     kind = "serre_global"
     if direction not in ("front_to_back", "back_to_front"):
@@ -370,8 +371,12 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     sign = 1 if direction == "front_to_back" else -1
     split = k if sign == 1 else len(board.boxes) - k
     head, tail = board.boxes[:split], board.boxes[split:]
-    crossing = head if sign == 1 else tail
+    crossing, staying = (head, tail) if sign == 1 else (tail, head)
     moved = [Box(b.x + sign, b.y + sign * (board.N - 2), b.content) for b in crossing]
+    kept = {b.pos for b in staying}
+    for b in moved:
+        if b.pos in kept:
+            raise MoveRefused(kind, f"landing position {b.pos} is occupied")
     new_boxes = [*tail, *moved] if sign == 1 else [*moved, *head]
     return _commit(board, new_boxes, crossing, moved, kind, (),
                    (("k", k), ("direction", direction)))

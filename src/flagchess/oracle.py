@@ -7,6 +7,8 @@ the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
 The flag-level groups are cached on the (source, target) descriptor pair,
 whose tuple hash and equality run in C, and every answer is a fresh dict.
+A miss sums the summands of :func:`hom_bundle` in one dict, sorted once,
+each from ``sym_cohomology`` or, where that is Indeterminate, the pushforward.
 Lemma A4 is stated once, in :func:`lemma_a4`, for both the sweep and the
 board's moves, and :func:`recorded` gives the one recorded form of an answer.
 """
@@ -31,36 +33,30 @@ def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[Bundl
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
 
     Each det-power j contributes (0, j) to the twist; twists add componentwise.
+    Past the one N check each summand is valid by construction (the source
+    was checked, and a+b-2j >= 0), so it is built with ``tuple.__new__``.
     """
     if source.N != target.N:
         raise ValueError("source and target must live on the same F(1,2,N)")
-    dual = dualize(source)
-    out = []
-    for s, j in clebsch_gordan_rank2(dual.m, target.m):
-        out.append(BundleDescriptor(s, dual.x + target.x, dual.y + target.y + j, source.N))
-    return out
-
-
-def _summand_cohomology(d: BundleDescriptor) -> GradedDims:
-    """Filtration evaluator with the exact pushforward as fallback.
-
-    The filtration route is authoritative for every case it decides; when it
-    reports Indeterminate the exact evaluator settles the summand (the two
-    agree on all determinate inputs, which is property-tested).
-    """
-    via_filtration = sym_cohomology(d)
-    if via_filtration is INDETERMINATE:
-        return sym_cohomology_via_pushforward(d)
-    assert isinstance(via_filtration, dict)
-    return via_filtration
+    dm, dx, dy, N = dualize(source)
+    m, x, y, _ = target
+    return [tuple.__new__(BundleDescriptor, (s, dx + x, dy + y + j, N))
+            for s, j in clebsch_gordan_rank2(dm, m)]
 
 
 @lru_cache(maxsize=None)
 def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
+    """Ext_F(source, target): the filtration decides each summand it can,
+    and the exact pushforward settles those it leaves Indeterminate (the two
+    agree on all determinate inputs, which is property-tested)."""
     total: GradedDims = {}
     for summand in hom_bundle(source, target):
-        total = graded_add(total, _summand_cohomology(summand))
-    return total
+        answer = sym_cohomology(summand)
+        if answer is INDETERMINATE:
+            answer = sym_cohomology_via_pushforward(summand)
+        for degree, dim in answer.items():
+            total[degree] = total.get(degree, 0) + dim
+    return dict(sorted(total.items()))
 
 
 def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:

@@ -10,7 +10,8 @@ its cohomology to line bundles:
   conclusions are always sound; when surviving pieces sit in adjacent degrees
   the long exact sequences could cancel them, so the result is Indeterminate.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
-  degrees.
+  degrees.  It reads each cached Bott answer as (degree, _, dim), and returns
+  at once when fewer than two degrees survive, as none can then be adjacent.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by rank-2 Clebsch-Gordan, and finishes with Bott on G(2,N) through
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .weights import (GradedDims, _flag_N, _line_bundle, graded_add, graded_shift,
-                      line_bundle_cohomology)
+from .weights import GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
 
 class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
@@ -34,7 +34,7 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
     def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
         if m < 0:
             raise ValueError(f"symmetric power must be >= 0, got {m}")
-        return super().__new__(cls, m, x, y, _flag_N(N))
+        return tuple.__new__(cls, (m, x, y, _flag_N(N)))
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
         """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""
@@ -64,7 +64,8 @@ INDETERMINATE = _Indeterminate()
 
 def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
     """Line-bundle graded pieces of d, sub-most first: (x+m-2j, y+j), j=m..0."""
-    return [(d.x + d.m - 2 * j, d.y + j) for j in range(d.m, -1, -1)]
+    m, x, y, _ = d
+    return list(zip(range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)))
 
 
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
@@ -86,8 +87,9 @@ def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
 
 
 def dualize(d: BundleDescriptor) -> BundleDescriptor:
-    """Dual descriptor; uses det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
-    return BundleDescriptor(d.m, -d.x, -d.y - d.m, d.N)
+    """Dual descriptor, valid as d is; det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
+    m, x, y, N = d
+    return tuple.__new__(BundleDescriptor, (m, -x, -y - m, N))
 
 
 def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
@@ -97,11 +99,14 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     degrees are adjacent the filtration's long exact sequences could connect
     them, so the result is INDETERMINATE.  Total vanishing is always sound.
     """
+    N = d.N
     out: GradedDims = {}
     for (px, py) in sym_filtration(d):
-        res = line_bundle_cohomology(d.N, px, py)
-        if not res.vanishes:
-            out[res.degree] = out.get(res.degree, 0) + res.dim  # type: ignore[index]
+        degree, _, dim = line_bundle_cohomology(N, px, py)
+        if degree is not None:
+            out[degree] = out.get(degree, 0) + dim
+    if len(out) < 2:
+        return out
     if any(k + 1 in out for k in out):
         return INDETERMINATE
     return dict(sorted(out.items()))
@@ -116,7 +121,7 @@ def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
     a direct sum of G(2,N) bundles Sym^p U2v(0, q), p >= 0, whose Bott answer
     is that of O(p, q) on F.
     """
-    m, x, y, N = d.m, d.x, d.y, d.N
+    m, x, y, N = d
     if x == -1:
         return {}
     if x >= 0:
@@ -128,5 +133,7 @@ def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
         shift = 1
     total: GradedDims = {}
     for (p, q) in pieces:
-        total = graded_add(total, graded_shift(_line_bundle(N, p, q).graded(), shift))
-    return total
+        degree, _, dim = _line_bundle(N, p, q)
+        if degree is not None:
+            total[degree + shift] = total.get(degree + shift, 0) + dim
+    return dict(sorted(total.items()))

@@ -255,6 +255,16 @@ class TestSerreGlobal:
         with pytest.raises(MoveRefused):
             move_serre_global(board, 1, "around")
 
+    def test_landing_on_a_box_that_stays_is_refused(self):
+        board = Board(2, 1, (Box(0, 0, SymBlock(0)), Box(1, 3, SymBlock(0))))
+        with pytest.raises(MoveRefused, match=r"landing position \(1, 3\) is occupied"):
+            move_serre_global(board, 1, "front_to_back")
+        with pytest.raises(MoveRefused, match=r"landing position \(0, 0\) is occupied"):
+            move_serre_global(board, 1, "back_to_front")
+        # a box may land where a crossing box was
+        new, _ = move_serre_global(board, 2, "front_to_back")
+        assert [b.pos for b in new.boxes] == [(1, 3), (2, 6)]
+
 
 class TestGlobalTwist:
     def test_shifts_every_box(self):

@@ -8,12 +8,15 @@ the same change and says why.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from flagchess import MOVES, Board, Box, MoveRefused, Opaque, SymBlock, apply_record, play
+from flagchess import (MOVES, Board, Box, BundleDescriptor, MoveRefused, Opaque, SymBlock,
+                       apply_record, ext_on_flag, ext_on_M, play)
 from flagchess.cli import main
+from flagchess.oracle import recorded
 
 GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit text --validate":
@@ -108,7 +111,7 @@ def test_stdout_and_exit_code_are_pinned(capsys, monkeypatch, command):
 # refusal text, so the digest pins each outcome, each refusal's wording and
 # which refusal comes first.  Nothing below iterates over a set, so the
 # digest does not depend on the hash seed.
-MOVE_OUTCOMES = (4000, "d816b10c73c8dee3e28014c4b3cd7621f12c8f58373f8f40b28a9a250fcbd8d4")
+MOVE_OUTCOMES = (4000, "7ebc6a15b99f8d89bd35fdd9b51577d3200bb2ae4cac4edefcb1b094bb1e9928")
 
 
 def _random_board(rng):
@@ -250,3 +253,22 @@ def test_move_outcomes_are_pinned(game):
     calls, digest = MOVE_OUTCOMES
     results = [game(n, eps, mode) for n in (2, 3, 4) for eps in (0, 1) for mode in ("fibration", "flip")]
     assert move_outcomes(calls, results) == digest
+
+
+# One digest over the exact answers of ext_on_flag and ext_on_M: sources and
+# targets of grade m <= 4, sources at two twists, targets over a 6 x 6 window
+# of twists, on five flags.  The grid holds summands the filtration decides
+# and 6,995 it leaves Indeterminate, which the pushforward then settles, and
+# 2,042 answers on M that are themselves indeterminate.
+EXT_ANSWERS = (9000, "8fb3ea3adce1ee34070c1e9ed77eafd77656e1d8778edf5efe88a24d85a420d2")
+
+
+def test_ext_answers_are_pinned():
+    h, calls = hashlib.sha256(), 0
+    for N, sm, (sx, sy), tm, tx, ty in itertools.product(
+            (4, 5, 7, 13, 29), range(5), ((0, 0), (2, -1)), range(5), range(-3, 3), range(-3, 3)):
+        source, target = BundleDescriptor(sm, sx, sy, N), BundleDescriptor(tm, tx, ty, N)
+        answers = recorded(ext_on_flag(source, target)), recorded(ext_on_M(source, target))
+        h.update(f"{tuple(source)} {tuple(target)} {answers}\n".encode())
+        calls += 1
+    assert (calls, h.hexdigest()) == EXT_ANSWERS

@@ -1,7 +1,12 @@
 """Ext computations on the flag and on the (1,1)-divisor, plus lemma sweeps."""
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +21,7 @@ from flagchess import (
     hom_bundle,
     koszul_terms,
 )
+from flagchess import oracle as oracle_module
 from flagchess.board import Board, Box, SymBlock, move_absorb
 from flagchess.oracle import lemma_a4, recorded
 
@@ -205,6 +211,25 @@ class TestCheckLemma:
         assert report.mismatches == by_verdict["mismatch"]
         assert report.indeterminates == by_verdict["indeterminate"]
         assert report.passed == (by_verdict["match"] == report.total)
+
+    def test_the_full_sweep_does_pinned_work_from_cold_caches(self):
+        # A4-A6 at n = 2..14, both parities, in a fresh interpreter, so that
+        # every point is a cold miss of the Ext-on-F cache
+        script = (
+            "import json\n"
+            "from flagchess import check_lemma, oracle, weights\n"
+            "reports = [check_lemma(lemma, n, eps) for n in range(2, 15)\n"
+            "           for eps in (0, 1) for lemma in ('A4', 'A5', 'A6')]\n"
+            "print(json.dumps({'points': sum(r.total for r in reports),\n"
+            "                  'passed': all(r.passed for r in reports),\n"
+            "                  'ext_flag': oracle._ext_on_flag_cached.cache_info()[:2],\n"
+            "                  'bwb': weights.line_bundle_cohomology.cache_info()[:2]}))\n"
+        )
+        src = str(Path(oracle_module.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == {"points": 6306, "passed": True,
+                                           "ext_flag": [0, 12612], "bwb": [111165, 8855]}
 
 
 class TestRecorded:
