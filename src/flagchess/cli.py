@@ -31,9 +31,9 @@ EXIT_REFUSED = 2
 EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
-# bounds the slowest commands (validated game at n = 28, lemma A6 at n = 100)
-# take about 2.5 s and 20 s on a 2-core Xeon; the game's JSON document is
-# about 0.65 MB and its peak memory about 40 MB.  The twist bound keeps every
+# bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
+# about 2 s and 16 s on a 2-core Xeon; the game's JSON document is about
+# 0.65 MB and its peak memory about 40 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = 100  # lemma, degree, conditions
@@ -256,8 +256,10 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=int, choices=(0, 1), required=True)
     p.add_argument("--mode", choices=("fibration", "flip"), default="fibration")
-    p.add_argument("--validate", action=argparse.BooleanOptionalAction, default=None,
-                   help="force oracle validation on or off (default: on for n <= 4)")
+    # set_defaults, not default=: Python 3.10 would append "(default: True)"
+    p.add_argument("--validate", action=argparse.BooleanOptionalAction,
+                   help="check every windowed move with the oracle (default: on)")
+    p.set_defaults(validate=True)
     p.add_argument("--emit", choices=render.EMIT_FORMATS,
                    default="text", help="output format (default: text)")
 

@@ -200,18 +200,15 @@ def reference_residual_count(n: int, eps: int) -> int:
 
 
 def run_game(n: int, eps: int, mode: str = "fibration",
-             validate: bool | None = None) -> GameResult:
+             validate: bool = True) -> GameResult:
     """Play the full straightening game and split the final board.
 
-    Validation (oracle checks behind every windowed move) defaults to on
-    for n <= 4 and off above, where the moves repeat shapes already
-    exercised below.  The move log is identical either way.
+    Unless ``validate`` is False, the oracle checks every windowed move.
+    The move log is identical either way.
     """
     N = _game_N(n, eps)
     if mode not in ("fibration", "flip"):
         raise ValueError(f"unknown mode {mode!r}")
-    if validate is None:
-        validate = n <= 4
 
     initial = initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
     g = _Runner(initial, validate)

@@ -9,7 +9,7 @@ _GAMES: dict[tuple, GameResult] = {}
 
 
 def cached_game(n: int, eps: int, mode: str = "fibration",
-                validate: bool | None = None) -> GameResult:
+                validate: bool = True) -> GameResult:
     """Memoize full game runs; several modules assert on the same boards."""
     key = (n, eps, mode, validate)
     if key not in _GAMES:

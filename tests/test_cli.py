@@ -121,6 +121,16 @@ class TestExitCodes:
         assert "column found: yes" in out
         assert "flag:" not in out
 
+    def test_game_help_states_the_validation_default(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["game", "--help"])
+        assert exc.value.code == 0
+        words = " ".join(capsys.readouterr().out.split())
+        start = words.index("--validate, --no-validate")
+        line = words[start:words.index("--emit {", start)]
+        assert line == ("--validate, --no-validate check every windowed move with the "
+                        "oracle (default: on) ")
+
     def test_game_flip_clean(self, capsys):
         code, _, _ = run_cli(capsys, "game", "--n", "2", "--eps", "0",
                              "--mode", "flip")

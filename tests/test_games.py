@@ -97,9 +97,10 @@ class TestGameCompletion:
         assert checked, "validated runs must carry oracle transcripts"
         assert all(c.ok for c in checked)
 
-    def test_large_runs_skip_validation_by_default(self, game):
-        result = game(5, 0)
-        assert all(record.oracle == () for record in result.log)
+    def test_validation_is_on_unless_turned_off(self, game):
+        checked = [c for record in game(5, 0).log for c in record.oracle]
+        assert checked and all(c.ok for c in checked)
+        assert all(record.oracle == () for record in game(5, 0, validate=False).log)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -234,7 +235,7 @@ class TestReplayAndDeterminism:
         assert game_result_to_json(fresh) == game_result_to_json(game(3, 1))
 
     @pytest.mark.parametrize("eps", [0, 1])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_validation_does_not_change_the_script(self, game, n, eps):
         from flagchess import log_signature
 

@@ -64,8 +64,12 @@ GOLDEN = {
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "6e6b9a3d8326f6832b0c418ea3e0c922688420fb8e1cedd6f07eea95c876cd51"),
+        (0, "d86caffc751f7e6b1213fd6ca2c7521f0af38f7686696110e8d2352dcc38b99f"),
     "game --n 5 --eps 1 --emit json-lines":
+        (0, "94240d755485bde2ff40d165775c3a5f77fd7ce268a97534b128bbb5c404b0f5"),
+    "game --n 5 --eps 1 --emit json --no-validate":
+        (0, "6e6b9a3d8326f6832b0c418ea3e0c922688420fb8e1cedd6f07eea95c876cd51"),
+    "game --n 5 --eps 1 --emit json-lines --no-validate":
         (0, "487ab5732f100ac8e90d318792a9ae8f510ba81d0571082d1b9caf0ec7f5c9b6"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
