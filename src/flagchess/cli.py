@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 completed with discrepancy flags (game flags,
 lemma mismatches, degree disagreement), 2 refused move or indeterminate
 verdict, 3 usage error.  Results go to stdout (or --output), diagnostics
 to stderr.
+
+Only the layers that ``bwb``, ``cohom``, ``ext`` and ``lemma`` run (oracle,
+schur, weights) are imported with this module; ``game`` imports the board,
+the game scripts and the renderer, and ``degree`` and ``conditions`` import
+``chern``, when they run.
 """
 
 from __future__ import annotations
@@ -11,16 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import render
-from .board import MoveRefused
-from .chern import (
-    condition3_bound,
-    cover_degree,
-    h0_twisted_quotient,
-    section_count_ld,
-    section_count_syzygy,
-)
-from .games import run_game
+from . import _EMIT_FORMATS
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
@@ -184,13 +180,23 @@ def cmd_lemma(args: argparse.Namespace) -> int:
 
 
 def cmd_game(args: argparse.Namespace) -> int:
+    from . import render
+    from .board import MoveRefused
+    from .games import run_game
+
     _need("n", args.n, 2, MAX_GAME_n)
-    result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate)
+    try:
+        result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate)
+    except MoveRefused as exc:
+        print(f"flagchess: refused: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     _write(render.emit(result, args.emit), args.output)
     return EXIT_FLAGGED if result.flags else EXIT_OK
 
 
 def cmd_degree(args: argparse.Namespace) -> int:
+    from .chern import cover_degree
+
     _need("n", args.n, 2, MAX_n)
     via_series, via_closed, agree = cover_degree(args.n, args.eps)
     lines = [f"branch degree at n={args.n}, eps={args.eps}",
@@ -202,6 +208,8 @@ def cmd_degree(args: argparse.Namespace) -> int:
 
 
 def cmd_conditions(args: argparse.Namespace) -> int:
+    from .chern import condition3_bound, h0_twisted_quotient, section_count_ld, section_count_syzygy
+
     _need("n", args.n, 2, MAX_n)
     N = _game_N(args.n, args.eps)
     h0 = h0_twisted_quotient(N)
@@ -260,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--validate", action=argparse.BooleanOptionalAction,
                    help="check every windowed move with the oracle (default: on)")
     p.set_defaults(validate=True)
-    p.add_argument("--emit", choices=render.EMIT_FORMATS,
+    p.add_argument("--emit", choices=_EMIT_FORMATS,
                    default="text", help="output format (default: text)")
 
     p = add("degree", cmd_degree, "branch-divisor degree, two independent ways")
@@ -282,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"flagchess: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MoveRefused as exc:
-        print(f"flagchess: refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
+from . import _EMIT_FORMATS as EMIT_FORMATS
 from .board import Board, Box, MoveRecord, Opaque, OracleCheck, SymBlock
 from .games import GameResult
 
@@ -373,9 +374,6 @@ def emit_latex(result: GameResult) -> list[str]:
     for name, board, count in result.phases:
         lines += [f"% phase: {name} (after {count} moves)", render_latex(board)]
     return lines + [f"% flag: {flag}" for flag in result.flags]
-
-
-EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
 
 def emit(result: GameResult, fmt: str) -> list[str]:

@@ -1,10 +1,11 @@
 """The package's public surface."""
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -23,20 +24,79 @@ from flagchess import (
 from flagchess.board import _questions
 
 
+# Each submodule and the public names the package takes from it.
+_PUBLIC = {
+    "board": "MOVES Board Box MoveRecord MoveRefused Opaque OracleCheck SymBlock apply_record "
+             "log_signature move_absorb move_gather_to_end move_global_twist move_opacify_boxes "
+             "move_orange_merge move_push_right move_rule1 move_rule2 move_serre_global "
+             "move_serre_translate move_transpose play",
+    "chern": "condition3_bound cover_degree h0_twisted_quotient section_count_ld "
+             "section_count_syzygy",
+    "games": "GameResult corrected_flip_board extract_gr2 initial_board_fibration "
+             "reference_residual_count replay run_game",
+    "oracle": "LemmaPoint LemmaReport check_lemma ext_on_M ext_on_flag hom_bundle koszul_terms",
+    "schur": "INDETERMINATE BundleDescriptor clebsch_gordan_rank2 dualize sym_cohomology "
+             "sym_cohomology_via_pushforward sym_filtration sym_resolution_step",
+    "weights": "CohomResult GradedDims Regularization Weight bwb_regularize canonical_fiber "
+               "euler_char graded_add graded_shift line_bundle_cohomology rho "
+               "simple_reflection weyl_dim",
+}
+
+
 def test_all_names_exactly_the_public_attributes():
-    public = {name for name, value in vars(flagchess).items()
-              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(flagchess.__all__) == len(set(flagchess.__all__))
-    assert set(flagchess.__all__) == public | {"__version__"}
+    assert len(flagchess.__all__) == len(set(flagchess.__all__)) == 63
+    names = {name: module for module, listed in _PUBLIC.items() for name in listed.split()}
+    assert set(flagchess.__all__) == set(names) | {"__version__"}
+    for name, module in names.items():
+        home = importlib.import_module(f"flagchess.{module}")
+        assert getattr(flagchess, name) is getattr(home, name)
+    assert flagchess.__version__ == "0.1.0"
+    namespace: dict = {}
+    exec("from flagchess import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(flagchess.__all__)
+    assert set(flagchess.__all__) <= set(dir(flagchess))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        flagchess.no_such_name  # noqa: B018
+
+
+# Each entry point, run in a fresh interpreter without site, and the
+# flagchess submodules it may load: only the layers it runs.
+_LEMMA_LAYERS = {"cli", "oracle", "schur", "weights"}
+_ENTRY_POINTS = [
+    ("import flagchess", set()),
+    ("import flagchess.cli", _LEMMA_LAYERS),
+    ("lemma --which A6 --n 3 --eps 0", _LEMMA_LAYERS),
+    ("ext --N 5 --space M --src 0,1,0 --tgt 1,-1,1", _LEMMA_LAYERS),
+    ("bwb --N 5 --x 1 --y 0", _LEMMA_LAYERS),
+    ("cohom --N 5 --m 2 --x 0 --y 0", _LEMMA_LAYERS),
+    ("game --n 2 --eps 1 --emit json", _LEMMA_LAYERS | {"board", "games", "render"}),
+    ("degree --n 2 --eps 1", _LEMMA_LAYERS | {"chern"}),
+    ("conditions --n 2 --eps 1", _LEMMA_LAYERS | {"chern"}),
+]
+
+
+def _modules_loaded_by(entry_point: str) -> set[str]:
+    if entry_point.startswith("import "):
+        script = entry_point
+    else:
+        argv = [*entry_point.split(), "--output", os.devnull]
+        script = f"import flagchess.cli; flagchess.cli.main({argv!r})"
+    script += "; import sys; print(sorted(sys.modules))"
+    src = str(Path(flagchess.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    return set(ast.literal_eval(proc.stdout))
 
 
 def test_the_cli_imports_without_dataclasses_or_inspect():
-    # a fresh interpreter without site, so that nothing but flagchess imports
-    script = "import sys, flagchess.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    src = str(Path(flagchess.__file__).resolve().parent.parent)
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+    for entry_point, layers in _ENTRY_POINTS:
+        loaded = _modules_loaded_by(entry_point)
+        assert not {"dataclasses", "inspect"} & loaded, entry_point
+        assert {m for m in loaded if m.startswith("flagchess")} == \
+            {"flagchess"} | {f"flagchess.{layer}" for layer in layers}, entry_point
+        # json is loaded by the renderer alone
+        assert ("json" in loaded) == ("render" in layers), entry_point
 
 
 _BOARD = Board(2, 1, (Box(0, 1, SymBlock(0)), Box(1, 1, Opaque())))
