@@ -28,7 +28,7 @@ EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
-# about 2 s and 16 s on a 2-core Xeon; the game's JSON document is about
+# about 2 s and 9 s on a 2-core Xeon; the game's JSON document is about
 # 0.65 MB and its peak memory about 40 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
@@ -108,15 +108,16 @@ def cmd_bwb(args: argparse.Namespace) -> int:
         raise UsageError(refusal)
     res = line_bundle_cohomology(args.N, args.x, args.y)
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
+    reg = bwb_regularize(start)
     lines = [f"line bundle O({args.x},{args.y}) on F(1,2,{args.N})",
              f"shifted weight: {start}"]
-    for idx, w in bwb_regularize(start).trace:
+    for idx, w in reg.trace:
         lines.append(f"  reflect {idx}: {w}")
     if res.vanishes:
         lines.append("result: 0 (singular shifted weight)")
     else:
         lines.append(f"result: H^{res.degree} of dimension {res.dim}, "
-                     f"dominant weight {res.dominant}")
+                     f"dominant weight {tuple(c - 1 for c in reg.weight)}")
     _write(lines, args.output)
     return EXIT_OK
 

@@ -9,9 +9,8 @@ The flag-level groups are cached on the (source, target) descriptor pair,
 whose tuple hash and equality run in C, and every answer is a fresh dict.
 A miss sums the summands of :func:`hom_bundle` in one dict, sorted once,
 each from ``sym_cohomology`` or, where that is Indeterminate, the pushforward.
-Lemma A4 is stated once, in :func:`_a4_point`, for both the sweep and, through
-the checking :func:`lemma_a4`, the board's moves; :func:`recorded` gives the
-one recorded form of an answer.
+Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
+the board's moves; :func:`recorded` gives the one recorded form of an answer.
 """
 
 from __future__ import annotations
@@ -136,19 +135,12 @@ def recorded(answer: GradedDims | _Indeterminate) -> tuple[tuple[int, int], ...]
     return "indeterminate" if answer is INDETERMINATE else tuple(sorted(answer.items()))
 
 
-def _a4_point(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
+def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
     """Lemma A4 at one point, for 0 <= r <= t-1: Ext_M(O(t,0), Sym^r U2v(-1,1))
     as (source, target, expected), expected C[-1] at r = t-1 and zero below.
     Unchecked: the caller has checked N (and r >= 0)."""
     return (tuple.__new__(BundleDescriptor, (0, t, 0, N)),
             tuple.__new__(BundleDescriptor, (r, -1, 1, N)), {1: 1} if r == t - 1 else {})
-
-
-def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
-    """:func:`_a4_point` with both descriptors checked as ``BundleDescriptor``
-    checks them: N < 3 is refused first, then r < 0."""
-    source, target, expected = _a4_point(t, r, N)
-    return BundleDescriptor(*source), BundleDescriptor(*target), expected
 
 
 def _sweep_point(params: dict[str, int], source: BundleDescriptor,
@@ -177,14 +169,12 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
     if lemma == "A4":
         for t in range(1, N - 2):
             for r in (t - 1, *range(min(t - 2, n - 1) + 1)):
-                points.append(_sweep_point({"t": t, "r": r}, *_a4_point(t, r, N)))
+                points.append(_sweep_point({"t": t, "r": r}, *lemma_a4(t, r, N)))
     elif lemma == "A5":
         for t in range(1, N - 2):
             for r in range(0, min(t - 1, n - 1) + 1):
-                points.append(_sweep_point(
-                    {"t": t, "r": r},
-                    new(BundleDescriptor, (r, -1, 1, N)), new(BundleDescriptor, (0, t, 0, N)), {},
-                ))
+                source, target, _ = lemma_a4(t, r, N)
+                points.append(_sweep_point({"t": t, "r": r}, target, source, {}))
     elif lemma == "A6":
         for r in range(0, n - 1):
             for m in range(0, r + 1):

@@ -10,11 +10,11 @@ its cohomology to line bundles:
   conclusions are always sound; when surviving pieces sit in adjacent degrees
   the long exact sequences could cancel them, so the result is Indeterminate.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
-  degrees.  It reads each cached Bott answer as (degree, _, dim), and returns
+  degrees.  It reads each cached Bott answer as (degree, dim), and returns
   at once when fewer than two degrees survive, as none can then be adjacent.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
-  expands by rank-2 Clebsch-Gordan, and finishes with Bott on G(2,N) through
+  expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through
   the uncached ``weights._line_bundle``.  Always determinate; agrees with
   the filtration route whenever that is determinate.
 """
@@ -102,7 +102,7 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     N = d.N
     out: GradedDims = {}
     for (px, py) in sym_filtration(d):
-        degree, _, dim = line_bundle_cohomology(N, px, py)
+        degree, dim = line_bundle_cohomology(N, px, py)
         if degree is not None:
             out[degree] = out.get(degree, 0) + dim
     if len(out) < 2:
@@ -124,16 +124,10 @@ def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
     m, x, y, N = d
     if x == -1:
         return {}
-    if x >= 0:
-        pieces = [(m + x - 2 * i, y + i) for i in range(min(m, x) + 1)]
-        shift = 0
-    else:
-        s = -x - 2
-        pieces = [(m + s - 2 * i, y + x + 1 + i) for i in range(min(m, s) + 1)]
-        shift = 1
+    s, q, shift = (x, y, 0) if x >= 0 else (-x - 2, y + x + 1, 1)
     total: GradedDims = {}
-    for (p, q) in pieces:
-        degree, _, dim = _line_bundle(N, p, q)
+    for p, j in clebsch_gordan_rank2(m, s):
+        degree, dim = _line_bundle(N, p, q + j)
         if degree is not None:
             total[degree + shift] = total.get(degree + shift, 0) + dim
     return dict(sorted(total.items()))

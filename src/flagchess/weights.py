@@ -9,16 +9,16 @@ Line-bundle cohomology uses Bott's theorem in its sorting form (Demazure,
 "A very simple proof of Bott's theorem", Invent. Math. 33, 1976).  In
 partition coordinates the Weyl group permutes the entries of lambda+rho, so
 the weight is singular exactly when two entries agree, the cohomological
-degree is the number of inversions, and the dominant weight is the
-descending sort minus rho.  For O(x, y) only the first two of the N entries
-vary, so the degree and the Weyl dimension cost O(N) integer arithmetic,
-with one exact integer division.  ``_game_N`` is the one (n, eps) rule,
-and ``_flag_N`` the one N >= 3 refusal.
+degree is the number of inversions.  For O(x, y) only the first two of the
+N entries vary, so the degree and the Weyl dimension cost O(N) integer
+arithmetic, with one exact integer division and no sort.  ``_game_N`` is
+the one (n, eps) rule, and ``_flag_N`` the one N >= 3 refusal.
 
 ``bwb_regularize`` is the dotted Weyl action done by reflections: add rho,
 then repeatedly reflect the smallest-index negative coordinate.  It gives the
-reflection trace that the ``bwb`` command prints and serves as an
-independent cross-check of the sorting form.
+reflection trace that the ``bwb`` command prints, and the dominant weight
+where that trace ends; it also serves as an independent cross-check of the
+sorting form.
 """
 
 from __future__ import annotations
@@ -137,12 +137,11 @@ def _suffix_sums(w: Weight) -> tuple[int, ...]:
 class CohomResult(NamedTuple):
     """Cohomology of one line bundle: either vanishing or a single H^degree.
 
-    ``degree is None`` encodes the vanishing variant; otherwise ``dominant``
-    is the dominant weight of the resulting irrep and ``dim`` its dimension.
+    ``degree is None`` encodes the vanishing variant; otherwise ``dim`` is
+    the dimension of the resulting irrep.
     """
 
     degree: int | None
-    dominant: Weight | None
     dim: int
 
     @property
@@ -171,19 +170,17 @@ def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     _flag_N(N)
     a, b = x + y + N - 1, y + N - 2
     if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
-        return CohomResult(None, None, 0)
+        return CohomResult(None, 0)
     # a and b each sit above or below the whole tail; below it they invert
     # with all N-2 of its entries.
     degree = (a < b) + (N - 2) * ((a < 0) + (b < 0))
-    entries = sorted((a, b, *range(N - 3, -1, -1)), reverse=True)
-    dom = tuple(entries[i] - entries[i + 1] - 1 for i in range(N - 1))
     # Weyl's product over pairs of entries: the pairs inside the tail cancel
     # against the denominator, leaving (N-2)! (N-1)! below.
     num = abs(a - b) * _tail_product(a, N) * _tail_product(b, N)
     dim, rem = divmod(num, factorial(N - 2) * factorial(N - 1))
     if rem:
         raise AssertionError(f"Weyl product of O({x},{y}) on F(1,2,{N}) is not an integer")
-    return CohomResult(degree, dom, dim)
+    return CohomResult(degree, dim)
 
 
 def _tail_product(a: int, N: int) -> int:

@@ -19,6 +19,7 @@ from flagchess import (
     MOVES,
     Board,
     Box,
+    BundleDescriptor,
     MoveRecord,
     MoveRefused,
     Opaque,
@@ -734,6 +735,26 @@ class TestOracleQuestions:
         monkeypatch.undo()
         _, again = move()  # the kept questions hold no answer
         assert again.oracle == warm.oracle
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("n, eps", [(n, eps) for n in range(2, 9) for eps in (0, 1)])
+    def test_every_question_asks_about_valid_descriptors(self, monkeypatch, n, eps, mode):
+        """The questions are built unchecked, so each source and target of a
+        validated game must already be what ``BundleDescriptor`` would build."""
+        built = board_module._questions
+        asked = []
+
+        def recording(kind, *key):
+            questions = built(kind, *key)
+            asked.extend(questions[0])
+            return questions
+
+        monkeypatch.setattr(board_module, "_questions", recording)
+        run_game(n, eps, mode=mode, validate=True)
+        assert asked
+        for source, target, *_ in asked:
+            for d in (source, target):
+                assert type(d) is BundleDescriptor and BundleDescriptor(*d) == d
 
     def test_a_validated_n8_even_game_asks_the_oracle_for_every_check(self, monkeypatch):
         calls = 0

@@ -73,6 +73,9 @@ GOLDEN = {
         (0, "487ab5732f100ac8e90d318792a9ae8f510ba81d0571082d1b9caf0ec7f5c9b6"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
+    # 200 reflections down to H^200 at the N bound: pins the printed dominant weight
+    "bwb --N 201 --x -210 --y 5":
+        (0, "d7f16c7bed7961a396efecb2c23687611701c827739958b52897095b6e74ae51"),
     "cohom --N 5 --m 2 --x -1 --y 1":
         (2, "7e1c305f098606eef03841f69695d80645ca7a644c543735c05e4b7b670de4a6"),
     "ext --N 5 --space M --src 0,2,0 --tgt 1,-1,1":
