@@ -7,8 +7,10 @@ the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
 The flag-level groups are cached on the (source, target) descriptor pair,
 whose tuple hash and equality run in C, and every answer is a fresh dict.
-A miss sums the summands of :func:`hom_bundle` in one dict, sorted once,
-each from ``sym_cohomology`` or, where that is Indeterminate, the pushforward.
+A miss takes each summand of :func:`hom_bundle` from ``sym_cohomology`` or,
+where that is Indeterminate, the pushforward.  A single summand's answer,
+already sorted, is the answer (every A4 and A5 point has one); several are
+summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
 the board's moves; :func:`recorded` gives the one recorded form of an answer.
 """
@@ -49,11 +51,14 @@ def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> G
     """Ext_F(source, target): the filtration decides each summand it can,
     and the exact pushforward settles those it leaves Indeterminate (the two
     agree on all determinate inputs, which is property-tested)."""
+    summands = hom_bundle(source, target)
     total: GradedDims = {}
-    for summand in hom_bundle(source, target):
+    for summand in summands:
         answer = sym_cohomology(summand)
         if answer is INDETERMINATE:
             answer = sym_cohomology_via_pushforward(summand)
+        if len(summands) == 1:
+            return answer  # both evaluators return their degrees sorted
         for degree, dim in answer.items():
             total[degree] = total.get(degree, 0) + dim
     return dict(sorted(total.items()))
@@ -132,7 +137,9 @@ class LemmaReport(NamedTuple):
 
 def recorded(answer: GradedDims | _Indeterminate) -> tuple[tuple[int, int], ...] | str:
     """An Ext answer as recorded: sorted (degree, dim) pairs, or "indeterminate"."""
-    return "indeterminate" if answer is INDETERMINATE else tuple(sorted(answer.items()))
+    if answer is INDETERMINATE:
+        return "indeterminate"
+    return tuple(sorted(answer.items())) if answer else ()
 
 
 def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
@@ -143,12 +150,12 @@ def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor
             tuple.__new__(BundleDescriptor, (r, -1, 1, N)), {1: 1} if r == t - 1 else {})
 
 
-def _sweep_point(params: dict[str, int], source: BundleDescriptor,
+def _sweep_point(params: tuple[tuple[str, int], ...], source: BundleDescriptor,
                  target: BundleDescriptor, expected: GradedDims) -> LemmaPoint:
     computed, wanted = recorded(ext_on_M(source, target)), recorded(expected)
     verdict = ("indeterminate" if computed == "indeterminate"
                else "match" if computed == wanted else "mismatch")
-    return LemmaPoint(tuple(params.items()), wanted, computed, verdict)
+    return LemmaPoint(params, wanted, computed, verdict)
 
 
 def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
@@ -169,17 +176,17 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
     if lemma == "A4":
         for t in range(1, N - 2):
             for r in (t - 1, *range(min(t - 2, n - 1) + 1)):
-                points.append(_sweep_point({"t": t, "r": r}, *lemma_a4(t, r, N)))
+                points.append(_sweep_point((("t", t), ("r", r)), *lemma_a4(t, r, N)))
     elif lemma == "A5":
         for t in range(1, N - 2):
             for r in range(0, min(t - 1, n - 1) + 1):
                 source, target, _ = lemma_a4(t, r, N)
-                points.append(_sweep_point({"t": t, "r": r}, target, source, {}))
+                points.append(_sweep_point((("t", t), ("r", r)), target, source, {}))
     elif lemma == "A6":
         for r in range(0, n - 1):
             for m in range(0, r + 1):
                 points.append(_sweep_point(
-                    {"m": m, "r": r},
+                    (("m", m), ("r", r)),
                     new(BundleDescriptor, (m, 0, 0, N)), new(BundleDescriptor, (r, -1, 1, N)), {},
                 ))
     else:

@@ -10,8 +10,10 @@ its cohomology to line bundles:
   conclusions are always sound; when surviving pieces sit in adjacent degrees
   the long exact sequences could cancel them, so the result is Indeterminate.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
-  degrees.  It reads each cached Bott answer as (degree, dim), and returns
-  at once when fewer than two degrees survive, as none can then be adjacent.
+  degrees.  It maps the cached Bott lookup over the pieces' two coordinate
+  ranges (stated once, for it and ``sym_filtration``), so no list of pieces
+  is built; it reads each answer as (degree, dim), and returns at once when
+  fewer than two degrees survive, as none can then be adjacent.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through
@@ -22,6 +24,7 @@ its cohomology to line bundles:
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 
 from .weights import GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
@@ -62,10 +65,15 @@ class _Indeterminate:
 INDETERMINATE = _Indeterminate()
 
 
+def _filtration_ranges(m: int, x: int, y: int) -> tuple[range, range]:
+    """The x and the y coordinates of ``sym_filtration``'s pieces, in its order."""
+    return range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)
+
+
 def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
     """Line-bundle graded pieces of d, sub-most first: (x+m-2j, y+j), j=m..0."""
     m, x, y, _ = d
-    return list(zip(range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)))
+    return list(zip(*_filtration_ranges(m, x, y)))
 
 
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
@@ -99,16 +107,16 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     degrees are adjacent the filtration's long exact sequences could connect
     them, so the result is INDETERMINATE.  Total vanishing is always sound.
     """
-    N = d.N
+    m, x, y, N = d
     out: GradedDims = {}
-    for (px, py) in sym_filtration(d):
-        degree, dim = line_bundle_cohomology(N, px, py)
+    for degree, dim in map(line_bundle_cohomology, repeat(N), *_filtration_ranges(m, x, y)):
         if degree is not None:
             out[degree] = out.get(degree, 0) + dim
     if len(out) < 2:
         return out
-    if any(k + 1 in out for k in out):
-        return INDETERMINATE
+    for degree in out:
+        if degree + 1 in out:
+            return INDETERMINATE
     return dict(sorted(out.items()))
 
 

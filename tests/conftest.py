@@ -1,9 +1,23 @@
 """Shared fixtures: cached game runs and the acceptance summary printer."""
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from flagchess import GameResult, run_game
+
+# When a property test fails, hypothesis imports hypothesis.extra._patching,
+# whose libcst import warns DeprecationWarning (mypy_extensions.TypedDict).
+# Under -W error that warning ends the run in INTERNALERROR without naming
+# the test, so the module is imported once here with that warning ignored;
+# -W error holds everywhere else.  Without libcst there is nothing to import.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 _GAMES: dict[tuple, GameResult] = {}
 

@@ -13,8 +13,8 @@ import random
 
 import pytest
 
-from flagchess import (MOVES, Board, Box, BundleDescriptor, MoveRefused, Opaque, SymBlock,
-                       apply_record, ext_on_flag, ext_on_M, play)
+from flagchess import (INDETERMINATE, MOVES, Board, Box, BundleDescriptor, MoveRefused, Opaque,
+                       SymBlock, apply_record, ext_on_flag, ext_on_M, play)
 from flagchess.cli import main
 from flagchess.oracle import recorded
 
@@ -270,12 +270,28 @@ def test_move_outcomes_are_pinned(game):
 EXT_ANSWERS = (9000, "8fb3ea3adce1ee34070c1e9ed77eafd77656e1d8778edf5efe88a24d85a420d2")
 
 
-def test_ext_answers_are_pinned():
-    h, calls = hashlib.sha256(), 0
+def ext_grid():
     for N, sm, (sx, sy), tm, tx, ty in itertools.product(
             (4, 5, 7, 13, 29), range(5), ((0, 0), (2, -1)), range(5), range(-3, 3), range(-3, 3)):
-        source, target = BundleDescriptor(sm, sx, sy, N), BundleDescriptor(tm, tx, ty, N)
+        yield BundleDescriptor(sm, sx, sy, N), BundleDescriptor(tm, tx, ty, N)
+
+
+def test_ext_answers_are_pinned():
+    h, calls = hashlib.sha256(), 0
+    for source, target in ext_grid():
         answers = recorded(ext_on_flag(source, target)), recorded(ext_on_M(source, target))
         h.update(f"{tuple(source)} {tuple(target)} {answers}\n".encode())
         calls += 1
     assert (calls, h.hexdigest()) == EXT_ANSWERS
+
+
+def test_ext_answers_come_sorted():
+    # The digest sorts each answer through recorded, so it cannot see an
+    # answer whose degrees come out of order; this checks them as returned.
+    for source, target in ext_grid():
+        for answer in (ext_on_flag(source, target), ext_on_M(source, target)):
+            if answer is INDETERMINATE:
+                continue
+            degrees = list(answer)
+            assert all(a < b for a, b in zip(degrees, degrees[1:])), (source, target, answer)
+            assert all(dim > 0 for dim in answer.values()), (source, target, answer)

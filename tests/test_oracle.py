@@ -212,6 +212,44 @@ class TestCheckLemma:
         assert report.indeterminates == by_verdict["indeterminate"]
         assert report.passed == (by_verdict["match"] == report.total)
 
+    @pytest.mark.parametrize("answer, verdicts", [
+        ({1: 1}, ("match", "match", "mismatch")),
+        ({3: 1, 0: 2}, ("mismatch",) * 3),
+        (INDETERMINATE, ("indeterminate",) * 3),
+    ])
+    def test_verdicts_follow_a_replaced_oracle(self, monkeypatch, answer, verdicts):
+        # A4 at n = 2, eps = 1 expects C[-1], C[-1] and zero at its three points
+        monkeypatch.setattr(oracle_module, "ext_on_M",
+                            lambda source, target: answer if answer is INDETERMINATE else dict(answer))
+        report = check_lemma("A4", 2, 1)
+        assert [p.params for p in report.points] == [
+            (("t", 1), ("r", 0)), (("t", 2), ("r", 1)), (("t", 2), ("r", 0))]
+        for point in report.points:
+            (_, t), (_, r) = point.params
+            assert point.expected == recorded(lemma_a4(t, r, 5)[2])
+            assert point.computed == recorded(answer)
+        assert tuple(p.verdict for p in report.points) == verdicts
+        assert report.mismatches == verdicts.count("mismatch")
+        assert report.indeterminates == verdicts.count("indeterminate")
+        assert not report.passed
+
+    @pytest.mark.parametrize("lemma, params", [
+        ("A5", [(("t", t), ("r", r)) for t in range(1, 5) for r in range(min(t - 1, 2) + 1)]),
+        ("A6", [(("m", m), ("r", r)) for r in range(2) for m in range(r + 1)]),
+    ])
+    def test_a_wrong_oracle_fails_the_vanishing_lemmas(self, monkeypatch, lemma, params):
+        monkeypatch.setattr(oracle_module, "ext_on_M", lambda source, target: {2: 1})
+        report = check_lemma(lemma, 3, 1)
+        assert [p.params for p in report.points] == params
+        assert all((p.expected, p.computed, p.verdict) == ((), ((2, 1),), "mismatch")
+                   for p in report.points)
+        assert (report.mismatches, report.indeterminates, report.passed) == (len(params), 0, False)
+        monkeypatch.setattr(oracle_module, "ext_on_M", lambda source, target: INDETERMINATE)
+        report = check_lemma(lemma, 3, 1)
+        assert all((p.expected, p.computed, p.verdict) == ((), "indeterminate", "indeterminate")
+                   for p in report.points)
+        assert (report.mismatches, report.indeterminates, report.passed) == (0, len(params), False)
+
     def test_the_full_sweep_does_pinned_work_from_cold_caches(self):
         # A4-A6 at n = 2..14, both parities, in a fresh interpreter, so that
         # every point is a cold miss of the Ext-on-F cache
