@@ -27,8 +27,7 @@ _HOME = {name: module for module, names in (
     ("schur", "INDETERMINATE BundleDescriptor clebsch_gordan_rank2 dualize sym_cohomology "
               "sym_cohomology_via_pushforward sym_filtration sym_resolution_step"),
     ("weights", "CohomResult GradedDims Regularization Weight bwb_regularize canonical_fiber "
-                "euler_char graded_add graded_shift line_bundle_cohomology rho "
-                "simple_reflection weyl_dim"),
+                "euler_char line_bundle_cohomology rho simple_reflection weyl_dim"),
 ) for name in names.split()}
 
 # The game's --emit formats, stated here so that the CLI can offer them

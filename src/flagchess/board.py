@@ -44,9 +44,9 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
-from .oracle import ext_on_M, lemma_a4, recorded
-from .schur import BundleDescriptor
-from .weights import GradedDims, _game_N
+from .oracle import ext_on_M, lemma_a4
+from .schur import INDETERMINATE, BundleDescriptor
+from .weights import _game_N
 
 
 class _Content(tuple):
@@ -193,15 +193,15 @@ class MoveRefused(RuntimeError):
         self.check = check
 
 
-Question = tuple[BundleDescriptor, BundleDescriptor, GradedDims, OracleCheck]
+Question = tuple[BundleDescriptor, BundleDescriptor, OracleCheck]
 Questions = tuple[tuple[Question, ...], tuple[OracleCheck, ...]]
 
 
 @lru_cache(maxsize=None)
 def _questions(kind: str, *key: int) -> Questions:
     """A windowed move shape's Ext_M requirements, built once per key: each
-    as (source, target, expected answer, the check recorded when the oracle
-    agrees), and the move's whole passing transcript as one tuple.
+    as (source, target, the check recorded when the oracle gives the
+    expected answer), and the move's whole passing transcript as one tuple.
 
     transpose (lm, rm, dx, dy, N): no Ext from the left block to the right
     one at relative twist (dx, dy).  absorb (t, N): lemma A4 at (t, t-1).
@@ -214,7 +214,7 @@ def _questions(kind: str, *key: int) -> Questions:
     """
     if kind == "transpose":
         lm, rm, dx, dy, N = key
-        wanted = [(BundleDescriptor(lm, 0, 0, N), BundleDescriptor(rm, dx, dy, N), {})]
+        wanted = [(BundleDescriptor(lm, 0, 0, N), BundleDescriptor(rm, dx, dy, N), ())]
     elif kind == "absorb":
         t, N = key
         wanted = [lemma_a4(t, t - 1, N)]
@@ -223,11 +223,10 @@ def _questions(kind: str, *key: int) -> Questions:
         grades = range(r) if kind == "rule1" else range(r - 1)
         wanted = [lemma_a4(t, m, N) for m in grades for t in (*range(m + 2, span + 1), m + 1)]
         if kind == "rule1":
-            wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), {})
+            wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), ())
                        for m in grades for back in range(1, m + 1)]
-    asked = tuple((src, tgt, expected,
-                   OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
-                               recorded(expected), recorded(expected)))
+    asked = tuple((src, tgt, OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
+                                         expected, expected))
                   for src, tgt, expected in wanted)
     return asked, tuple(passed for *_, passed in asked)
 
@@ -237,13 +236,12 @@ def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
     expected one by value; refuse at the first that differs, else return
     the shared passing transcript."""
     asked, transcript = questions
-    for source, target, expected, passed in asked:
+    for source, target, passed in asked:
         answer = ext_on_M(source, target)
-        if answer != expected:
-            got = recorded(answer)
-            check = passed._replace(got=got)
-            reason = ("oracle indeterminate" if got == "indeterminate"
-                      else f"oracle expected {check.expected} but got {got}")
+        if answer != passed.expected:
+            check = passed._replace(got=answer)
+            reason = ("oracle indeterminate" if answer == INDETERMINATE
+                      else f"oracle expected {check.expected} but got {answer}")
             raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
     return transcript
 

@@ -75,10 +75,8 @@ def _twist_refusal(x: int, y: int) -> str | None:
 
 def _fmt_graded(g) -> str:
     if g is INDETERMINATE:
-        return "indeterminate"
-    if not g:
-        return "0"
-    return ", ".join(f"h^{k} = {v}" for k, v in sorted(g.items()))
+        return g
+    return ", ".join(f"h^{k} = {v}" for k, v in g) or "0"
 
 
 def _write(lines: list[str], output: str | None) -> None:

@@ -6,13 +6,15 @@ relative twist.  Ext on M is computed through the Koszul two-term complex of
 the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
 The flag-level groups are cached on the (source, target) descriptor pair,
-whose tuple hash and equality run in C, and every answer is a fresh dict.
-A miss takes each summand of :func:`hom_bundle` from ``sym_cohomology`` or,
-where that is Indeterminate, the pushforward.  A single summand's answer,
-already sorted, is the answer (every A4 and A5 point has one); several are
-summed in one dict, sorted once.
+whose tuple hash and equality run in C.  Every answer is a tuple of sorted
+(degree, dim) pairs (``weights.GradedDims``) or ``INDETERMINATE``, the form
+that records and documents hold too, so the cached answer itself is handed
+out.  A miss takes each summand of :func:`hom_bundle` from
+``sym_cohomology`` or, where that is indeterminate, the pushforward.  A
+single summand's answer is the answer (every A4 and A5 point has one);
+several are summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
-the board's moves; :func:`recorded` gives the one recorded form of an answer.
+the board's moves.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from typing import NamedTuple
 from .schur import (
     INDETERMINATE,
     BundleDescriptor,
-    _Indeterminate,
     clebsch_gordan_rank2,
     dualize,
     sym_cohomology,
     sym_cohomology_via_pushforward,
 )
-from .weights import GradedDims, _game_N, graded_add, graded_shift
+from .weights import GradedDims, _game_N
 
 def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
@@ -49,25 +50,24 @@ def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[Bundl
 @lru_cache(maxsize=None)
 def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
     """Ext_F(source, target): the filtration decides each summand it can,
-    and the exact pushforward settles those it leaves Indeterminate (the two
+    and the exact pushforward settles those it leaves indeterminate (the two
     agree on all determinate inputs, which is property-tested)."""
     summands = hom_bundle(source, target)
-    total: GradedDims = {}
+    total: dict[int, int] = {}
     for summand in summands:
         answer = sym_cohomology(summand)
         if answer is INDETERMINATE:
             answer = sym_cohomology_via_pushforward(summand)
         if len(summands) == 1:
             return answer  # both evaluators return their degrees sorted
-        for degree, dim in answer.items():
+        for degree, dim in answer:
             total[degree] = total.get(degree, 0) + dim
-    return dict(sorted(total.items()))
+    return tuple(sorted(total.items()))
 
 
 def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
-    """Ext^*_{F(1,2,N)}(source, target) as a graded dimension dict: a copy,
-    so a caller that changes it leaves the cached group as it was."""
-    return dict(_ext_on_flag_cached(source, target))
+    """Ext^*_{F(1,2,N)}(source, target) as sorted (degree, dim) pairs."""
+    return _ext_on_flag_cached(source, target)
 
 
 def koszul_terms(source: BundleDescriptor,
@@ -76,37 +76,36 @@ def koszul_terms(source: BundleDescriptor,
 
     A = Ext_F(source, target(-1,-1)) and B = Ext_F(source, target).
     """
-    return ext_on_flag(source, target.twist(-1, -1)), ext_on_flag(source, target)
+    m, x, y, N = target
+    return (ext_on_flag(source, tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N))),
+            ext_on_flag(source, target))
 
 
-def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims | _Indeterminate:
+def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims | str:
     """Ext^*_M(source, target) from the Koszul two-term complex.
 
     With A, B as in :func:`koszul_terms` the long exact sequence gives
     Ext^k_M = B_k + A_{k+1} whenever no connecting map can be nonzero; the
     engine forces the answer only when the supports of A and B never differ
-    by 0 or 1, and otherwise reports INDETERMINATE.
+    by 0 or 1, and otherwise reports INDETERMINATE.  Past that test the
+    degrees of B and of A shifted down by one are disjoint.
     """
-    m, x, y, N = target
-    A = ext_on_flag(source, tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N)))
-    B = ext_on_flag(source, target)
+    A, B = koszul_terms(source, target)
     if not A:
         return B
-    if not B:
-        return graded_shift(A, -1)
-    for a in A:
-        for b in B:
+    for a, _ in A:
+        for b, _ in B:
             if abs(a - b) <= 1:
                 return INDETERMINATE
-    return graded_add(B, graded_shift(A, -1))
+    return tuple(sorted(B + tuple((a - 1, dim) for a, dim in A)))
 
 
 class LemmaPoint(NamedTuple):
     """One grid point of a lemma sweep."""
 
     params: tuple[tuple[str, int], ...]
-    expected: tuple[tuple[int, int], ...]
-    computed: tuple[tuple[int, int], ...] | str
+    expected: GradedDims
+    computed: GradedDims | str
     verdict: str  # "match" | "mismatch" | "indeterminate"
 
 
@@ -135,27 +134,20 @@ class LemmaReport(NamedTuple):
         return self.mismatches == 0 and self.indeterminates == 0
 
 
-def recorded(answer: GradedDims | _Indeterminate) -> tuple[tuple[int, int], ...] | str:
-    """An Ext answer as recorded: sorted (degree, dim) pairs, or "indeterminate"."""
-    if answer is INDETERMINATE:
-        return "indeterminate"
-    return tuple(sorted(answer.items())) if answer else ()
-
-
 def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, GradedDims]:
     """Lemma A4 at one point, for 0 <= r <= t-1: Ext_M(O(t,0), Sym^r U2v(-1,1))
     as (source, target, expected), expected C[-1] at r = t-1 and zero below.
     Unchecked: the caller has checked N (and r >= 0)."""
     return (tuple.__new__(BundleDescriptor, (0, t, 0, N)),
-            tuple.__new__(BundleDescriptor, (r, -1, 1, N)), {1: 1} if r == t - 1 else {})
+            tuple.__new__(BundleDescriptor, (r, -1, 1, N)), ((1, 1),) if r == t - 1 else ())
 
 
 def _sweep_point(params: tuple[tuple[str, int], ...], source: BundleDescriptor,
                  target: BundleDescriptor, expected: GradedDims) -> LemmaPoint:
-    computed, wanted = recorded(ext_on_M(source, target)), recorded(expected)
-    verdict = ("indeterminate" if computed == "indeterminate"
-               else "match" if computed == wanted else "mismatch")
-    return LemmaPoint(params, wanted, computed, verdict)
+    computed = ext_on_M(source, target)
+    verdict = ("indeterminate" if computed == INDETERMINATE
+               else "match" if computed == expected else "mismatch")
+    return LemmaPoint(params, expected, computed, verdict)
 
 
 def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
@@ -181,13 +173,13 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
         for t in range(1, N - 2):
             for r in range(0, min(t - 1, n - 1) + 1):
                 source, target, _ = lemma_a4(t, r, N)
-                points.append(_sweep_point((("t", t), ("r", r)), target, source, {}))
+                points.append(_sweep_point((("t", t), ("r", r)), target, source, ()))
     elif lemma == "A6":
         for r in range(0, n - 1):
             for m in range(0, r + 1):
                 points.append(_sweep_point(
                     (("m", m), ("r", r)),
-                    new(BundleDescriptor, (m, 0, 0, N)), new(BundleDescriptor, (r, -1, 1, N)), {},
+                    new(BundleDescriptor, (m, 0, 0, N)), new(BundleDescriptor, (r, -1, 1, N)), (),
                 ))
     else:
         raise ValueError(f"unknown lemma {lemma!r}; expected A4, A5 or A6")

@@ -82,6 +82,12 @@ def box_to_dict(box: Box) -> dict:
     return {"x": box.x, "y": box.y, "content": content}
 
 
+def _list(value: Any, name: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _int_at_least(value: Any, low: int, name: str) -> int:
     if type(value) is not int or value < low:
         raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
@@ -117,9 +123,10 @@ def _check_from_dict(d: dict) -> OracleCheck:
             raise ValueError(f"oracle source and target must be three ints, got {end!r}")
     if d["space"] != "M":
         raise ValueError(f"oracle space must be M, got {d['space']!r}")
-    got = d["got"] if isinstance(d["got"], str) else tuple(tuple(p) for p in d["got"])
+    got = (d["got"] if isinstance(d["got"], str)
+           else tuple(tuple(p) for p in _list(d["got"], "oracle got")))
     check = OracleCheck(tuple(d["source"]), tuple(d["target"]), "M",
-                        tuple(tuple(p) for p in d["expected"]), got)
+                        tuple(tuple(p) for p in _list(d["expected"], "oracle expected")), got)
     if d["ok"] is not check.ok:
         raise ValueError(f"oracle ok is {d['ok']!r} but got {check.got} "
                          f"against expected {check.expected}")
@@ -185,7 +192,7 @@ def _move_from_dict(d: dict, copies: int, oracle: tuple[OracleCheck, ...]) -> Mo
             raise ValueError(f"move {key} is {d[key]!r} but the boards hold {copies} copies")
     return MoveRecord(
         d["kind"],
-        tuple(tuple(p) for p in d["positions"]),
+        tuple(tuple(p) for p in _list(d["positions"], "move positions")),
         tuple(d["params"].items()),
         oracle,
         "applied",
@@ -255,6 +262,9 @@ def parse_game_result(text: str) -> GameResult:
     A document that is not valid JSON or lacks the expected structure
     raises ``ValueError``, and so does one holding any of these (a bool is
     never taken for an int):
+    - a ``moves``, a board's or ``gr2``'s ``boxes``, a move's ``positions``
+      or a check's ``expected`` that is not a list, or a check's ``got``
+      that is neither a list nor a string;
     - an ``n`` that is not an int >= 2, an ``eps`` other than 0 or 1, a
       ``mode`` other than ``fibration`` or ``flip``, or ``flags`` that are
       not a list of strings;
@@ -269,9 +279,9 @@ def parse_game_result(text: str) -> GameResult:
       ``got == expected`` or is false (a failed or indeterminate check
       refuses its move, so an applied move holds none), or whose
       ``expected`` or ``got`` is not a list of ``[degree, dim]`` int pairs
-      with degrees strictly increasing and every dim >= 1, the form
-      ``oracle.recorded`` writes; each check object is validated once,
-      where it is written;
+      with degrees strictly increasing and every dim >= 1, the one form of
+      an oracle answer (``weights.GradedDims``); each check object is
+      validated once, where it is written;
     - in version 2, an oracle reference that is not an int, is negative,
       names a check not yet defined, or names a transcript of this or a
       later move or of a move whose own ``oracle`` is not a list; in
@@ -306,7 +316,7 @@ def _game_result_from_dict(d: dict) -> GameResult:
     if initial.copies != final.copies:
         raise ValueError(f"initial board holds {initial.copies} copies "
                          f"but the final board holds {final.copies}")
-    gr2_boxes = tuple(_box_from_dict(b) for b in d["gr2"]["boxes"])
+    gr2_boxes = tuple(_box_from_dict(b) for b in _list(d["gr2"]["boxes"], "gr2.boxes"))
     for b in gr2_boxes:
         if final.at(b.pos) != b:
             raise ValueError(f"gr2 box at {b.pos} is not on the final board")
@@ -315,16 +325,17 @@ def _game_result_from_dict(d: dict) -> GameResult:
     found = d["gr2"]["found"]
     if type(found) is not bool or found != bool(gr2_boxes):
         raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")
+    moves = _list(d["moves"], "moves")
     return GameResult(
         n, eps, mode, initial, final,
         tuple(_move_from_dict(m, initial.copies, oracle)
-              for m, oracle in zip(d["moves"], _transcripts(d["moves"], version))),
+              for m, oracle in zip(moves, _transcripts(moves, version))),
         gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
     )
 
 
 def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:
-    board = Board(n, eps, tuple(_box_from_dict(b) for b in d["boxes"]))
+    board = Board(n, eps, tuple(_box_from_dict(b) for b in _list(d["boxes"], f"{name}.boxes")))
     if type(d["copies"]) is not int or d["copies"] != board.copies:
         raise ValueError(f"{name}.copies is {d['copies']!r} but its boxes "
                          f"hold {board.copies} copies")

@@ -8,7 +8,7 @@ its cohomology to line bundles:
 * ``sym_cohomology`` filters Sym^m U2v by the m+1 line bundles coming from the
   tautological sequence 0 -> O(h2-h1) -> U2v -> O(h1) -> 0.  Vanishing
   conclusions are always sound; when surviving pieces sit in adjacent degrees
-  the long exact sequences could cancel them, so the result is Indeterminate.
+  the long exact sequences could cancel them, so the result is INDETERMINATE.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
   degrees.  It maps the cached Bott lookup over the pieces' two coordinate
   ranges (stated once, for it and ``sym_filtration``), so no list of pieces
@@ -45,24 +45,9 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
         return tuple.__new__(BundleDescriptor, (m, x + dx, y + dy, N))
 
 
-class _Indeterminate:
-    """Singleton verdict: the filtration's long exact sequences might cancel."""
-
-    _instance: _Indeterminate | None = None
-
-    def __new__(cls) -> _Indeterminate:
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Indeterminate"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-INDETERMINATE = _Indeterminate()
+# The verdict when the filtration's long exact sequences might cancel; it is
+# truthy, so test it with ``is`` (or ``==`` on a parsed value), never ``not``.
+INDETERMINATE = "indeterminate"
 
 
 def _filtration_ranges(m: int, x: int, y: int) -> tuple[range, range]:
@@ -100,7 +85,7 @@ def dualize(d: BundleDescriptor) -> BundleDescriptor:
     return tuple.__new__(BundleDescriptor, (m, -x, -y - m, N))
 
 
-def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
+def sym_cohomology(d: BundleDescriptor) -> GradedDims | str:
     """Cohomology of d via the line-bundle filtration.
 
     Sums the surviving pieces by degree in one pass; when two surviving
@@ -108,16 +93,16 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | _Indeterminate:
     them, so the result is INDETERMINATE.  Total vanishing is always sound.
     """
     m, x, y, N = d
-    out: GradedDims = {}
+    out: dict[int, int] = {}
     for degree, dim in map(line_bundle_cohomology, repeat(N), *_filtration_ranges(m, x, y)):
         if degree is not None:
             out[degree] = out.get(degree, 0) + dim
     if len(out) < 2:
-        return out
+        return tuple(out.items())
     for degree in out:
         if degree + 1 in out:
             return INDETERMINATE
-    return dict(sorted(out.items()))
+    return tuple(sorted(out.items()))
 
 
 def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
@@ -131,11 +116,11 @@ def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
     """
     m, x, y, N = d
     if x == -1:
-        return {}
+        return ()
     s, q, shift = (x, y, 0) if x >= 0 else (-x - 2, y + x + 1, 1)
-    total: GradedDims = {}
+    total: dict[int, int] = {}
     for p, j in clebsch_gordan_rank2(m, s):
         degree, dim = _line_bundle(N, p, q + j)
         if degree is not None:
             total[degree + shift] = total.get(degree + shift, 0) + dim
-    return dict(sorted(total.items()))
+    return tuple(sorted(total.items()))

@@ -14,6 +14,9 @@ N entries vary, so the degree and the Weyl dimension cost O(N) integer
 arithmetic, with one exact integer division and no sort.  ``_game_N`` is
 the one (n, eps) rule, and ``_flag_N`` the one N >= 3 refusal.
 
+``GradedDims`` is the one form of a cohomology or Ext answer in every
+layer, record and document.
+
 ``bwb_regularize`` is the dotted Weyl action done by reflections: add rho,
 then repeatedly reflect the smallest-index negative coordinate.  It gives the
 reflection trace that the ``bwb`` command prints, and the dominant weight
@@ -29,8 +32,8 @@ from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
-# degree -> multiplicity; the empty dict is the zero graded vector space.
-GradedDims = dict[int, int]
+# (degree, dim) pairs, degrees increasing and every dim >= 1; () is zero.
+GradedDims = tuple[tuple[int, int], ...]
 
 
 def rho(N: int) -> Weight:
@@ -149,9 +152,7 @@ class CohomResult(NamedTuple):
         return self.degree is None
 
     def graded(self) -> GradedDims:
-        if self.degree is None:
-            return {}
-        return {self.degree: self.dim}
+        return () if self.degree is None else ((self.degree, self.dim),)
 
 
 @lru_cache(maxsize=None)
@@ -193,17 +194,5 @@ def canonical_fiber(N: int) -> tuple[int, int]:
     return (-2, -(_flag_N(N) - 1))
 
 
-def graded_add(a: GradedDims, b: GradedDims) -> GradedDims:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in sorted(out.items()) if v}
-
-
-def graded_shift(g: GradedDims, d: int) -> GradedDims:
-    """Shift every degree by d."""
-    return {k + d: v for k, v in sorted(g.items())}
-
-
 def euler_char(g: GradedDims) -> int:
-    return sum(v if k % 2 == 0 else -v for k, v in g.items())
+    return sum(v if k % 2 == 0 else -v for k, v in g)

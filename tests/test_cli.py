@@ -576,6 +576,27 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=rf"oracle {field} must be \[degree, dim\] int pairs"):
             parse_game_result(self.edited(game, edit))
 
+    @pytest.mark.parametrize("field", ["moves", "initial.boxes", "final.boxes", "gr2.boxes",
+                                       "move positions", "oracle expected", "oracle got"])
+    def test_lists_must_not_be_objects(self, game, field):
+        # an empty object iterates like an empty list, so each edit here
+        # would otherwise parse without complaint
+        def edit(doc):
+            if field == "move positions":
+                doc["moves"][0]["positions"] = {}
+            elif field.startswith("oracle "):
+                check = self.first_check(doc)
+                assert check["expected"] == check["got"] == []
+                check[field.split()[1]] = {}
+            else:
+                # a game of no moves and no boxes, whose totals all agree
+                doc.update(moves=[], initial={"boxes": [], "copies": 0},
+                           final={"boxes": [], "copies": 0}, gr2={"found": False, "boxes": []})
+                *path, key = field.split(".")
+                (doc[path[0]] if path else doc)[key] = {}
+        with pytest.raises(ValueError, match=f"^{field} must be a list, got {{}}$"):
+            parse_game_result(self.edited(game, edit))
+
     @pytest.mark.parametrize("value", ["abc", True, -4, None, 1.5])
     def test_residual_count_must_be_an_int_at_least_zero(self, game, value):
         def edit(doc):
