@@ -9,10 +9,12 @@ The flag-level groups are cached on the (source, target) descriptor pair,
 whose tuple hash and equality run in C.  Every answer is a tuple of sorted
 (degree, dim) pairs (``weights.GradedDims``) or ``INDETERMINATE``, the form
 that records and documents hold too, so the cached answer itself is handed
-out.  A miss takes each summand of :func:`hom_bundle` from
-``sym_cohomology`` or, where that is indeterminate, the pushforward.  A
-single summand's answer is the answer (every A4 and A5 point has one);
-several are summed in one dict, sorted once.
+out: ``ext_on_flag`` is the memoized evaluator itself, and
+``_ext_on_flag_cached`` names the same object.  A miss walks the
+Clebsch-Gordan pieces of Hom once, with no list of summands, taking each
+summand from ``sym_cohomology`` or, where that is indeterminate, the
+pushforward.  A single summand's answer is the answer (every A4 and A5
+point has one); several are summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
 the board's moves.
 """
@@ -32,42 +34,55 @@ from .schur import (
 )
 from .weights import GradedDims, _game_N
 
-def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
-    """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
 
-    Each det-power j contributes (0, j) to the twist; twists add componentwise.
-    Past the one N check each summand is valid by construction (the source
-    was checked, and a+b-2j >= 0), so it is built with ``tuple.__new__``.
-    """
+def _hom_pieces(source: BundleDescriptor,
+                target: BundleDescriptor) -> tuple[int, int, int, list[tuple[int, int]]]:
+    """(x, y, N, pieces) for Hom(source, target) = source^v x target: the
+    summands are Sym^s U2v(x, y + j) on F(1,2,N) over the Clebsch-Gordan
+    pieces (s, j), since each det-power j contributes (0, j) to the twist."""
     if source.N != target.N:
         raise ValueError("source and target must live on the same F(1,2,N)")
     dm, dx, dy, N = dualize(source)
     m, x, y, _ = target
-    return [tuple.__new__(BundleDescriptor, (s, dx + x, dy + y + j, N))
-            for s, j in clebsch_gordan_rank2(dm, m)]
+    return dx + x, dy + y, N, clebsch_gordan_rank2(dm, m)
+
+
+def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
+    """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
+
+    Twists add componentwise.  Past the one N check each summand is valid by
+    construction (the source was checked, and a+b-2j >= 0), so it is built
+    with ``tuple.__new__``.
+    """
+    x, y, N, pieces = _hom_pieces(source, target)
+    return [tuple.__new__(BundleDescriptor, (s, x, y + j, N)) for s, j in pieces]
 
 
 @lru_cache(maxsize=None)
-def _ext_on_flag_cached(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
-    """Ext_F(source, target): the filtration decides each summand it can,
-    and the exact pushforward settles those it leaves indeterminate (the two
-    agree on all determinate inputs, which is property-tested)."""
-    summands = hom_bundle(source, target)
+def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
+    """Ext^*_{F(1,2,N)}(source, target) as sorted (degree, dim) pairs.
+
+    The filtration decides each summand of :func:`hom_bundle` it can, and the
+    exact pushforward settles those it leaves indeterminate (the two agree on
+    all determinate inputs, which is property-tested).  A miss walks the
+    Clebsch-Gordan pieces once, building each summand as it goes.
+    """
+    x, y, N, pieces = _hom_pieces(source, target)
     total: dict[int, int] = {}
-    for summand in summands:
+    for s, j in pieces:
+        summand = tuple.__new__(BundleDescriptor, (s, x, y + j, N))
         answer = sym_cohomology(summand)
         if answer is INDETERMINATE:
             answer = sym_cohomology_via_pushforward(summand)
-        if len(summands) == 1:
+        if len(pieces) == 1:
             return answer  # both evaluators return their degrees sorted
         for degree, dim in answer:
             total[degree] = total.get(degree, 0) + dim
     return tuple(sorted(total.items()))
 
 
-def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims:
-    """Ext^*_{F(1,2,N)}(source, target) as sorted (degree, dim) pairs."""
-    return _ext_on_flag_cached(source, target)
+# The name through which the cache's counts are read.
+_ext_on_flag_cached = ext_on_flag
 
 
 def koszul_terms(source: BundleDescriptor,

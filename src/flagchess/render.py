@@ -19,8 +19,8 @@ import json
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS
-from .board import Board, Box, MoveRecord, Opaque, OracleCheck, SymBlock
-from .games import GameResult
+from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, SymBlock
+from .games import GameResult, replay
 
 SCHEMA_VERSION = 2
 
@@ -290,7 +290,10 @@ def parse_game_result(text: str) -> GameResult:
     - a ``schema_version`` other than the int 1 or 2;
     - a ``gr2`` box that is not on the final board or is named twice, or a
       ``gr2.found`` that is not a bool or disagrees with whether
-      ``gr2.boxes`` is empty.
+      ``gr2.boxes`` is empty;
+    - past every check above, moves that do not replay (unvalidated) from
+      the initial board, a move refused included, or that lead to a board
+      other than the final one.
     """
     try:
         return _game_result_from_dict(json.loads(text))
@@ -326,12 +329,21 @@ def _game_result_from_dict(d: dict) -> GameResult:
     if type(found) is not bool or found != bool(gr2_boxes):
         raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")
     moves = _list(d["moves"], "moves")
-    return GameResult(
+    result = GameResult(
         n, eps, mode, initial, final,
         tuple(_move_from_dict(m, initial.copies, oracle)
               for m, oracle in zip(moves, _transcripts(moves, version))),
         gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
     )
+    # Last, so that every earlier refusal keeps its message: the log must
+    # replay, unvalidated, from the initial board to the final one.
+    try:
+        replayed = replay(initial, result.log)
+    except (ValueError, MoveRefused) as exc:
+        raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
+    if replayed != final:
+        raise ValueError("the moves do not lead from the initial board to the final board")
+    return result
 
 
 def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:

@@ -19,6 +19,9 @@ its cohomology to line bundles:
   expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through
   the uncached ``weights._line_bundle``.  Always determinate; agrees with
   the filtration route whenever that is determinate.
+
+``clebsch_gordan_rank2`` also expands Hom on the oracle's miss path; when a
+power is 0, as at every A4 and A5 point, it returns the one piece at once.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
     """Sym^a V x Sym^b V = sum_j Sym^{a+b-2j} V x det(V)^j for rank-2 V."""
     if a < 0 or b < 0:
         raise ValueError("symmetric powers must be >= 0")
+    if not a or not b:  # Sym^0 V is trivial: the one piece, with no comprehension
+        return [(a + b, 0)]
     return [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
 
 

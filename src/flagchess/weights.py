@@ -11,8 +11,11 @@ partition coordinates the Weyl group permutes the entries of lambda+rho, so
 the weight is singular exactly when two entries agree, the cohomological
 degree is the number of inversions.  For O(x, y) only the first two of the
 N entries vary, so the degree and the Weyl dimension cost O(N) integer
-arithmetic, with one exact integer division and no sort.  ``_game_N`` is
-the one (n, eps) rule, and ``_flag_N`` the one N >= 3 refusal.
+arithmetic, with one exact integer division by a per-N memoized
+denominator and no sort; a miss of the Bott cache returns one shared
+vanishing answer or builds its ``CohomResult`` as a plain tuple, with no
+Python-level constructor.  ``_game_N`` is the one (n, eps) rule, and
+``_flag_N`` the one N >= 3 refusal.
 
 ``GradedDims`` is the one form of a cohomology or Ext answer in every
 layer, record and document.
@@ -161,27 +164,38 @@ def line_bundle_cohomology(N: int, x: int, y: int) -> CohomResult:
     return _line_bundle(N, x, y)
 
 
+# The one vanishing answer, shared by every singular weight.
+_VANISHES = CohomResult(None, 0)
+
+
+@lru_cache(maxsize=None)
+def _weyl_denominator(N: int) -> int:
+    """(N-2)! (N-1)!, the Weyl denominator left over O(x, y) on F(1,2,N),
+    refusing N < 3 (a refusal is not cached, so it is raised every time)."""
+    return factorial(_flag_N(N) - 2) * factorial(N - 1)
+
+
 def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     """Uncached BWB for the weight (x, y, 0, .., 0) in fundamental coordinates.
 
     In partition coordinates lambda+rho is (a, b, N-3, .., 1, 0) with
     a = x+y+N-1 and b = y+N-2: only a and b vary, and the fixed tail is
-    already strictly descending.
+    already strictly descending.  A per-N memo makes the N check and holds
+    the denominator.
     """
-    _flag_N(N)
+    den = _weyl_denominator(N)
     a, b = x + y + N - 1, y + N - 2
     if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
-        return CohomResult(None, 0)
+        return _VANISHES
     # a and b each sit above or below the whole tail; below it they invert
     # with all N-2 of its entries.
     degree = (a < b) + (N - 2) * ((a < 0) + (b < 0))
     # Weyl's product over pairs of entries: the pairs inside the tail cancel
     # against the denominator, leaving (N-2)! (N-1)! below.
-    num = abs(a - b) * _tail_product(a, N) * _tail_product(b, N)
-    dim, rem = divmod(num, factorial(N - 2) * factorial(N - 1))
+    dim, rem = divmod(abs(a - b) * _tail_product(a, N) * _tail_product(b, N), den)
     if rem:
         raise AssertionError(f"Weyl product of O({x},{y}) on F(1,2,{N}) is not an integer")
-    return CohomResult(degree, dim)
+    return tuple.__new__(CohomResult, (degree, dim))
 
 
 def _tail_product(a: int, N: int) -> int:

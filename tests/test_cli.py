@@ -15,8 +15,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, Opaque, SymBlock,
-                       cli, render, replay, run_game)
+from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, MoveRefused, Opaque,
+                       SymBlock, cli, render, run_game)
 from flagchess import board as board_module
 from flagchess.cli import (
     EXIT_FLAGGED,
@@ -649,9 +649,28 @@ class TestWireSchema:
         for name, value in (("steps", "1"), ("steps", True), ("y", [2])):
             bad = copy.deepcopy(doc)
             bad["moves"][0]["params"][name] = value
-            result = parse_game_result(json.dumps(bad))
-            with pytest.raises(ValueError, match=f"parameter {name} must be int"):
-                replay(result.initial, result.log)
+            # the parser replays the log, so the refusal comes from parsing
+            with pytest.raises(ValueError, match="^the moves do not replay from the initial "
+                                                 f"board: .*parameter {name} must be int"):
+                parse_game_result(json.dumps(bad))
+
+    def test_moves_that_do_not_lead_to_the_final_board_are_refused(self, game):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        for moves in ([], doc["moves"][:-1]):
+            bad = copy.deepcopy(doc)
+            bad["moves"] = moves
+            with pytest.raises(ValueError, match="^the moves do not lead from the initial "
+                                                 "board to the final board$"):
+                parse_game_result(json.dumps(bad))
+
+    def test_a_move_refused_on_replay_is_refused(self, game):
+        # without the first move, the second does not apply to the initial board
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        doc["moves"] = doc["moves"][1:]
+        with pytest.raises(ValueError, match="^the moves do not replay from the initial "
+                                             "board: rule1: window bound") as info:
+            parse_game_result(json.dumps(doc))
+        assert type(info.value.__cause__) is MoveRefused
 
     def test_json_lines_matches_the_log_length(self, game):
         result = game(2, 0)

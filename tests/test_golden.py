@@ -285,6 +285,29 @@ def test_ext_answers_are_pinned():
     assert (calls, h.hexdigest()) == EXT_ANSWERS
 
 
+def summed_summands(source, target):
+    """Ext_F(source, target) by the route the oracle states: each summand of
+    ``hom_bundle`` from the filtration, or from the pushforward where the
+    filtration is indeterminate, summed by degree."""
+    total = {}
+    for summand in hom_bundle(source, target):
+        answer = sym_cohomology(summand)
+        if answer is INDETERMINATE:
+            answer = sym_cohomology_via_pushforward(summand)
+        for degree, dim in answer:
+            total[degree] = total.get(degree, 0) + dim
+    return tuple(sorted(total.items()))
+
+
+def test_ext_on_flag_is_the_sum_over_hom_bundle_summands():
+    # the memoized evaluator's body (``__wrapped__`` runs it on every call,
+    # cached or not) and its cached answer both equal the reference route
+    kernel = ext_on_flag.__wrapped__
+    for source, target in ext_grid():
+        wanted = summed_summands(source, target)
+        assert kernel(source, target) == ext_on_flag(source, target) == wanted, (source, target)
+
+
 def is_graded(answer) -> bool:
     """A tuple of (int, int) pairs with degrees strictly increasing and every dim >= 1."""
     return (type(answer) is tuple

@@ -59,6 +59,11 @@ class TestHomBundle:
 
 
 class TestExtOnFlag:
+    def test_is_the_cached_evaluator_itself(self):
+        # the cache's counts are read through the private name
+        assert ext_on_flag is oracle_module._ext_on_flag_cached
+        assert ext_on_flag.cache_info().maxsize is None
+
     def test_identity(self):
         assert ext_on_flag(BD(0, 0, 0, 5), BD(0, 0, 0, 5)) == ((0, 1),)
 
@@ -252,22 +257,34 @@ class TestCheckLemma:
 
     def test_the_full_sweep_does_pinned_work_from_cold_caches(self):
         # A4-A6 at n = 2..14, both parities, in a fresh interpreter, so that
-        # every point is a cold miss of the Ext-on-F cache
+        # every point is a cold miss of the Ext-on-F cache; the two summand
+        # evaluators are counted where the oracle calls them
         script = (
             "import json\n"
             "from flagchess import check_lemma, oracle, weights\n"
+            "calls = {'sym': 0, 'pushforward': 0}\n"
+            "def counted(key, fn):\n"
+            "    def call(d):\n"
+            "        calls[key] += 1\n"
+            "        return fn(d)\n"
+            "    return call\n"
+            "oracle.sym_cohomology = counted('sym', oracle.sym_cohomology)\n"
+            "oracle.sym_cohomology_via_pushforward = counted(\n"
+            "    'pushforward', oracle.sym_cohomology_via_pushforward)\n"
             "reports = [check_lemma(lemma, n, eps) for n in range(2, 15)\n"
             "           for eps in (0, 1) for lemma in ('A4', 'A5', 'A6')]\n"
             "print(json.dumps({'points': sum(r.total for r in reports),\n"
             "                  'passed': all(r.passed for r in reports),\n"
             "                  'ext_flag': oracle._ext_on_flag_cached.cache_info()[:2],\n"
-            "                  'bwb': weights.line_bundle_cohomology.cache_info()[:2]}))\n"
+            "                  'bwb': weights.line_bundle_cohomology.cache_info()[:2],\n"
+            "                  'calls': calls}))\n"
         )
         src = str(Path(oracle_module.__file__).resolve().parent.parent)
         proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
                               capture_output=True, text=True, check=True)
         assert json.loads(proc.stdout) == {"points": 6306, "passed": True,
-                                           "ext_flag": [0, 12612], "bwb": [111165, 8855]}
+                                           "ext_flag": [0, 12612], "bwb": [111165, 8855],
+                                           "calls": {"sym": 18072, "pushforward": 5460}}
 
 
 class TestLemmaA4:

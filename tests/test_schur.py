@@ -134,6 +134,15 @@ class TestClebschGordan:
     def test_a_negative_power_raises(self):
         with pytest.raises(ValueError):
             clebsch_gordan_rank2(-1, 0)
+        with pytest.raises(ValueError):
+            clebsch_gordan_rank2(0, -1)
+
+    def test_a_zero_power_gives_the_general_expansion(self):
+        # Sym^a x Sym^0 and Sym^0 x Sym^b return their one piece at once
+        for a in range(13):
+            for b in range(13):
+                general = [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
+                assert clebsch_gordan_rank2(a, b) == general, (a, b)
 
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_dimension_identity(self, a, b):

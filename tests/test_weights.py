@@ -188,6 +188,15 @@ class TestLineBundleCohomology:
         assert not r.vanishes
         assert r.graded() == ((0, 1),)
 
+    def test_every_answer_is_a_cohom_result(self):
+        # vanishing or not, through the cache or the uncached evaluator
+        for N in (3, 4, 7, 12):
+            for x in range(-2 * N, 2 * N + 1):
+                for y in range(-2 * N, 2 * N + 1):
+                    for answer in (line_bundle_cohomology(N, x, y), _line_bundle(N, x, y)):
+                        assert type(answer) is CohomResult, (N, x, y, answer)
+                        assert answer.vanishes == (answer == (None, 0)), (N, x, y, answer)
+
     def test_singular_vanishes(self):
         r = line_bundle_cohomology(5, -1, 0)
         assert r.vanishes
