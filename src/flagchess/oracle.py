@@ -11,10 +11,10 @@ whose tuple hash and equality run in C.  Every answer is a tuple of sorted
 that records and documents hold too, so the cached answer itself is handed
 out: ``ext_on_flag`` is the memoized evaluator itself, and
 ``_ext_on_flag_cached`` names the same object.  A miss walks the
-Clebsch-Gordan pieces of Hom once, with no list of summands, taking each
-summand from ``sym_cohomology`` or, where that is indeterminate, the
-pushforward.  A single summand's answer is the answer (every A4 and A5
-point has one); several are summed in one dict, sorted once.
+Clebsch-Gordan pieces of Hom once, taking each summand from
+``sym_cohomology`` or, where that is indeterminate, the pushforward.  A
+single summand's answer is the answer (every A4 and A5 point has one);
+several are summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
 the board's moves.
 """

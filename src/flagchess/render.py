@@ -3,7 +3,8 @@
 All emitters are deterministic down to the byte: no set iteration, JSON with
 fixed separators and explicitly ordered keys, graded dimensions as sorted
 ``[degree, dim]`` pairs.  ``parse_game_result`` inverts
-``game_result_to_json`` exactly.
+``game_result_to_json`` exactly: it replays a document's moves and refuses
+the document unless the writer of its version writes it for that game.
 
 A game document (schema version 2) writes each distinct oracle check and
 each distinct move transcript once, where it first appears.  A move's
@@ -16,11 +17,12 @@ full, is still read.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS
-from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, SymBlock
-from .games import GameResult, replay
+from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, SymBlock, play
+from .games import GameResult, _recount
 
 SCHEMA_VERSION = 2
 
@@ -121,15 +123,10 @@ def _check_from_dict(d: dict) -> OracleCheck:
     for end in (d["source"], d["target"]):
         if type(end) is not list or len(end) != 3 or any(type(v) is not int for v in end):
             raise ValueError(f"oracle source and target must be three ints, got {end!r}")
-    if d["space"] != "M":
-        raise ValueError(f"oracle space must be M, got {d['space']!r}")
     got = (d["got"] if isinstance(d["got"], str)
            else tuple(tuple(p) for p in _list(d["got"], "oracle got")))
     check = OracleCheck(tuple(d["source"]), tuple(d["target"]), "M",
                         tuple(tuple(p) for p in _list(d["expected"], "oracle expected")), got)
-    if d["ok"] is not check.ok:
-        raise ValueError(f"oracle ok is {d['ok']!r} but got {check.got} "
-                         f"against expected {check.expected}")
     if not check.ok:
         raise ValueError(f"an applied move holds a failed oracle check: got {check.got} "
                          f"against expected {check.expected}")
@@ -165,10 +162,13 @@ def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
     the index of the move that wrote it, a check seen before its number."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
+    known: dict[int, int] = {}  # by object, so that a shared transcript is hashed once
     moves = []
     for i, record in enumerate(log):
         transcript = record.oracle
-        k = writer.setdefault(transcript, i) if transcript else i
+        k = known.get(id(transcript)) if transcript else i
+        if k is None:
+            k = known[id(transcript)] = writer.setdefault(transcript, i)
         if k != i:
             moves.append(_move_dict(record, k))
             continue
@@ -182,23 +182,6 @@ def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
                 oracle.append(j)
         moves.append(_move_dict(record, oracle))
     return moves
-
-
-def _move_from_dict(d: dict, copies: int, oracle: tuple[OracleCheck, ...]) -> MoveRecord:
-    if d["verdict"] != "applied":
-        raise ValueError(f"move verdict must be applied, got {d['verdict']!r}")
-    for key in ("copies_before", "copies_after"):
-        if type(d[key]) is not int or d[key] != copies:
-            raise ValueError(f"move {key} is {d[key]!r} but the boards hold {copies} copies")
-    return MoveRecord(
-        d["kind"],
-        tuple(tuple(p) for p in _list(d["positions"], "move positions")),
-        tuple(d["params"].items()),
-        oracle,
-        "applied",
-        copies,
-        copies,
-    )
 
 
 def _reference(value: Any, bound: int, what: str, i: int) -> int:
@@ -237,12 +220,15 @@ def _transcripts(moves: list, version: int) -> list[tuple[OracleCheck, ...]]:
     return out
 
 
-def game_result_to_dict(result: GameResult) -> dict:
+def _document(result: GameResult, version: int) -> dict:
+    """The document that schema ``version`` writes for ``result``: version 1
+    writes every transcript in full, version 2 each distinct one once."""
     return {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
         "initial": board_to_dict(result.initial),
-        "moves": _interned_moves(result.log),
+        "moves": ([move_to_dict(r) for r in result.log] if version == 1
+                  else _interned_moves(result.log)),
         "final": board_to_dict(result.final),
         "gr2": {"found": result.gr2_found,
                 "boxes": [box_to_dict(b) for b in result.gr2_boxes]},
@@ -251,54 +237,42 @@ def game_result_to_dict(result: GameResult) -> dict:
     }
 
 
+def game_result_to_dict(result: GameResult) -> dict:
+    return _document(result, SCHEMA_VERSION)
+
+
 def game_result_to_json(result: GameResult) -> str:
     return dumps(game_result_to_dict(result))
 
 
 def parse_game_result(text: str) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    and 2.
+    and 2.  Every refusal is a ``ValueError``.
 
-    A document that is not valid JSON or lacks the expected structure
-    raises ``ValueError``, and so does one holding any of these (a bool is
-    never taken for an int):
-    - a ``moves``, a board's or ``gr2``'s ``boxes``, a move's ``positions``
-      or a check's ``expected`` that is not a list, or a check's ``got``
-      that is neither a list nor a string;
-    - an ``n`` that is not an int >= 2, an ``eps`` other than 0 or 1, a
-      ``mode`` other than ``fibration`` or ``flip``, or ``flags`` that are
-      not a list of strings;
-    - a box x or y that is not an int, a grade ``m`` that is not an
-      int >= 0, or an opaque ``copies`` that is not an int >= 1;
-    - a recorded copy total that disagrees with its boards' boxes, or
-      initial and final boards of different copy totals;
-    - a move whose ``verdict`` is not ``applied``, or whose
-      ``copies_before`` or ``copies_after`` differs from the boards' total;
-    - an oracle entry whose ``space`` is not ``M``, whose ``source`` or
-      ``target`` is not three ints, or whose ``ok`` disagrees with
-      ``got == expected`` or is false (a failed or indeterminate check
-      refuses its move, so an applied move holds none), or whose
-      ``expected`` or ``got`` is not a list of ``[degree, dim]`` int pairs
-      with degrees strictly increasing and every dim >= 1, the one form of
-      an oracle answer (``weights.GradedDims``); each check object is
-      validated once, where it is written;
-    - in version 2, an oracle reference that is not an int, is negative,
-      names a check not yet defined, or names a transcript of this or a
-      later move or of a move whose own ``oracle`` is not a list; in
-      version 1, any oracle reference;
-    - a ``residual_f_count`` that is not an int >= 0;
-    - a ``schema_version`` other than the int 1 or 2;
-    - a ``gr2`` box that is not on the final board or is named twice, or a
-      ``gr2.found`` that is not a bool or disagrees with whether
-      ``gr2.boxes`` is empty;
-    - past every check above, moves that do not replay (unvalidated) from
-      the initial board, a move refused included, or that lead to a board
-      other than the final one.
+    Only the document's inputs are read, and each is checked for its form
+    (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
+    int ``n`` >= 2, ``eps`` 0 or 1, ``mode`` ``fibration`` or ``flip``),
+    the initial boxes, each move's ``kind``, ``positions``, ``params`` and
+    ``oracle`` entries, the ``gr2`` boxes, ``residual_f_count`` (an int
+    >= 0) and ``flags`` (strings).  A check needs three-int ends and equal
+    ``expected`` and ``got`` answers, sorted ``[degree, dim]`` pairs with
+    dims >= 1 (a failed or indeterminate check refuses its move); an oracle
+    reference names an earlier check or an earlier move's list (version 1
+    holds none).  The moves are replayed, unvalidated, through
+    ``board.play``, and the document must then be what the writer of its
+    version writes for that game, keys and their order included; otherwise
+    the message names the first path that differs, as in
+    ``moves[14].copies_before``.  Last, each ``gr2`` box must be on the
+    final board, and named once.
     """
     try:
         return _game_result_from_dict(json.loads(text))
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed game document: {exc!r}") from exc
+
+
+def _boxes(value: Any, name: str) -> tuple[Box, ...]:
+    return tuple(_box_from_dict(b) for b in _list(value, name))
 
 
 def _game_result_from_dict(d: dict) -> GameResult:
@@ -314,44 +288,51 @@ def _game_result_from_dict(d: dict) -> GameResult:
     flags = d["flags"]
     if type(flags) is not list or any(type(f) is not str for f in flags):
         raise ValueError(f"flags must be a list of strings, got {flags!r}")
-    initial = _board_from_dict(n, eps, d["initial"], "initial")
-    final = _board_from_dict(n, eps, d["final"], "final")
-    if initial.copies != final.copies:
-        raise ValueError(f"initial board holds {initial.copies} copies "
-                         f"but the final board holds {final.copies}")
-    gr2_boxes = tuple(_box_from_dict(b) for b in _list(d["gr2"]["boxes"], "gr2.boxes"))
+    residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
+    initial = Board(n, eps, _boxes(d["initial"]["boxes"], "initial.boxes"))
+    gr2_boxes = _boxes(d["gr2"]["boxes"], "gr2.boxes")
+    moves = _list(d["moves"], "moves")
+    board, log = initial, []
+    for move, oracle in zip(moves, _transcripts(moves, version)):
+        positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
+        try:
+            board, record = play(board, move["kind"], positions, move["params"], False)
+        except (ValueError, MoveRefused) as exc:
+            raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
+        log.append(record._replace(oracle=oracle))
+    _recount("the replay", board.boxes, initial.copies)
+    result = GameResult(n, eps, mode, initial, board, tuple(log), gr2_boxes, residual,
+                        tuple(flags))
+    written = dumps(_document(result, version))
+    if written != dumps(d):
+        _refuse_difference(d, json.loads(written), "")
     for b in gr2_boxes:
-        if final.at(b.pos) != b:
+        if board.at(b.pos) != b:
             raise ValueError(f"gr2 box at {b.pos} is not on the final board")
     if len({b.pos for b in gr2_boxes}) != len(gr2_boxes):
         raise ValueError("gr2 names a box twice")
-    found = d["gr2"]["found"]
-    if type(found) is not bool or found != bool(gr2_boxes):
-        raise ValueError(f"gr2.found is {found!r} but gr2 holds {len(gr2_boxes)} boxes")
-    moves = _list(d["moves"], "moves")
-    result = GameResult(
-        n, eps, mode, initial, final,
-        tuple(_move_from_dict(m, initial.copies, oracle)
-              for m, oracle in zip(moves, _transcripts(moves, version))),
-        gr2_boxes, _int_at_least(d["residual_f_count"], 0, "residual_f_count"), tuple(flags),
-    )
-    # Last, so that every earlier refusal keeps its message: the log must
-    # replay, unvalidated, from the initial board to the final one.
-    try:
-        replayed = replay(initial, result.log)
-    except (ValueError, MoveRefused) as exc:
-        raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
-    if replayed != final:
-        raise ValueError("the moves do not lead from the initial board to the final board")
     return result
 
 
-def _board_from_dict(n: int, eps: int, d: dict, name: str) -> Board:
-    board = Board(n, eps, tuple(_box_from_dict(b) for b in _list(d["boxes"], f"{name}.boxes")))
-    if type(d["copies"]) is not int or d["copies"] != board.copies:
-        raise ValueError(f"{name}.copies is {d['copies']!r} but its boxes "
-                         f"hold {board.copies} copies")
-    return board
+def _refuse_difference(got: Any, want: Any, path: str) -> None:
+    """Raise ``ValueError`` naming the first path at which the document
+    ``got`` differs from ``want``, what the writer writes; a value of
+    another type differs, so a bool never equals an int."""
+    if type(got) is not type(want) or type(want) not in (dict, list) and got != want:
+        raise ValueError(f"{path} is {reprlib.repr(got)} but the replayed game "
+                         f"writes {reprlib.repr(want)}")
+    if type(want) is dict:
+        if list(got) != list(want):
+            raise ValueError(f"{path or 'the document'} has keys {list(got)} but the "
+                             f"replayed game writes {list(want)}")
+        for key in want:
+            _refuse_difference(got[key], want[key], f"{path}.{key}" if path else key)
+    elif type(want) is list:
+        for i, (g, w) in enumerate(zip(got, want)):
+            _refuse_difference(g, w, f"{path}[{i}]")
+        if len(got) != len(want):
+            raise ValueError(f"{path} has {len(got)} entries but the replayed game "
+                             f"writes {len(want)}")
 
 
 def emit_json_lines(result: GameResult) -> list[str]:

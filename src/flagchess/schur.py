@@ -11,9 +11,9 @@ its cohomology to line bundles:
   the long exact sequences could cancel them, so the result is INDETERMINATE.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
   degrees.  It maps the cached Bott lookup over the pieces' two coordinate
-  ranges (stated once, for it and ``sym_filtration``), so no list of pieces
-  is built; it reads each answer as (degree, dim), and returns at once when
-  fewer than two degrees survive, as none can then be adjacent.
+  ranges (stated once, for it and ``sym_filtration``), reads each answer as
+  (degree, dim), and returns at once when fewer than two degrees survive,
+  as none can then be adjacent.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through

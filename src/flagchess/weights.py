@@ -13,9 +13,9 @@ degree is the number of inversions.  For O(x, y) only the first two of the
 N entries vary, so the degree and the Weyl dimension cost O(N) integer
 arithmetic, with one exact integer division by a per-N memoized
 denominator and no sort; a miss of the Bott cache returns one shared
-vanishing answer or builds its ``CohomResult`` as a plain tuple, with no
-Python-level constructor.  ``_game_N`` is the one (n, eps) rule, and
-``_flag_N`` the one N >= 3 refusal.
+vanishing answer or builds its ``CohomResult`` as a plain tuple.
+``_game_N`` is the one (n, eps) rule, and ``_flag_N`` the one N >= 3
+refusal.
 
 ``GradedDims`` is the one form of a cohomology or Ext answer in every
 layer, record and document.

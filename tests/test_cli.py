@@ -452,9 +452,12 @@ class TestWireSchema:
     @pytest.mark.parametrize("axis, value", [("x", "0"), ("y", "0"), ("x", True),
                                              ("y", 1.0)])
     def test_box_positions_must_be_ints(self, game, board, axis, value):
+        # the initial boxes are read; the final ones are what the replay writes
         def edit(doc):
             doc[board]["boxes"][0][axis] = value
-        with pytest.raises(ValueError, match="box position must be a pair of ints"):
+        match = ("box position must be a pair of ints" if board == "initial"
+                 else rf"^final\.boxes\[0\]\.{axis} is {value!r} but the replayed game writes")
+        with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["1", True, 1.0, -1, None])
@@ -471,7 +474,8 @@ class TestWireSchema:
             box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "opaque")
             doc["final"]["copies"] += (value if type(value) is int else 0) - box["content"]["copies"]
             box["content"]["copies"] = value
-        with pytest.raises(ValueError, match="opaque copies must be an int >= 1"):
+        with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\.content\.copies is "
+                                             r".* but the replayed game writes 1$"):
             parse_game_result(self.edited(game, edit))
 
     def test_an_unknown_content_kind_raises_value_error(self, game):
@@ -519,7 +523,8 @@ class TestWireSchema:
     def test_move_verdicts_must_be_applied(self, game, value):
         def edit(doc):
             doc["moves"][0]["verdict"] = value
-        with pytest.raises(ValueError, match="move verdict must be applied"):
+        with pytest.raises(ValueError, match=rf"^moves\[0\]\.verdict is {value!r} but the "
+                                             "replayed game writes 'applied'$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("key", ["copies_before", "copies_after"])
@@ -527,14 +532,16 @@ class TestWireSchema:
     def test_move_copy_totals_must_match_the_boards(self, game, key, value):
         def edit(doc):
             doc["moves"][-1][key] = value
-        with pytest.raises(ValueError, match=f"move {key} is .* but the boards hold 15"):
+        with pytest.raises(ValueError, match=rf"^moves\[\d+\]\.{key} is {value!r} but the "
+                                             "replayed game writes 15$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["flag", "m", None])
     def test_oracle_space_must_be_m(self, game, value):
         def edit(doc):
             self.first_check(doc)["space"] = value
-        with pytest.raises(ValueError, match="oracle space must be M"):
+        with pytest.raises(ValueError, match=rf"\.oracle\[\d+\]\.space is {value!r} but the "
+                                             "replayed game writes 'M'$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("end", ["source", "target"])
@@ -554,7 +561,11 @@ class TestWireSchema:
             check = self.first_check(doc)
             assert check["ok"] is True and check["got"] == check["expected"]
             check[field] = value
-        with pytest.raises(ValueError, match="oracle ok is"):
+        # ok is what the writer writes for got == expected; a check that
+        # failed is refused before that
+        match = (rf"\.ok is {value!r} but the replayed game writes True$" if field == "ok"
+                 else "^an applied move holds a failed oracle check")
+        with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("got", [[[0, 7]], "zzz", "indeterminate"])
@@ -594,7 +605,9 @@ class TestWireSchema:
                            final={"boxes": [], "copies": 0}, gr2={"found": False, "boxes": []})
                 *path, key = field.split(".")
                 (doc[path[0]] if path else doc)[key] = {}
-        with pytest.raises(ValueError, match=f"^{field} must be a list, got {{}}$"):
+        match = (r"^final\.boxes is {} but the replayed game writes \[\]$" if field == "final.boxes"
+                 else f"^{field} must be a list, got {{}}$")
+        with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["abc", True, -4, None, 1.5])
@@ -615,14 +628,15 @@ class TestWireSchema:
             parse_game_result(self.edited(game, edit))
 
     def test_initial_and_final_copies_must_agree(self, game):
+        # the final board is the replayed one, so its totals cannot drift
         def edit(doc):
             column = {(b["x"], b["y"]) for b in doc["gr2"]["boxes"]}
             box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "sym"
                        and (b["x"], b["y"]) not in column)
             box["content"]["m"] += 1
             doc["final"]["copies"] += 1
-        with pytest.raises(ValueError, match="initial board holds 15 copies "
-                                             "but the final board holds 16"):
+        with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\.content\.m is \d+ but "
+                                             r"the replayed game writes \d+$"):
             parse_game_result(self.edited(game, edit))
 
     def test_residual_boxes_follow_the_final_board_and_column(self, game):
@@ -659,8 +673,8 @@ class TestWireSchema:
         for moves in ([], doc["moves"][:-1]):
             bad = copy.deepcopy(doc)
             bad["moves"] = moves
-            with pytest.raises(ValueError, match="^the moves do not lead from the initial "
-                                                 "board to the final board$"):
+            with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\..* but the "
+                                                 "replayed game writes"):
                 parse_game_result(json.dumps(bad))
 
     def test_a_move_refused_on_replay_is_refused(self, game):
@@ -671,6 +685,25 @@ class TestWireSchema:
                                              "board: rule1: window bound") as info:
             parse_game_result(json.dumps(doc))
         assert type(info.value.__cause__) is MoveRefused
+
+    @pytest.mark.parametrize("where", ["top level", "move"])
+    def test_an_unknown_key_is_refused(self, game, where):
+        def edit(doc):
+            (doc if where == "top level" else doc["moves"][0])["note"] = "x"
+        path, last = (("the document", "flags") if where == "top level"
+                      else (r"moves\[0\]", "copies_after"))
+        with pytest.raises(ValueError, match=rf"^{path} has keys \[.*'{last}', 'note'\] but the "
+                                             rf"replayed game writes \[.*'{last}'\]$"):
+            parse_game_result(self.edited(game, edit))
+
+    def test_reordered_box_keys_are_refused(self, game):
+        def edit(doc):
+            box = doc["initial"]["boxes"][0]
+            doc["initial"]["boxes"][0] = {"y": box["y"], "x": box["x"], "content": box["content"]}
+        with pytest.raises(ValueError, match=r"^initial\.boxes\[0\] has keys \['y', 'x', "
+                                             r"'content'\] but the replayed game writes "
+                                             r"\['x', 'y', 'content'\]$"):
+            parse_game_result(self.edited(game, edit))
 
     def test_json_lines_matches_the_log_length(self, game):
         result = game(2, 0)
@@ -702,6 +735,27 @@ class TestOracleReferences:
         moves = [json.loads(dumps(move_to_dict(m))) for m in run_game(3, 1, validate=True).log]
         assert len(moves) == 27
         assert moves == json.loads(self.V1.read_text())["moves"]
+
+    def test_a_version_1_check_with_reordered_keys_is_refused(self):
+        doc = json.loads(self.V1.read_text())
+        i = next(i for i, move in enumerate(doc["moves"]) if move["oracle"])
+        check = doc["moves"][i]["oracle"][0]
+        doc["moves"][i]["oracle"][0] = dict(reversed(check.items()))
+        with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[0\] has keys "
+                                             r"\['ok', 'got', .* but the replayed game writes "
+                                             r"\['source', 'target', "):
+            parse_game_result(json.dumps(doc))
+
+    def test_a_check_written_where_the_writer_refers_to_it_is_refused(self, game):
+        doc = json.loads(game_result_to_json(game(3, 1, validate=True)))
+        checks = [e for m in doc["moves"] if type(m["oracle"]) is list
+                  for e in m["oracle"] if type(e) is dict]
+        i, j, _ = next(site for site in self.reference_sites(doc["moves"]) if site[1] is not None)
+        number = doc["moves"][i]["oracle"][j]
+        doc["moves"][i]["oracle"][j] = checks[number]
+        with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\] is \{{.*'source': "
+                                             rf".* but the replayed game writes {number}$"):
+            parse_game_result(json.dumps(doc))
 
     def test_version_1_holds_no_references(self):
         doc = json.loads(self.V1.read_text())

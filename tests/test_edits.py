@@ -206,6 +206,7 @@ class TestRandomMoveSequences:
         assert replay(initial, tuple(log)) == board
         result = GameResult(initial.n, initial.eps, "fibration", initial, board, tuple(log),
                             (), board.copies, ())
-        parsed = parse_game_result(game_result_to_json(result))
-        assert parsed.final == board
+        text = game_result_to_json(result)
+        parsed = parse_game_result(text)
+        assert parsed.final == board and game_result_to_json(parsed) == text
         assert replay(parsed.initial, parsed.log) == board

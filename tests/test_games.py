@@ -19,6 +19,7 @@ from flagchess import (
     replay,
     run_game,
 )
+from flagchess.games import _gr2_template
 from flagchess.render import game_result_to_json, parse_game_result
 
 # leftover copy counts measured from the deterministic scripts; the even
@@ -155,7 +156,15 @@ class TestColumnAndResiduals:
         pruned = Board(3, 1, tuple(b for b in final.boxes if b.pos != (0, 0)))
         boxes, flags = extract_gr2(pruned, 3, 1)
         assert boxes == ()
-        assert len(flags) == 1 and "best anchor" in flags[0]
+        assert flags == ("no straightened column found; best anchor (0, -2) "
+                         "matched 6 of 7 cells",)
+
+    @pytest.mark.parametrize("n, eps", [(2, 0), (2, 1), (5, 0), (5, 1)])
+    def test_a_board_with_no_column_counts_its_n_cells(self, n, eps):
+        # the column has N = 2n + eps cells, as many as its template lists
+        assert len(_gr2_template(n, eps, (0, 0))) == 2 * n + eps
+        assert extract_gr2(Board(n, eps, ()), n, eps) == ((), (
+            f"no straightened column found; best anchor None matched 0 of {2 * n + eps} cells",))
 
     def test_extraction_is_anchor_free(self):
         column = tuple(Box(5, 3 + i, SymBlock(1)) for i in range(5))
