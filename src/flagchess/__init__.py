@@ -34,6 +34,11 @@ _HOME = {name: module for module, names in (
 # without loading flagchess.render, which re-exports them as EMIT_FORMATS.
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
+# The largest n of the CLI's lemma, degree and conditions, and of a game
+# document that the parser replays with the oracle, so that the oracle's
+# N = 2n + eps stays within cli.MAX_N; flagchess.cli re-exports it as MAX_n.
+_MAX_n = 100
+
 __version__ = "0.1.0"
 
 __all__ = [*_HOME, "__version__"]

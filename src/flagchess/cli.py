@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _EMIT_FORMATS
+from . import _EMIT_FORMATS, _MAX_n
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
@@ -32,7 +32,7 @@ EXIT_USAGE = 3
 # 0.65 MB and its peak memory about 40 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
-MAX_n = 100  # lemma, degree, conditions
+MAX_n = _MAX_n  # lemma, degree, conditions, a parsed document with oracle checks
 MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
 MAX_m = 200  # cohom, ext
 MAX_twist = 10**9  # |x| and |y| of bwb, cohom, ext

@@ -100,19 +100,21 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
     """Ext^*_M(source, target) from the Koszul two-term complex.
 
     With A, B as in :func:`koszul_terms` the long exact sequence gives
-    Ext^k_M = B_k + A_{k+1} whenever no connecting map can be nonzero; the
-    engine forces the answer only when the supports of A and B never differ
-    by 0 or 1, and otherwise reports INDETERMINATE.  Past that test the
-    degrees of B and of A shifted down by one are disjoint.
+    Ext^k_M = coker(s_k) + ker(s_{k+1}), where s_k: A_k -> B_k is the
+    multiplication by the divisor's section.  The s_k are the only maps the
+    code does not know, and they keep the degree: when A and B share no
+    degree every s_k is zero and Ext^k_M = B_k + A_{k+1}, else the answer is
+    INDETERMINATE.
     """
     A, B = koszul_terms(source, target)
     if not A:
         return B
-    for a, _ in A:
-        for b, _ in B:
-            if abs(a - b) <= 1:
-                return INDETERMINATE
-    return tuple(sorted(B + tuple((a - 1, dim) for a, dim in A)))
+    total = dict(B)
+    if any(a in total for a, _ in A):
+        return INDETERMINATE
+    for a, dim in A:
+        total[a - 1] = total.get(a - 1, 0) + dim
+    return tuple(sorted(total.items()))
 
 
 class LemmaPoint(NamedTuple):

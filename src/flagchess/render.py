@@ -3,8 +3,9 @@
 All emitters are deterministic down to the byte: no set iteration, JSON with
 fixed separators and explicitly ordered keys, graded dimensions as sorted
 ``[degree, dim]`` pairs.  ``parse_game_result`` inverts
-``game_result_to_json`` exactly: it replays a document's moves and refuses
-the document unless the writer of its version writes it for that game.
+``game_result_to_json`` exactly: it replays a document's moves, asking the
+oracle again where the document records its checks, and refuses the
+document unless the writer of its version writes it for that game.
 
 A game document (schema version 2) writes each distinct oracle check and
 each distinct move transcript once, where it first appears.  A move's
@@ -20,7 +21,7 @@ import json
 import reprlib
 from typing import Any, Callable
 
-from . import _EMIT_FORMATS as EMIT_FORMATS
+from . import _EMIT_FORMATS as EMIT_FORMATS, _MAX_n
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, SymBlock, play
 from .games import GameResult, _recount
 
@@ -119,27 +120,6 @@ def _check_to_dict(check: OracleCheck) -> dict:
             "expected": check.expected, "got": check.got, "ok": check.ok}
 
 
-def _check_from_dict(d: dict) -> OracleCheck:
-    for end in (d["source"], d["target"]):
-        if type(end) is not list or len(end) != 3 or any(type(v) is not int for v in end):
-            raise ValueError(f"oracle source and target must be three ints, got {end!r}")
-    got = (d["got"] if isinstance(d["got"], str)
-           else tuple(tuple(p) for p in _list(d["got"], "oracle got")))
-    check = OracleCheck(tuple(d["source"]), tuple(d["target"]), "M",
-                        tuple(tuple(p) for p in _list(d["expected"], "oracle expected")), got)
-    if not check.ok:
-        raise ValueError(f"an applied move holds a failed oracle check: got {check.got} "
-                         f"against expected {check.expected}")
-    for name in ("expected", "got"):
-        pairs = getattr(check, name)
-        degrees = [p[0] for p in pairs if len(p) == 2 and type(p[0]) is type(p[1]) is int
-                   and p[1] >= 1]
-        if len(degrees) < len(pairs) or degrees != sorted(set(degrees)):
-            raise ValueError(f"oracle {name} must be [degree, dim] int pairs, degrees "
-                             f"increasing and dims >= 1, got {d[name]!r}")
-    return check
-
-
 def _move_dict(record: MoveRecord, oracle: int | list) -> dict:
     return {
         "kind": record.kind,
@@ -184,42 +164,6 @@ def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
     return moves
 
 
-def _reference(value: Any, bound: int, what: str, i: int) -> int:
-    if type(value) is not int or not 0 <= value < bound:
-        raise ValueError(f"move {i}: {what} reference {value!r} is not an int in [0, {bound})")
-    return value
-
-
-def _transcripts(moves: list, version: int) -> list[tuple[OracleCheck, ...]]:
-    """Each move's oracle checks, with a version 2 document's references
-    resolved; every check object is validated once, where it is written."""
-    checks: list[OracleCheck] = []
-    written: dict[int, tuple[OracleCheck, ...]] = {}
-    out = []
-    for i, move in enumerate(moves):
-        oracle = move["oracle"]
-        if version == 1 and (type(oracle) is not list
-                             or any(type(e) is not dict for e in oracle)):
-            raise ValueError(f"move {i}: a version 1 oracle is a list of checks, got {oracle!r}")
-        if type(oracle) is not list:
-            k = _reference(oracle, i, "transcript", i)
-            if k not in written:
-                raise ValueError(f"move {i}: transcript reference {k} names a move "
-                                 f"whose oracle is not a list")
-            out.append(written[k])
-            continue
-        transcript = []
-        for entry in oracle:
-            if type(entry) is dict:
-                checks.append(_check_from_dict(entry))
-                transcript.append(checks[-1])
-            else:
-                transcript.append(checks[_reference(entry, len(checks), "check", i)])
-        written[i] = tuple(transcript)
-        out.append(written[i])
-    return out
-
-
 def _document(result: GameResult, version: int) -> dict:
     """The document that schema ``version`` writes for ``result``: version 1
     writes every transcript in full, version 2 each distinct one once."""
@@ -252,21 +196,19 @@ def parse_game_result(text: str) -> GameResult:
     Only the document's inputs are read, and each is checked for its form
     (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
     int ``n`` >= 2, ``eps`` 0 or 1, ``mode`` ``fibration`` or ``flip``),
-    the initial boxes, each move's ``kind``, ``positions``, ``params`` and
-    ``oracle`` entries, the ``gr2`` boxes, ``residual_f_count`` (an int
-    >= 0) and ``flags`` (strings).  A check needs three-int ends and equal
-    ``expected`` and ``got`` answers, sorted ``[degree, dim]`` pairs with
-    dims >= 1 (a failed or indeterminate check refuses its move); an oracle
-    reference names an earlier check or an earlier move's list (version 1
-    holds none).  The moves are replayed, unvalidated, through
-    ``board.play``, and the document must then be what the writer of its
+    the initial boxes, each move's ``kind``, ``positions`` and ``params``,
+    the ``gr2`` boxes, ``residual_f_count`` (an int >= 0) and ``flags``
+    (strings).  The moves are replayed through ``board.play``, validated
+    when some move's ``oracle`` is not ``[]``, so that every recorded check
+    is asked of the oracle again; such a document needs ``n`` <=
+    ``cli.MAX_n``.  The document must then be what the writer of its
     version writes for that game, keys and their order included; otherwise
     the message names the first path that differs, as in
-    ``moves[14].copies_before``.  Last, each ``gr2`` box must be on the
-    final board, and named once.
+    ``moves[14].copies_before`` or ``moves[3].oracle[0].got``.  Last, each
+    ``gr2`` box must be on the final board, and named once.
     """
     try:
-        return _game_result_from_dict(json.loads(text))
+        return _game_result_from_dict(json.loads(text), text)
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed game document: {exc!r}") from exc
 
@@ -275,7 +217,7 @@ def _boxes(value: Any, name: str) -> tuple[Box, ...]:
     return tuple(_box_from_dict(b) for b in _list(value, name))
 
 
-def _game_result_from_dict(d: dict) -> GameResult:
+def _game_result_from_dict(d: dict, text: str) -> GameResult:
     version = d["schema_version"]
     if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {version!r}")
@@ -285,26 +227,30 @@ def _game_result_from_dict(d: dict) -> GameResult:
         raise ValueError(f"params.eps must be 0 or 1, got {eps!r}")
     if mode not in ("fibration", "flip"):
         raise ValueError(f"params.mode must be fibration or flip, got {mode!r}")
+    moves = _list(d["moves"], "moves")
+    validate = any(move["oracle"] != [] for move in moves)
+    if validate and n > _MAX_n:
+        raise ValueError(f"params.n must be <= {_MAX_n} in a document with oracle checks, "
+                         f"got {n}")
     flags = d["flags"]
     if type(flags) is not list or any(type(f) is not str for f in flags):
         raise ValueError(f"flags must be a list of strings, got {flags!r}")
     residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
     initial = Board(n, eps, _boxes(d["initial"]["boxes"], "initial.boxes"))
     gr2_boxes = _boxes(d["gr2"]["boxes"], "gr2.boxes")
-    moves = _list(d["moves"], "moves")
     board, log = initial, []
-    for move, oracle in zip(moves, _transcripts(moves, version)):
+    for move in moves:
         positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
         try:
-            board, record = play(board, move["kind"], positions, move["params"], False)
+            board, record = play(board, move["kind"], positions, move["params"], validate)
         except (ValueError, MoveRefused) as exc:
             raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
-        log.append(record._replace(oracle=oracle))
+        log.append(record)
     _recount("the replay", board.boxes, initial.copies)
     result = GameResult(n, eps, mode, initial, board, tuple(log), gr2_boxes, residual,
                         tuple(flags))
     written = dumps(_document(result, version))
-    if written != dumps(d):
+    if written != text.removesuffix("\n"):
         _refuse_difference(d, json.loads(written), "")
     for b in gr2_boxes:
         if board.at(b.pos) != b:

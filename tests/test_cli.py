@@ -10,13 +10,14 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, MoveRefused, Opaque,
-                       SymBlock, cli, render, run_game)
+from flagchess import (INDETERMINATE, Board, Box, GameResult, LemmaPoint, LemmaReport, MoveRefused,
+                       Opaque, OracleCheck, SymBlock, cli, play, render, run_game)
 from flagchess import board as board_module
 from flagchess.cli import (
     EXIT_FLAGGED,
@@ -550,7 +551,8 @@ class TestWireSchema:
     def test_oracle_ends_must_be_three_ints(self, game, end, value):
         def edit(doc):
             self.first_check(doc)[end] = value
-        with pytest.raises(ValueError, match="oracle source and target must be three ints"):
+        with pytest.raises(ValueError, match=rf"^moves\[\d+\]\.oracle\[\d+\]\.{end}(\[\d\])? "
+                                             "(is|has) .* but the replayed game writes"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("field, value", [
@@ -561,10 +563,10 @@ class TestWireSchema:
             check = self.first_check(doc)
             assert check["ok"] is True and check["got"] == check["expected"]
             check[field] = value
-        # ok is what the writer writes for got == expected; a check that
-        # failed is refused before that
+        # each is what the writer writes for the check the replay asks
         match = (rf"\.ok is {value!r} but the replayed game writes True$" if field == "ok"
-                 else "^an applied move holds a failed oracle check")
+                 else rf"^moves\[\d+\]\.oracle\[\d+\]\.{field} (is|has) .* but the replayed "
+                      "game writes")
         with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
@@ -573,7 +575,8 @@ class TestWireSchema:
         def edit(doc):
             check = self.first_check(doc)
             check["got"], check["ok"] = got, False
-        with pytest.raises(ValueError, match="an applied move holds a failed oracle check"):
+        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\.got (is|has) .* but "
+                                             r"the replayed game writes (\[\]|0)$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("expected, got, field", [
@@ -581,10 +584,12 @@ class TestWireSchema:
                                        [[1, True]], [[0, 1], [0, 1]])),
         ([[1, 1]], [[1, True]], "got")])
     def test_oracle_answers_must_be_recorded_pairs(self, game, expected, got, field):
-        # ok agrees with got == expected in every case, True == 1 in the last
+        # ok agrees with got == expected in every case, True == 1 in the last;
+        # the replay's check expects nothing, and expected is written first
         def edit(doc):
             self.first_check(doc).update(expected=expected, got=got)
-        with pytest.raises(ValueError, match=rf"oracle {field} must be \[degree, dim\] int pairs"):
+        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\.expected has \d+ "
+                                             "entries but the replayed game writes 0$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("field", ["moves", "initial.boxes", "final.boxes", "gr2.boxes",
@@ -606,6 +611,8 @@ class TestWireSchema:
                 *path, key = field.split(".")
                 (doc[path[0]] if path else doc)[key] = {}
         match = (r"^final\.boxes is {} but the replayed game writes \[\]$" if field == "final.boxes"
+                 else rf"^moves\[\d+\]\.oracle\[\d+\]\.{field.split()[1]} is {{}} but the "
+                      r"replayed game writes \[\]$" if field.startswith("oracle ")
                  else f"^{field} must be a list, got {{}}$")
         with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
@@ -765,7 +772,8 @@ class TestOracleReferences:
         for oracle in (i, [0], [*doc["moves"][i]["oracle"], 0]):
             bad = copy.deepcopy(doc)
             bad["moves"][i + 1]["oracle"] = oracle
-            with pytest.raises(ValueError, match="a version 1 oracle is a list of checks"):
+            with pytest.raises(ValueError, match=rf"^moves\[{i + 1}\]\.oracle(\[\d+\])? (is|has) "
+                                                 ".* but the replayed game writes"):
                 parse_game_result(json.dumps(bad))
 
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -827,8 +835,74 @@ class TestOracleReferences:
             moves[i]["oracle"] = value
         else:
             moves[i]["oracle"][j] = value
-        with pytest.raises(ValueError, match="reference"):
+        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle(\[\d+\])? is .* but the "
+                                             "replayed game writes"):
             parse_game_result(json.dumps(doc))
+
+
+class TestReplayedChecks:
+    """A document that records oracle checks is replayed with the oracle, so
+    each check is asked again and none is taken as written."""
+
+    @staticmethod
+    def document(game) -> dict:
+        return json.loads(game_result_to_json(game(3, 1, validate=True)))
+
+    @staticmethod
+    def first_written(doc: dict) -> dict:
+        return next(e for m in doc["moves"] if type(m["oracle"]) is list
+                    for e in m["oracle"] if type(e) is dict)
+
+    def refused(self, doc: dict, path: str) -> None:
+        with pytest.raises(ValueError, match=rf"^{path}.* (is|has) .* but the replayed game "
+                                             "writes"):
+            parse_game_result(json.dumps(doc))
+
+    def test_a_check_forged_with_its_own_answer_is_refused(self, game):
+        doc = self.document(game)
+        self.first_written(doc).update(expected=[[0, 7]], got=[[0, 7]])
+        self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.expected")
+
+    def test_a_forged_source_is_refused(self, game):
+        doc = self.document(game)
+        self.first_written(doc)["source"] = [0, 99, 0]
+        self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.source")
+
+    def test_two_swapped_checks_are_refused(self, game):
+        doc = self.document(game)
+        oracle = next(m["oracle"] for m in doc["moves"] if type(m["oracle"]) is list
+                      and sum(type(e) is dict for e in m["oracle"]) >= 2)
+        j, k = [j for j, e in enumerate(oracle) if type(e) is dict][:2]
+        oracle[j], oracle[k] = oracle[k], oracle[j]
+        self.refused(doc, rf"moves\[\d+\]\.oracle\[{j}\]\.")
+
+    def test_a_dropped_check_is_refused(self, game):
+        doc = self.document(game)
+        i = max(i for i, m in enumerate(doc["moves"]) if type(m["oracle"]) is list and m["oracle"])
+        doc["moves"][i]["oracle"].pop()
+        self.refused(doc, rf"moves\[{i}\]\.oracle")
+
+    def test_checks_at_an_n_past_the_bound_are_refused_before_the_replay(self):
+        # replayed, the one check would ask the oracle at N = 2 * 10**6 + 1
+        initial = Board(10**6, 1, (Box(0, 0, SymBlock(0)), Box(1, 0, SymBlock(0))))
+        final, record = play(initial, "transpose", ((0, 0), (1, 0)), {}, False)
+        check = OracleCheck((0, 0, 0), (0, 1, 0), "M", (), ())
+        text = game_result_to_json(GameResult(
+            10**6, 1, "fibration", initial, final, (record._replace(oracle=(check,)),), (), 2, ()))
+        assert len(text) < 1000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n} in a document "
+                                             r"with oracle checks, got 1000000$"):
+            parse_game_result(text)
+        assert time.perf_counter() - start < 1
+
+    def test_a_document_without_checks_is_replayed_without_the_oracle(self, monkeypatch):
+        text = game_result_to_json(run_game(3, 1, validate=False))
+
+        def refuse(source, target):
+            raise AssertionError("the oracle was asked")
+        monkeypatch.setattr(board_module, "ext_on_M", refuse)
+        assert game_result_to_json(parse_game_result(text)) == text
 
 
 class TestRendering:
