@@ -34,10 +34,10 @@ _HOME = {name: module for module, names in (
 # without loading flagchess.render, which re-exports them as EMIT_FORMATS.
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
-# The largest n of the CLI's lemma, degree and conditions, and of a game
-# document that the parser replays with the oracle, so that the oracle's
-# N = 2n + eps stays within cli.MAX_N; flagchess.cli re-exports it as MAX_n.
-_MAX_n = 100
+# The CLI's bounds on what reaches the oracle, stated here for the board and
+# the parser too, and re-exported by flagchess.cli as MAX_n (which keeps a
+# replayed document's N = 2n + eps within cli.MAX_N), MAX_m and MAX_twist.
+_MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
 
 __version__ = "0.1.0"
 

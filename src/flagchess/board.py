@@ -44,6 +44,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import _MAX_m, _MAX_twist
 from .oracle import ext_on_M, lemma_a4
 from .schur import INDETERMINATE, BundleDescriptor
 from .weights import _game_N
@@ -210,7 +211,8 @@ def _questions(kind: str, *key: int) -> Questions:
     relative twists (m+2, 0) .. (span, 0), then pairs with the zero at
     (m+1, 0) in one degree: lemma A4 at t = m+2 .. span, then m+1.  Rule1
     also needs no Ext from each zero fed back at (b, 0), 1 <= b <= m, to
-    the grade m+1 block.
+    the grade m+1 block.  A question past ``cli.MAX_m`` or ``cli.MAX_twist``,
+    the bounds of ``ext``, is refused unasked: the oracle's work grows with both.
     """
     if kind == "transpose":
         lm, rm, dx, dy, N = key
@@ -225,6 +227,9 @@ def _questions(kind: str, *key: int) -> Questions:
         if kind == "rule1":
             wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), ())
                        for m in grades for back in range(1, m + 1)]
+    for m, x, y, _ in [d for src, tgt, _ in wanted for d in (src, tgt)]:
+        if m > _MAX_m or max(abs(x), abs(y)) > _MAX_twist:
+            raise MoveRefused(kind, f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
     asked = tuple((src, tgt, OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
                                          expected, expected))
                   for src, tgt, expected in wanted)

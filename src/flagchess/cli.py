@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import _EMIT_FORMATS, _MAX_n
+from . import _EMIT_FORMATS, _MAX_m, _MAX_n, _MAX_twist
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
@@ -34,8 +34,8 @@ EXIT_USAGE = 3
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions, a parsed document with oracle checks
 MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
-MAX_m = 200  # cohom, ext
-MAX_twist = 10**9  # |x| and |y| of bwb, cohom, ext
+MAX_m = _MAX_m  # cohom, ext, a validated move's questions
+MAX_twist = _MAX_twist  # |x| and |y| of bwb, cohom, ext and a validated move
 
 
 class UsageError(Exception):
@@ -55,18 +55,14 @@ def _triple(text: str) -> tuple[int, int, int]:
         m, x, y = (int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
-    if not 0 <= m <= MAX_m:
-        raise argparse.ArgumentTypeError(_power_refusal(m))
-    if refusal := _twist_refusal(x, y):
+    if refusal := _refusal(x, y, m):
         raise argparse.ArgumentTypeError(refusal)
     return m, x, y
 
 
-def _power_refusal(m: int) -> str:
-    return f"symmetric power must be {'>= 0' if m < 0 else f'<= {MAX_m}'}, got {m}"
-
-
-def _twist_refusal(x: int, y: int) -> str | None:
+def _refusal(x: int, y: int, m: int = 0) -> str | None:
+    if not 0 <= m <= MAX_m:
+        return f"symmetric power must be {'>= 0' if m < 0 else f'<= {MAX_m}'}, got {m}"
     for name, value in (("x", x), ("y", y)):
         if abs(value) > MAX_twist:
             return f"need |{name}| <= {MAX_twist}, got {value}"
@@ -102,7 +98,7 @@ def _need(name: str, value: int, low: int, high: int) -> None:
 
 def cmd_bwb(args: argparse.Namespace) -> int:
     _need("N", args.N, 3, MAX_N)
-    if refusal := _twist_refusal(args.x, args.y):
+    if refusal := _refusal(args.x, args.y):
         raise UsageError(refusal)
     res = line_bundle_cohomology(args.N, args.x, args.y)
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
@@ -122,9 +118,7 @@ def cmd_bwb(args: argparse.Namespace) -> int:
 
 def cmd_cohom(args: argparse.Namespace) -> int:
     _need("N", args.N, 3, MAX_N)
-    if not 0 <= args.m <= MAX_m:
-        raise UsageError(_power_refusal(args.m))
-    if refusal := _twist_refusal(args.x, args.y):
+    if refusal := _refusal(args.x, args.y, args.m):
         raise UsageError(refusal)
     d = BundleDescriptor(args.m, args.x, args.y, args.N)
     lines = [f"Sym^{args.m} twisted by ({args.x},{args.y}) on F(1,2,{args.N})"]

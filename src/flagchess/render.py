@@ -189,9 +189,9 @@ def game_result_to_json(result: GameResult) -> str:
     return dumps(game_result_to_dict(result))
 
 
-def parse_game_result(text: str) -> GameResult:
+def parse_game_result(text: str | bytes) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    and 2.  Every refusal is a ``ValueError``.
+    and 2, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
     (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
@@ -201,12 +201,15 @@ def parse_game_result(text: str) -> GameResult:
     (strings).  The moves are replayed through ``board.play``, validated
     when some move's ``oracle`` is not ``[]``, so that every recorded check
     is asked of the oracle again; such a document needs ``n`` <=
-    ``cli.MAX_n``.  The document must then be what the writer of its
-    version writes for that game, keys and their order included; otherwise
-    the message names the first path that differs, as in
-    ``moves[14].copies_before`` or ``moves[3].oracle[0].got``.  Last, each
-    ``gr2`` box must be on the final board, and named once.
+    ``cli.MAX_n`` and questions within ``cli.MAX_m`` and ``cli.MAX_twist``.
+    The document must then be what the writer of its version writes for
+    that game, keys and their order included; otherwise the message names
+    the first path that differs, as in ``moves[14].copies_before`` or
+    ``moves[3].oracle[0].got``.  Last, each ``gr2`` box must be on the final
+    board, and named once.
     """
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text))
     try:
         return _game_result_from_dict(json.loads(text), text)
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:

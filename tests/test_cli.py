@@ -97,6 +97,14 @@ class TestExitCodes:
         assert code == EXIT_REFUSED
         assert "indeterminate" in out
 
+    def test_ext_on_M_sums_a_twisted_and_a_plain_class(self, capsys):
+        code, out, _ = run_cli(capsys, "ext", "--N", "3", "--space", "M",
+                               "--src", "0,0,0", "--tgt", "0,-2,1")
+        assert code == EXIT_OK
+        assert out.endswith("  twisted term (target twisted by (-1,-1)): h^2 = 1\n"
+                            "  plain term: h^1 = 1\n"
+                            "result: h^1 = 2\n")
+
     def test_ext_ok(self, capsys):
         code, out, _ = run_cli(
             capsys, "ext", "--N", "5", "--space", "M",
@@ -895,6 +903,37 @@ class TestReplayedChecks:
                                              r"with oracle checks, got 1000000$"):
             parse_game_result(text)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("boxes, kind, question", [
+        # two grade-10**7 blocks, transposed: Hom alone has 10**7 + 1 pieces
+        ([(0, 0, 10**7), (1, 0, 10**7)], "transpose", (10**7, 0, 0)),
+        # a grade-0 block absorbing a grade 10**9 - 1 block: lemma A4 at t = 10**9
+        ([(0, 0, 0), (-(10**9) - 1, 1, 10**9 - 1)], "absorb", (10**9 - 1, -1, 1)),
+    ])
+    def test_a_check_past_the_oracle_bounds_is_refused_before_the_oracle(
+            self, monkeypatch, boxes, kind, question):
+        initial = Board(3, 1, tuple(Box(x, y, SymBlock(m)) for x, y, m in boxes))
+        positions = tuple((x, y) for x, y, _ in boxes)
+        final, record = play(initial, kind, positions, {}, False)
+        doc = json.loads(game_result_to_json(GameResult(
+            3, 1, "fibration", initial, final, (record,), (), final.copies, ())))
+        doc["moves"][0]["oracle"] = 0
+        assert len(json.dumps(doc)) < 1000
+
+        def refuse(source, target):
+            raise AssertionError("the oracle was asked")
+        monkeypatch.setattr(board_module, "ext_on_M", refuse)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+                f"the moves do not replay from the initial board: {kind}: {question} is "
+                "past the oracle's bounds MAX_m, MAX_twist")):
+            parse_game_result(json.dumps(doc))
+        assert time.perf_counter() - start < 1
+
+    def test_bytes_parse_as_their_text(self):
+        text = game_result_to_json(run_game(3, 1, validate=False))
+        for encoding in ("utf-8", "utf-16"):
+            assert game_result_to_json(parse_game_result(text.encode(encoding))) == text
 
     def test_a_document_without_checks_is_replayed_without_the_oracle(self, monkeypatch):
         text = game_result_to_json(run_game(3, 1, validate=False))

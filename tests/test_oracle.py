@@ -135,6 +135,14 @@ class TestExtOnM:
     def test_combined_when_degrees_are_separated(self):
         assert ext_on_M(BD(0, 3, 0, 5), BD(2, -1, 1, 5)) == ((1, 1), (3, 15))
 
+    def test_a_twisted_class_one_degree_up_joins_the_plain_one(self):
+        # A = Ext_F(O, O(-3,0)) sits in degree 2 and B = Ext_F(O, O(-2,1)) in
+        # degree 1; the maps s_k: A_k -> B_k keep the degree, so every one is
+        # zero and Ext^1_M = B_1 + A_2
+        src, tgt = BD(0, 0, 0, 3), BD(0, -2, 1, 3)
+        assert koszul_terms(src, tgt) == (((2, 1),), ((1, 1),))
+        assert ext_on_M(src, tgt) == ((1, 2),)
+
 
 class TestFreshAnswers:
     """No caller can change an answer, so none can reach the cached groups
