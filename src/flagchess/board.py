@@ -27,10 +27,11 @@ its own shape, and hands :func:`_rewrite` the new live boxes and, with
 validation on, the key of its shape.  ``_rewrite`` alone asks the Ext
 oracle on M, refusing when a required vanishing fails or comes back
 indeterminate, and keeps every opaque box in its slot.  The questions
-depend only on the shape, so :func:`_questions` builds them once per key,
-with their expected answers and the passing transcript; the oracle answers
-them on every move, and :func:`_run_oracle` compares each answer with the
-expected one by value.
+depend only on the shape, so :func:`_questions` assembles them once per
+key, with the passing transcript, from :func:`_question`, which builds each
+distinct question (its source, target and passing check) once per value
+and shares it across shapes.  The oracle answers them on every move, and
+:func:`_run_oracle` compares each answer with the expected one by value.
 The shape-based refusals (e.g. transposing a pair that pairs nontrivially)
 are enforced even with validation off, so a validated and an unvalidated run
 agree move for move.  :data:`MOVES` says how each kind is called, and
@@ -47,7 +48,7 @@ from typing import NamedTuple
 from . import _MAX_m, _MAX_twist
 from .oracle import ext_on_M, lemma_a4
 from .schur import INDETERMINATE, BundleDescriptor
-from .weights import _game_N
+from .weights import GradedDims, _game_N
 
 
 class _Content(tuple):
@@ -199,10 +200,25 @@ Questions = tuple[tuple[Question, ...], tuple[OracleCheck, ...]]
 
 
 @lru_cache(maxsize=None)
+def _question(source: BundleDescriptor, target: BundleDescriptor,
+              expected: GradedDims) -> Question:
+    """One Ext_M requirement as (source, target, the check recorded when the
+    oracle gives the expected answer), built once per value and shared by
+    every move shape that asks it.  A question past ``cli.MAX_m`` or
+    ``cli.MAX_twist``, the bounds of ``ext``, raises ``ValueError`` and is
+    not kept: the oracle's work grows with both."""
+    for m, x, y, _ in (source, target):
+        if m > _MAX_m or max(abs(x), abs(y)) > _MAX_twist:
+            raise ValueError(f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
+    return source, target, OracleCheck((source.m, source.x, source.y),
+                                       (target.m, target.x, target.y), "M", expected, expected)
+
+
+@lru_cache(maxsize=None)
 def _questions(kind: str, *key: int) -> Questions:
-    """A windowed move shape's Ext_M requirements, built once per key: each
-    as (source, target, the check recorded when the oracle gives the
-    expected answer), and the move's whole passing transcript as one tuple.
+    """A windowed move shape's Ext_M requirements, assembled once per key
+    from the shared :func:`_question` values, and the move's whole passing
+    transcript as one tuple.
 
     transpose (lm, rm, dx, dy, N): no Ext from the left block to the right
     one at relative twist (dx, dy).  absorb (t, N): lemma A4 at (t, t-1).
@@ -211,8 +227,8 @@ def _questions(kind: str, *key: int) -> Questions:
     relative twists (m+2, 0) .. (span, 0), then pairs with the zero at
     (m+1, 0) in one degree: lemma A4 at t = m+2 .. span, then m+1.  Rule1
     also needs no Ext from each zero fed back at (b, 0), 1 <= b <= m, to
-    the grade m+1 block.  A question past ``cli.MAX_m`` or ``cli.MAX_twist``,
-    the bounds of ``ext``, is refused unasked: the oracle's work grows with both.
+    the grade m+1 block.  A question past the oracle's bounds refuses the
+    move unasked.
     """
     if kind == "transpose":
         lm, rm, dx, dy, N = key
@@ -227,13 +243,11 @@ def _questions(kind: str, *key: int) -> Questions:
         if kind == "rule1":
             wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), ())
                        for m in grades for back in range(1, m + 1)]
-    for m, x, y, _ in [d for src, tgt, _ in wanted for d in (src, tgt)]:
-        if m > _MAX_m or max(abs(x), abs(y)) > _MAX_twist:
-            raise MoveRefused(kind, f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
-    asked = tuple((src, tgt, OracleCheck((src.m, src.x, src.y), (tgt.m, tgt.x, tgt.y), "M",
-                                         expected, expected))
-                  for src, tgt, expected in wanted)
-    return asked, tuple(passed for *_, passed in asked)
+    try:
+        asked = tuple([_question(*question) for question in wanted])
+    except ValueError as past:
+        raise MoveRefused(kind, str(past)) from None
+    return asked, tuple([passed for *_, passed in asked])
 
 
 def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
@@ -489,7 +503,7 @@ def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
     """Ask the oracle the questions of the move's shape ``key``, unless it
     is None (validation off), then commit the window edit.
 
-    The questions are built once per shape by :func:`_questions`; the
+    The questions are assembled once per shape by :func:`_questions`; the
     oracle answers them on every move.  The live boxes of slots i..j are
     replaced, in order, by ``live``; live slots left over are dropped, and
     every opaque box keeps its slot.  Of the window's live boxes the move

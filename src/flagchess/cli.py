@@ -28,8 +28,8 @@ EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
-# about 2 s and 8-10 s on a 2-core Xeon; the game's JSON document is about
-# 0.65 MB and its peak memory about 40 MB.  The twist bound keeps every
+# about 1 s and 8-10 s on a 2-core Xeon; the game's JSON document is about
+# 0.65 MB and its peak memory about 27 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions, a parsed document with oracle checks

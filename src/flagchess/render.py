@@ -263,13 +263,28 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     return result
 
 
+class _DocumentRepr(reprlib.Repr):
+    """``reprlib``'s bounded repr, with an object's keys in the document's
+    order, where ``reprlib`` sorts them."""
+
+    def repr_dict(self, x: dict, level: int) -> str:
+        if not x or level <= 0:
+            return super().repr_dict(x, level)
+        pieces = [f"{self.repr1(key, level - 1)}: {self.repr1(value, level - 1)}"
+                  for key, value in list(x.items())[:self.maxdict]]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+_repr = _DocumentRepr().repr
+
+
 def _refuse_difference(got: Any, want: Any, path: str) -> None:
     """Raise ``ValueError`` naming the first path at which the document
     ``got`` differs from ``want``, what the writer writes; a value of
     another type differs, so a bool never equals an int."""
     if type(got) is not type(want) or type(want) not in (dict, list) and got != want:
-        raise ValueError(f"{path} is {reprlib.repr(got)} but the replayed game "
-                         f"writes {reprlib.repr(want)}")
+        raise ValueError(f"{path} is {_repr(got)} but the replayed game "
+                         f"writes {_repr(want)}")
     if type(want) is dict:
         if list(got) != list(want):
             raise ValueError(f"{path or 'the document'} has keys {list(got)} but the "

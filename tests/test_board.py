@@ -735,6 +735,24 @@ class TestOracleQuestions:
         _, again = move()  # the kept questions hold no answer
         assert again.oracle == warm.oracle
 
+    def test_each_distinct_question_is_one_object_that_holds_no_answer(self, monkeypatch):
+        checks = [check for record in run_game(8, 0, validate=True).log for check in record.oracle]
+        assert len(checks) == 3297
+        assert len({id(check) for check in checks}) == len(set(checks)) == 70
+        warm = {kind: move()[1].oracle for kind, move in FIRST_A4_MOVES.items()}
+        shared = warm["absorb"][0]
+        assert all(oracle[0] is shared for oracle in warm.values())
+        monkeypatch.setattr(board_module, "ext_on_M", lambda source, target: ((7, 3),))
+        for move in FIRST_A4_MOVES.values():
+            with pytest.raises(MoveRefused) as err:
+                move()
+            assert err.value.check == shared._replace(got=((7, 3),))
+        monkeypatch.undo()
+        for kind, move in FIRST_A4_MOVES.items():
+            _, again = move()
+            assert again.oracle == warm[kind] and again.oracle[0] is shared
+        assert shared.ok
+
     @pytest.mark.parametrize("mode", ["fibration", "flip"])
     @pytest.mark.parametrize("n, eps", [(n, eps) for n in range(2, 9) for eps in (0, 1)])
     def test_every_question_asks_about_valid_descriptors(self, monkeypatch, n, eps, mode):
@@ -776,7 +794,8 @@ class TestOracleQuestions:
             "from flagchess import board, oracle, run_game, weights\n"
             "run_game(8, 0, validate=True)\n"
             "caches = {'ext_flag': oracle._ext_on_flag_cached,\n"
-            "          'bwb': weights.line_bundle_cohomology, 'questions': board._questions}\n"
+            "          'bwb': weights.line_bundle_cohomology, 'questions': board._questions,\n"
+            "          'question': board._question}\n"
             "print(json.dumps({k: fn.cache_info()[:2] for k, fn in caches.items()}))\n"
         )
         src = str(Path(board_module.__file__).resolve().parent.parent)
@@ -786,6 +805,7 @@ class TestOracleQuestions:
         assert caches["ext_flag"] == [2 * 3297 - 140, 140]
         assert caches["bwb"][1] == 125
         assert caches["questions"][1] == 14
+        assert caches["question"][1] == 70  # each distinct question built once
 
 
 class TestMoveTable:
