@@ -35,8 +35,9 @@ _HOME = {name: module for module, names in (
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
 # The CLI's bounds on what reaches the oracle, stated here for the board and
-# the parser too, and re-exported by flagchess.cli as MAX_n (which keeps a
-# replayed document's N = 2n + eps within cli.MAX_N), MAX_m and MAX_twist.
+# the parser too, and re-exported by flagchess.cli as MAX_n (which bounds the
+# N(N - 2) boxes of every parsed document's start board and keeps its
+# N = 2n + eps within cli.MAX_N), MAX_m and MAX_twist.
 _MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
 
 __version__ = "0.1.0"

@@ -199,6 +199,31 @@ def reference_residual_count(n: int, eps: int) -> int:
     return 2 * n * n - n - eps
 
 
+def _start_board(n: int, eps: int, mode: str) -> Board:
+    """The board a game in ``mode`` starts from: the fibration staircase, or
+    the flipped one."""
+    if mode not in ("fibration", "flip"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
+
+
+def _finish(mode: str, initial: Board, final: Board, log: tuple[MoveRecord, ...],
+            phases: tuple[tuple[str, Board, int], ...] = ()) -> GameResult:
+    """The result of a game played from ``initial`` to ``final``: its boxes
+    recounted, its column split off, its residual copies summed and, in
+    fibration mode, compared with the reference count."""
+    n, eps = initial.n, initial.eps
+    _recount("the game", final.boxes, initial.copies)
+    gr2_boxes, flags = extract_gr2(final, n, eps)
+    residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
+    expected = reference_residual_count(n, eps)
+    if mode == "fibration" and residual_count != expected:
+        flags += (f"residual count {residual_count} differs from the "
+                  f"reference value {expected}",)
+    return GameResult(n, eps, mode, initial, final, tuple(log), gr2_boxes,
+                      residual_count, flags, phases=tuple(phases))
+
+
 def run_game(n: int, eps: int, mode: str = "fibration",
              validate: bool = True) -> GameResult:
     """Play the full straightening game and split the final board.
@@ -207,10 +232,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     The move log is identical either way.
     """
     N = _game_N(n, eps)
-    if mode not in ("fibration", "flip"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    initial = initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
+    initial = _start_board(n, eps, mode)
     g = _Runner(initial, validate)
     g.phase("initial")
     if mode == "flip":
@@ -223,21 +245,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     else:
         _odd_script(g, n)
     g.phase("final")
-    final = g.board
-    _recount("the game", final.boxes, initial.copies)
-
-    gr2_boxes, flags = extract_gr2(final, n, eps)
-    flags = list(flags)
-    residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
-
-    if mode == "fibration":
-        expected = reference_residual_count(n, eps)
-        if residual_count != expected:
-            flags.append(f"residual count {residual_count} differs from the "
-                         f"reference value {expected}")
-
-    return GameResult(n, eps, mode, initial, final, tuple(g.log), gr2_boxes,
-                      residual_count, tuple(flags), phases=tuple(g.phases))
+    return _finish(mode, initial, g.board, g.log, g.phases)
 
 
 def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:

@@ -3,9 +3,11 @@
 All emitters are deterministic down to the byte: no set iteration, JSON with
 fixed separators and explicitly ordered keys, graded dimensions as sorted
 ``[degree, dim]`` pairs.  ``parse_game_result`` inverts
-``game_result_to_json`` exactly: it replays a document's moves, asking the
-oracle again where the document records its checks, and refuses the
-document unless the writer of its version writes it for that game.
+``game_result_to_json`` exactly: it builds the game as ``run_game`` does,
+from the start board of its params through the document's moves (asking
+the oracle again where the document records its checks) to the same
+finish, and refuses the document unless the writer of its version writes
+it for that game.
 
 A game document (schema version 2) writes each distinct oracle check and
 each distinct move transcript once, where it first appears.  A move's
@@ -22,8 +24,8 @@ import reprlib
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS, _MAX_n
-from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, SymBlock, play
-from .games import GameResult, _recount
+from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, play
+from .games import GameResult, _finish, _start_board
 
 SCHEMA_VERSION = 2
 
@@ -95,20 +97,6 @@ def _int_at_least(value: Any, low: int, name: str) -> int:
     if type(value) is not int or value < low:
         raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
     return value
-
-
-def _box_from_dict(d: dict) -> Box:
-    x, y, c = d["x"], d["y"], d["content"]
-    if not type(x) is type(y) is int:
-        raise ValueError(f"box position must be a pair of ints, got {(x, y)!r}")
-    content: SymBlock | Opaque
-    if c["kind"] == "opaque":
-        content = Opaque(_int_at_least(c["copies"], 1, "opaque copies"))
-    elif c["kind"] == "sym":
-        content = SymBlock(_int_at_least(c["m"], 0, "sym grade m"))
-    else:
-        raise ValueError(f"unknown content kind {c['kind']!r}")
-    return Box(x, y, content)
 
 
 def board_to_dict(board: Board) -> dict:
@@ -195,18 +183,19 @@ def parse_game_result(text: str | bytes) -> GameResult:
 
     Only the document's inputs are read, and each is checked for its form
     (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
-    int ``n`` >= 2, ``eps`` 0 or 1, ``mode`` ``fibration`` or ``flip``),
-    the initial boxes, each move's ``kind``, ``positions`` and ``params``,
-    the ``gr2`` boxes, ``residual_f_count`` (an int >= 0) and ``flags``
-    (strings).  The moves are replayed through ``board.play``, validated
-    when some move's ``oracle`` is not ``[]``, so that every recorded check
-    is asked of the oracle again; such a document needs ``n`` <=
-    ``cli.MAX_n`` and questions within ``cli.MAX_m`` and ``cli.MAX_twist``.
-    The document must then be what the writer of its version writes for
-    that game, keys and their order included; otherwise the message names
-    the first path that differs, as in ``moves[14].copies_before`` or
-    ``moves[3].oracle[0].got``.  Last, each ``gr2`` box must be on the final
-    board, and named once.
+    int ``n`` from 2 to ``cli.MAX_n``, ``eps`` 0 or 1, ``mode``
+    ``fibration`` or ``flip``), ``residual_f_count`` (an int >= 0) and each
+    move's ``kind``, ``positions`` and ``params``.  The moves are replayed
+    through ``board.play`` from the start board that ``run_game`` builds
+    for the params, validated when some move's ``oracle`` is not ``[]``,
+    so that every recorded check is asked of the oracle again, within
+    ``cli.MAX_m`` and ``cli.MAX_twist``.  The final board is then split as
+    ``run_game`` splits it, which gives the column and the flags; only
+    ``residual_f_count`` is kept as written.  The document must be what the
+    writer of its version writes for that game, keys and their order
+    included; otherwise the message names the first path that differs, as
+    in ``initial.boxes[0].x``, ``moves[14].copies_before``,
+    ``moves[3].oracle[0].got`` or ``flags``.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
@@ -216,31 +205,22 @@ def parse_game_result(text: str | bytes) -> GameResult:
         raise ValueError(f"malformed game document: {exc!r}") from exc
 
 
-def _boxes(value: Any, name: str) -> tuple[Box, ...]:
-    return tuple(_box_from_dict(b) for b in _list(value, name))
-
-
 def _game_result_from_dict(d: dict, text: str) -> GameResult:
     version = d["schema_version"]
     if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {version!r}")
     n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
     _int_at_least(n, 2, "params.n")
+    if n > _MAX_n:
+        raise ValueError(f"params.n must be <= {_MAX_n}, got {n}")
     if type(eps) is not int or eps not in (0, 1):
         raise ValueError(f"params.eps must be 0 or 1, got {eps!r}")
     if mode not in ("fibration", "flip"):
         raise ValueError(f"params.mode must be fibration or flip, got {mode!r}")
+    residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
     moves = _list(d["moves"], "moves")
     validate = any(move["oracle"] != [] for move in moves)
-    if validate and n > _MAX_n:
-        raise ValueError(f"params.n must be <= {_MAX_n} in a document with oracle checks, "
-                         f"got {n}")
-    flags = d["flags"]
-    if type(flags) is not list or any(type(f) is not str for f in flags):
-        raise ValueError(f"flags must be a list of strings, got {flags!r}")
-    residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
-    initial = Board(n, eps, _boxes(d["initial"]["boxes"], "initial.boxes"))
-    gr2_boxes = _boxes(d["gr2"]["boxes"], "gr2.boxes")
+    initial = _start_board(n, eps, mode)
     board, log = initial, []
     for move in moves:
         positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
@@ -249,17 +229,11 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
         except (ValueError, MoveRefused) as exc:
             raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
         log.append(record)
-    _recount("the replay", board.boxes, initial.copies)
-    result = GameResult(n, eps, mode, initial, board, tuple(log), gr2_boxes, residual,
-                        tuple(flags))
+    # the count alone is taken as written, so that the benchmark's gate can refuse a wrong one
+    result = _finish(mode, initial, board, log)._replace(residual_f_count=residual)
     written = dumps(_document(result, version))
     if written != text.removesuffix("\n"):
         _refuse_difference(d, json.loads(written), "")
-    for b in gr2_boxes:
-        if board.at(b.pos) != b:
-            raise ValueError(f"gr2 box at {b.pos} is not on the final board")
-    if len({b.pos for b in gr2_boxes}) != len(gr2_boxes):
-        raise ValueError("gr2 names a box twice")
     return result
 
 

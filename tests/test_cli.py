@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flagchess import (INDETERMINATE, Board, Box, GameResult, LemmaPoint, LemmaReport, MoveRefused,
-                       Opaque, OracleCheck, SymBlock, cli, play, render, run_game)
-from flagchess import board as board_module
+                       Opaque, OracleCheck, SymBlock, cli, play, render, replay, run_game)
+from flagchess import board as board_module, games
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -461,12 +461,11 @@ class TestWireSchema:
     @pytest.mark.parametrize("axis, value", [("x", "0"), ("y", "0"), ("x", True),
                                              ("y", 1.0)])
     def test_box_positions_must_be_ints(self, game, board, axis, value):
-        # the initial boxes are read; the final ones are what the replay writes
+        # both boards are what the game, started and replayed, writes
         def edit(doc):
             doc[board]["boxes"][0][axis] = value
-        match = ("box position must be a pair of ints" if board == "initial"
-                 else rf"^final\.boxes\[0\]\.{axis} is {value!r} but the replayed game writes")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=rf"^{board}\.boxes\[0\]\.{axis} is {value!r} but "
+                                             "the replayed game writes"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["1", True, 1.0, -1, None])
@@ -474,7 +473,8 @@ class TestWireSchema:
         def edit(doc):
             box = next(b for b in doc["initial"]["boxes"] if b["content"]["kind"] == "sym")
             box["content"]["m"] = value
-        with pytest.raises(ValueError, match="sym grade m must be an int >= 0"):
+        with pytest.raises(ValueError, match=rf"^initial\.boxes\[0\]\.content\.m is {value!r} "
+                                             "but the replayed game writes 0$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", [0, -1, True, 1.0, "1"])
@@ -490,7 +490,8 @@ class TestWireSchema:
     def test_an_unknown_content_kind_raises_value_error(self, game):
         def edit(doc):
             doc["initial"]["boxes"][0]["content"]["kind"] = "zzz"
-        with pytest.raises(ValueError, match="^unknown content kind 'zzz'$"):
+        with pytest.raises(ValueError, match=r"^initial\.boxes\[0\]\.content\.kind is 'zzz' but "
+                                             "the replayed game writes 'sym'$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["zzz", "", None, ["fibration"]])
@@ -504,7 +505,7 @@ class TestWireSchema:
     def test_flags_must_be_a_list_of_strings(self, game, value):
         def edit(doc):
             doc["flags"] = value
-        with pytest.raises(ValueError, match="flags must be a list of strings"):
+        with pytest.raises(ValueError, match=r"^flags (is|has) .* but the replayed game writes"):
             parse_game_result(self.edited(game, edit))
 
     def test_gr2_boxes_must_be_on_the_final_board(self, game):
@@ -514,14 +515,16 @@ class TestWireSchema:
         def wrong_content(doc):
             doc["gr2"]["boxes"][0]["content"]["m"] += 1
         for edit in (off_board, wrong_content):
-            with pytest.raises(ValueError, match="is not on the final board"):
+            with pytest.raises(ValueError, match=r"^gr2\.boxes\[0\]\.(x|content\.m) is \d+ but "
+                                                 r"the replayed game writes \d+$"):
                 parse_game_result(self.edited(game, edit))
 
     def test_gr2_boxes_must_not_repeat(self, game):
         # a repeated box would count its copies twice in the column
         def repeated(doc):
             doc["gr2"]["boxes"].append(doc["gr2"]["boxes"][0])
-        with pytest.raises(ValueError, match="gr2 names a box twice"):
+        with pytest.raises(ValueError, match="^gr2.boxes has 6 entries but the replayed game "
+                                             "writes 5$"):
             parse_game_result(self.edited(game, repeated))
 
     @staticmethod
@@ -603,8 +606,8 @@ class TestWireSchema:
     @pytest.mark.parametrize("field", ["moves", "initial.boxes", "final.boxes", "gr2.boxes",
                                        "move positions", "oracle expected", "oracle got"])
     def test_lists_must_not_be_objects(self, game, field):
-        # an empty object iterates like an empty list, so each edit here
-        # would otherwise parse without complaint
+        # an empty object iterates like an empty list: the two lists the
+        # parser reads are refused by their form, the rest by the writer
         def edit(doc):
             if field == "move positions":
                 doc["moves"][0]["positions"] = {}
@@ -613,15 +616,12 @@ class TestWireSchema:
                 assert check["expected"] == check["got"] == []
                 check[field.split()[1]] = {}
             else:
-                # a game of no moves and no boxes, whose totals all agree
-                doc.update(moves=[], initial={"boxes": [], "copies": 0},
-                           final={"boxes": [], "copies": 0}, gr2={"found": False, "boxes": []})
                 *path, key = field.split(".")
                 (doc[path[0]] if path else doc)[key] = {}
-        match = (r"^final\.boxes is {} but the replayed game writes \[\]$" if field == "final.boxes"
+        match = (f"^{field} must be a list, got {{}}$" if field in ("moves", "move positions")
                  else rf"^moves\[\d+\]\.oracle\[\d+\]\.{field.split()[1]} is {{}} but the "
                       r"replayed game writes \[\]$" if field.startswith("oracle ")
-                 else f"^{field} must be a list, got {{}}$")
+                 else rf"^{field} is {{}} but the replayed game writes \[{{'x': ")
         with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
@@ -635,11 +635,14 @@ class TestWireSchema:
     @pytest.mark.parametrize("found, boxes", [
         ("zzz", None), (1, None), (None, None), (False, None), (True, [])])
     def test_gr2_found_must_be_a_bool_that_matches_the_boxes(self, game, found, boxes):
+        # the column is the one the replayed game finds, so an emptied one differs
         def edit(doc):
             doc["gr2"]["found"] = found
             if boxes is not None:
                 doc["gr2"]["boxes"] = boxes
-        with pytest.raises(ValueError, match="gr2.found is"):
+        match = ("^gr2.boxes has 0 entries but the replayed game writes 5$" if found is True
+                 else "^gr2.found is")
+        with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
     def test_initial_and_final_copies_must_agree(self, game):
@@ -719,6 +722,19 @@ class TestWireSchema:
                                              r"'content'\] but the replayed game writes "
                                              r"\['x', 'y', 'content'\]$"):
             parse_game_result(self.edited(game, edit))
+
+    def test_a_moved_initial_box_is_refused(self):
+        # every move still replays with the box at (1, 1) moved to (2, 1),
+        # but the start board is derived from the params, never read
+        start = games._start_board(2, 0, "fibration")
+        assert start.boxes[3].pos == (1, 1) and start.at((2, 1)) is None
+        initial = Board(2, 0, (*start.boxes[:3], Box(2, 1, start.boxes[3].content),
+                               *start.boxes[4:]))
+        log = run_game(2, 0, validate=False).log
+        text = game_result_to_json(games._finish("fibration", initial, replay(initial, log), log))
+        with pytest.raises(ValueError, match=r"^initial\.boxes\[3\]\.x is 2 but the replayed "
+                                             "game writes 1$"):
+            parse_game_result(text)
 
     def test_json_lines_matches_the_log_length(self, game):
         result = game(2, 0)
@@ -899,8 +915,18 @@ class TestReplayedChecks:
             10**6, 1, "fibration", initial, final, (record._replace(oracle=(check,)),), (), 2, ()))
         assert len(text) < 1000
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n} in a document "
-                                             r"with oracle checks, got 1000000$"):
+        with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n}, got 1000000$"):
+            parse_game_result(text)
+        assert time.perf_counter() - start < 1
+
+    def test_an_unvalidated_document_at_an_n_past_the_bound_is_refused_before_any_board(self):
+        # its start board would hold N(N - 2), about 4 * 10**12, boxes
+        initial = Board(10**6, 1, (Box(0, 0, SymBlock(0)), Box(1, 0, SymBlock(0))))
+        text = game_result_to_json(GameResult(
+            10**6, 1, "fibration", initial, initial, (), (), 2, ()))
+        assert len(text) < 1000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n}, got 1000000$"):
             parse_game_result(text)
         assert time.perf_counter() - start < 1
 
@@ -912,21 +938,38 @@ class TestReplayedChecks:
     ])
     def test_a_check_past_the_oracle_bounds_is_refused_before_the_oracle(
             self, monkeypatch, boxes, kind, question):
+        # grades on a replayed game's boards stay below n, so no document
+        # holds these blocks; the validated move itself refuses them
         initial = Board(3, 1, tuple(Box(x, y, SymBlock(m)) for x, y, m in boxes))
         positions = tuple((x, y) for x, y, _ in boxes)
-        final, record = play(initial, kind, positions, {}, False)
-        doc = json.loads(game_result_to_json(GameResult(
-            3, 1, "fibration", initial, final, (record,), (), final.copies, ())))
-        doc["moves"][0]["oracle"] = 0
-        assert len(json.dumps(doc)) < 1000
+
+        def refuse(source, target):
+            raise AssertionError("the oracle was asked")
+        monkeypatch.setattr(board_module, "ext_on_M", refuse)
+        start = time.perf_counter()
+        with pytest.raises(MoveRefused, match=re.escape(
+                f"{kind}: {question} is past the oracle's bounds MAX_m, MAX_twist")):
+            play(initial, kind, positions, {}, True)
+        assert time.perf_counter() - start < 1
+
+    def test_a_replayed_twist_past_the_oracle_bounds_is_refused_before_the_oracle(
+            self, monkeypatch):
+        # on the n=3, eps=1 start board row 2 fills x = -2..4; 10**9 left
+        # steps wrap its boxes by N = 7 and leave its first at x = -(10**9) - 2
+        doc = json.loads(game_result_to_json(run_game(3, 1, validate=False)))
+        doc["moves"] = [
+            {"kind": "serre_translate", "positions": [],
+             "params": {"y": 2, "direction": "left", "steps": 10**9}, "oracle": []},
+            {"kind": "transpose", "positions": [[3, 1], [-(10**9) - 2, 2]], "params": {},
+             "oracle": 0}]
 
         def refuse(source, target):
             raise AssertionError("the oracle was asked")
         monkeypatch.setattr(board_module, "ext_on_M", refuse)
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(
-                f"the moves do not replay from the initial board: {kind}: {question} is "
-                "past the oracle's bounds MAX_m, MAX_twist")):
+                "the moves do not replay from the initial board: transpose: "
+                "(0, -1000000005, 1) is past the oracle's bounds MAX_m, MAX_twist")):
             parse_game_result(json.dumps(doc))
         assert time.perf_counter() - start < 1
 

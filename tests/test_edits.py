@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from flagchess import (
     Board,
     Box,
-    GameResult,
     Opaque,
     SymBlock,
     games,
@@ -166,7 +165,11 @@ def spread_boards(draw):
 
 @st.composite
 def legal_move(draw, board: Board):
-    """One always-legal move on ``board``, as (function, args)."""
+    """One always-legal move on ``board``, as (function, args).
+
+    Every one keeps each box's class modulo the lattice spanned by (N, 0)
+    and (1, N - 2), so on a board whose boxes lie in distinct classes, as on
+    ``spread_boards()`` and on every start board, none ever stacks two."""
     live = [b.pos for b in board.boxes if not b.opaque]
     kinds = ["serre_global", "global_twist"]
     if board.boxes:
@@ -204,9 +207,18 @@ class TestRandomMoveSequences:
             board = new
             log.append(record)
         assert replay(initial, tuple(log)) == board
-        result = GameResult(initial.n, initial.eps, "fibration", initial, board, tuple(log),
-                            (), board.copies, ())
-        text = game_result_to_json(result)
+
+    @given(st.integers(2, 3), st.integers(0, 1), st.sampled_from(["fibration", "flip"]),
+           st.data())
+    def test_documents_of_random_games_from_a_start_board_round_trip(self, n, eps, mode, data):
+        # the parser derives the start board, so a document starts there too
+        initial = games._start_board(n, eps, mode)
+        board, log = initial, []
+        for _ in range(data.draw(st.integers(0, 8))):
+            move, args = data.draw(legal_move(board))
+            board, record = move(board, *args)
+            log.append(record)
+        text = game_result_to_json(games._finish(mode, initial, board, tuple(log)))
         parsed = parse_game_result(text)
         assert parsed.final == board and game_result_to_json(parsed) == text
         assert replay(parsed.initial, parsed.log) == board
