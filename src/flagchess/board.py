@@ -16,24 +16,24 @@ copy total and its position map beside it.
 
 Every move is a pure function Board -> (Board, MoveRecord).  Moves either
 apply (returning the mutated board and a replayable record) or raise
-:class:`MoveRefused`.  An applied move commits an edit through
-:func:`_commit`: the new SOD order, the boxes it removes and the boxes it
-adds.  The new board's position map is its parent's, patched where the edit
-removes and adds boxes, and its copy total is carried over once the copies
-removed equal the copies added, so no move rebuilds the board.  The
-mutation moves (transpose / absorb / rule1 / rule2) act on the SOD slots
-between two blocks: each looks its window up with :func:`_window`, checks
-its own shape, and hands :func:`_rewrite` the new live boxes and, with
-validation on, the key of its shape.  ``_rewrite`` alone asks the Ext
+:class:`MoveRefused`.  Every move hands its edit to :func:`_commit`, the one
+step that checks an edit and makes the new board: the new SOD order, the
+boxes it removes, the boxes it adds and, for a validated windowed move, the
+key of its shape.  ``_commit`` checks that the copies removed equal the
+copies added, patches the parent's position map where boxes leave and land,
+refusing a landing on an occupied position, and carries the copy total over,
+so no move rebuilds the board.  Given a shape key it then asks the Ext
 oracle on M, refusing when a required vanishing fails or comes back
-indeterminate, and keeps every opaque box in its slot.  The questions
-depend only on the shape, so :func:`_questions` assembles them once per
-key, with the passing transcript, from :func:`_question`, which builds each
-distinct question (its source, target and passing check) once per value
-and shares it across shapes.  The oracle answers them on every move, and
-:func:`_run_oracle` compares each answer with the expected one by value.
-The shape-based refusals (e.g. transposing a pair that pairs nontrivially)
-are enforced even with validation off, so a validated and an unvalidated run
+indeterminate.  The mutation moves (transpose / absorb / rule1 / rule2) act
+on the SOD slots between two blocks: each looks its window up with
+:func:`_window`, checks its own shape, and has :func:`_fill` put the new
+live boxes in the window, every opaque box keeping its slot.  The questions
+depend only on the shape, so :func:`_questions` assembles them once per key,
+with the passing transcript, from :func:`_question`, which builds each
+distinct question (its source, target and passing check) once per value and
+shares it across shapes; the oracle answers them on every move.  The
+shape-based refusals (e.g. transposing a pair that pairs nontrivially) are
+enforced even with validation off, so a validated and an unvalidated run
 agree move for move.  :data:`MOVES` says how each kind is called, and
 :func:`play` calls a move by its kind name.
 """
@@ -250,30 +250,19 @@ def _questions(kind: str, *key: int) -> Questions:
     return asked, tuple([passed for *_, passed in asked])
 
 
-def _run_oracle(kind: str, questions: Questions) -> tuple[OracleCheck, ...]:
-    """Ask the oracle every question and compare each answer with the
-    expected one by value; refuse at the first that differs, else return
-    the shared passing transcript."""
-    asked, transcript = questions
-    for source, target, passed in asked:
-        answer = ext_on_M(source, target)
-        if answer != passed.expected:
-            check = passed._replace(got=answer)
-            reason = ("oracle indeterminate" if answer == INDETERMINATE
-                      else f"oracle expected {check.expected} but got {answer}")
-            raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
-    return transcript
-
-
 def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
             added: Sequence[Box], kind: str, positions: tuple[tuple[int, int], ...],
-            params: Params, oracle: tuple[OracleCheck, ...] = ()) -> tuple[Board, MoveRecord]:
-    """Commit a move's edit: ``boxes`` in their new SOD order, of which
-    ``added`` are new and ``removed`` are the parent's boxes that left.
+            params: Params, key: tuple[int, ...] | None = None) -> tuple[Board, MoveRecord]:
+    """Check a move's edit and make its board and record: ``boxes`` in
+    their new SOD order, of which ``added`` are new and ``removed`` are the
+    parent's boxes that left.
 
-    The copies removed must equal the copies added.  The parent's position
-    map is copied and patched at the edited positions only; an added box
-    on a position that stays occupied raises ``ValueError``.
+    The copies removed must equal the copies added, and an added box may
+    not land on a position that stays occupied; the parent's position map
+    is copied and patched at the edited positions only.  Given a windowed
+    move's shape ``key`` (None with validation off), the oracle answers the
+    shape's :func:`_questions`, and the first answer that differs from the
+    expected one by value refuses the move.
     """
     copies = board.copies
     if sum(b.content.copies for b in removed) != sum(b.content.copies for b in added):
@@ -283,8 +272,18 @@ def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
         del at[b.x, b.y]
     for b in added:
         if (b.x, b.y) in at:
-            raise ValueError(f"duplicate box position {(b.x, b.y)}")
+            raise MoveRefused(kind, f"landing position {(b.x, b.y)} is occupied")
         at[b.x, b.y] = b
+    oracle: tuple[OracleCheck, ...] = ()
+    if key is not None:
+        asked, oracle = _questions(kind, *key)
+        for source, target, passed in asked:
+            answer = ext_on_M(source, target)
+            if answer != passed.expected:
+                check = passed._replace(got=answer)
+                reason = ("oracle indeterminate" if answer == INDETERMINATE
+                          else f"oracle expected {check.expected} but got {answer}")
+                raise MoveRefused(kind, f"{reason} for {check.source} vs {check.target}", check)
     new_board = tuple.__new__(Board, (board.n, board.eps, tuple(boxes)))
     new_board.__dict__.update(N=board.N, copies=copies, _at=at)
     record = MoveRecord(kind, positions, params, oracle, "applied", copies, copies)
@@ -388,12 +387,8 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     sign = 1 if direction == "front_to_back" else -1
     split = k if sign == 1 else len(board.boxes) - k
     head, tail = board.boxes[:split], board.boxes[split:]
-    crossing, staying = (head, tail) if sign == 1 else (tail, head)
+    crossing = head if sign == 1 else tail
     moved = [Box(b.x + sign, b.y + sign * (board.N - 2), b.content) for b in crossing]
-    kept = {b.pos for b in staying}
-    for b in moved:
-        if b.pos in kept:
-            raise MoveRefused(kind, f"landing position {b.pos} is occupied")
     new_boxes = [*tail, *moved] if sign == 1 else [*moved, *head]
     return _commit(board, new_boxes, crossing, moved, kind, (),
                    (("k", k), ("direction", direction)))
@@ -496,26 +491,16 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
                                 if not isinstance(b.content, Opaque)]
 
 
-def _rewrite(board: Board, kind: str, i: int, j: int, live: list[Box],
-             removed: list[Box], added: list[Box],
-             positions: tuple[tuple[int, int], ...], params: Params,
-             key: tuple[int, ...] | None) -> tuple[Board, MoveRecord]:
-    """Ask the oracle the questions of the move's shape ``key``, unless it
-    is None (validation off), then commit the window edit.
-
-    The questions are assembled once per shape by :func:`_questions`; the
-    oracle answers them on every move.  The live boxes of slots i..j are
-    replaced, in order, by ``live``; live slots left over are dropped, and
-    every opaque box keeps its slot.  Of the window's live boxes the move
-    takes ``removed`` off the board, and of ``live`` it puts ``added`` on.
-    """
-    oracle = () if key is None else _run_oracle(kind, _questions(kind, *key))
+def _fill(board: Board, i: int, j: int, live: list[Box]) -> list[Box]:
+    """The SOD order with the live boxes of slots i..j replaced, in order,
+    by ``live``: live slots left over are dropped, and every opaque box
+    keeps its slot."""
     fill = iter(live)
     window = [b if isinstance(b.content, Opaque) else next(fill, None)
               for b in board.boxes[i:j + 1]]
     new_boxes = list(board.boxes)
     new_boxes[i:j + 1] = [b for b in window if b is not None]
-    return _commit(board, new_boxes, removed, added, kind, positions, params, oracle)
+    return new_boxes
 
 
 def move_transpose(board: Board, left_pos: tuple[int, int],
@@ -540,7 +525,8 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
             raise MoveRefused(
                 kind, f"pairing-shaped pair at relative twist ({t}, 0) vs (-1, 1)")
     key = (lm, rm, right.x - left.x, right.y - left.y, board.N) if validate else None
-    return _rewrite(board, kind, i, j, [right, left], [], [], (left_pos, right_pos), (), key)
+    return _commit(board, _fill(board, i, j, [right, left]), [], [], kind,
+                   (left_pos, right_pos), (), key)
 
 
 def move_absorb(board: Board, target_pos: tuple[int, int],
@@ -566,12 +552,9 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
         raise MoveRefused(kind, f"source grade must be {t - 1}, got {source.content.m}")
     if between:
         raise MoveRefused(kind, "boxes are not SOD-adjacent")
-    landing = (source.x + 1, source.y - 1)
-    if board.at(landing) is not None:
-        raise MoveRefused(kind, f"landing position {landing} is occupied")
-    merged = Box(*landing, SymBlock(t))
-    return _rewrite(board, kind, i, j, [merged], [target, source], [merged],
-                    (target_pos, source_pos), (), (t, board.N) if validate else None)
+    merged = Box(source.x + 1, source.y - 1, SymBlock(t))
+    return _commit(board, _fill(board, i, j, [merged]), [target, source], [merged], kind,
+                   (target_pos, source_pos), (), (t, board.N) if validate else None)
 
 
 def _check_zeros(kind: str, window: list[Box], x0: int, y: int) -> None:
@@ -609,8 +592,8 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
     if not r <= l <= 2 * n - 3 + board.eps:
         raise MoveRefused(kind, f"window bound r <= l <= 2n-3+eps fails for r={r}, l={l}")
     fed = Box(gray.x, gray.y, SymBlock(r))
-    return _rewrite(board, kind, i, j, [fed, *window], [gray, mover], [fed],
-                    (gray_pos, block_pos), (), (r, l, board.N) if validate else None)
+    return _commit(board, _fill(board, i, j, [fed, *window]), [gray, mover], [fed], kind,
+                   (gray_pos, block_pos), (), (r, l, board.N) if validate else None)
 
 
 def move_rule2(board: Board, zeros_start: tuple[int, int],
@@ -642,9 +625,9 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
             kind, f"expected {t + 1} zeros before the block, found {len(window)}")
     _check_zeros(kind, window, zx, zy)
     piece = Box(zx, zy, SymBlock(r - 1))
-    return _rewrite(board, kind, i, j, [block, piece, *window[r:]], window[:r], [piece],
-                    (zeros_start, block_pos), (("t", t), ("r", r)),
-                    (r, t, board.N) if validate else None)
+    return _commit(board, _fill(board, i, j, [block, piece, *window[r:]]), window[:r],
+                   [piece], kind, (zeros_start, block_pos), (("t", t), ("r", r)),
+                   (r, t, board.N) if validate else None)
 
 
 def move_orange_merge(board: Board, orange_pos: tuple[int, int],

@@ -38,6 +38,8 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
     __slots__ = ()
 
     def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
+        if not type(m) is type(x) is type(y) is int:
+            raise ValueError(f"m, x and y must be ints, got {(m, x, y)!r}")
         if m < 0:
             raise ValueError(f"symmetric power must be >= 0, got {m}")
         return tuple.__new__(cls, (m, x, y, _flag_N(N)))

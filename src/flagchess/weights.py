@@ -45,18 +45,24 @@ def rho(N: int) -> Weight:
 
 
 def _flag_N(N: int) -> int:
-    """N itself, refusing N < 3, where F(1,2,N) does not exist."""
+    """N itself, refusing an N that is not an int (a bool is not taken for
+    one) and N < 3, where F(1,2,N) does not exist."""
+    if type(N) is not int:
+        raise ValueError(f"N must be an int, got {N!r}")
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
     return N
 
 
 def _game_N(n: int, eps: int) -> int:
-    """N = 2n + eps, refusing n < 2 first and then eps outside {0, 1}."""
+    """N = 2n + eps, refusing an n that is not an int >= 2 first and then an
+    eps that is not the int 0 or 1; a bool is not taken for an int."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if eps not in (0, 1):
-        raise ValueError(f"eps must be 0 or 1, got {eps}")
+    if type(eps) is not int or eps not in (0, 1):
+        raise ValueError(f"eps must be 0 or 1, got {eps!r}")
     return 2 * n + eps
 
 

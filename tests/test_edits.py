@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from flagchess import (
     Board,
     Box,
+    MoveRefused,
     Opaque,
     SymBlock,
     games,
@@ -54,10 +55,11 @@ def assert_matches_rebuilt(board: Board) -> None:
 
 def assert_occupied_landing_refused(board: Board) -> None:
     """An edit that moves the first box onto the last one's position, which
-    stays occupied, raises ``ValueError``."""
+    stays occupied, is refused as a move is."""
     first, last = board.boxes[0], board.boxes[-1]
     onto = Box(last.x, last.y, first.content)
-    with pytest.raises(ValueError, match="duplicate box position"):
+    with pytest.raises(MoveRefused,
+                       match=rf"^probe: landing position \({last.x}, {last.y}\) is occupied$"):
         board_module._commit(board, [onto, *board.boxes[1:]], [first], [onto],
                              "probe", (), ())
 
@@ -123,6 +125,31 @@ class TestWindowedMovesTheGamesDoNotPlay:
             assert new.copies == record.copies_after == board.copies
             assert_matches_rebuilt(new)
             assert_occupied_landing_refused(new)
+
+
+class TestOccupiedLandingIsRefusedBeforeTheOracle:
+    class Asked(Exception):
+        pass
+
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
+        def ask(source, target):
+            raise self.Asked(source, target)
+        monkeypatch.setattr(board_module, "ext_on_M", ask)
+
+    def test_absorb(self, no_oracle):
+        board = cells(2, 1, (-1, 0, 0), (0, 0, 0), (-2, 1, 0))
+        with pytest.raises(MoveRefused,
+                           match=r"^absorb: landing position \(-1, 0\) is occupied$"):
+            move_absorb(board, (0, 0), (-2, 1), validate=True)
+        with pytest.raises(self.Asked):  # a free landing goes on to the oracle
+            move_absorb(cells(2, 1, (0, 0, 0), (-2, 1, 0)), (0, 0), (-2, 1), validate=True)
+
+    def test_serre_global(self, no_oracle):
+        board = cells(2, 1, (0, 0, 0), (1, 3, 0))
+        with pytest.raises(MoveRefused,
+                           match=r"^serre_global: landing position \(1, 3\) is occupied$"):
+            move_serre_global(board, 1, "front_to_back")
 
 
 class TestConservationUnderOptimization:

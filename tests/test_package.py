@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -96,6 +97,25 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
             {"flagchess"} | {f"flagchess.{layer}" for layer in layers}, entry_point
         # json is loaded by the renderer alone
         assert ("json" in loaded) == ("render" in layers), entry_point
+
+
+def test_the_readme_compile_table_counts_the_module_files():
+    """README's table of the lines each command compiles, with the package
+    total above it, recounted from the module files as ``wc -l`` counts."""
+    repo = Path(__file__).resolve().parent.parent
+    lines = {path.stem: path.read_bytes().count(b"\n")
+             for path in (repo / "src" / "flagchess").glob("*.py")}
+    readme = (repo / "README.md").read_text(encoding="utf-8")
+
+    def total(modules) -> str:
+        return f"{sum(lines[module] for module in modules):,}"
+
+    assert f"of the package's {total(lines)} lines:" in " ".join(readme.split())
+    for commands, layers in [("`bwb`, `cohom`, `ext`, `lemma`", _LEMMA_LAYERS),
+                             ("`degree`, `conditions`", _LEMMA_LAYERS | {"chern"}),
+                             ("`game`", _LEMMA_LAYERS | {"board", "games", "render"})]:
+        row = rf"^\| {re.escape(commands)} \| .* \| {total({'__init__'} | layers)} \|$"
+        assert re.search(row, readme, re.MULTILINE), commands
 
 
 _BOARD = Board(2, 1, (Box(0, 1, SymBlock(0)), Box(1, 1, Opaque())))

@@ -21,14 +21,17 @@ from flagchess import (
     CohomResult,
     bwb_regularize,
     canonical_fiber,
+    check_lemma,
+    cover_degree,
     euler_char,
     h0_twisted_quotient,
     line_bundle_cohomology,
     rho,
+    run_game,
     simple_reflection,
     weyl_dim,
 )
-from flagchess.weights import _line_bundle
+from flagchess.weights import _flag_N, _game_N, _line_bundle
 
 
 def sort_regularize(w_plus_rho):
@@ -87,6 +90,39 @@ class TestRho:
     def test_every_caller_refuses_N_below_3_in_the_same_words(self, refuse, N):
         with pytest.raises(ValueError, match=f"^need N >= 3, got {N}$"):
             refuse(N)
+
+
+class TestSizesMustBeInts:
+    """A size that is not an int, a bool included, is refused with
+    ``ValueError`` before any arithmetic is done on it."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: _game_N(2.5, 1), "n must be an int, got 2.5"),
+        (lambda: _game_N(True, 1), "n must be an int, got True"),
+        (lambda: _game_N(3, 1.0), "eps must be 0 or 1, got 1.0"),
+        (lambda: _game_N(2, True), "eps must be 0 or 1, got True"),
+        (lambda: _game_N(2, False), "eps must be 0 or 1, got False"),
+        (lambda: run_game(2, True), "eps must be 0 or 1, got True"),
+        (lambda: run_game(2.5, 1), "n must be an int, got 2.5"),
+        (lambda: run_game(3, 1.0), "eps must be 0 or 1, got 1.0"),
+        (lambda: check_lemma("A4", 3.0, 1), "n must be an int, got 3.0"),
+        (lambda: cover_degree(2.5, 1), "n must be an int, got 2.5"),
+        (lambda: _flag_N(5.0), "N must be an int, got 5.0"),
+        (lambda: _flag_N(True), "N must be an int, got True"),
+        (lambda: rho(4.0), "N must be an int, got 4.0"),
+        (lambda: BundleDescriptor(1.5, 0, 0, 5), r"m, x and y must be ints, got \(1.5, 0, 0\)"),
+        (lambda: BundleDescriptor(0, 0.0, 0, 5), r"m, x and y must be ints, got \(0, 0.0, 0\)"),
+        (lambda: BundleDescriptor(0, 0, True, 5), r"m, x and y must be ints, got \(0, 0, True\)"),
+        (lambda: BundleDescriptor(0, 0, 0, 5.0), "N must be an int, got 5.0"),
+        (lambda: BundleDescriptor(0, 0, 0, True), "N must be an int, got True"),
+    ], ids=["game_N-n-float", "game_N-n-bool", "game_N-eps-float", "game_N-eps-True",
+            "game_N-eps-False", "run_game-eps-bool", "run_game-n-float", "run_game-eps-float",
+            "check_lemma-n-float", "cover_degree-n-float", "flag_N-float", "flag_N-bool",
+            "rho-float", "descriptor-m-float", "descriptor-x-float", "descriptor-y-bool",
+            "descriptor-N-float", "descriptor-N-bool"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestSimpleReflection:
