@@ -61,4 +61,4 @@ def section_count_syzygy(N: int) -> int:
 
 def condition3_bound(N: int) -> int:
     """Codimension bound for the third condition: C(N+1,2) - N."""
-    return math.comb(N + 1, 2) - N
+    return math.comb(_flag_N(N) + 1, 2) - N

@@ -8,6 +8,7 @@ symmetric-power blocks; everything left over -- live zeros plus retired
 opaque material -- is the residual, whose copy count is compared against the
 reference count in fibration mode.  A disagreement is reported as a flag on
 the result, never as an exception: the games always run to completion.
+``run_game``'s script and a parsed game document both play on a ``_Runner``.
 """
 
 from __future__ import annotations
@@ -44,20 +45,43 @@ def corrected_flip_board(n: int, eps: int) -> Board:
 
 
 class _Runner:
-    """Applies moves in sequence, collecting the records and phase snapshots."""
+    """The one player of a game, scripted or parsed: its start board, each
+    move applied through ``play`` and logged, its phases, and its finish."""
 
-    def __init__(self, board: Board, validate: bool):
-        self.board = board
-        self.validate = validate
+    def __init__(self, n: int, eps: int, mode: str, validate: bool):
+        if mode not in ("fibration", "flip"):
+            raise ValueError(f"unknown mode {mode!r}")
+        start = initial_board_fibration if mode == "fibration" else corrected_flip_board
+        self.initial = self.board = start(n, eps)
+        self.mode, self.validate = mode, validate
         self.log: list[MoveRecord] = []
         self.phases: list[tuple[str, Board, int]] = []
 
-    def do(self, kind: str, *positions: tuple[int, int], **params) -> None:
+    def play(self, kind: str, positions: tuple[tuple[int, int], ...], params: dict) -> None:
         self.board, record = play(self.board, kind, positions, params, self.validate)
         self.log.append(record)
 
+    def do(self, kind: str, *positions: tuple[int, int], **params) -> None:
+        self.play(kind, positions, params)
+
     def phase(self, name: str) -> None:
         self.phases.append((name, self.board, len(self.log)))
+
+    def finish(self) -> GameResult:
+        """The game's result: the final board's boxes recounted, its column
+        split off, its residual copies summed and, in fibration mode,
+        compared with the reference count."""
+        initial, final = self.initial, self.board
+        n, eps = initial.n, initial.eps
+        _recount("the game", final.boxes, initial.copies)
+        gr2_boxes, flags = extract_gr2(final, n, eps)
+        residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
+        expected = reference_residual_count(n, eps)
+        if self.mode == "fibration" and residual_count != expected:
+            flags += (f"residual count {residual_count} differs from the "
+                      f"reference value {expected}",)
+        return GameResult(n, eps, self.mode, initial, final, tuple(self.log), gr2_boxes,
+                          residual_count, flags, phases=tuple(self.phases))
 
 
 def _feed_row(g: _Runner, y: int, xs: range, retire: bool) -> None:
@@ -196,32 +220,8 @@ def _residual(final: Board, gr2_boxes: tuple[Box, ...]) -> tuple[Box, ...]:
 
 def reference_residual_count(n: int, eps: int) -> int:
     """The reference leftover-generator count: 2n^2 - n - eps."""
+    _game_N(n, eps)
     return 2 * n * n - n - eps
-
-
-def _start_board(n: int, eps: int, mode: str) -> Board:
-    """The board a game in ``mode`` starts from: the fibration staircase, or
-    the flipped one."""
-    if mode not in ("fibration", "flip"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return initial_board_fibration(n, eps) if mode == "fibration" else corrected_flip_board(n, eps)
-
-
-def _finish(mode: str, initial: Board, final: Board, log: tuple[MoveRecord, ...],
-            phases: tuple[tuple[str, Board, int], ...] = ()) -> GameResult:
-    """The result of a game played from ``initial`` to ``final``: its boxes
-    recounted, its column split off, its residual copies summed and, in
-    fibration mode, compared with the reference count."""
-    n, eps = initial.n, initial.eps
-    _recount("the game", final.boxes, initial.copies)
-    gr2_boxes, flags = extract_gr2(final, n, eps)
-    residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
-    expected = reference_residual_count(n, eps)
-    if mode == "fibration" and residual_count != expected:
-        flags += (f"residual count {residual_count} differs from the "
-                  f"reference value {expected}",)
-    return GameResult(n, eps, mode, initial, final, tuple(log), gr2_boxes,
-                      residual_count, flags, phases=tuple(phases))
 
 
 def run_game(n: int, eps: int, mode: str = "fibration",
@@ -232,8 +232,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     The move log is identical either way.
     """
     N = _game_N(n, eps)
-    initial = _start_board(n, eps, mode)
-    g = _Runner(initial, validate)
+    g = _Runner(n, eps, mode, validate)
     g.phase("initial")
     if mode == "flip":
         g.do("global_twist", dx=n + eps - 2, dy=N - 1, note="normalize-flip-start")
@@ -245,7 +244,7 @@ def run_game(n: int, eps: int, mode: str = "fibration",
     else:
         _odd_script(g, n)
     g.phase("final")
-    return _finish(mode, initial, g.board, g.log, g.phases)
+    return g.finish()
 
 
 def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:

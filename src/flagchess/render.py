@@ -3,11 +3,11 @@
 All emitters are deterministic down to the byte: no set iteration, JSON with
 fixed separators and explicitly ordered keys, graded dimensions as sorted
 ``[degree, dim]`` pairs.  ``parse_game_result`` inverts
-``game_result_to_json`` exactly: it builds the game as ``run_game`` does,
-from the start board of its params through the document's moves (asking
-the oracle again where the document records its checks) to the same
-finish, and refuses the document unless the writer of its version writes
-it for that game.
+``game_result_to_json`` exactly: it plays the game through the runner that
+``run_game`` plays, from the start board of its params through the
+document's moves (asking the oracle again where the document records its
+checks) to the same finish, and refuses the document unless the writer of
+its version writes it for that game.
 
 A game document (schema version 2) writes each distinct oracle check and
 each distinct move transcript once, where it first appears.  A move's
@@ -24,8 +24,8 @@ import reprlib
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS, _MAX_n
-from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck, play
-from .games import GameResult, _finish, _start_board
+from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
+from .games import GameResult, _Runner
 
 SCHEMA_VERSION = 2
 
@@ -185,12 +185,13 @@ def parse_game_result(text: str | bytes) -> GameResult:
     (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
     int ``n`` from 2 to ``cli.MAX_n``, ``eps`` 0 or 1, ``mode``
     ``fibration`` or ``flip``), ``residual_f_count`` (an int >= 0) and each
-    move's ``kind``, ``positions`` and ``params``.  The moves are replayed
-    through ``board.play`` from the start board that ``run_game`` builds
-    for the params, validated when some move's ``oracle`` is not ``[]``,
-    so that every recorded check is asked of the oracle again, within
-    ``cli.MAX_m`` and ``cli.MAX_twist``.  The final board is then split as
-    ``run_game`` splits it, which gives the column and the flags; only
+    move's ``kind``, ``positions`` and ``params``.  The moves are played on
+    the runner that ``run_game`` plays, from the start board of the params,
+    validated when some move's ``oracle`` is not ``[]``, so that every
+    recorded check is asked of the oracle again, within ``cli.MAX_m`` and
+    ``cli.MAX_twist``; a move the replay refuses is named by its path, as in
+    ``moves[7]``.  The runner's finish then splits the final board as
+    ``run_game`` does, which gives the column and the flags; only
     ``residual_f_count`` is kept as written.  The document must be what the
     writer of its version writes for that game, keys and their order
     included; otherwise the message names the first path that differs, as
@@ -219,18 +220,16 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
         raise ValueError(f"params.mode must be fibration or flip, got {mode!r}")
     residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
     moves = _list(d["moves"], "moves")
-    validate = any(move["oracle"] != [] for move in moves)
-    initial = _start_board(n, eps, mode)
-    board, log = initial, []
+    g = _Runner(n, eps, mode, validate=any(move["oracle"] != [] for move in moves))
     for move in moves:
         positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
         try:
-            board, record = play(board, move["kind"], positions, move["params"], validate)
+            g.play(move["kind"], positions, move["params"])
         except (ValueError, MoveRefused) as exc:
-            raise ValueError(f"the moves do not replay from the initial board: {exc}") from exc
-        log.append(record)
+            raise ValueError(f"the moves do not replay from the initial board: {exc} "
+                             f"at moves[{len(g.log)}]") from exc
     # the count alone is taken as written, so that the benchmark's gate can refuse a wrong one
-    result = _finish(mode, initial, board, log)._replace(residual_f_count=residual)
+    result = g.finish()._replace(residual_f_count=residual)
     written = dumps(_document(result, version))
     if written != text.removesuffix("\n"):
         _refuse_difference(d, json.loads(written), "")

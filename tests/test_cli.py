@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from flagchess import (INDETERMINATE, Board, Box, GameResult, LemmaPoint, LemmaReport, MoveRefused,
                        Opaque, OracleCheck, SymBlock, cli, play, render, replay, run_game)
-from flagchess import board as board_module, games
+from flagchess import board as board_module
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -704,6 +704,15 @@ class TestWireSchema:
             parse_game_result(json.dumps(doc))
         assert type(info.value.__cause__) is MoveRefused
 
+    def test_a_move_refused_on_replay_is_named_by_its_path(self, game):
+        # without moves[3], eight more moves replay before rule2 finds a zero too many
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        del doc["moves"][3]
+        with pytest.raises(ValueError, match=r"^the moves do not replay from the initial "
+                                             r"board: rule2: expected 2 zeros before the "
+                                             r"block, found 3 at moves\[11\]$"):
+            parse_game_result(json.dumps(doc))
+
     @pytest.mark.parametrize("where", ["top level", "move"])
     def test_an_unknown_key_is_refused(self, game, where):
         def edit(doc):
@@ -726,12 +735,13 @@ class TestWireSchema:
     def test_a_moved_initial_box_is_refused(self):
         # every move still replays with the box at (1, 1) moved to (2, 1),
         # but the start board is derived from the params, never read
-        start = games._start_board(2, 0, "fibration")
+        game = run_game(2, 0, validate=False)
+        start = game.initial
         assert start.boxes[3].pos == (1, 1) and start.at((2, 1)) is None
-        initial = Board(2, 0, (*start.boxes[:3], Box(2, 1, start.boxes[3].content),
-                               *start.boxes[4:]))
-        log = run_game(2, 0, validate=False).log
-        text = game_result_to_json(games._finish("fibration", initial, replay(initial, log), log))
+        moved = Board(2, 0, (*start.boxes[:3], Box(2, 1, start.boxes[3].content),
+                             *start.boxes[4:]))
+        replay(moved, game.log)
+        text = game_result_to_json(game._replace(initial=moved))
         with pytest.raises(ValueError, match=r"^initial\.boxes\[3\]\.x is 2 but the replayed "
                                              "game writes 1$"):
             parse_game_result(text)

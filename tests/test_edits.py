@@ -239,13 +239,13 @@ class TestRandomMoveSequences:
            st.data())
     def test_documents_of_random_games_from_a_start_board_round_trip(self, n, eps, mode, data):
         # the parser derives the start board, so a document starts there too
-        initial = games._start_board(n, eps, mode)
-        board, log = initial, []
+        g = games._Runner(n, eps, mode, validate=False)
         for _ in range(data.draw(st.integers(0, 8))):
-            move, args = data.draw(legal_move(board))
-            board, record = move(board, *args)
-            log.append(record)
-        text = game_result_to_json(games._finish(mode, initial, board, tuple(log)))
+            move, args = data.draw(legal_move(g.board))
+            board, record = move(g.board, *args)
+            g.play(record.kind, record.positions, dict(record.params))
+            assert g.board == board and g.log[-1] == record
+        text = game_result_to_json(g.finish())
         parsed = parse_game_result(text)
-        assert parsed.final == board and game_result_to_json(parsed) == text
-        assert replay(parsed.initial, parsed.log) == board
+        assert parsed.final == g.board and game_result_to_json(parsed) == text
+        assert replay(parsed.initial, parsed.log) == g.board

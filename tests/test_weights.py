@@ -22,10 +22,12 @@ from flagchess import (
     bwb_regularize,
     canonical_fiber,
     check_lemma,
+    condition3_bound,
     cover_degree,
     euler_char,
     h0_twisted_quotient,
     line_bundle_cohomology,
+    reference_residual_count,
     rho,
     run_game,
     simple_reflection,
@@ -82,10 +84,10 @@ class TestRho:
             rho(2)
 
     @pytest.mark.parametrize("refuse", [
-        rho, canonical_fiber, h0_twisted_quotient,
+        rho, canonical_fiber, h0_twisted_quotient, condition3_bound,
         lambda N: _line_bundle(N, 0, 0), lambda N: BundleDescriptor(0, 0, 0, N),
-    ], ids=["rho", "canonical_fiber", "h0_twisted_quotient", "_line_bundle",
-            "BundleDescriptor"])
+    ], ids=["rho", "canonical_fiber", "h0_twisted_quotient", "condition3_bound",
+            "_line_bundle", "BundleDescriptor"])
     @pytest.mark.parametrize("N", (2, 0, -1))
     def test_every_caller_refuses_N_below_3_in_the_same_words(self, refuse, N):
         with pytest.raises(ValueError, match=f"^need N >= 3, got {N}$"):
@@ -115,11 +117,16 @@ class TestSizesMustBeInts:
         (lambda: BundleDescriptor(0, 0, True, 5), r"m, x and y must be ints, got \(0, 0, True\)"),
         (lambda: BundleDescriptor(0, 0, 0, 5.0), "N must be an int, got 5.0"),
         (lambda: BundleDescriptor(0, 0, 0, True), "N must be an int, got True"),
+        (lambda: reference_residual_count(2.5, 1), "n must be an int, got 2.5"),
+        (lambda: reference_residual_count(True, 1), "n must be an int, got True"),
+        (lambda: condition3_bound(True), "N must be an int, got True"),
+        (lambda: condition3_bound(5.0), "N must be an int, got 5.0"),
     ], ids=["game_N-n-float", "game_N-n-bool", "game_N-eps-float", "game_N-eps-True",
             "game_N-eps-False", "run_game-eps-bool", "run_game-n-float", "run_game-eps-float",
             "check_lemma-n-float", "cover_degree-n-float", "flag_N-float", "flag_N-bool",
             "rho-float", "descriptor-m-float", "descriptor-x-float", "descriptor-y-bool",
-            "descriptor-N-float", "descriptor-N-bool"])
+            "descriptor-N-float", "descriptor-N-bool", "reference_residual_count-n-float",
+            "reference_residual_count-n-bool", "condition3_bound-bool", "condition3_bound-float"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
