@@ -31,7 +31,8 @@ live boxes in the window, every opaque box keeping its slot.  The questions
 depend only on the shape, so :func:`_questions` assembles them once per key,
 with the passing transcript, from :func:`_question`, which builds each
 distinct question (its source, target and passing check) once per value and
-shares it across shapes; the oracle answers them on every move.  The
+shares it across shapes, and :func:`_a4_question`, which builds each lemma
+A4 point once; the oracle answers them on every move.  The
 shape-based refusals (e.g. transposing a pair that pairs nontrivially) are
 enforced even with validation off, so a validated and an unvalidated run
 agree move for move.  :data:`MOVES` says how each kind is called, and
@@ -215,10 +216,18 @@ def _question(source: BundleDescriptor, target: BundleDescriptor,
 
 
 @lru_cache(maxsize=None)
+def _a4_question(t: int, r: int, N: int) -> Question:
+    """The :func:`_question` of lemma A4 at (t, r, N), so that ``lemma_a4``
+    runs once per point and not once per shape that asks it."""
+    return _question(*lemma_a4(t, r, N))
+
+
+@lru_cache(maxsize=None)
 def _questions(kind: str, *key: int) -> Questions:
     """A windowed move shape's Ext_M requirements, assembled once per key
-    from the shared :func:`_question` values, and the move's whole passing
-    transcript as one tuple.
+    from the shared :func:`_question` values (the lemma A4 ones through
+    :func:`_a4_question`), and the move's whole passing transcript as one
+    tuple.
 
     transpose (lm, rm, dx, dy, N): no Ext from the left block to the right
     one at relative twist (dx, dy).  absorb (t, N): lemma A4 at (t, t-1).
@@ -230,24 +239,25 @@ def _questions(kind: str, *key: int) -> Questions:
     the grade m+1 block.  A question past the oracle's bounds refuses the
     move unasked.
     """
-    if kind == "transpose":
-        lm, rm, dx, dy, N = key
-        wanted = [(BundleDescriptor(lm, 0, 0, N), BundleDescriptor(rm, dx, dy, N), ())]
-    elif kind == "absorb":
-        t, N = key
-        wanted = [lemma_a4(t, t - 1, N)]
-    else:
-        r, span, N = key
-        grades = range(r) if kind == "rule1" else range(r - 1)
-        wanted = [lemma_a4(t, m, N) for m in grades for t in (*range(m + 2, span + 1), m + 1)]
-        if kind == "rule1":
-            wanted += [(BundleDescriptor(0, back, 0, N), BundleDescriptor(m + 1, 0, 0, N), ())
-                       for m in grades for back in range(1, m + 1)]
     try:
-        asked = tuple([_question(*question) for question in wanted])
+        if kind == "transpose":
+            lm, rm, dx, dy, N = key
+            asked = [_question(BundleDescriptor(lm, 0, 0, N), BundleDescriptor(rm, dx, dy, N), ())]
+        elif kind == "absorb":
+            t, N = key
+            asked = [_a4_question(t, t - 1, N)]
+        else:
+            r, span, N = key
+            grades = range(r) if kind == "rule1" else range(r - 1)
+            asked = [_a4_question(t, m, N)
+                     for m in grades for t in (*range(m + 2, span + 1), m + 1)]
+            if kind == "rule1":
+                asked += [_question(BundleDescriptor(0, back, 0, N),
+                                    BundleDescriptor(m + 1, 0, 0, N), ())
+                          for m in grades for back in range(1, m + 1)]
     except ValueError as past:
         raise MoveRefused(kind, str(past)) from None
-    return asked, tuple([passed for *_, passed in asked])
+    return tuple(asked), tuple([passed for *_, passed in asked])
 
 
 def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],

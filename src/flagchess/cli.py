@@ -28,8 +28,8 @@ EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
-# about 1 s and 8-10 s on a 2-core Xeon; the game's JSON document is about
-# 0.65 MB and its peak memory about 27 MB.  The twist bound keeps every
+# about 0.75-1.2 s and 8-10 s on a 2-core Xeon; the game's JSON document is
+# about 0.65 MB and its peak memory about 26 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions, every parsed game document
@@ -157,19 +157,20 @@ def cmd_ext(args: argparse.Namespace) -> int:
 def cmd_lemma(args: argparse.Namespace) -> int:
     _need("n", args.n, 2, MAX_n)
     report = check_lemma(args.which, args.n, args.eps)
+    mismatches, indeterminates = report.mismatches, report.indeterminates
     lines = [f"{args.which} sweep at n={args.n}, eps={args.eps} "
              f"(N={_game_N(args.n, args.eps)}): {report.total} points",
-             f"matches {report.total - report.mismatches - report.indeterminates}, "
-             f"mismatches {report.mismatches}, indeterminates {report.indeterminates}"]
+             f"matches {report.total - mismatches - indeterminates}, "
+             f"mismatches {mismatches}, indeterminates {indeterminates}"]
     for p in report.points:
         if p.verdict != "match":
             params = ", ".join(f"{k}={v}" for k, v in p.params)
             lines.append(f"  {p.verdict} at {params}: expected {list(p.expected)}, "
                          f"got {p.computed}")
     _write(lines, args.output)
-    if report.indeterminates:
+    if indeterminates:
         return EXIT_REFUSED
-    return EXIT_FLAGGED if report.mismatches else EXIT_OK
+    return EXIT_FLAGGED if mismatches else EXIT_OK
 
 
 def cmd_game(args: argparse.Namespace) -> int:

@@ -6,12 +6,13 @@ relative twist.  Ext on M is computed through the Koszul two-term complex of
 the divisor (O(-1,-1) -> O), i.e. from the two flag-level groups
 Ext(src, tgt(-1,-1)) and Ext(src, tgt); no derived pushforward machinery.
 The flag-level groups are cached on the (source, target) descriptor pair,
-whose tuple hash and equality run in C.  Every answer is a tuple of sorted
-(degree, dim) pairs (``weights.GradedDims``) or ``INDETERMINATE``, the form
-that records and documents hold too, so the cached answer itself is handed
-out: ``ext_on_flag`` is the memoized evaluator itself, and
-``_ext_on_flag_cached`` names the same object.  A miss walks the
-Clebsch-Gordan pieces of Hom once, taking each summand from
+whose tuple hash and equality run in C; the twisted target(-1,-1) is built
+once per target, so a repeated query's keys are the cached ones.  Every
+answer is a tuple of sorted (degree, dim) pairs (``weights.GradedDims``) or
+``INDETERMINATE``, the form that records and documents hold too, so the
+cached answer itself is handed out: ``ext_on_flag`` is the memoized
+evaluator itself, and ``_ext_on_flag_cached`` names the same object.  A miss
+walks the Clebsch-Gordan pieces of Hom once, taking each summand from
 ``sym_cohomology`` or, where that is indeterminate, the pushforward.  A
 single summand's answer is the answer (every A4 and A5 point has one);
 several are summed in one dict, sorted once.
@@ -85,15 +86,22 @@ def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDim
 _ext_on_flag_cached = ext_on_flag
 
 
+@lru_cache(maxsize=None)
+def _divisor_twist(target: BundleDescriptor) -> BundleDescriptor:
+    """target(-1,-1), built once per target value and shared by every query."""
+    m, x, y, N = target
+    return tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N))
+
+
 def koszul_terms(source: BundleDescriptor,
                  target: BundleDescriptor) -> tuple[GradedDims, GradedDims]:
     """The two flag-level groups feeding Ext on M: (A, B) with
 
-    A = Ext_F(source, target(-1,-1)) and B = Ext_F(source, target).
+    A = Ext_F(source, target(-1,-1)) and B = Ext_F(source, target).  The
+    twisted target comes from a per-target memo, so repeated queries hand
+    ``ext_on_flag`` one object, the one its cache already holds as a key.
     """
-    m, x, y, N = target
-    return (ext_on_flag(source, tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N))),
-            ext_on_flag(source, target))
+    return ext_on_flag(source, _divisor_twist(target)), ext_on_flag(source, target)
 
 
 def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims | str:
@@ -106,7 +114,10 @@ def ext_on_M(source: BundleDescriptor, target: BundleDescriptor) -> GradedDims |
     degree every s_k is zero and Ext^k_M = B_k + A_{k+1}, else the answer is
     INDETERMINATE.
     """
-    A, B = koszul_terms(source, target)
+    # koszul_terms' two lookups, written out: calling it would add about a
+    # sixth to each validated move's check
+    A = ext_on_flag(source, _divisor_twist(target))
+    B = ext_on_flag(source, target)
     if not A:
         return B
     total = dict(B)

@@ -30,8 +30,9 @@ from .games import GameResult, _Runner
 SCHEMA_VERSION = 2
 
 
-def dumps(obj: Any) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# One encoder for every document: ``json.dumps`` with a separators argument
+# builds a new one per call.
+dumps: Callable[[Any], str] = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _grid(board: Board, cell: Callable[[Box | None, bool], str],

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 from hypothesis import given, strategies as st
@@ -795,7 +796,8 @@ class TestOracleQuestions:
             "run_game(8, 0, validate=True)\n"
             "caches = {'ext_flag': oracle._ext_on_flag_cached,\n"
             "          'bwb': weights.line_bundle_cohomology, 'questions': board._questions,\n"
-            "          'question': board._question}\n"
+            "          'question': board._question, 'a4_question': board._a4_question,\n"
+            "          'twist': oracle._divisor_twist}\n"
             "print(json.dumps({k: fn.cache_info()[:2] for k, fn in caches.items()}))\n"
         )
         src = str(Path(board_module.__file__).resolve().parent.parent)
@@ -806,6 +808,29 @@ class TestOracleQuestions:
         assert caches["bwb"][1] == 125
         assert caches["questions"][1] == 14
         assert caches["question"][1] == 70  # each distinct question built once
+        # N = 16: the lemma A4 points are r = 0..6 with r < t <= 13 - r, so
+        # 13 + 11 + ... + 1 = 49 of them, each built once
+        assert caches["a4_question"][1] == 49
+        # the targets are Sym^r U2v(-1,1) for r = 0..6 and, fed back by
+        # rule1 (r <= 7), Sym^k U2v for k = 2..7: one twist each
+        assert caches["twist"] == [3297 - 13, 13]
+
+    def test_a_validated_n12_odd_game_builds_each_lemma_a4_point_once(self, monkeypatch):
+        points = []
+        built = board_module.lemma_a4
+
+        def counted(t, r, N):
+            points.append((t, r, N))
+            return built(t, r, N)
+
+        monkeypatch.setattr(board_module, "lemma_a4", counted)
+        for memo in ("_questions", "_a4_question"):  # cold, so that every point is asked
+            fresh = lru_cache(maxsize=None)(getattr(board_module, memo).__wrapped__)
+            monkeypatch.setattr(board_module, memo, fresh)
+        result = run_game(12, 1, validate=True)
+        assert all(check.ok for record in result.log for check in record.oracle)
+        # N = 25: r = 0..10 with r < t <= 22 - r, so 22 + 20 + ... + 2 points
+        assert len(points) == len(set(points)) == 132
 
 
 class TestMoveTable:

@@ -113,6 +113,26 @@ class TestExtOnM:
         assert twisted == ext_on_flag(src, tgt.twist(-1, -1))
         assert plain == ext_on_flag(src, tgt)
 
+    @pytest.mark.parametrize("query", [koszul_terms, ext_on_M])
+    def test_repeated_queries_ask_about_one_twisted_target(self, monkeypatch, query):
+        asked = []
+
+        def recording(source, target):
+            asked.append((source, target))
+            return ()
+
+        monkeypatch.setattr(oracle_module, "ext_on_flag", recording)
+        src = BD(0, 4, 0, 11)
+        for _ in range(3):
+            query(src, BD(2, -1, 1, 11))  # an equal, new target each time
+        assert all(source is src for source, _ in asked)
+        twisted, plain = [t for _, t in asked[0::2]], [t for _, t in asked[1::2]]
+        assert len(asked) == 6 and twisted[0] == BD(2, -2, 0, 11)
+        assert type(twisted[0]) is BundleDescriptor
+        assert all(t is twisted[0] for t in twisted)
+        assert plain == [BD(2, -1, 1, 11)] * 3
+        assert len({id(t) for t in plain}) == 3  # the plain target is passed as given
+
     def test_forced_extension_class(self):
         # the off-by-one pairing that feeds the absorb move: a single ext
         # class one degree up
