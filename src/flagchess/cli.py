@@ -28,7 +28,7 @@ EXIT_USAGE = 3
 
 # Size bounds: past one, a command exits 3 before any work starts.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
-# about 0.75-1.2 s and 8-10 s on a 2-core Xeon; the game's JSON document is
+# about 0.75-1.2 s and 5.5-7 s on a 2-core Xeon; the game's JSON document is
 # about 0.65 MB and its peak memory about 26 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game

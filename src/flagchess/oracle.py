@@ -12,10 +12,11 @@ answer is a tuple of sorted (degree, dim) pairs (``weights.GradedDims``) or
 ``INDETERMINATE``, the form that records and documents hold too, so the
 cached answer itself is handed out: ``ext_on_flag`` is the memoized
 evaluator itself, and ``_ext_on_flag_cached`` names the same object.  A miss
-walks the Clebsch-Gordan pieces of Hom once, taking each summand from
-``sym_cohomology`` or, where that is indeterminate, the pushforward.  A
-single summand's answer is the answer (every A4 and A5 point has one);
-several are summed in one dict, sorted once.
+walks the Clebsch-Gordan pieces of Hom in place, with no call to
+``hom_bundle`` (which lists the same summands for the ``ext`` command's
+explanation), taking each summand from ``sym_cohomology`` or, where that is
+indeterminate, the pushforward.  A single summand's answer is the answer
+(every A4 and A5 point has one); several are summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
 the board's moves.
 """
@@ -36,27 +37,19 @@ from .schur import (
 from .weights import GradedDims, _game_N
 
 
-def _hom_pieces(source: BundleDescriptor,
-                target: BundleDescriptor) -> tuple[int, int, int, list[tuple[int, int]]]:
-    """(x, y, N, pieces) for Hom(source, target) = source^v x target: the
-    summands are Sym^s U2v(x, y + j) on F(1,2,N) over the Clebsch-Gordan
-    pieces (s, j), since each det-power j contributes (0, j) to the twist."""
-    if source.N != target.N:
-        raise ValueError("source and target must live on the same F(1,2,N)")
-    dm, dx, dy, N = dualize(source)
-    m, x, y, _ = target
-    return dx + x, dy + y, N, clebsch_gordan_rank2(dm, m)
-
-
 def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[BundleDescriptor]:
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
 
-    Twists add componentwise.  Past the one N check each summand is valid by
-    construction (the source was checked, and a+b-2j >= 0), so it is built
-    with ``tuple.__new__``.
+    Twists add componentwise, and each det-power j adds (0, j).  Past the one
+    N check each summand is valid by construction (the source was checked,
+    and a+b-2j >= 0), so it is built with ``tuple.__new__``.
     """
-    x, y, N, pieces = _hom_pieces(source, target)
-    return [tuple.__new__(BundleDescriptor, (s, x, y + j, N)) for s, j in pieces]
+    dm, dx, dy, N = dualize(source)
+    m, x, y, target_N = target
+    if N != target_N:
+        raise ValueError("source and target must live on the same F(1,2,N)")
+    return [tuple.__new__(BundleDescriptor, (s, dx + x, dy + y + j, N))
+            for s, j in clebsch_gordan_rank2(dm, m)]
 
 
 @lru_cache(maxsize=None)
@@ -66,16 +59,28 @@ def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDim
     The filtration decides each summand of :func:`hom_bundle` it can, and the
     exact pushforward settles those it leaves indeterminate (the two agree on
     all determinate inputs, which is property-tested).  A miss walks the
-    Clebsch-Gordan pieces once, building each summand as it goes.
+    Clebsch-Gordan pieces j = 0..min(m_s, m_t) in place, the summand
+    Sym^(m_s+m_t-2j) U2v twisted by (x_t-x_s, y_t-y_s-m_s+j), as
+    ``hom_bundle`` lists them; it refuses a plain tuple, mixed N and a
+    negative power.
     """
-    x, y, N, pieces = _hom_pieces(source, target)
+    if type(source) is not BundleDescriptor or type(target) is not BundleDescriptor:
+        raise ValueError("source and target must be BundleDescriptors, got "
+                         f"{type(source).__name__} and {type(target).__name__}")
+    ms, xs, ys, N = source
+    mt, xt, yt, target_N = target
+    if N != target_N:
+        raise ValueError("source and target must live on the same F(1,2,N)")
+    if ms < 0 or mt < 0:
+        raise ValueError("symmetric powers must be >= 0")
+    x, y, last = xt - xs, yt - ys - ms, ms if ms < mt else mt
     total: dict[int, int] = {}
-    for s, j in pieces:
-        summand = tuple.__new__(BundleDescriptor, (s, x, y + j, N))
+    for j in range(last + 1):
+        summand = tuple.__new__(BundleDescriptor, (ms + mt - 2 * j, x, y + j, N))
         answer = sym_cohomology(summand)
         if answer is INDETERMINATE:
             answer = sym_cohomology_via_pushforward(summand)
-        if len(pieces) == 1:
+        if not last:
             return answer  # both evaluators return their degrees sorted
         for degree, dim in answer:
             total[degree] = total.get(degree, 0) + dim

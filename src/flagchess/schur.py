@@ -11,17 +11,19 @@ its cohomology to line bundles:
   the long exact sequences could cancel them, so the result is INDETERMINATE.
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
   degrees.  It maps the cached Bott lookup over the pieces' two coordinate
-  ranges (stated once, for it and ``sym_filtration``), reads each answer as
-  (degree, dim), and returns at once when fewer than two degrees survive,
-  as none can then be adjacent.
+  ranges, built in place in the order ``sym_filtration`` lists the pieces,
+  reads each answer as (degree, dim), and returns at once when fewer than
+  two degrees survive, as none can then be adjacent.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through
   the uncached ``weights._line_bundle``.  Always determinate; agrees with
-  the filtration route whenever that is determinate.
+  the filtration route whenever that is determinate.  When m = 0 or the
+  pushed-down power is 0 there is one piece, sent to ``_line_bundle`` at once.
 
-``clebsch_gordan_rank2`` also expands Hom on the oracle's miss path; when a
-power is 0, as at every A4 and A5 point, it returns the one piece at once.
+``clebsch_gordan_rank2`` also expands Hom for ``oracle.hom_bundle``, the
+``ext`` command's explanation; the oracle's miss path walks the same pieces
+in place.
 """
 
 from __future__ import annotations
@@ -55,15 +57,10 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
 INDETERMINATE = "indeterminate"
 
 
-def _filtration_ranges(m: int, x: int, y: int) -> tuple[range, range]:
-    """The x and the y coordinates of ``sym_filtration``'s pieces, in its order."""
-    return range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)
-
-
 def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
     """Line-bundle graded pieces of d, sub-most first: (x+m-2j, y+j), j=m..0."""
     m, x, y, _ = d
-    return list(zip(*_filtration_ranges(m, x, y)))
+    return list(zip(range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)))
 
 
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
@@ -101,7 +98,8 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | str:
     """
     m, x, y, N = d
     out: dict[int, int] = {}
-    for degree, dim in map(line_bundle_cohomology, repeat(N), *_filtration_ranges(m, x, y)):
+    for degree, dim in map(line_bundle_cohomology, repeat(N),
+                           range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)):
         if degree is not None:
             out[degree] = out.get(degree, 0) + dim
     if len(out) < 2:
@@ -122,9 +120,14 @@ def sym_cohomology_via_pushforward(d: BundleDescriptor) -> GradedDims:
     is that of O(p, q) on F.
     """
     m, x, y, N = d
+    if m < 0:
+        raise ValueError("symmetric powers must be >= 0")
     if x == -1:
         return ()
     s, q, shift = (x, y, 0) if x >= 0 else (-x - 2, y + x + 1, 1)
+    if not m or not s:  # one piece, Sym^(m+s) U2v(0, q)
+        degree, dim = _line_bundle(N, m + s, q)
+        return () if degree is None else ((degree + shift, dim),)
     total: dict[int, int] = {}
     for p, j in clebsch_gordan_rank2(m, s):
         degree, dim = _line_bundle(N, p, q + j)

@@ -10,10 +10,10 @@ Line-bundle cohomology uses Bott's theorem in its sorting form (Demazure,
 partition coordinates the Weyl group permutes the entries of lambda+rho, so
 the weight is singular exactly when two entries agree, the cohomological
 degree is the number of inversions.  For O(x, y) only the first two of the
-N entries vary, so the degree and the Weyl dimension cost O(N) integer
-arithmetic, with one exact integer division by a per-N memoized
-denominator and no sort; a miss of the Bott cache returns one shared
-vanishing answer or builds its ``CohomResult`` as a plain tuple.
+N entries vary, so the degree costs a few comparisons and the Weyl
+dimension two binomials and one exact division by N-1, with no sort; a miss
+of the Bott cache returns one shared vanishing answer or builds its
+``CohomResult`` as a plain tuple.
 ``_game_N`` is the one (n, eps) rule, and ``_flag_N`` the one N >= 3
 refusal.
 
@@ -30,7 +30,7 @@ sorting form.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial, perm
+from math import comb
 from typing import NamedTuple
 
 Weight = tuple[int, ...]
@@ -174,39 +174,32 @@ def line_bundle_cohomology(N: int, x: int, y: int) -> CohomResult:
 _VANISHES = CohomResult(None, 0)
 
 
-@lru_cache(maxsize=None)
-def _weyl_denominator(N: int) -> int:
-    """(N-2)! (N-1)!, the Weyl denominator left over O(x, y) on F(1,2,N),
-    refusing N < 3 (a refusal is not cached, so it is raised every time)."""
-    return factorial(_flag_N(N) - 2) * factorial(N - 1)
-
-
 def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     """Uncached BWB for the weight (x, y, 0, .., 0) in fundamental coordinates.
 
     In partition coordinates lambda+rho is (a, b, N-3, .., 1, 0) with
     a = x+y+N-1 and b = y+N-2: only a and b vary, and the fixed tail is
-    already strictly descending.  A per-N memo makes the N check and holds
-    the denominator.
+    already strictly descending.  Weyl's product over pairs of entries
+    leaves |a-b| C(a', N-2) C(b', N-2) / (N-1), with a' = a for a above the
+    tail and N-3-a below it: the product of |a-k| over the tail's k is
+    (N-2)! C(a', N-2), and the pairs inside the tail cancel against all but
+    (N-2)! (N-1)! of the denominator.  N is checked first, then a non-int
+    x or y is refused.
     """
-    den = _weyl_denominator(N)
+    _flag_N(N)
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"x and y must be ints, got {(x, y)!r}")
     a, b = x + y + N - 1, y + N - 2
     if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
         return _VANISHES
     # a and b each sit above or below the whole tail; below it they invert
     # with all N-2 of its entries.
     degree = (a < b) + (N - 2) * ((a < 0) + (b < 0))
-    # Weyl's product over pairs of entries: the pairs inside the tail cancel
-    # against the denominator, leaving (N-2)! (N-1)! below.
-    dim, rem = divmod(abs(a - b) * _tail_product(a, N) * _tail_product(b, N), den)
+    dim, rem = divmod(abs(a - b) * comb(a if a > 0 else N - 3 - a, N - 2)
+                      * comb(b if b > 0 else N - 3 - b, N - 2), N - 1)
     if rem:
         raise AssertionError(f"Weyl product of O({x},{y}) on F(1,2,{N}) is not an integer")
     return tuple.__new__(CohomResult, (degree, dim))
-
-
-def _tail_product(a: int, N: int) -> int:
-    """|a - k| multiplied over k = 0..N-3, for a outside that range."""
-    return perm(a, N - 2) if a > 0 else perm(N - 3 - a, N - 2)
 
 
 def canonical_fiber(N: int) -> tuple[int, int]:
@@ -215,4 +208,7 @@ def canonical_fiber(N: int) -> tuple[int, int]:
 
 
 def euler_char(g: GradedDims) -> int:
+    """The alternating sum of the dims; an Indeterminate answer has none."""
+    if isinstance(g, str):
+        raise ValueError(f"an {g!r} answer has no Euler characteristic")
     return sum(v if k % 2 == 0 else -v for k, v in g)

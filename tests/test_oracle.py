@@ -106,6 +106,29 @@ class TestExtOnFlag:
             checked += 1
 
 
+    @pytest.mark.parametrize("query", [ext_on_flag, ext_on_M, koszul_terms])
+    @pytest.mark.parametrize("source, target", [
+        ((0, 0, 0, 17), (0, 41, -43, 17)),
+        ((0, 0, 0, 17), BD(1, 39, -44, 17)),
+        (BD(0, 0, 0, 17), (2, 37, -45, 17)),
+        ((0, 0, 0, 5), (-1, 0, 0, 5)),
+    ])
+    def test_a_miss_refuses_a_plain_tuple(self, query, source, target):
+        # a plain tuple hashes and compares as the descriptor does, so these
+        # unusual twists keep the query a miss
+        with pytest.raises(ValueError, match="^source and target must be BundleDescriptors, got "):
+            query(source, target)
+
+    @pytest.mark.parametrize("source, target", [
+        (BD(0, 0, 0, 5), tuple.__new__(BundleDescriptor, (-1, 0, 0, 5))),
+        (tuple.__new__(BundleDescriptor, (-1, 0, 0, 5)), BD(0, 0, 0, 5)),
+        (BD(2, 0, 0, 5), tuple.__new__(BundleDescriptor, (-1, 3, 0, 5))),
+    ])
+    def test_a_negative_power_is_refused(self, source, target):
+        with pytest.raises(ValueError, match="^symmetric powers must be >= 0$"):
+            ext_on_flag(source, target)
+
+
 class TestExtOnM:
     def test_koszul_terms_are_the_two_flag_groups(self):
         src, tgt = BD(0, 2, 0, 5), BD(1, -1, 1, 5)

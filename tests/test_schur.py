@@ -186,6 +186,12 @@ class TestSymCohomology:
         # ...while the exact evaluator settles the same bundle to zero
         assert sym_cohomology_via_pushforward(BundleDescriptor(1, -1, 1, 3)) == ()
 
+    @pytest.mark.parametrize("d", [(-1, 0, 0, 5), tuple.__new__(BundleDescriptor, (-1, 0, 0, 5)),
+                                   tuple.__new__(BundleDescriptor, (-2, 3, 1, 5))])
+    def test_the_pushforward_refuses_a_negative_power(self, d):
+        with pytest.raises(ValueError, match="^symmetric powers must be >= 0$"):
+            sym_cohomology_via_pushforward(d)
+
     @given(descriptor_st)
     def test_agrees_with_exact_pushforward_when_determinate(self, d):
         filtered = sym_cohomology(d)

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flagchess import (
+    INDETERMINATE,
     BundleDescriptor,
     CohomResult,
     bwb_regularize,
@@ -121,12 +122,17 @@ class TestSizesMustBeInts:
         (lambda: reference_residual_count(True, 1), "n must be an int, got True"),
         (lambda: condition3_bound(True), "N must be an int, got True"),
         (lambda: condition3_bound(5.0), "N must be an int, got 5.0"),
+        (lambda: line_bundle_cohomology(5, 1.5, 0), r"x and y must be ints, got \(1.5, 0\)"),
+        (lambda: line_bundle_cohomology(5, "1", 0), r"x and y must be ints, got \('1', 0\)"),
+        (lambda: (_line_bundle(5, 0, 0), _line_bundle(5.0, 0, 0)), "N must be an int, got 5.0"),
     ], ids=["game_N-n-float", "game_N-n-bool", "game_N-eps-float", "game_N-eps-True",
             "game_N-eps-False", "run_game-eps-bool", "run_game-n-float", "run_game-eps-float",
             "check_lemma-n-float", "cover_degree-n-float", "flag_N-float", "flag_N-bool",
             "rho-float", "descriptor-m-float", "descriptor-x-float", "descriptor-y-bool",
             "descriptor-N-float", "descriptor-N-bool", "reference_residual_count-n-float",
-            "reference_residual_count-n-bool", "condition3_bound-bool", "condition3_bound-float"])
+            "reference_residual_count-n-bool", "condition3_bound-bool", "condition3_bound-float",
+            "line_bundle_cohomology-x-float", "line_bundle_cohomology-x-str",
+            "_line_bundle-N-float-after-int"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -285,6 +291,13 @@ class TestLineBundleCohomology:
         r = line_bundle_cohomology(N, x, y)
         assert (r.degree, r.dim) == reflection_route(N, x, y)
 
+    @pytest.mark.parametrize("N", [3, 4, 5, 7])
+    def test_agrees_with_the_reflection_route_on_a_full_grid(self, N):
+        for x in range(-3 * N, 3 * N + 1):
+            for y in range(-3 * N, 3 * N + 1):
+                r = line_bundle_cohomology(N, x, y)
+                assert (r.degree, r.dim) == reflection_route(N, x, y), (N, x, y)
+
     @pytest.mark.parametrize("N", [20, 40, 80])
     def test_agrees_with_the_reflection_route_at_large_N(self, N):
         step = N // 2 + 1
@@ -323,6 +336,10 @@ class TestGradedHelpers:
     def test_euler_char(self):
         assert euler_char(()) == 0
         assert euler_char(((0, 5), (1, 3), (2, 1))) == 3
+
+    def test_euler_char_refuses_an_indeterminate_answer(self):
+        with pytest.raises(ValueError, match="^an 'indeterminate' answer has no Euler characteristic$"):
+            euler_char(INDETERMINATE)
 
     def test_vanishing_result_graded_is_empty(self):
         assert CohomResult(None, 0).graded() == ()
