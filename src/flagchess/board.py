@@ -12,7 +12,9 @@ Every record here is a named tuple, and no field of one can be assigned.
 plain tuples of their fields.  ``SymBlock`` and ``Opaque`` equal only
 content of their own class, so a block never equals an opaque marker of the
 same number.  ``Board`` is the tuple ``(n, eps, boxes)`` and keeps N, its
-copy total and its position map beside it.
+copy total and its position map beside it.  ``SymBlock``, ``Opaque`` and
+``Board`` check their fields when built, through ``_make`` and ``_replace``
+too.
 
 Every move is a pure function Board -> (Board, MoveRecord).  Moves either
 apply (returning the mutated board and a replayable record) or raise
@@ -66,6 +68,11 @@ class _Content(tuple):
 
     __hash__ = tuple.__hash__
 
+    @classmethod
+    def _make(cls, iterable) -> _Content:
+        """Build through ``__new__``, so that ``_replace`` checks too."""
+        return cls(*iterable)
+
 
 class SymBlock(_Content, namedtuple("SymBlock", "m")):
     """Block standing for the m-th symmetric power of the rank-2 dual; m+1 copies."""
@@ -73,19 +80,24 @@ class SymBlock(_Content, namedtuple("SymBlock", "m")):
     __slots__ = ()
 
     def __new__(cls, m: int) -> SymBlock:
-        if m < 0:
-            raise ValueError("block grade must be >= 0")
-        return super().__new__(cls, m)
+        if type(m) is not int or m < 0:
+            raise ValueError(f"block grade must be an int >= 0, got {m!r}")
+        return tuple.__new__(cls, (m,))
 
     @property
     def copies(self) -> int:
         return self.m + 1
 
 
-class Opaque(_Content, namedtuple("Opaque", "copies", defaults=(1,))):
+class Opaque(_Content, namedtuple("Opaque", "copies")):
     """Inert content: keeps its copy count but never moves or pairs again."""
 
     __slots__ = ()
+
+    def __new__(cls, copies: int = 1) -> Opaque:
+        if type(copies) is not int or copies < 1:
+            raise ValueError(f"opaque copies must be an int >= 1, got {copies!r}")
+        return tuple.__new__(cls, (copies,))
 
 
 Content = SymBlock | Opaque
@@ -120,9 +132,10 @@ class Board(namedtuple("Board", "n eps boxes")):
     """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
 
     Equality, hash and ``repr`` see the tuple ``(n, eps, boxes)`` only.
-    Built from it, a board checks its shape and keeps ``N``, ``copies`` and
-    ``_at``, each position's box, beside the tuple.  A move's board is made
-    by :func:`_commit` instead, from its parent's map and copy total.
+    Built from it, a board checks its shape and each box's position and
+    content in one pass, and keeps ``N``, ``copies`` and ``_at``, each
+    position's box, beside the tuple.  A move's board is made by
+    :func:`_commit` instead, from its parent's map and copy total.
     """
 
     N: int
@@ -131,16 +144,26 @@ class Board(namedtuple("Board", "n eps boxes")):
 
     def __new__(cls, n: int, eps: int, boxes: tuple[Box, ...]) -> Board:
         N = _game_N(n, eps)
-        at = {(b.x, b.y): b for b in boxes}
-        if len(at) != len(boxes):
-            seen: set[tuple[int, int]] = set()
-            for b in boxes:
-                if b.pos in seen:
-                    raise ValueError(f"duplicate box position {b.pos}")
-                seen.add(b.pos)
+        at: dict[tuple[int, int], Box] = {}
+        copies = 0
+        for b in boxes:
+            x, y, content = b.x, b.y, b.content
+            if type(x) is not int or type(y) is not int:
+                raise ValueError(f"box position must be two ints, got {(x, y)!r}")
+            if not isinstance(content, Content):
+                raise ValueError(f"box content must be a SymBlock or an Opaque, got {content!r}")
+            if (x, y) in at:
+                raise ValueError(f"duplicate box position {(x, y)}")
+            at[x, y] = b
+            copies += content.copies
         self = super().__new__(cls, n, eps, boxes)
-        self.__dict__.update(N=N, copies=sum(b.content.copies for b in boxes), _at=at)
+        self.__dict__.update(N=N, copies=copies, _at=at)
         return self
+
+    @classmethod
+    def _make(cls, iterable) -> Board:
+        """Build through ``__new__``, so that ``_replace`` checks too."""
+        return cls(*iterable)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 completed with discrepancy flags (game flags,
 lemma mismatches, degree disagreement), 2 refused move or indeterminate
 verdict, 3 usage error.  Results go to stdout (or --output), diagnostics
-to stderr.
+to stderr.  Each argument's argparse type refuses a bad value, naming its
+flag, while argv is parsed; a command's only usage error is a failed write.
 
 Only the layers that ``bwb``, ``cohom``, ``ext`` and ``lemma`` run (oracle,
 schur, weights) are imported with this module; ``game`` imports the board,
@@ -26,7 +27,7 @@ EXIT_FLAGGED = 1
 EXIT_REFUSED = 2
 EXIT_USAGE = 3
 
-# Size bounds: past one, a command exits 3 before any work starts.  At the
+# Size bounds: past one, argparse exits 3 before any command runs.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
 # about 0.75-1.2 s and 5.5-7 s on a 2-core Xeon; the game's JSON document is
 # about 0.65 MB and its peak memory about 26 MB.  The twist bound keeps every
@@ -39,12 +40,34 @@ MAX_twist = _MAX_twist  # |x| and |y| of bwb, cohom, ext and a validated move
 
 
 class UsageError(Exception):
-    pass
+    """A failed write of a command's results."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _sized(name: str, low: int, high: int):
+    """The argparse type of a size from low to high, refused in its bound's words;
+    named ``int``, so text that is not an int still reads "invalid int value"."""
+    def sized(text: str | int) -> int:
+        value = int(text)
+        if low <= value <= high:
+            return value
+        if low == -high:
+            bound = f"need |{name}| <= {high}"
+        else:
+            what = "symmetric power must be" if name == "m" else f"need {name}"
+            bound = f"{what} >= {low}" if value < low else f"{what} <= {high}"
+        raise argparse.ArgumentTypeError(f"{bound}, got {value}")
+    sized.__name__ = "int"
+    return sized
+
+
+_N, _n, _n_game = _sized("N", 3, MAX_N), _sized("n", 2, MAX_n), _sized("n", 2, MAX_GAME_n)
+_m = _sized("m", 0, MAX_m)
+_x, _y = (_sized(axis, -MAX_twist, MAX_twist) for axis in "xy")
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -55,18 +78,7 @@ def _triple(text: str) -> tuple[int, int, int]:
         m, x, y = (int(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
-    if refusal := _refusal(x, y, m):
-        raise argparse.ArgumentTypeError(refusal)
-    return m, x, y
-
-
-def _refusal(x: int, y: int, m: int = 0) -> str | None:
-    if not 0 <= m <= MAX_m:
-        return f"symmetric power must be {'>= 0' if m < 0 else f'<= {MAX_m}'}, got {m}"
-    for name, value in (("x", x), ("y", y)):
-        if abs(value) > MAX_twist:
-            return f"need |{name}| <= {MAX_twist}, got {value}"
-    return None
+    return _m(m), _x(x), _y(y)
 
 
 def _fmt_graded(g) -> str:
@@ -89,17 +101,7 @@ def _write(lines: list[str], output: str | None) -> None:
         raise UsageError(f"cannot write {where}: {exc.strerror}") from exc
 
 
-def _need(name: str, value: int, low: int, high: int) -> None:
-    if value < low:
-        raise UsageError(f"need {name} >= {low}, got {value}")
-    if value > high:
-        raise UsageError(f"need {name} <= {high}, got {value}")
-
-
 def cmd_bwb(args: argparse.Namespace) -> int:
-    _need("N", args.N, 3, MAX_N)
-    if refusal := _refusal(args.x, args.y):
-        raise UsageError(refusal)
     res = line_bundle_cohomology(args.N, args.x, args.y)
     start = tuple(a + b for a, b in zip((args.x, args.y) + (0,) * (args.N - 3), rho(args.N)))
     reg = bwb_regularize(start)
@@ -117,9 +119,6 @@ def cmd_bwb(args: argparse.Namespace) -> int:
 
 
 def cmd_cohom(args: argparse.Namespace) -> int:
-    _need("N", args.N, 3, MAX_N)
-    if refusal := _refusal(args.x, args.y, args.m):
-        raise UsageError(refusal)
     d = BundleDescriptor(args.m, args.x, args.y, args.N)
     lines = [f"Sym^{args.m} twisted by ({args.x},{args.y}) on F(1,2,{args.N})"]
     for px, py in sym_filtration(d):
@@ -135,7 +134,6 @@ def cmd_cohom(args: argparse.Namespace) -> int:
 
 
 def cmd_ext(args: argparse.Namespace) -> int:
-    _need("N", args.N, 3, MAX_N)
     src = BundleDescriptor(*args.src, args.N)
     tgt = BundleDescriptor(*args.tgt, args.N)
     lines = [f"Ext on {args.space} between Sym^{src.m}({src.x},{src.y}) "
@@ -155,7 +153,6 @@ def cmd_ext(args: argparse.Namespace) -> int:
 
 
 def cmd_lemma(args: argparse.Namespace) -> int:
-    _need("n", args.n, 2, MAX_n)
     report = check_lemma(args.which, args.n, args.eps)
     mismatches, indeterminates = report.mismatches, report.indeterminates
     lines = [f"{args.which} sweep at n={args.n}, eps={args.eps} "
@@ -177,8 +174,6 @@ def cmd_game(args: argparse.Namespace) -> int:
     from . import render
     from .board import MoveRefused
     from .games import run_game
-
-    _need("n", args.n, 2, MAX_GAME_n)
     try:
         result = run_game(args.n, args.eps, mode=args.mode, validate=args.validate)
     except MoveRefused as exc:
@@ -190,8 +185,6 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 def cmd_degree(args: argparse.Namespace) -> int:
     from .chern import cover_degree
-
-    _need("n", args.n, 2, MAX_n)
     via_series, via_closed, agree = cover_degree(args.n, args.eps)
     lines = [f"branch degree at n={args.n}, eps={args.eps}",
              f"series expansion: {via_series}",
@@ -203,8 +196,6 @@ def cmd_degree(args: argparse.Namespace) -> int:
 
 def cmd_conditions(args: argparse.Namespace) -> int:
     from .chern import condition3_bound, h0_twisted_quotient, section_count_ld, section_count_syzygy
-
-    _need("n", args.n, 2, MAX_n)
     N = _game_N(args.n, args.eps)
     h0 = h0_twisted_quotient(N)
     ld = section_count_ld(N)
@@ -233,29 +224,29 @@ def build_parser() -> _Parser:
         return p
 
     p = add("bwb", cmd_bwb, "regularize a line-bundle weight and report its cohomology")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--N", type=_N, required=True)
+    p.add_argument("--x", type=_x, required=True)
+    p.add_argument("--y", type=_y, required=True)
 
     p = add("cohom", cmd_cohom, "cohomology of a twisted symmetric power")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
+    p.add_argument("--N", type=_N, required=True)
+    p.add_argument("--m", type=_m, required=True)
+    p.add_argument("--x", type=_x, required=True)
+    p.add_argument("--y", type=_y, required=True)
 
     p = add("ext", cmd_ext, "Ext between twisted symmetric powers")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_N, required=True)
     p.add_argument("--space", choices=("flag", "M"), required=True)
     p.add_argument("--src", type=_triple, required=True, metavar="m,x,y")
     p.add_argument("--tgt", type=_triple, required=True, metavar="m,x,y")
 
     p = add("lemma", cmd_lemma, "sweep a vanishing lemma over its stated grid")
     p.add_argument("--which", choices=("A4", "A5", "A6"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n, required=True)
     p.add_argument("--eps", type=int, choices=(0, 1), required=True)
 
     p = add("game", cmd_game, "play the straightening game")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n_game, required=True)
     p.add_argument("--eps", type=int, choices=(0, 1), required=True)
     p.add_argument("--mode", choices=("fibration", "flip"), default="fibration")
     # set_defaults, not default=: Python 3.10 would append "(default: True)"
@@ -266,11 +257,11 @@ def build_parser() -> _Parser:
                    default="text", help="output format (default: text)")
 
     p = add("degree", cmd_degree, "branch-divisor degree, two independent ways")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n, required=True)
     p.add_argument("--eps", type=int, choices=(0, 1), required=True)
 
     p = add("conditions", cmd_conditions, "section and condition counts for M")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_n, required=True)
     p.add_argument("--eps", type=int, choices=(0, 1), required=True)
 
     return parser

@@ -46,6 +46,11 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
             raise ValueError(f"symmetric power must be >= 0, got {m}")
         return tuple.__new__(cls, (m, x, y, _flag_N(N)))
 
+    @classmethod
+    def _make(cls, iterable) -> BundleDescriptor:
+        """Build through ``__new__``, so that ``_replace`` checks too."""
+        return cls(*iterable)
+
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
         """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""
         m, x, y, N = self
@@ -60,6 +65,8 @@ INDETERMINATE = "indeterminate"
 def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
     """Line-bundle graded pieces of d, sub-most first: (x+m-2j, y+j), j=m..0."""
     m, x, y, _ = d
+    if m < 0:
+        raise ValueError("symmetric powers must be >= 0")
     return list(zip(range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)))
 
 
@@ -78,8 +85,6 @@ def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
     """Sym^a V x Sym^b V = sum_j Sym^{a+b-2j} V x det(V)^j for rank-2 V."""
     if a < 0 or b < 0:
         raise ValueError("symmetric powers must be >= 0")
-    if not a or not b:  # Sym^0 V is trivial: the one piece, with no comprehension
-        return [(a + b, 0)]
     return [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
 
 
@@ -97,6 +102,8 @@ def sym_cohomology(d: BundleDescriptor) -> GradedDims | str:
     them, so the result is INDETERMINATE.  Total vanishing is always sound.
     """
     m, x, y, N = d
+    if m < 0:
+        raise ValueError("symmetric powers must be >= 0")
     out: dict[int, int] = {}
     for degree, dim in map(line_bundle_cohomology, repeat(N),
                            range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)):

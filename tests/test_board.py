@@ -60,8 +60,27 @@ class TestContentTypes:
         assert Opaque(7).copies == 7
 
     def test_negative_grade_rejected(self):
+        for m in (-1, 1.5, True, "2", None):
+            with pytest.raises(ValueError, match=f"block grade must be an int >= 0, got {m!r}"):
+                SymBlock(m)
+
+    def test_opaque_copies_must_be_an_int_at_least_one(self):
+        for copies in (-3, 0, 1.5, True, "2"):
+            with pytest.raises(ValueError,
+                               match=f"opaque copies must be an int >= 1, got {copies!r}"):
+                Opaque(copies)
+
+    @pytest.mark.parametrize("make", [
+        lambda: SymBlock._make([-2]), lambda: SymBlock._make([1.5]),
+        lambda: SymBlock(1)._replace(m=-1), lambda: Opaque._make([0]),
+        lambda: Opaque(2)._replace(copies=-1),
+    ], ids=["block-make-m", "block-make-float", "block-replace", "opaque-make", "opaque-replace"])
+    def test_make_and_replace_check_too(self, make):
         with pytest.raises(ValueError):
-            SymBlock(-1)
+            make()
+        assert SymBlock(1)._replace(m=3) == SymBlock._make([3]) == SymBlock(3)
+        assert Opaque(2)._replace(copies=5) == Opaque._make([5]) == Opaque(5)
+        assert type(SymBlock._make([3])) is SymBlock and type(Opaque._make([5])) is Opaque
 
     @pytest.mark.parametrize("m", (1, 2, 5))
     def test_a_block_never_equals_an_opaque_marker(self, m):
@@ -109,6 +128,26 @@ class TestBoard:
             Board(2, 2, ())
         with pytest.raises(ValueError, match="duplicate box position"):
             board_of(2, 0, (0, 0, 0), (0, 0, 1))
+        for x, y in ((0.5, 1), (0, True), ("0", 1), (None, 1)):
+            with pytest.raises(ValueError, match=r"box position must be two ints, got \("):
+                Board(2, 1, (Box(0, 0, SymBlock(0)), Box(x, y, Opaque())))
+        for content in ((0,), 0, None, Box(0, 0, SymBlock(0))):
+            with pytest.raises(ValueError, match="box content must be a SymBlock or an Opaque"):
+                Board(2, 1, (Box(0, 1, SymBlock(0)), Box(1, 1, content)))
+
+    def test_make_and_replace_check_too(self):
+        board = board_of(2, 1, (0, 1, 0), (1, 1, 2))
+        replaced = board._replace(boxes=board.boxes[:1])
+        assert type(replaced) is Board and replaced == board_of(2, 1, (0, 1, 0))
+        assert (replaced.N, replaced.copies, replaced.at((0, 1))) == (5, 1, board.boxes[0])
+        assert move_push_right(replaced, (0, 1), 0, opacify=True)[0].copies == 1
+        assert Board._make((2, 1, board.boxes)) == board
+        with pytest.raises(ValueError, match="duplicate box position"):
+            board._replace(boxes=board.boxes[:1] * 2)
+        with pytest.raises(ValueError):
+            board._replace(eps=2)
+        with pytest.raises(ValueError, match="box position must be two ints"):
+            Board._make((2, 1, (Box(0.5, 1, SymBlock(0)),)))
 
     def test_equality_hash_and_repr_ignore_the_index(self):
         cells = ((0, 1, 0), (1, 1, 2), (2, 1, "x"))

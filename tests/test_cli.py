@@ -66,6 +66,57 @@ def rebuilt_document(stream: str) -> dict:
             **body("summary")}
 
 
+# A valid argv for each command, and one past each end of every size in it.
+VALID_ARGV = {"game": "--n 2 --eps 0", "lemma": "--which A4 --n 2 --eps 1",
+              "degree": "--n 2 --eps 0", "conditions": "--n 2 --eps 1",
+              "bwb": "--N 5 --x 0 --y 0", "cohom": "--N 5 --m 0 --x 0 --y 0",
+              "ext": "--N 5 --space M --src 0,0,0 --tgt 0,0,0"}
+PAST_EITHER_END = {
+    "N": ((2, "need N >= 3, got 2"), (MAX_N + 1, f"need N <= {MAX_N}, got {MAX_N + 1}")),
+    "n": ((1, "need n >= 2, got 1"), (MAX_n + 1, f"need n <= {MAX_n}, got {MAX_n + 1}")),
+    "game n": ((1, "need n >= 2, got 1"),
+               (MAX_GAME_n + 1, f"need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}")),
+    "m": ((-1, "symmetric power must be >= 0, got -1"),
+          (MAX_m + 1, f"symmetric power must be <= {MAX_m}, got {MAX_m + 1}")),
+    **{axis: ((-MAX_twist - 1, f"need |{axis}| <= {MAX_twist}, got {-MAX_twist - 1}"),
+              (MAX_twist + 1, f"need |{axis}| <= {MAX_twist}, got {MAX_twist + 1}"))
+       for axis in "xy"},
+}
+
+
+def _sizes_past_either_end():
+    """(case, end, argv, refusal) for one past each end of every bounded argument,
+    a triple's m, x and y each, in every command that takes it."""
+    for command, valid in VALID_ARGV.items():
+        argv = valid.split()
+        for i in range(0, len(argv), 2):
+            flag = argv[i]
+            triple = flag in ("--src", "--tgt")
+            for k, name in enumerate("mxy" if triple else [flag[2:]]):
+                key = "game n" if (command, name) == ("game", "n") else name
+                if key not in PAST_EITHER_END:
+                    continue
+                for end, (value, refusal) in zip(("below", "above"), PAST_EITHER_END[key]):
+                    text = (",".join(str(value) if j == k else "0" for j in range(3)) if triple
+                            else str(value))
+                    case = f"{command}-{flag[2:]}" + (f"-{name}" if triple else "")
+                    yield case, end, (command, *argv[:i], f"{flag}={text}", *argv[i + 2:]), \
+                        f"argument {flag}: {refusal}"
+
+
+SIZES_PAST_EITHER_END = list(_sizes_past_either_end())
+
+
+def stop_every_command(monkeypatch):
+    """Make every command, and the lemma sweep, fail the test if it runs."""
+    def ran(*args, **kwargs):
+        raise AssertionError("a command ran")
+    for name in dir(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, ran)
+    monkeypatch.setattr(cli, "check_lemma", ran)
+
+
 class TestExitCodes:
     def test_bwb_trivial(self, capsys):
         code, out, _ = run_cli(capsys, "bwb", "--N", "5", "--x", "0", "--y", "0")
@@ -168,15 +219,14 @@ class TestExitCodes:
         assert err.value.code == EXIT_USAGE
 
     def test_domain_usage_errors_return_three(self, capsys):
-        code, _, err = run_cli(capsys, "game", "--n", "1", "--eps", "0")
-        assert code == EXIT_USAGE and "n >= 2" in err
-        code, _, err = run_cli(capsys, "bwb", "--N", "2", "--x", "0", "--y", "0")
-        assert code == EXIT_USAGE
-        # argparse validates --emit choices itself and exits
-        with pytest.raises(SystemExit) as exc:
-            main(["game", "--n", "2", "--eps", "0", "--emit", "yaml"])
-        assert exc.value.code == EXIT_USAGE
-        assert "emit" in capsys.readouterr().err
+        # argparse refuses a size past its bound, and an unknown --emit, itself and exits
+        for argv, needle in ((("game", "--n", "1", "--eps", "0"), "n >= 2"),
+                             (("bwb", "--N", "2", "--x", "0", "--y", "0"), "N >= 3"),
+                             (("game", "--n", "2", "--eps", "0", "--emit", "yaml"), "emit")):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+            assert exc.value.code == EXIT_USAGE
+            assert needle in capsys.readouterr().err
 
     def test_bad_triple_is_usage(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -237,42 +287,76 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, refusal", [
         (("game", "--n", str(MAX_GAME_n + 1), "--eps", "0", "--validate", "--emit", "json"),
-         f"need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}"),
+         f"argument --n: need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}"),
         (("lemma", "--which", "A6", "--n", str(MAX_n + 1), "--eps", "1"),
-         f"need n <= {MAX_n}, got {MAX_n + 1}"),
-        (("degree", "--n", str(MAX_n + 1), "--eps", "0"), f"need n <= {MAX_n}, got {MAX_n + 1}"),
+         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
+        (("degree", "--n", str(MAX_n + 1), "--eps", "0"),
+         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
         (("conditions", "--n", str(MAX_n + 1), "--eps", "1"),
-         f"need n <= {MAX_n}, got {MAX_n + 1}"),
+         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
         (("bwb", "--N", str(MAX_N + 1), "--x", "0", "--y", "0"),
-         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
         (("cohom", "--N", str(MAX_N + 1), "--m", "0", "--x", "0", "--y", "0"),
-         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
         (("cohom", "--N", "5", "--m", str(MAX_m + 1), "--x", "0", "--y", "0"),
-         f"symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+         f"argument --m: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
         (("ext", "--N", str(MAX_N + 1), "--space", "M", "--src=0,0,0", "--tgt=0,0,0"),
-         f"need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
         (("ext", "--N", "5", "--space", "M", f"--src={MAX_m + 1},0,0", "--tgt=0,0,0"),
          f"argument --src: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
         (("ext", "--N", "5", "--space", "flag", "--src=0,0,0", f"--tgt={MAX_m + 1},1,0"),
          f"argument --tgt: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
         (("bwb", "--N", str(MAX_N), "--x", str(MAX_twist + 1), "--y", "0"),
-         f"need |x| <= {MAX_twist}, got {MAX_twist + 1}"),
+         f"argument --x: need |x| <= {MAX_twist}, got {MAX_twist + 1}"),
         (("cohom", "--N", str(MAX_N), "--m", "0", "--x", "0", "--y", str(-MAX_twist - 1)),
-         f"need |y| <= {MAX_twist}, got {-MAX_twist - 1}"),
+         f"argument --y: need |y| <= {MAX_twist}, got {-MAX_twist - 1}"),
         (("ext", "--N", str(MAX_N), "--space", "M", f"--src=0,{-MAX_twist - 1},0",
           "--tgt=0,0,0"), f"argument --src: need |x| <= {MAX_twist}, got {-MAX_twist - 1}"),
         (("ext", "--N", str(MAX_N), "--space", "flag", "--src=0,0,0", f"--tgt=0,0,{10**24}"),
          f"argument --tgt: need |y| <= {MAX_twist}, got {10**24}"),
+        *((argv, refusal) for _, _, argv, refusal in SIZES_PAST_EITHER_END),
     ], ids=["game-n", "lemma-n", "degree-n", "conditions-n", "bwb-N", "cohom-N", "cohom-m",
-            "ext-N", "ext-src-m", "ext-tgt-m", "bwb-x", "cohom-y", "ext-src-x", "ext-tgt-y"])
-    def test_sizes_past_their_bound_are_usage(self, capsys, argv, refusal):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
+            "ext-N", "ext-src-m", "ext-tgt-m", "bwb-x", "cohom-y", "ext-src-x", "ext-tgt-y"]
+        + [f"{case}-{end}" for case, end, _, _ in SIZES_PAST_EITHER_END])
+    def test_sizes_past_their_bound_are_usage(self, capsys, monkeypatch, argv, refusal):
+        stop_every_command(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
         out, err = capsys.readouterr()
-        assert code == EXIT_USAGE and out == ""
+        assert exc.value.code == EXIT_USAGE and out == ""
         assert err == f"flagchess: error: {refusal}\n"
+
+    @pytest.mark.parametrize("argv", [[command, *valid.split()]
+                                      for command, valid in VALID_ARGV.items()],
+                             ids=list(VALID_ARGV))
+    def test_text_that_is_not_an_int_is_refused_by_its_flag(self, capsys, monkeypatch, argv):
+        stop_every_command(monkeypatch)
+        for i in range(1, len(argv), 2):
+            flag = argv[i]
+            if flag[2:] not in ("N", "n", "m", "x", "y"):
+                continue
+            for text in ("x", "1.5", ""):
+                with pytest.raises(SystemExit) as exc:
+                    main([*argv[:i + 1], text, *argv[i + 2:]])
+                out, err = capsys.readouterr()
+                assert exc.value.code == EXIT_USAGE and out == ""
+                assert err == f"flagchess: error: argument {flag}: invalid int value: {text!r}\n"
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("bwb", f"--y={MAX_twist + 1}", "--N", "2", "--x", "zz"), "--y"),
+        (("bwb", "--x", "zz", f"--y={MAX_twist + 1}", "--N", "2"), "--x"),
+        (("ext", f"--tgt=0,0,{MAX_twist + 1}", "--N", "1", "--space", "flag", "--src=-1,0,0"),
+         "--tgt"),
+        (("game", "--eps", "0", "--n", "1", "--emit", "yaml"), "--n"),
+        (("game", "--eps", "5", "--n", "1"), "--eps"),
+    ], ids=["bwb-y", "bwb-x", "ext-tgt", "game-n", "game-eps"])
+    def test_the_first_bad_argument_in_argv_is_refused(self, capsys, monkeypatch, argv, flag):
+        stop_every_command(monkeypatch)
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert err.startswith(f"flagchess: error: argument {flag}: ") and err.count("\n") == 1
 
     def test_sizes_at_their_bound_are_accepted(self, capsys):
         for argv in (("degree", "--n", str(MAX_n), "--eps", "1"),

@@ -60,7 +60,8 @@ def test_all_names_exactly_the_public_attributes():
 
 
 # Each entry point, run in a fresh interpreter without site, and the
-# flagchess submodules it may load: only the layers it runs.
+# flagchess submodules it may load: only the layers it runs.  A refused
+# argument loads no layer of its command.
 _LEMMA_LAYERS = {"cli", "oracle", "schur", "weights"}
 _ENTRY_POINTS = [
     ("import flagchess", set()),
@@ -70,8 +71,10 @@ _ENTRY_POINTS = [
     ("bwb --N 5 --x 1 --y 0", _LEMMA_LAYERS),
     ("cohom --N 5 --m 2 --x 0 --y 0", _LEMMA_LAYERS),
     ("game --n 2 --eps 1 --emit json", _LEMMA_LAYERS | {"board", "games", "render"}),
+    ("game --n 29 --eps 1 --emit json", _LEMMA_LAYERS),
     ("degree --n 2 --eps 1", _LEMMA_LAYERS | {"chern"}),
     ("conditions --n 2 --eps 1", _LEMMA_LAYERS | {"chern"}),
+    ("degree --n 101 --eps 1", _LEMMA_LAYERS),
 ]
 
 
@@ -80,8 +83,10 @@ def _modules_loaded_by(entry_point: str) -> set[str]:
         script = entry_point
     else:
         argv = [*entry_point.split(), "--output", os.devnull]
-        script = f"import flagchess.cli; flagchess.cli.main({argv!r})"
-    script += "; import sys; print(sorted(sys.modules))"
+        # argparse exits 3 on a refused argument, and on nothing else here
+        script = (f"import flagchess.cli\ntry:\n    flagchess.cli.main({argv!r})\n"
+                  "except SystemExit as exc:\n    assert exc.code == 3, exc")
+    script += "\nimport sys; print(sorted(sys.modules))"
     src = str(Path(flagchess.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           env={**os.environ, "PYTHONPATH": src},

@@ -52,6 +52,19 @@ class TestBundleDescriptor:
     def test_repr(self):
         assert repr(BundleDescriptor(2, 1, -1, 5)) == "BundleDescriptor(m=2, x=1, y=-1, N=5)"
 
+    @pytest.mark.parametrize("make, refusal", [
+        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(m=-1), "symmetric power must be >= 0"),
+        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(x=0.5), "must be ints"),
+        (lambda: BundleDescriptor._make([0, 0, 0, 2]), "need N >= 3, got 2"),
+        (lambda: BundleDescriptor._make([-2, 0, 0, 5]), "symmetric power must be >= 0"),
+    ], ids=["replace-m", "replace-x", "make-N", "make-m"])
+    def test_make_and_replace_check_too(self, make, refusal):
+        with pytest.raises(ValueError, match=refusal):
+            make()
+        replaced = BundleDescriptor(1, 0, 0, 5)._replace(m=2, y=-1)
+        assert type(replaced) is BundleDescriptor and replaced == (2, 0, -1, 5)
+        assert BundleDescriptor._make([2, 0, -1, 5]) == replaced
+
     @pytest.mark.parametrize("name", ["m", "x", "y", "N", "other"])
     def test_attributes_cannot_be_assigned(self, name):
         d = BundleDescriptor(2, 1, -1, 5)
@@ -138,7 +151,7 @@ class TestClebschGordan:
             clebsch_gordan_rank2(0, -1)
 
     def test_a_zero_power_gives_the_general_expansion(self):
-        # Sym^a x Sym^0 and Sym^0 x Sym^b return their one piece at once
+        # Sym^a x Sym^0 and Sym^0 x Sym^b are the general expansion's one piece
         for a in range(13):
             for b in range(13):
                 general = [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
@@ -191,6 +204,13 @@ class TestSymCohomology:
     def test_the_pushforward_refuses_a_negative_power(self, d):
         with pytest.raises(ValueError, match="^symmetric powers must be >= 0$"):
             sym_cohomology_via_pushforward(d)
+
+    @pytest.mark.parametrize("evaluate", [sym_cohomology, sym_filtration])
+    @pytest.mark.parametrize("d", [tuple.__new__(BundleDescriptor, (-1, 0, 0, 5)),
+                                   tuple.__new__(BundleDescriptor, (-2, 3, 1, 5))])
+    def test_the_filtration_refuses_a_negative_power(self, evaluate, d):
+        with pytest.raises(ValueError, match="^symmetric powers must be >= 0$"):
+            evaluate(d)
 
     @given(descriptor_st)
     def test_agrees_with_exact_pushforward_when_determinate(self, d):
