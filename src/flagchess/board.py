@@ -132,10 +132,11 @@ class Board(namedtuple("Board", "n eps boxes")):
     """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
 
     Equality, hash and ``repr`` see the tuple ``(n, eps, boxes)`` only.
-    Built from it, a board checks its shape and each box's position and
-    content in one pass, and keeps ``N``, ``copies`` and ``_at``, each
-    position's box, beside the tuple.  A move's board is made by
-    :func:`_commit` instead, from its parent's map and copy total.
+    Built from it, a board checks its shape, that ``boxes`` is a tuple, and
+    that each entry is a ``Box`` with a valid position and content, in one
+    pass, and keeps ``N``, ``copies`` and ``_at``, each position's box,
+    beside the tuple.  A move's board is made by :func:`_commit` instead, from its
+    parent's map and copy total.
     """
 
     N: int
@@ -144,10 +145,14 @@ class Board(namedtuple("Board", "n eps boxes")):
 
     def __new__(cls, n: int, eps: int, boxes: tuple[Box, ...]) -> Board:
         N = _game_N(n, eps)
+        if type(boxes) is not tuple:
+            raise ValueError(f"boxes must be a tuple, got {type(boxes).__name__}")
         at: dict[tuple[int, int], Box] = {}
         copies = 0
         for b in boxes:
-            x, y, content = b.x, b.y, b.content
+            if type(b) is not Box:
+                raise ValueError(f"a box must be a Box, got {b!r}")
+            x, y, content = b
             if type(x) is not int or type(y) is not int:
                 raise ValueError(f"box position must be two ints, got {(x, y)!r}")
             if not isinstance(content, Content):
@@ -724,9 +729,12 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     position count, a parameter set or a parameter type the table does not
     allow raises ``ValueError``, as does a kind that is not a string or a
     position that is not a pair of ints; a bool is not taken for an int.
-    The move is looked up among the module's names at call time, so a
-    rebinding of ``move_<kind>`` is seen here too.
+    So does a ``validate`` that is not a bool.  The move is looked up among
+    the module's names at call time, so a rebinding of ``move_<kind>`` is
+    seen here too.
     """
+    if type(validate) is not bool:
+        raise ValueError(f"validate must be a bool, got {validate!r}")
     spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
         raise ValueError(f"unknown move kind {kind!r}")
@@ -747,7 +755,10 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
 
 def apply_record(board: Board, record: MoveRecord) -> Board:
-    """Re-apply a logged move (validation off) and check the log signature."""
+    """Re-apply a logged move (validation off) and check the log signature;
+    an entry that is not a ``MoveRecord`` raises ``ValueError``."""
+    if type(record) is not MoveRecord:
+        raise ValueError(f"a log entry must be a MoveRecord, got {record!r}")
     new_board, rec = play(board, record.kind, record.positions, dict(record.params), False)
     if log_signature(rec) != log_signature(record):
         raise ValueError(f"replayed {record.kind} diverged from its record")

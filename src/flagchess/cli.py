@@ -15,6 +15,7 @@ the game scripts and the renderer, and ``degree`` and ``conditions`` import
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import _EMIT_FORMATS, _MAX_m, _MAX_n, _MAX_twist
@@ -268,6 +269,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command in ``argv``, or in ``sys.argv[1:]`` when ``argv`` is None.
+
+    Only with ``argv`` None, as ``python -m flagchess.cli`` and the
+    ``flagchess`` console script call it, does ``main`` own the process: it
+    then freezes every object made so far (the interpreter's, the standard
+    library's and the imported layers'), so that neither the command's
+    collections nor those at exit walk them again.  A caller that passes
+    ``argv`` keeps its collector as it was.
+    """
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -51,6 +51,8 @@ class _Runner:
     def __init__(self, n: int, eps: int, mode: str, validate: bool):
         if mode not in ("fibration", "flip"):
             raise ValueError(f"unknown mode {mode!r}")
+        if type(validate) is not bool:
+            raise ValueError(f"validate must be a bool, got {validate!r}")
         start = initial_board_fibration if mode == "fibration" else corrected_flip_board
         self.initial = self.board = start(n, eps)
         self.mode, self.validate = mode, validate
@@ -159,8 +161,10 @@ def extract_gr2(board: Board, n: int, eps: int,
     The match is positional but anchor-free: every block of the right grade
     is tried as the column's bottom cell.  Returns (matched boxes in column
     order, flags); a failed search returns no boxes and reports the best
-    near-miss as a flag instead of raising.
+    near-miss as a flag instead of raising.  An n or eps that ``run_game``
+    would refuse raises ``ValueError``.
     """
+    N = _game_N(n, eps)
     anchor_grade = n - 2 if eps == 0 else n - 1
     best_hits, best_anchor = -1, None
     for box in board.boxes:
@@ -178,7 +182,7 @@ def extract_gr2(board: Board, n: int, eps: int,
         if hits > best_hits:
             best_hits, best_anchor = hits, box.pos
     flag = (f"no straightened column found; best anchor {best_anchor} "
-            f"matched {max(best_hits, 0)} of {2 * n + eps} cells")
+            f"matched {max(best_hits, 0)} of {N} cells")
     return (), (flag,)
 
 
@@ -228,8 +232,9 @@ def run_game(n: int, eps: int, mode: str = "fibration",
              validate: bool = True) -> GameResult:
     """Play the full straightening game and split the final board.
 
-    Unless ``validate`` is False, the oracle checks every windowed move.
-    The move log is identical either way.
+    Unless ``validate`` is False, the oracle checks every windowed move; a
+    ``validate`` that is not a bool raises ``ValueError``.  The move log is
+    identical either way.
     """
     N = _game_N(n, eps)
     g = _Runner(n, eps, mode, validate)
@@ -258,7 +263,8 @@ def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:
 
 def replay(initial: Board, log: tuple[MoveRecord, ...]) -> Board:
     """Re-apply a logged game; each step re-checks its own record, and the
-    final board's boxes are recounted against the initial board's copies."""
+    final board's boxes are recounted against the initial board's copies.
+    A log entry that is not a ``MoveRecord`` raises ``ValueError``."""
     board = initial
     for record in log:
         board = apply_record(board, record)

@@ -40,7 +40,7 @@ from flagchess import (
     move_transpose,
 )
 from flagchess import board as board_module
-from flagchess import run_game
+from flagchess import replay, run_game
 from flagchess.oracle import lemma_a4
 
 
@@ -134,6 +134,13 @@ class TestBoard:
         for content in ((0,), 0, None, Box(0, 0, SymBlock(0))):
             with pytest.raises(ValueError, match="box content must be a SymBlock or an Opaque"):
                 Board(2, 1, (Box(0, 1, SymBlock(0)), Box(1, 1, content)))
+        for entry in ((0, 1, SymBlock(0)), None, "box"):
+            with pytest.raises(ValueError, match=r"^a box must be a Box, got "):
+                Board(2, 1, (Box(1, 1, SymBlock(0)), entry))
+        boxes = [Box(0, 1, SymBlock(0))]
+        for malformed, name in ((boxes, "list"), (iter(boxes), "list_iterator"), (None, "NoneType")):
+            with pytest.raises(ValueError, match=f"^boxes must be a tuple, got {name}$"):
+                Board(2, 1, malformed)
 
     def test_make_and_replace_check_too(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 2))
@@ -726,6 +733,14 @@ class TestRecordsAndReplay:
                              (), "applied", 2, 2)
             with pytest.raises(ValueError, match="pairs of ints"):
                 apply_record(board, bad)
+
+    def test_replay_rejects_an_entry_that_is_not_a_record(self):
+        board = board_of(2, 1, (0, 1, 0), (1, 1, 0), (-1, 2, 0))
+        _, rec = move_rule1(board, (0, 1), (-1, 2))
+        for entry in (tuple(rec), None, "rule1"):
+            for call in (lambda: apply_record(board, entry), lambda: replay(board, (rec, entry))):
+                with pytest.raises(ValueError, match="^a log entry must be a MoveRecord, got "):
+                    call()
 
     def test_replay_rejects_divergence(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import errno
+import gc
 import io
 import json
 import os
@@ -1144,6 +1145,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == EXIT_OK
         assert "series expansion: 5" in proc.stdout
+
+    def test_main_given_argv_leaves_the_collector_as_it_was(self, capsys):
+        before = (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold())
+        assert main(["degree", "--n", "2", "--eps", "0"]) == EXIT_OK
+        assert (gc.get_freeze_count(), gc.isenabled(), gc.get_threshold()) == before
+        assert "series expansion: 5" in capsys.readouterr().out
+
+    def test_main_as_the_program_freezes_the_import_time_objects(self):
+        script = ("import gc, os, sys\n"
+                  "from flagchess.cli import main\n"
+                  "frozen = gc.get_freeze_count()\n"
+                  "sys.argv = ['flagchess', 'degree', '--n', '2', '--eps', '0',"
+                  " '--output', os.devnull]\n"
+                  "print(main(), frozen, gc.get_freeze_count() > 0)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{EXIT_OK} 0 True\n", "")
 
     def test_module_invocation_matches(self):
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -15,11 +16,12 @@ from flagchess import (
     extract_gr2,
     initial_board_fibration,
     move_global_twist,
+    play,
     reference_residual_count,
     replay,
     run_game,
 )
-from flagchess.games import _gr2_template
+from flagchess.games import _gr2_template, _Runner
 from flagchess.render import game_result_to_json, parse_game_result
 
 # leftover copy counts measured from the deterministic scripts; the even
@@ -102,6 +104,18 @@ class TestGameCompletion:
         checked = [c for record in game(5, 0).log for c in record.oracle]
         assert checked and all(c.ok for c in checked)
         assert all(record.oracle == () for record in game(5, 0, validate=False).log)
+
+    @pytest.mark.parametrize("validate", [None, "no", "x", 0, 1, ()])
+    def test_validate_must_be_a_bool(self, validate):
+        # only False turns validation off; nothing else is read as either
+        message = f"^validate must be a bool, got {re.escape(repr(validate))}$"
+        with pytest.raises(ValueError, match=message):
+            run_game(3, 1, validate=validate)
+        with pytest.raises(ValueError, match=message):
+            _Runner(3, 1, "fibration", validate)
+        with pytest.raises(ValueError, match=message):
+            play(initial_board_fibration(2, 1), "serre_translate", (),
+                 {"y": 2, "direction": "left", "steps": 1}, validate)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

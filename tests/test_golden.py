@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flagchess
 from flagchess import (INDETERMINATE, MOVES, Board, Box, BundleDescriptor, MoveRefused, Opaque,
                        SymBlock, apply_record, ext_on_flag, ext_on_M, hom_bundle, play,
                        sym_cohomology, sym_cohomology_via_pushforward)
@@ -108,6 +113,25 @@ def test_stdout_and_exit_code_are_pinned(capsys, monkeypatch, command):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+# ``python -m flagchess.cli`` owns its process, so ``main`` freezes the
+# collector there and nowhere in-process: one game per emit format, a lemma
+# and a bwb, each in a fresh interpreter, print the pinned stdout and nothing
+# on stderr.
+@pytest.mark.parametrize("command", [
+    *(f"game --n 2 --eps 0 --emit {fmt}" for fmt in ("text", "latex", "json", "json-lines")),
+    "lemma --which A4 --n 3 --eps 0",
+    "bwb --N 7 --x 2 --y -9",
+])
+def test_a_fresh_process_prints_the_pinned_stdout(command):
+    env = {key: value for key, value in os.environ.items() if key != "FLAGCHESS_EMIT"}
+    env["PYTHONPATH"] = str(Path(flagchess.__file__).resolve().parent.parent)
+    env["PYTHONIOENCODING"] = "utf-8"
+    proc = subprocess.run([sys.executable, "-m", "flagchess.cli", *command.split()],
+                          env=env, capture_output=True)
+    assert proc.stderr == b""
+    assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[command]
 
 
 # One digest over seeded random ``play`` calls: every kind in MOVES, on the

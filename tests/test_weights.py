@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 from flagchess import (
     INDETERMINATE,
+    Board,
     BundleDescriptor,
     CohomResult,
     bwb_regularize,
@@ -26,6 +27,7 @@ from flagchess import (
     condition3_bound,
     cover_degree,
     euler_char,
+    extract_gr2,
     h0_twisted_quotient,
     line_bundle_cohomology,
     reference_residual_count,
@@ -120,6 +122,8 @@ class TestSizesMustBeInts:
         (lambda: BundleDescriptor(0, 0, 0, True), "N must be an int, got True"),
         (lambda: reference_residual_count(2.5, 1), "n must be an int, got 2.5"),
         (lambda: reference_residual_count(True, 1), "n must be an int, got True"),
+        (lambda: extract_gr2(Board(2, 1, ()), 2.5, 1), "n must be an int, got 2.5"),
+        (lambda: extract_gr2(Board(2, 1, ()), 2, True), "eps must be 0 or 1, got True"),
         (lambda: condition3_bound(True), "N must be an int, got True"),
         (lambda: condition3_bound(5.0), "N must be an int, got 5.0"),
         (lambda: line_bundle_cohomology(5, 1.5, 0), r"x and y must be ints, got \(1.5, 0\)"),
@@ -130,7 +134,8 @@ class TestSizesMustBeInts:
             "check_lemma-n-float", "cover_degree-n-float", "flag_N-float", "flag_N-bool",
             "rho-float", "descriptor-m-float", "descriptor-x-float", "descriptor-y-bool",
             "descriptor-N-float", "descriptor-N-bool", "reference_residual_count-n-float",
-            "reference_residual_count-n-bool", "condition3_bound-bool", "condition3_bound-float",
+            "reference_residual_count-n-bool", "extract_gr2-n-float", "extract_gr2-eps-bool",
+            "condition3_bound-bool", "condition3_bound-float",
             "line_bundle_cohomology-x-float", "line_bundle_cohomology-x-str",
             "_line_bundle-N-float-after-int"])
     def test_refused(self, call, message):
