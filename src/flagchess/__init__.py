@@ -34,11 +34,25 @@ _HOME = {name: module for module, names in (
 # without loading flagchess.render, which re-exports them as EMIT_FORMATS.
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
-# The CLI's bounds on what reaches the oracle, stated here for the board and
-# the parser too, and re-exported by flagchess.cli as MAX_n (which bounds the
-# N(N - 2) boxes of every parsed document's start board and keeps its
-# N = 2n + eps within cli.MAX_N), MAX_m and MAX_twist.
+# The CLI's bounds on what reaches the oracle, stated here for the library
+# too, and re-exported by flagchess.cli as MAX_n (which weights' (n, eps)
+# rule applies, so that every start board's N(N - 2) boxes stay few and
+# N = 2n + eps stays within cli.MAX_N), MAX_m and MAX_twist.
 _MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
+
+
+class _Record(tuple):
+    """The base of the checked named tuples: ``_make``, and so ``_replace``,
+    builds through the class's ``__new__``, and no attribute can be assigned."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 __version__ = "0.1.0"
 

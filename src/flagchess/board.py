@@ -48,13 +48,13 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import _MAX_m, _MAX_twist
+from . import _MAX_m, _MAX_twist, _Record
 from .oracle import ext_on_M, lemma_a4
 from .schur import INDETERMINATE, BundleDescriptor
 from .weights import GradedDims, _game_N
 
 
-class _Content(tuple):
+class _Content(_Record):
     """A box's content: a one-field named tuple that equals only content of
     its own class, so a block never equals an opaque marker."""
 
@@ -67,11 +67,6 @@ class _Content(tuple):
         return not self == other
 
     __hash__ = tuple.__hash__
-
-    @classmethod
-    def _make(cls, iterable) -> _Content:
-        """Build through ``__new__``, so that ``_replace`` checks too."""
-        return cls(*iterable)
 
 
 class SymBlock(_Content, namedtuple("SymBlock", "m")):
@@ -128,7 +123,7 @@ class Box(NamedTuple):
         return isinstance(self.content, Opaque)
 
 
-class Board(namedtuple("Board", "n eps boxes")):
+class Board(_Record, namedtuple("Board", "n eps boxes")):
     """Boxes in SOD order on the (x, y) twist lattice for M inside F(1,2,N).
 
     Equality, hash and ``repr`` see the tuple ``(n, eps, boxes)`` only.
@@ -164,14 +159,6 @@ class Board(namedtuple("Board", "n eps boxes")):
         self = super().__new__(cls, n, eps, boxes)
         self.__dict__.update(N=N, copies=copies, _at=at)
         return self
-
-    @classmethod
-    def _make(cls, iterable) -> Board:
-        """Build through ``__new__``, so that ``_replace`` checks too."""
-        return cls(*iterable)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def at(self, pos: tuple[int, int]) -> Box | None:
         return self._at.get(pos)
@@ -727,8 +714,9 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
     The call's shape is checked against the table first, and a kind, a
     position count, a parameter set or a parameter type the table does not
-    allow raises ``ValueError``, as does a kind that is not a string or a
-    position that is not a pair of ints; a bool is not taken for an int.
+    allow raises ``ValueError``, as do a kind that is not a string,
+    ``positions`` that are not a sequence of pairs of ints and ``params``
+    that are not a dict; a bool is not taken for an int.
     So does a ``validate`` that is not a bool.  The move is looked up among
     the module's names at call time, so a rebinding of ``move_<kind>`` is
     seen here too.
@@ -738,10 +726,13 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
         raise ValueError(f"unknown move kind {kind!r}")
+    if not isinstance(positions, Sequence) or any(
+            len(p) != 2 or not (type(p[0]) is type(p[1]) is int) for p in positions):
+        raise ValueError(f"{kind} positions must be a sequence of pairs of ints, got {positions!r}")
     if spec.positions is not None and len(positions) != spec.positions:
         raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")
-    if any(len(p) != 2 or not (type(p[0]) is type(p[1]) is int) for p in positions):
-        raise ValueError(f"{kind} positions must be pairs of ints, got {positions!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"{kind} params must be a dict, got {params!r}")
     if not set(spec.params) - set(spec.optional) <= set(params) <= set(spec.params):
         raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, got {tuple(params)}")
     for name, value in params.items():
@@ -756,9 +747,11 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
 def apply_record(board: Board, record: MoveRecord) -> Board:
     """Re-apply a logged move (validation off) and check the log signature;
-    an entry that is not a ``MoveRecord`` raises ``ValueError``."""
+    a non-``MoveRecord`` entry or non-sequence ``params`` raise ``ValueError``."""
     if type(record) is not MoveRecord:
         raise ValueError(f"a log entry must be a MoveRecord, got {record!r}")
+    if not isinstance(record.params, Sequence):
+        raise ValueError(f"a record's params must be a sequence, got {record.params!r}")
     new_board, rec = play(board, record.kind, record.positions, dict(record.params), False)
     if log_signature(rec) != log_signature(record):
         raise ValueError(f"replayed {record.kind} diverged from its record")

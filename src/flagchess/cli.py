@@ -34,7 +34,7 @@ EXIT_USAGE = 3
 # about 0.65 MB and its peak memory about 26 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
-MAX_n = _MAX_n  # lemma, degree, conditions, every parsed game document
+MAX_n = _MAX_n  # lemma, degree, conditions; every (n, eps) of the library
 MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
 MAX_m = _MAX_m  # cohom, ext, a validated move's questions
 MAX_twist = _MAX_twist  # |x| and |y| of bwb, cohom, ext and a validated move

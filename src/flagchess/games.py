@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import _Record
 from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
 from .weights import _game_N
 
@@ -50,7 +51,7 @@ class _Runner:
 
     def __init__(self, n: int, eps: int, mode: str, validate: bool):
         if mode not in ("fibration", "flip"):
-            raise ValueError(f"unknown mode {mode!r}")
+            raise ValueError(f"mode must be fibration or flip, got {mode!r}")
         if type(validate) is not bool:
             raise ValueError(f"validate must be a bool, got {validate!r}")
         start = initial_board_fibration if mode == "fibration" else corrected_flip_board
@@ -186,8 +187,8 @@ def extract_gr2(board: Board, n: int, eps: int,
     return (), (flag,)
 
 
-class GameResult(namedtuple("GameResult", "n eps mode initial final log "
-                                          "gr2_boxes residual_f_count flags")):
+class GameResult(_Record, namedtuple("GameResult", "n eps mode initial final log "
+                                                   "gr2_boxes residual_f_count flags")):
     """The whole record of one game.
 
     ``phases`` holds the snapshots ``(name, board, moves so far)`` that
@@ -203,9 +204,6 @@ class GameResult(namedtuple("GameResult", "n eps mode initial final log "
         self = super().__new__(cls, *fields)
         self.__dict__["phases"] = phases
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def gr2_found(self) -> bool:

@@ -94,6 +94,9 @@ _ext_on_flag_cached = ext_on_flag
 @lru_cache(maxsize=None)
 def _divisor_twist(target: BundleDescriptor) -> BundleDescriptor:
     """target(-1,-1), built once per target value and shared by every query."""
+    if type(target) is not BundleDescriptor:
+        raise ValueError("source and target must be BundleDescriptors, got a "
+                         f"{type(target).__name__} target")
     m, x, y, N = target
     return tuple.__new__(BundleDescriptor, (m, x - 1, y - 1, N))
 

@@ -23,7 +23,7 @@ import json
 import reprlib
 from typing import Any, Callable
 
-from . import _EMIT_FORMATS as EMIT_FORMATS, _MAX_n
+from . import _EMIT_FORMATS as EMIT_FORMATS
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
@@ -91,12 +91,6 @@ def box_to_dict(box: Box) -> dict:
 def _list(value: Any, name: str) -> list:
     if type(value) is not list:
         raise ValueError(f"{name} must be a list, got {value!r}")
-    return value
-
-
-def _int_at_least(value: Any, low: int, name: str) -> int:
-    if type(value) is not int or value < low:
-        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
     return value
 
 
@@ -183,21 +177,21 @@ def parse_game_result(text: str | bytes) -> GameResult:
     and 2, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 or 2), ``params`` (an
-    int ``n`` from 2 to ``cli.MAX_n``, ``eps`` 0 or 1, ``mode``
-    ``fibration`` or ``flip``), ``residual_f_count`` (an int >= 0) and each
-    move's ``kind``, ``positions`` and ``params``.  The moves are played on
-    the runner that ``run_game`` plays, from the start board of the params,
-    validated when some move's ``oracle`` is not ``[]``, so that every
-    recorded check is asked of the oracle again, within ``cli.MAX_m`` and
-    ``cli.MAX_twist``; a move the replay refuses is named by its path, as in
-    ``moves[7]``.  The runner's finish then splits the final board as
-    ``run_game`` does, which gives the column and the flags; only
-    ``residual_f_count`` is kept as written.  The document must be what the
-    writer of its version writes for that game, keys and their order
-    included; otherwise the message names the first path that differs, as
-    in ``initial.boxes[0].x``, ``moves[14].copies_before``,
-    ``moves[3].oracle[0].got`` or ``flags``.
+    (a bool is never an int): ``schema_version`` (1 or 2), ``params``
+    (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
+    does, the message led by ``params.``, before any board is built),
+    ``residual_f_count`` (an int >= 0) and each move's ``kind``,
+    ``positions`` and ``params``.  The moves are played on the runner that
+    ``run_game`` plays, from the start board of the params, validated when
+    some move's ``oracle`` is not ``[]``, so that every recorded check is
+    asked of the oracle again, within ``cli.MAX_m`` and ``cli.MAX_twist``;
+    a move the replay refuses is named by its path, as in ``moves[7]``.
+    The runner's finish then splits the final board as ``run_game`` does,
+    which gives the column and the flags; only ``residual_f_count`` is kept
+    as written.  The document must be what the writer of its version writes
+    for that game, keys and their order included; otherwise the message
+    names the first path that differs, as in ``initial.boxes[0].x``,
+    ``moves[14].copies_before``, ``moves[3].oracle[0].got`` or ``flags``.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
@@ -211,17 +205,15 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     version = d["schema_version"]
     if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {version!r}")
-    n, eps, mode = d["params"]["n"], d["params"]["eps"], d["params"]["mode"]
-    _int_at_least(n, 2, "params.n")
-    if n > _MAX_n:
-        raise ValueError(f"params.n must be <= {_MAX_n}, got {n}")
-    if type(eps) is not int or eps not in (0, 1):
-        raise ValueError(f"params.eps must be 0 or 1, got {eps!r}")
-    if mode not in ("fibration", "flip"):
-        raise ValueError(f"params.mode must be fibration or flip, got {mode!r}")
-    residual = _int_at_least(d["residual_f_count"], 0, "residual_f_count")
+    params, residual = d["params"], d["residual_f_count"]
+    if type(residual) is not int or residual < 0:
+        raise ValueError(f"residual_f_count must be an int >= 0, got {residual!r}")
     moves = _list(d["moves"], "moves")
-    g = _Runner(n, eps, mode, validate=any(move["oracle"] != [] for move in moves))
+    validate = any(move["oracle"] != [] for move in moves)
+    try:
+        g = _Runner(params["n"], params["eps"], params["mode"], validate)
+    except ValueError as exc:
+        raise ValueError(f"params.{exc}") from exc
     for move in moves:
         positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
         try:

@@ -31,10 +31,11 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
+from . import _Record
 from .weights import GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
 
-class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
+class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
     """Sym^m U2v(x*h1 + y*h2) on F(1,2,N); m = 0 is the line bundle O(x,y)."""
 
     __slots__ = ()
@@ -45,11 +46,6 @@ class BundleDescriptor(namedtuple("BundleDescriptor", "m x y N")):
         if m < 0:
             raise ValueError(f"symmetric power must be >= 0, got {m}")
         return tuple.__new__(cls, (m, x, y, _flag_N(N)))
-
-    @classmethod
-    def _make(cls, iterable) -> BundleDescriptor:
-        """Build through ``__new__``, so that ``_replace`` checks too."""
-        return cls(*iterable)
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
         """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""

@@ -14,8 +14,8 @@ N entries vary, so the degree costs a few comparisons and the Weyl
 dimension two binomials and one exact division by N-1, with no sort; a miss
 of the Bott cache returns one shared vanishing answer or builds its
 ``CohomResult`` as a plain tuple.
-``_game_N`` is the one (n, eps) rule, and ``_flag_N`` the one N >= 3
-refusal.
+``_game_N`` is the one (n, eps) rule, bound included, and ``_flag_N`` the
+one N >= 3 refusal.
 
 ``GradedDims`` is the one form of a cohomology or Ext answer in every
 layer, record and document.
@@ -32,6 +32,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
+
+from . import _MAX_n
 
 Weight = tuple[int, ...]
 
@@ -55,12 +57,13 @@ def _flag_N(N: int) -> int:
 
 
 def _game_N(n: int, eps: int) -> int:
-    """N = 2n + eps, refusing an n that is not an int >= 2 first and then an
-    eps that is not the int 0 or 1; a bool is not taken for an int."""
+    """N = 2n + eps: the one (n, eps) rule, bound included.  It refuses an n
+    that is not an int from 2 to ``cli.MAX_n`` first and then an eps that is
+    not the int 0 or 1; a bool is not taken for an int."""
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not 2 <= n <= _MAX_n:
+        raise ValueError(f"n must be {'>= 2' if n < 2 else f'<= {_MAX_n}'}, got {n}")
     if type(eps) is not int or eps not in (0, 1):
         raise ValueError(f"eps must be 0 or 1, got {eps!r}")
     return 2 * n + eps

@@ -38,6 +38,7 @@ from flagchess import (
     move_serre_global,
     move_serre_translate,
     move_transpose,
+    play,
 )
 from flagchess import board as board_module
 from flagchess import replay, run_game
@@ -741,6 +742,25 @@ class TestRecordsAndReplay:
             for call in (lambda: apply_record(board, entry), lambda: replay(board, (rec, entry))):
                 with pytest.raises(ValueError, match="^a log entry must be a MoveRecord, got "):
                     call()
+
+    @pytest.mark.parametrize("field, message", [
+        ("positions", r"^serre_translate positions must be a sequence of pairs of ints, got None$"),
+        ("params", r"^a record's params must be a sequence, got None$")])
+    def test_replay_rejects_fields_that_are_not_sequences(self, game, field, message):
+        result = game(2, 1)
+        with pytest.raises(ValueError, match=message):
+            apply_record(result.initial, result.log[0]._replace(**{field: None}))
+
+    @pytest.mark.parametrize("positions, params, message", [
+        (None, {"y": 2, "direction": "left", "steps": 1},
+         r"^serre_translate positions must be a sequence of pairs of ints, got None$"),
+        ((), None, r"^serre_translate params must be a dict, got None$"),
+        ((), (("y", 2), ("direction", "left"), ("steps", 1)),
+         r"^serre_translate params must be a dict, got \(\('y', 2\), "),
+    ])
+    def test_play_rejects_fields_of_the_wrong_form(self, game, positions, params, message):
+        with pytest.raises(ValueError, match=message):
+            play(game(2, 1).initial, "serre_translate", positions, params, False)
 
     def test_replay_rejects_divergence(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0))

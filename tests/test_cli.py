@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import (INDETERMINATE, Board, Box, GameResult, LemmaPoint, LemmaReport, MoveRefused,
-                       Opaque, OracleCheck, SymBlock, cli, play, render, replay, run_game)
-from flagchess import board as board_module
+from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, MoveRefused, Opaque,
+                       SymBlock, cli, play, render, replay, run_game)
+from flagchess import board as board_module, games as games_module
 from flagchess.cli import (
     EXIT_FLAGGED,
     EXIT_OK,
@@ -527,6 +527,21 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=f"params.{name} must be"):
             parse_game_result(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("n", 1, "params.n must be >= 2, got 1"),
+        ("n", MAX_n + 1, f"params.n must be <= {MAX_n}, got {MAX_n + 1}"),
+        ("n", 2.5, "params.n must be an int, got 2.5"),
+        ("mode", "x", "params.mode must be fibration or flip, got 'x'")])
+    def test_bad_params_are_refused_before_any_board(self, game, monkeypatch, name, value,
+                                                     message):
+        def built(n, eps, boxes):
+            raise AssertionError("a start board was built")
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        doc["params"][name] = value
+        monkeypatch.setattr(games_module, "Board", built)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_game_result(json.dumps(doc))
+
     @pytest.mark.parametrize("board, value", [
         ("initial", 999), ("final", 14), ("final", 15.0)])
     def test_false_copy_totals_raise_value_error(self, game, board, value):
@@ -1001,25 +1016,28 @@ class TestReplayedChecks:
         doc["moves"][i]["oracle"].pop()
         self.refused(doc, rf"moves\[{i}\]\.oracle")
 
-    def test_checks_at_an_n_past_the_bound_are_refused_before_the_replay(self):
-        # replayed, the one check would ask the oracle at N = 2 * 10**6 + 1
-        initial = Board(10**6, 1, (Box(0, 0, SymBlock(0)), Box(1, 0, SymBlock(0))))
-        final, record = play(initial, "transpose", ((0, 0), (1, 0)), {}, False)
-        check = OracleCheck((0, 0, 0), (0, 1, 0), "M", (), ())
-        text = game_result_to_json(GameResult(
-            10**6, 1, "fibration", initial, final, (record._replace(oracle=(check,)),), (), 2, ()))
-        assert len(text) < 1000
+    @staticmethod
+    def past_the_bound(game, validate: bool) -> str:
+        """An n = 2 game's document with ``params.n`` set to 10**6."""
+        doc = json.loads(game_result_to_json(game(2, 0, validate=validate)))
+        assert any(move["oracle"] for move in doc["moves"]) == validate
+        doc["params"]["n"] = 10**6
+        return dumps(doc)
+
+    def test_checks_at_an_n_past_the_bound_are_refused_before_the_replay(self, game):
+        # replayed, the checks would ask the oracle at N = 2 * 10**6
+        text = self.past_the_bound(game, validate=True)
+        assert len(text) < 4000
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n}, got 1000000$"):
             parse_game_result(text)
         assert time.perf_counter() - start < 1
 
-    def test_an_unvalidated_document_at_an_n_past_the_bound_is_refused_before_any_board(self):
+    def test_an_unvalidated_document_at_an_n_past_the_bound_is_refused_before_any_board(
+            self, game):
         # its start board would hold N(N - 2), about 4 * 10**12, boxes
-        initial = Board(10**6, 1, (Box(0, 0, SymBlock(0)), Box(1, 0, SymBlock(0))))
-        text = game_result_to_json(GameResult(
-            10**6, 1, "fibration", initial, initial, (), (), 2, ()))
-        assert len(text) < 1000
+        text = self.past_the_bound(game, validate=False)
+        assert len(text) < 4000
         start = time.perf_counter()
         with pytest.raises(ValueError, match=rf"^params\.n must be <= {MAX_n}, got 1000000$"):
             parse_game_result(text)

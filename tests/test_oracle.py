@@ -156,6 +156,13 @@ class TestExtOnM:
         assert plain == [BD(2, -1, 1, 11)] * 3
         assert len({id(t) for t in plain}) == 3  # the plain target is passed as given
 
+    @pytest.mark.parametrize("query", [koszul_terms, ext_on_M])
+    @pytest.mark.parametrize("target", [None, "x", 1.5])
+    def test_a_target_that_is_not_a_descriptor_is_refused(self, query, target):
+        with pytest.raises(ValueError, match="^source and target must be BundleDescriptors, "
+                                             f"got a {type(target).__name__} target$"):
+            query(BD(0, 0, 0, 5), target)
+
     def test_forced_extension_class(self):
         # the off-by-one pairing that feeds the absorb move: a single ext
         # class one degree up

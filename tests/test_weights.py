@@ -10,7 +10,11 @@ descending sort.
 """
 from __future__ import annotations
 
+import json
 import math
+import signal
+import time
+from contextlib import contextmanager
 from itertools import combinations_with_replacement
 
 import pytest
@@ -25,10 +29,12 @@ from flagchess import (
     canonical_fiber,
     check_lemma,
     condition3_bound,
+    corrected_flip_board,
     cover_degree,
     euler_char,
     extract_gr2,
     h0_twisted_quotient,
+    initial_board_fibration,
     line_bundle_cohomology,
     reference_residual_count,
     rho,
@@ -36,6 +42,8 @@ from flagchess import (
     simple_reflection,
     weyl_dim,
 )
+from flagchess.cli import MAX_n
+from flagchess.render import game_result_to_json, parse_game_result
 from flagchess.weights import _flag_N, _game_N, _line_bundle
 
 
@@ -141,6 +149,64 @@ class TestSizesMustBeInts:
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test once its body has run ``seconds`` of wall time, so that
+    a call that runs on unbounded fails in place of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestSizesAreBounded:
+    """Every public (n, eps) entry point refuses an n past ``cli.MAX_n``
+    with ``ValueError`` at once: the rule is ``_game_N``'s, bound included,
+    and a document's ``params.n`` meets it through the game runner."""
+
+    @staticmethod
+    def document(n: int) -> str:
+        doc = json.loads(game_result_to_json(run_game(2, 1, validate=False)))
+        doc["params"]["n"] = n
+        return json.dumps(doc)
+
+    @pytest.mark.parametrize("n", [MAX_n + 1, 10**12])
+    @pytest.mark.parametrize("call, prefix", [
+        (lambda n: run_game(n, 1), ""),
+        (lambda n: run_game(n, 0, mode="flip", validate=False), ""),
+        (lambda n: check_lemma("A4", n, 1), ""),
+        (lambda n: check_lemma("A6", n, 0), ""),
+        (lambda n: cover_degree(n, 1), ""),
+        (lambda n: initial_board_fibration(n, 1), ""),
+        (lambda n: corrected_flip_board(n, 1), ""),
+        (lambda n: Board(n, 1, ()), ""),
+        (lambda n: extract_gr2(Board(2, 1, ()), n, 1), ""),
+        (lambda n: reference_residual_count(n, 1), ""),
+        (lambda n: parse_game_result(TestSizesAreBounded.document(n)), r"params\."),
+    ], ids=["run_game", "run_game-flip", "check_lemma-A4", "check_lemma-A6", "cover_degree",
+            "initial_board_fibration", "corrected_flip_board", "Board", "extract_gr2",
+            "reference_residual_count", "parse_game_result"])
+    def test_refused_at_once(self, call, prefix, n):
+        start = time.perf_counter()
+        with deadline(1), pytest.raises(ValueError, match=f"^{prefix}n must be <= {MAX_n}, "
+                                                          f"got {n}$"):
+            call(n)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n", [1, 0, -(10**12)])
+    def test_below_two_is_refused_in_the_same_words(self, n):
+        for call in (lambda: _game_N(n, 1), lambda: run_game(n, 1), lambda: Board(n, 0, ())):
+            with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
+                call()
 
 
 class TestSimpleReflection:
