@@ -34,11 +34,12 @@ _HOME = {name: module for module, names in (
 # without loading flagchess.render, which re-exports them as EMIT_FORMATS.
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
-# The CLI's bounds on what reaches the oracle, stated here for the library
-# too, and re-exported by flagchess.cli as MAX_n (which weights' (n, eps)
-# rule applies, so that every start board's N(N - 2) boxes stay few and
-# N = 2n + eps stays within cli.MAX_N), MAX_m and MAX_twist.
+# The bounds on what reaches the oracle, re-exported by flagchess.cli and kept
+# by the library's rules: n by weights' (n, eps) rule, so that every start
+# board's N(N - 2) boxes stay few and N = 2n + eps stays within MAX_N; N by
+# weights' N rule; and m and the twist by schur.BundleDescriptor.
 _MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
+_MAX_N = 2 * _MAX_n + 1
 
 
 class _Record(tuple):

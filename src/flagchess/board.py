@@ -48,7 +48,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import _MAX_m, _MAX_twist, _Record
+from . import _Record
 from .oracle import ext_on_M, lemma_a4
 from .schur import INDETERMINATE, BundleDescriptor
 from .weights import GradedDims, _game_N
@@ -220,21 +220,18 @@ def _question(source: BundleDescriptor, target: BundleDescriptor,
               expected: GradedDims) -> Question:
     """One Ext_M requirement as (source, target, the check recorded when the
     oracle gives the expected answer), built once per value and shared by
-    every move shape that asks it.  A question past ``cli.MAX_m`` or
-    ``cli.MAX_twist``, the bounds of ``ext``, raises ``ValueError`` and is
-    not kept: the oracle's work grows with both."""
-    for m, x, y, _ in (source, target):
-        if m > _MAX_m or max(abs(x), abs(y)) > _MAX_twist:
-            raise ValueError(f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
+    every move shape that asks it.  Its descriptors come checked, so each
+    is within the oracle's bounds."""
     return source, target, OracleCheck((source.m, source.x, source.y),
                                        (target.m, target.x, target.y), "M", expected, expected)
 
 
 @lru_cache(maxsize=None)
 def _a4_question(t: int, r: int, N: int) -> Question:
-    """The :func:`_question` of lemma A4 at (t, r, N), so that ``lemma_a4``
-    runs once per point and not once per shape that asks it."""
-    return _question(*lemma_a4(t, r, N))
+    """The :func:`_question` of lemma A4 at (t, r, N), built and its operands
+    checked once per point, as ``lemma_a4`` leaves them unchecked for sweeps."""
+    source, target, expected = lemma_a4(t, r, N)
+    return _question(BundleDescriptor._make(source), BundleDescriptor._make(target), expected)
 
 
 @lru_cache(maxsize=None)
@@ -714,20 +711,23 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
     The call's shape is checked against the table first, and a kind, a
     position count, a parameter set or a parameter type the table does not
-    allow raises ``ValueError``, as do a kind that is not a string,
-    ``positions`` that are not a sequence of pairs of ints and ``params``
-    that are not a dict; a bool is not taken for an int.
+    allow raises ``ValueError``, as do a ``board`` that is not a ``Board``, a
+    kind that is not a string, ``positions`` that are not a sequence of
+    tuple pairs of ints and ``params`` that are not a dict; a bool is not
+    taken for an int.
     So does a ``validate`` that is not a bool.  The move is looked up among
     the module's names at call time, so a rebinding of ``move_<kind>`` is
     seen here too.
     """
+    if type(board) is not Board:
+        raise ValueError(f"board must be a Board, got {type(board).__name__}")
     if type(validate) is not bool:
         raise ValueError(f"validate must be a bool, got {validate!r}")
     spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
         raise ValueError(f"unknown move kind {kind!r}")
     if not isinstance(positions, Sequence) or any(
-            len(p) != 2 or not (type(p[0]) is type(p[1]) is int) for p in positions):
+            type(p) is not tuple or tuple(map(type, p)) != (int, int) for p in positions):
         raise ValueError(f"{kind} positions must be a sequence of pairs of ints, got {positions!r}")
     if spec.positions is not None and len(positions) != spec.positions:
         raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")

@@ -18,7 +18,7 @@ import argparse
 import gc
 import sys
 
-from . import _EMIT_FORMATS, _MAX_m, _MAX_n, _MAX_twist
+from . import _EMIT_FORMATS, _MAX_m, _MAX_N, _MAX_n, _MAX_twist
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
@@ -35,9 +35,9 @@ EXIT_USAGE = 3
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions; every (n, eps) of the library
-MAX_N = 2 * MAX_n + 1  # bwb, cohom, ext
-MAX_m = _MAX_m  # cohom, ext, a validated move's questions
-MAX_twist = _MAX_twist  # |x| and |y| of bwb, cohom, ext and a validated move
+MAX_N = _MAX_N  # bwb, cohom, ext; every N of the library
+MAX_m = _MAX_m  # cohom, ext; every BundleDescriptor of the library
+MAX_twist = _MAX_twist  # |x| and |y| of bwb, cohom, ext; every BundleDescriptor
 
 
 class UsageError(Exception):

@@ -32,17 +32,12 @@ def initial_board_fibration(n: int, eps: int) -> Board:
 
 
 def corrected_flip_board(n: int, eps: int) -> Board:
-    """Playable flip start: row y has N zeros at x in [y, y+N-1].
-
-    One global twist by (n+eps-2, N-1) carries it onto the fibration start.
-    """
-    N = _game_N(n, eps)
-    boxes = [
-        Box(x, y, SymBlock(0))
-        for y in range(-(N - 2), 0)
-        for x in range(y, y + N)
-    ]
-    return Board(n, eps, tuple(boxes))
+    """Playable flip start: row y has N zeros at x in [y, y+N-1].  It is the
+    fibration start twisted back by -(n+eps-2, N-1): the game's one global
+    twist by (n+eps-2, N-1) carries it onto that start."""
+    start = initial_board_fibration(n, eps)
+    dx, dy = n + eps - 2, start.N - 1
+    return Board(n, eps, tuple(Box(x - dx, y - dy, c) for x, y, c in start.boxes))
 
 
 class _Runner:

@@ -41,8 +41,8 @@ def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[Bundl
     """Expand Hom(source, target) = source^v x target by rank-2 Clebsch-Gordan.
 
     Twists add componentwise, and each det-power j adds (0, j).  Past the one
-    N check each summand is valid by construction (the source was checked,
-    and a+b-2j >= 0), so it is built with ``tuple.__new__``.
+    N check each summand is built with ``tuple.__new__``: its power a+b-2j is
+    >= 0, and at most 2 ``cli.MAX_m`` for two checked descriptors.
     """
     dm, dx, dy, N = dualize(source)
     m, x, y, target_N = target

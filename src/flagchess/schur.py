@@ -31,12 +31,13 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from . import _Record
+from . import _MAX_m, _MAX_twist, _Record
 from .weights import GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
 
 class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
-    """Sym^m U2v(x*h1 + y*h2) on F(1,2,N); m = 0 is the line bundle O(x,y)."""
+    """Sym^m U2v(x*h1 + y*h2) on F(1,2,N), m = 0 the line bundle O(x,y); it
+    refuses m > ``cli.MAX_m``, |x| or |y| > ``cli.MAX_twist`` and N > ``cli.MAX_N``."""
 
     __slots__ = ()
 
@@ -45,6 +46,8 @@ class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
             raise ValueError(f"m, x and y must be ints, got {(m, x, y)!r}")
         if m < 0:
             raise ValueError(f"symmetric power must be >= 0, got {m}")
+        if m > _MAX_m or abs(x) > _MAX_twist or abs(y) > _MAX_twist:
+            raise ValueError(f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
         return tuple.__new__(cls, (m, x, y, _flag_N(N)))
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
@@ -68,8 +71,8 @@ def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
 
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
     """The short exact sequence 0 -> Sym^{k-1}U2v(-1,1) -> Sym^k U2v -> O(k,0) -> 0."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need k >= 1, got {k!r}")
     return (
         BundleDescriptor(k - 1, -1, 1, N),
         BundleDescriptor(k, 0, 0, N),
@@ -78,14 +81,14 @@ def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescrip
 
 
 def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
-    """Sym^a V x Sym^b V = sum_j Sym^{a+b-2j} V x det(V)^j for rank-2 V."""
-    if a < 0 or b < 0:
-        raise ValueError("symmetric powers must be >= 0")
+    """Sym^a V x Sym^b V = sum_j Sym^{a+b-2j} V x det(V)^j, V of rank 2, min(a, b) <= 2 MAX_m."""
+    if not (type(a) is type(b) is int and 0 <= min(a, b) <= 2 * _MAX_m):
+        raise ValueError(f"need int powers >= 0, the lesser <= {2 * _MAX_m}, got {(a, b)!r}")
     return [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
 
 
 def dualize(d: BundleDescriptor) -> BundleDescriptor:
-    """Dual descriptor, valid as d is; det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
+    """Dual descriptor, unchecked; det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
     m, x, y, N = d
     return tuple.__new__(BundleDescriptor, (m, -x, -y - m, N))
 

@@ -14,8 +14,8 @@ N entries vary, so the degree costs a few comparisons and the Weyl
 dimension two binomials and one exact division by N-1, with no sort; a miss
 of the Bott cache returns one shared vanishing answer or builds its
 ``CohomResult`` as a plain tuple.
-``_game_N`` is the one (n, eps) rule, bound included, and ``_flag_N`` the
-one N >= 3 refusal.
+``_game_N`` is the one (n, eps) rule and ``_flag_N`` the one N rule, each
+with its bound.
 
 ``GradedDims`` is the one form of a cohomology or Ext answer in every
 layer, record and document.
@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from . import _MAX_n
+from . import _MAX_N, _MAX_n
 
 Weight = tuple[int, ...]
 
@@ -48,11 +48,11 @@ def rho(N: int) -> Weight:
 
 def _flag_N(N: int) -> int:
     """N itself, refusing an N that is not an int (a bool is not taken for
-    one) and N < 3, where F(1,2,N) does not exist."""
+    one), N < 3, where F(1,2,N) does not exist, and N past ``cli.MAX_N``."""
     if type(N) is not int:
         raise ValueError(f"N must be an int, got {N!r}")
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
+    if not 3 <= N <= _MAX_N:
+        raise ValueError(f"need N {'>= 3' if N < 3 else f'<= {_MAX_N}'}, got {N}")
     return N
 
 
@@ -75,8 +75,8 @@ def simple_reflection(w: Weight, i: int) -> Weight:
     Coordinate i is negated and its old value is added to the neighbours i-1
     and i+1 where they exist; everything else is untouched.
     """
-    if not 1 <= i <= len(w):
-        raise ValueError(f"reflection index {i} out of range 1..{len(w)}")
+    if type(i) is not int or not 1 <= i <= len(w):
+        raise ValueError(f"reflection index {i!r} out of range 1..{len(w)}")
     c = list(w)
     v = c[i - 1]
     c[i - 1] = -v

@@ -762,6 +762,24 @@ class TestRecordsAndReplay:
         with pytest.raises(ValueError, match=message):
             play(game(2, 1).initial, "serre_translate", positions, params, False)
 
+    def test_play_rejects_a_board_that_is_not_a_board(self, game):
+        result = game(2, 1)
+        params = {"k": 1, "direction": "front_to_back"}
+        for board in (None, result.initial.boxes, tuple(result.initial)):
+            for call in (lambda: play(board, "serre_global", (), params, False),
+                         lambda: apply_record(board, result.log[0]),
+                         lambda: replay(board, result.log)):
+                with pytest.raises(ValueError, match=f"^board must be a Board, got "
+                                                     f"{type(board).__name__}$"):
+                    call()
+
+    @pytest.mark.parametrize("positions", [(1, 2), ((1, 2), 3), ([0, 1], [1, 1]), "ab"])
+    def test_play_rejects_a_position_that_is_not_a_pair(self, positions):
+        board = board_of(2, 1, (0, 1, 0), (1, 1, 0))
+        with pytest.raises(ValueError, match=r"^transpose positions must be a sequence of pairs "
+                                             r"of ints, got "):
+            play(board, "transpose", positions, {}, False)
+
     def test_replay_rejects_divergence(self):
         board = board_of(2, 1, (0, 1, 0), (1, 1, 0))
         _, rec = move_serre_translate(board, 1, "left", 1)

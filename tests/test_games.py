@@ -74,6 +74,15 @@ class TestInitialBoards:
         assert set(per_row(printed).values()) == {playable.N + 1}
         assert set(per_row(playable).values()) == {playable.N}
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("eps", [0, 1])
+    def test_flip_start_rows(self, n, eps):
+        # row y in -(N-2)..-1 holds N zeros at x = y..y+N-1, rows in SOD order
+        board = corrected_flip_board(n, eps)
+        N = board.N
+        assert board.boxes == tuple(Box(x, y, SymBlock(0))
+                                    for y in range(-(N - 2), 0) for x in range(y, y + N))
+
     def test_flip_start_is_a_twist_of_the_fibration_start(self):
         for n, eps in [(2, 0), (2, 1), (3, 0), (3, 1)]:
             flip = corrected_flip_board(n, eps)

@@ -16,12 +16,14 @@ from flagchess import (
     clebsch_gordan_rank2,
     dualize,
     euler_char,
+    ext_on_flag,
     line_bundle_cohomology,
     sym_cohomology,
     sym_cohomology_via_pushforward,
     sym_filtration,
     sym_resolution_step,
 )
+from flagchess.cli import MAX_m
 
 descriptor_st = st.builds(
     BundleDescriptor,
@@ -149,6 +151,24 @@ class TestClebschGordan:
             clebsch_gordan_rank2(-1, 0)
         with pytest.raises(ValueError):
             clebsch_gordan_rank2(0, -1)
+
+    def test_the_lesser_power_is_bounded_by_twice_MAX_m(self):
+        assert clebsch_gordan_rank2(10**12, 1) == [(10**12 + 1, 0), (10**12 - 1, 1)]
+        assert len(clebsch_gordan_rank2(2 * MAX_m, 10**12)) == 2 * MAX_m + 1
+        for a, b in [(2 * MAX_m + 1, 2 * MAX_m + 1), (10**12, 10**12)]:
+            with pytest.raises(ValueError, match=rf"^need int powers >= 0, the lesser <= "
+                                                 rf"{2 * MAX_m}, got \({a}, {b}\)$"):
+                clebsch_gordan_rank2(a, b)
+
+    def test_a_hom_summand_of_two_descriptors_at_the_bound_is_expanded(self):
+        # Hom(Sym^200, Sym^200(-900, -200)) on F(1,2,3) has the summand
+        # Sym^400(-900, -400); the filtration leaves it indeterminate and the
+        # pushforward expands Sym^400 x Sym^898: a lesser power of 2 MAX_m
+        summand = tuple.__new__(BundleDescriptor, (2 * MAX_m, -900, -2 * MAX_m, 3))
+        assert sym_cohomology(summand) is INDETERMINATE
+        assert sym_cohomology_via_pushforward(summand) == ((2, 843051), (3, 32139689400))
+        source, target = BundleDescriptor(MAX_m, 0, 0, 3), BundleDescriptor(MAX_m, -900, -200, 3)
+        assert ext_on_flag(source, target) == ((2, 843051), (3, 3601214639400))
 
     def test_a_zero_power_gives_the_general_expansion(self):
         # Sym^a x Sym^0 and Sym^0 x Sym^b are the general expansion's one piece

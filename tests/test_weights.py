@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import signal
 import time
 from contextlib import contextmanager
@@ -28,10 +29,13 @@ from flagchess import (
     bwb_regularize,
     canonical_fiber,
     check_lemma,
+    clebsch_gordan_rank2,
     condition3_bound,
     corrected_flip_board,
     cover_degree,
     euler_char,
+    ext_on_flag,
+    ext_on_M,
     extract_gr2,
     h0_twisted_quotient,
     initial_board_fibration,
@@ -39,10 +43,15 @@ from flagchess import (
     reference_residual_count,
     rho,
     run_game,
+    section_count_ld,
+    section_count_syzygy,
     simple_reflection,
+    sym_cohomology,
+    sym_filtration,
+    sym_resolution_step,
     weyl_dim,
 )
-from flagchess.cli import MAX_n
+from flagchess.cli import MAX_N, MAX_m, MAX_n, MAX_twist
 from flagchess.render import game_result_to_json, parse_game_result
 from flagchess.weights import _flag_N, _game_N, _line_bundle
 
@@ -84,6 +93,17 @@ def monomial_count(N: int, k: int) -> int:
 weights_st = st.lists(st.integers(-9, 9), min_size=2, max_size=6).map(tuple)
 
 
+# Every entry point that takes N, each refusing a bad N in _flag_N's words.
+N_ENTRY_POINTS = {
+    "rho": rho, "canonical_fiber": canonical_fiber, "h0_twisted_quotient": h0_twisted_quotient,
+    "condition3_bound": condition3_bound, "_line_bundle": lambda N: _line_bundle(N, 0, 0),
+    "BundleDescriptor": lambda N: BundleDescriptor(0, 0, 0, N),
+    "line_bundle_cohomology": lambda N: line_bundle_cohomology(N, 0, 0),
+    "section_count_ld": section_count_ld, "section_count_syzygy": section_count_syzygy,
+    "sym_resolution_step": lambda N: sym_resolution_step(1, N),
+}
+
+
 class TestRho:
     def test_examples(self):
         assert rho(5) == (1, 1, 1, 1)
@@ -94,11 +114,7 @@ class TestRho:
         with pytest.raises(ValueError):
             rho(2)
 
-    @pytest.mark.parametrize("refuse", [
-        rho, canonical_fiber, h0_twisted_quotient, condition3_bound,
-        lambda N: _line_bundle(N, 0, 0), lambda N: BundleDescriptor(0, 0, 0, N),
-    ], ids=["rho", "canonical_fiber", "h0_twisted_quotient", "condition3_bound",
-            "_line_bundle", "BundleDescriptor"])
+    @pytest.mark.parametrize("refuse", N_ENTRY_POINTS.values(), ids=N_ENTRY_POINTS)
     @pytest.mark.parametrize("N", (2, 0, -1))
     def test_every_caller_refuses_N_below_3_in_the_same_words(self, refuse, N):
         with pytest.raises(ValueError, match=f"^need N >= 3, got {N}$"):
@@ -137,6 +153,14 @@ class TestSizesMustBeInts:
         (lambda: line_bundle_cohomology(5, 1.5, 0), r"x and y must be ints, got \(1.5, 0\)"),
         (lambda: line_bundle_cohomology(5, "1", 0), r"x and y must be ints, got \('1', 0\)"),
         (lambda: (_line_bundle(5, 0, 0), _line_bundle(5.0, 0, 0)), "N must be an int, got 5.0"),
+        (lambda: simple_reflection((1, 2), True), r"reflection index True out of range 1\.\.2"),
+        (lambda: simple_reflection((1, 2), 1.0), r"reflection index 1\.0 out of range 1\.\.2"),
+        (lambda: sym_resolution_step(None, 5), "need k >= 1, got None"),
+        (lambda: sym_resolution_step(True, 5), "need k >= 1, got True"),
+        (lambda: clebsch_gordan_rank2(1, 1.5),
+         rf"need int powers >= 0, the lesser <= {2 * MAX_m}, got \(1, 1\.5\)"),
+        (lambda: clebsch_gordan_rank2(True, 1),
+         rf"need int powers >= 0, the lesser <= {2 * MAX_m}, got \(True, 1\)"),
     ], ids=["game_N-n-float", "game_N-n-bool", "game_N-eps-float", "game_N-eps-True",
             "game_N-eps-False", "run_game-eps-bool", "run_game-n-float", "run_game-eps-float",
             "check_lemma-n-float", "cover_degree-n-float", "flag_N-float", "flag_N-bool",
@@ -145,7 +169,10 @@ class TestSizesMustBeInts:
             "reference_residual_count-n-bool", "extract_gr2-n-float", "extract_gr2-eps-bool",
             "condition3_bound-bool", "condition3_bound-float",
             "line_bundle_cohomology-x-float", "line_bundle_cohomology-x-str",
-            "_line_bundle-N-float-after-int"])
+            "_line_bundle-N-float-after-int", "simple_reflection-i-bool",
+            "simple_reflection-i-float", "sym_resolution_step-k-None",
+            "sym_resolution_step-k-bool", "clebsch_gordan_rank2-b-float",
+            "clebsch_gordan_rank2-a-bool"])
     def test_refused(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
@@ -171,7 +198,10 @@ def deadline(seconds: float):
 class TestSizesAreBounded:
     """Every public (n, eps) entry point refuses an n past ``cli.MAX_n``
     with ``ValueError`` at once: the rule is ``_game_N``'s, bound included,
-    and a document's ``params.n`` meets it through the game runner."""
+    and a document's ``params.n`` meets it through the game runner.  So does
+    every N entry point an N past ``cli.MAX_N``, by ``_flag_N``, and every
+    ``BundleDescriptor`` an m past ``cli.MAX_m`` or a twist past
+    ``cli.MAX_twist``, so that no oracle call runs unbounded."""
 
     @staticmethod
     def document(n: int) -> str:
@@ -200,6 +230,44 @@ class TestSizesAreBounded:
         with deadline(1), pytest.raises(ValueError, match=f"^{prefix}n must be <= {MAX_n}, "
                                                           f"got {n}$"):
             call(n)
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("refuse", N_ENTRY_POINTS.values(), ids=N_ENTRY_POINTS)
+    @pytest.mark.parametrize("N", [MAX_N + 1, 10**12])
+    def test_an_N_past_MAX_N_is_refused_at_once_in_the_same_words(self, refuse, N):
+        with deadline(1), pytest.raises(ValueError, match=f"^need N <= {MAX_N}, got {N}$"):
+            refuse(N)
+
+    @pytest.mark.parametrize("m, x, y", [
+        (MAX_m + 1, 0, 0), (10**12, 0, 0), (0, MAX_twist + 1, 0), (0, -MAX_twist - 1, 0),
+        (0, 10**12, 0), (0, -(10**12), 0), (0, 0, MAX_twist + 1), (0, 0, -MAX_twist - 1),
+        (0, 0, 10**12), (0, 0, -(10**12))])
+    def test_a_descriptor_past_the_oracle_bounds_is_refused_at_once(self, m, x, y):
+        with deadline(1), pytest.raises(ValueError, match=re.escape(
+                f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")):
+            BundleDescriptor(m, x, y, 5)
+
+    def test_a_descriptor_at_the_oracle_bounds_is_built(self):
+        for m, x, y in [(MAX_m, MAX_twist, -MAX_twist), (0, -MAX_twist, MAX_twist)]:
+            assert BundleDescriptor(m, x, y, MAX_N) == (m, x, y, MAX_N)
+
+    @pytest.mark.parametrize("call", [
+        lambda: rho(10**12),
+        lambda: line_bundle_cohomology(10**7, 10**7, 0),
+        lambda: sym_filtration(BundleDescriptor(10**9, 0, 0, 5)),
+        lambda: sym_cohomology(BundleDescriptor(10**12, 0, 0, 5)),
+        lambda: ext_on_flag(BundleDescriptor(10**9, 0, 0, 5), BundleDescriptor(10**9, 1, 0, 5)),
+        lambda: ext_on_M(BundleDescriptor(10**9, 0, 0, 5), BundleDescriptor(10**9, 1, 0, 5)),
+        lambda: clebsch_gordan_rank2(10**12, 10**12),
+        lambda: clebsch_gordan_rank2(2 * MAX_m + 1, 2 * MAX_m + 1),
+        lambda: sym_resolution_step(10**12, 5),
+    ], ids=["rho", "line_bundle_cohomology", "sym_filtration", "sym_cohomology", "ext_on_flag",
+            "ext_on_M", "clebsch_gordan_rank2", "clebsch_gordan_rank2-past-by-one",
+            "sym_resolution_step"])
+    def test_an_oracle_call_past_the_bounds_is_refused_at_once(self, call):
+        start = time.perf_counter()
+        with deadline(1), pytest.raises(ValueError):
+            call()
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("n", [1, 0, -(10**12)])
