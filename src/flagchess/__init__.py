@@ -37,9 +37,28 @@ _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 # The bounds on what reaches the oracle, re-exported by flagchess.cli and kept
 # by the library's rules: n by weights' (n, eps) rule, so that every start
 # board's N(N - 2) boxes stay few and N = 2n + eps stays within MAX_N; N by
-# weights' N rule; and m and the twist by schur.BundleDescriptor.
+# weights' N rule; and m and the twist by schur.BundleDescriptor.  Past them,
+# the reach of the twists that the Bott evaluator meets from checked input,
+# derived and kept by weights._line_bundle.
 _MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
 _MAX_N = 2 * _MAX_n + 1
+_MAX_reach = 4 * _MAX_twist + 2 * _MAX_m + 1
+
+
+def _shown(value: object) -> str:
+    """A value as a refusal shows it: its repr, a tuple's items each shown,
+    and an int past 2,000 bits as ``an int of 5,001 digits``, sized from its
+    bit length, so that no refusal meets Python's limit on converting an int
+    to text (4,300 digits by default, 640 at the least)."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))})"
+    if not isinstance(value, int) or value.bit_length() <= 2000:
+        return repr(value)
+    # from below, as 0.30102999 < log10(2), then up to the first power of ten past it
+    size, digits = abs(value), (value.bit_length() - 1) * 30102999 // 10**8
+    while size >= 10**digits:
+        digits += 1
+    return f"an int of {digits:,} digits"
 
 
 class _Record(tuple):

@@ -196,7 +196,10 @@ class MoveRecord(NamedTuple):
 
 
 def log_signature(record: MoveRecord) -> tuple:
-    """Everything about a move except its oracle transcript."""
+    """Everything about a move except its oracle transcript; an entry that is
+    not a ``MoveRecord`` raises ``ValueError``."""
+    if type(record) is not MoveRecord:
+        raise ValueError(f"a log entry must be a MoveRecord, got {record!r}")
     return (record.kind, record.positions, record.params,
             record.copies_before, record.copies_after)
 
@@ -704,6 +707,13 @@ MOVES: dict[str, MoveSpec] = {
 }
 
 
+def _checked_board(board: Board) -> Board:
+    """``board`` itself, refusing with ``ValueError`` anything that is not a ``Board``."""
+    if type(board) is not Board:
+        raise ValueError(f"board must be a Board, got {type(board).__name__}")
+    return board
+
+
 def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
          params: dict[str, int | str | bool], validate: bool,
          ) -> tuple[Board, MoveRecord]:
@@ -719,8 +729,7 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     the module's names at call time, so a rebinding of ``move_<kind>`` is
     seen here too.
     """
-    if type(board) is not Board:
-        raise ValueError(f"board must be a Board, got {type(board).__name__}")
+    _checked_board(board)
     if type(validate) is not bool:
         raise ValueError(f"validate must be a bool, got {validate!r}")
     spec = MOVES.get(kind) if type(kind) is str else None
@@ -748,11 +757,10 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 def apply_record(board: Board, record: MoveRecord) -> Board:
     """Re-apply a logged move (validation off) and check the log signature;
     a non-``MoveRecord`` entry or non-sequence ``params`` raise ``ValueError``."""
-    if type(record) is not MoveRecord:
-        raise ValueError(f"a log entry must be a MoveRecord, got {record!r}")
+    signature = log_signature(record)
     if not isinstance(record.params, Sequence):
         raise ValueError(f"a record's params must be a sequence, got {record.params!r}")
     new_board, rec = play(board, record.kind, record.positions, dict(record.params), False)
-    if log_signature(rec) != log_signature(record):
+    if log_signature(rec) != signature:
         raise ValueError(f"replayed {record.kind} diverged from its record")
     return new_board

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import _Record
-from .board import Board, Box, MoveRecord, SymBlock, apply_record, play
+from .board import Board, Box, MoveRecord, SymBlock, _checked_board, apply_record, play
 from .weights import _game_N
 
 
@@ -157,9 +157,11 @@ def extract_gr2(board: Board, n: int, eps: int,
     The match is positional but anchor-free: every block of the right grade
     is tried as the column's bottom cell.  Returns (matched boxes in column
     order, flags); a failed search returns no boxes and reports the best
-    near-miss as a flag instead of raising.  An n or eps that ``run_game``
-    would refuse raises ``ValueError``.
+    near-miss as a flag instead of raising.  A ``board`` that is not a
+    ``Board``, and an n or eps that ``run_game`` would refuse, raise
+    ``ValueError``.
     """
+    _checked_board(board)
     N = _game_N(n, eps)
     anchor_grade = n - 2 if eps == 0 else n - 1
     best_hits, best_anchor = -1, None
@@ -257,8 +259,9 @@ def _recount(what: str, boxes: tuple[Box, ...], copies: int) -> None:
 def replay(initial: Board, log: tuple[MoveRecord, ...]) -> Board:
     """Re-apply a logged game; each step re-checks its own record, and the
     final board's boxes are recounted against the initial board's copies.
-    A log entry that is not a ``MoveRecord`` raises ``ValueError``."""
-    board = initial
+    An ``initial`` that is not a ``Board``, or a log entry that is not a
+    ``MoveRecord``, raises ``ValueError``."""
+    board = _checked_board(initial)
     for record in log:
         board = apply_record(board, record)
     _recount("the replay", board.boxes, initial.copies)

@@ -16,7 +16,8 @@ walks the Clebsch-Gordan pieces of Hom in place, with no call to
 ``hom_bundle`` (which lists the same summands for the ``ext`` command's
 explanation), taking each summand from ``sym_cohomology`` or, where that is
 indeterminate, the pushforward.  A single summand's answer is the answer
-(every A4 and A5 point has one); several are summed in one dict, sorted once.
+(every A4 and A5 point has one), returned before any sum is set up; several
+are summed in one dict, sorted once.
 Lemma A4 is stated once, in :func:`lemma_a4`, for the A4 and A5 sweeps and
 the board's moves.
 """
@@ -61,8 +62,9 @@ def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDim
     all determinate inputs, which is property-tested).  A miss walks the
     Clebsch-Gordan pieces j = 0..min(m_s, m_t) in place, the summand
     Sym^(m_s+m_t-2j) U2v twisted by (x_t-x_s, y_t-y_s-m_s+j), as
-    ``hom_bundle`` lists them; it refuses a plain tuple, mixed N and a
-    negative power.
+    ``hom_bundle`` lists them, and when min(m_s, m_t) = 0 returns the one
+    summand's answer without a loop; it refuses a plain tuple, mixed N and
+    a negative power.
     """
     if type(source) is not BundleDescriptor or type(target) is not BundleDescriptor:
         raise ValueError("source and target must be BundleDescriptors, got "
@@ -74,14 +76,16 @@ def ext_on_flag(source: BundleDescriptor, target: BundleDescriptor) -> GradedDim
     if ms < 0 or mt < 0:
         raise ValueError("symmetric powers must be >= 0")
     x, y, last = xt - xs, yt - ys - ms, ms if ms < mt else mt
+    if not last:  # one summand, whose answer is the answer: both evaluators sort
+        summand = tuple.__new__(BundleDescriptor, (ms + mt, x, y, N))
+        answer = sym_cohomology(summand)
+        return sym_cohomology_via_pushforward(summand) if answer is INDETERMINATE else answer
     total: dict[int, int] = {}
     for j in range(last + 1):
         summand = tuple.__new__(BundleDescriptor, (ms + mt - 2 * j, x, y + j, N))
         answer = sym_cohomology(summand)
         if answer is INDETERMINATE:
             answer = sym_cohomology_via_pushforward(summand)
-        if not last:
-            return answer  # both evaluators return their degrees sorted
         for degree, dim in answer:
             total[degree] = total.get(degree, 0) + dim
     return tuple(sorted(total.items()))
@@ -181,9 +185,9 @@ def lemma_a4(t: int, r: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor
 def _sweep_point(params: tuple[tuple[str, int], ...], source: BundleDescriptor,
                  target: BundleDescriptor, expected: GradedDims) -> LemmaPoint:
     computed = ext_on_M(source, target)
-    verdict = ("indeterminate" if computed == INDETERMINATE
+    verdict = ("indeterminate" if computed is INDETERMINATE
                else "match" if computed == expected else "mismatch")
-    return LemmaPoint(params, expected, computed, verdict)
+    return tuple.__new__(LemmaPoint, (params, expected, computed, verdict))
 
 
 def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:

@@ -12,8 +12,9 @@ its cohomology to line bundles:
   That rule lives in ``sym_cohomology`` alone, as one test on the summed
   degrees.  It maps the cached Bott lookup over the pieces' two coordinate
   ranges, built in place in the order ``sym_filtration`` lists the pieces,
-  reads each answer as (degree, dim), and returns at once when fewer than
-  two degrees survive, as none can then be adjacent.
+  skips by identity the one vanishing answer every Bott miss shares
+  (``weights._VANISHES``, most of the pieces), reads each other answer as
+  (degree, dim), and returns at once when fewer than two degrees survive.
 * ``sym_cohomology_via_pushforward`` pushes down the P^1-bundle
   F(1,2,N) -> G(2,N) (exact: the pushforward is concentrated in one degree),
   expands by ``clebsch_gordan_rank2``, and finishes with Bott on G(2,N) through
@@ -31,8 +32,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from . import _MAX_m, _MAX_twist, _Record
-from .weights import GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
+from . import _MAX_m, _MAX_twist, _Record, _shown
+from .weights import _VANISHES, GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
 
 class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
@@ -43,17 +44,18 @@ class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
 
     def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
         if not type(m) is type(x) is type(y) is int:
-            raise ValueError(f"m, x and y must be ints, got {(m, x, y)!r}")
+            raise ValueError(f"m, x and y must be ints, got {_shown((m, x, y))}")
         if m < 0:
-            raise ValueError(f"symmetric power must be >= 0, got {m}")
+            raise ValueError(f"symmetric power must be >= 0, got {_shown(m)}")
         if m > _MAX_m or abs(x) > _MAX_twist or abs(y) > _MAX_twist:
-            raise ValueError(f"{(m, x, y)} is past the oracle's bounds MAX_m, MAX_twist")
+            raise ValueError(f"{_shown((m, x, y))} is past the oracle's bounds MAX_m, MAX_twist")
         return tuple.__new__(cls, (m, x, y, _flag_N(N)))
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
-        """The same bundle twisted by O(dx, dy); m and N stay valid as they are."""
+        """The same bundle twisted by O(dx, dy), checked as the constructor
+        checks it, so a twist past ``cli.MAX_twist`` is refused in its words."""
         m, x, y, N = self
-        return tuple.__new__(BundleDescriptor, (m, x + dx, y + dy, N))
+        return BundleDescriptor(m, x + dx, y + dy, N)
 
 
 # The verdict when the filtration's long exact sequences might cancel; it is
@@ -72,7 +74,7 @@ def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
     """The short exact sequence 0 -> Sym^{k-1}U2v(-1,1) -> Sym^k U2v -> O(k,0) -> 0."""
     if type(k) is not int or k < 1:
-        raise ValueError(f"need k >= 1, got {k!r}")
+        raise ValueError(f"need k >= 1, got {_shown(k)}")
     return (
         BundleDescriptor(k - 1, -1, 1, N),
         BundleDescriptor(k, 0, 0, N),
@@ -83,7 +85,8 @@ def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescrip
 def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
     """Sym^a V x Sym^b V = sum_j Sym^{a+b-2j} V x det(V)^j, V of rank 2, min(a, b) <= 2 MAX_m."""
     if not (type(a) is type(b) is int and 0 <= min(a, b) <= 2 * _MAX_m):
-        raise ValueError(f"need int powers >= 0, the lesser <= {2 * _MAX_m}, got {(a, b)!r}")
+        raise ValueError(f"need int powers >= 0, the lesser <= {2 * _MAX_m}, "
+                         f"got {_shown((a, b))}")
     return [(a + b - 2 * j, j) for j in range(min(a, b) + 1)]
 
 
@@ -96,17 +99,20 @@ def dualize(d: BundleDescriptor) -> BundleDescriptor:
 def sym_cohomology(d: BundleDescriptor) -> GradedDims | str:
     """Cohomology of d via the line-bundle filtration.
 
-    Sums the surviving pieces by degree in one pass; when two surviving
-    degrees are adjacent the filtration's long exact sequences could connect
-    them, so the result is INDETERMINATE.  Total vanishing is always sound.
+    Sums the surviving pieces by degree in one pass, a vanishing piece
+    being the shared ``weights._VANISHES`` and so skipped by identity; when
+    two surviving degrees are adjacent the filtration's long exact sequences
+    could connect them, so the result is INDETERMINATE.  Total vanishing is
+    always sound.
     """
     m, x, y, N = d
     if m < 0:
         raise ValueError("symmetric powers must be >= 0")
     out: dict[int, int] = {}
-    for degree, dim in map(line_bundle_cohomology, repeat(N),
-                           range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)):
-        if degree is not None:
+    for answer in map(line_bundle_cohomology, repeat(N),
+                      range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)):
+        if answer is not _VANISHES:
+            degree, dim = answer
             out[degree] = out.get(degree, 0) + dim
     if len(out) < 2:
         return tuple(out.items())

@@ -15,7 +15,8 @@ dimension two binomials and one exact division by N-1, with no sort; a miss
 of the Bott cache returns one shared vanishing answer or builds its
 ``CohomResult`` as a plain tuple.
 ``_game_N`` is the one (n, eps) rule and ``_flag_N`` the one N rule, each
-with its bound.
+with its bound; the Bott evaluator refuses a twist past the reach that
+checked input can give it, derived in ``_line_bundle``.
 
 ``GradedDims`` is the one form of a cohomology or Ext answer in every
 layer, record and document.
@@ -33,7 +34,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from . import _MAX_N, _MAX_n
+from . import _MAX_N, _MAX_n, _MAX_reach, _shown
 
 Weight = tuple[int, ...]
 
@@ -52,7 +53,7 @@ def _flag_N(N: int) -> int:
     if type(N) is not int:
         raise ValueError(f"N must be an int, got {N!r}")
     if not 3 <= N <= _MAX_N:
-        raise ValueError(f"need N {'>= 3' if N < 3 else f'<= {_MAX_N}'}, got {N}")
+        raise ValueError(f"need N {'>= 3' if N < 3 else f'<= {_MAX_N}'}, got {_shown(N)}")
     return N
 
 
@@ -63,7 +64,7 @@ def _game_N(n: int, eps: int) -> int:
     if type(n) is not int:
         raise ValueError(f"n must be an int, got {n!r}")
     if not 2 <= n <= _MAX_n:
-        raise ValueError(f"n must be {'>= 2' if n < 2 else f'<= {_MAX_n}'}, got {n}")
+        raise ValueError(f"n must be {'>= 2' if n < 2 else f'<= {_MAX_n}'}, got {_shown(n)}")
     if type(eps) is not int or eps not in (0, 1):
         raise ValueError(f"eps must be 0 or 1, got {eps!r}")
     return 2 * n + eps
@@ -76,7 +77,7 @@ def simple_reflection(w: Weight, i: int) -> Weight:
     and i+1 where they exist; everything else is untouched.
     """
     if type(i) is not int or not 1 <= i <= len(w):
-        raise ValueError(f"reflection index {i!r} out of range 1..{len(w)}")
+        raise ValueError(f"reflection index {_shown(i)} out of range 1..{len(w)}")
     c = list(w)
     v = c[i - 1]
     c[i - 1] = -v
@@ -187,11 +188,22 @@ def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     tail and N-3-a below it: the product of |a-k| over the tail's k is
     (N-2)! C(a', N-2), and the pairs inside the tail cancel against all but
     (N-2)! (N-1)! of the denominator.  N is checked first, then a non-int
-    x or y is refused.
+    x or y is refused, and then an |x| or |y| past ``flagchess._MAX_reach``,
+    so that no lookup's binomials grow without bound.
+
+    That reach is the most the oracle asks of checked input, T = ``MAX_twist``
+    and M = ``MAX_m``.  A Hom summand of two descriptors, the target perhaps
+    twisted by (-1, -1), is Sym^p U2v(X, Y) with p <= 2M, |X| <= 2T+1 and
+    -2T-1-M <= Y <= 2T.  Its filtration pieces (X-p+2k, Y+p-k) stay within
+    2T+2M+1.  The pushforward asks O(p', q+j) with p' <= 2M+2T+1 and
+    q+j <= 2T+2M, where q = Y or q = X+Y+1 >= -4T-M-1.  So 4T+2M+1 bounds
+    both coordinates of both routes.
     """
     _flag_N(N)
     if type(x) is not int or type(y) is not int:
-        raise ValueError(f"x and y must be ints, got {(x, y)!r}")
+        raise ValueError(f"x and y must be ints, got {_shown((x, y))}")
+    if abs(x) > _MAX_reach or abs(y) > _MAX_reach:
+        raise ValueError(f"{_shown((x, y))} is past the Bott evaluator's reach {_MAX_reach}")
     a, b = x + y + N - 1, y + N - 2
     if a == b or 0 <= a <= N - 3 or 0 <= b <= N - 3:
         return _VANISHES

@@ -41,7 +41,7 @@ from flagchess import (
     play,
 )
 from flagchess import board as board_module
-from flagchess import replay, run_game
+from flagchess import extract_gr2, replay, run_game
 from flagchess.oracle import lemma_a4
 
 
@@ -772,6 +772,18 @@ class TestRecordsAndReplay:
                 with pytest.raises(ValueError, match=f"^board must be a Board, got "
                                                      f"{type(board).__name__}$"):
                     call()
+
+    @pytest.mark.parametrize("board", [None, (), Board(2, 1, ()).boxes])
+    def test_extract_and_an_empty_replay_refuse_a_board_that_is_not_a_board(self, board):
+        for call in (lambda: extract_gr2(board, 2, 1), lambda: replay(board, ())):
+            with pytest.raises(ValueError, match=f"^board must be a Board, got "
+                                                 f"{type(board).__name__}$"):
+                call()
+
+    @pytest.mark.parametrize("entry", [None, "rule1", ("rule1", (), (), (), "applied", 2, 2)])
+    def test_log_signature_refuses_an_entry_that_is_not_a_record(self, entry):
+        with pytest.raises(ValueError, match="^a log entry must be a MoveRecord, got "):
+            log_signature(entry)
 
     @pytest.mark.parametrize("positions", [(1, 2), ((1, 2), 3), ([0, 1], [1, 1]), "ab"])
     def test_play_rejects_a_position_that_is_not_a_pair(self, positions):

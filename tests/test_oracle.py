@@ -15,6 +15,8 @@ from flagchess import (
     INDETERMINATE,
     BundleDescriptor,
     canonical_fiber,
+    sym_cohomology,
+    sym_cohomology_via_pushforward,
     check_lemma,
     ext_on_M,
     ext_on_flag,
@@ -23,6 +25,7 @@ from flagchess import (
 )
 from flagchess import oracle as oracle_module
 from flagchess.board import Board, Box, SymBlock, move_absorb
+from flagchess.cli import MAX_m, MAX_twist
 from flagchess.oracle import lemma_a4
 
 
@@ -129,7 +132,44 @@ class TestExtOnFlag:
             ext_on_flag(source, target)
 
 
+class TestOneSummand:
+    """When either power is 0, Hom has one Clebsch-Gordan summand, and a miss
+    of ``ext_on_flag`` answers with that summand's own answer."""
+
+    def test_the_answer_is_the_summands(self):
+        routes = {"filtration": 0, "pushforward": 0}
+        for N in (3, 5, 7):
+            for m in range(4):
+                for x in range(-N - 3, 4):
+                    for y in range(-N - 3, 4):
+                        for source, target in ((BD(0, 0, 0, N), BD(m, x, y, N)),
+                                               (BD(m, -x, -y, N), BD(0, 0, 0, N))):
+                            [summand] = hom_bundle(source, target)
+                            filtered = sym_cohomology(summand)
+                            route = "pushforward" if filtered is INDETERMINATE else "filtration"
+                            wanted = (sym_cohomology_via_pushforward(summand)
+                                      if filtered is INDETERMINATE else filtered)
+                            assert ext_on_flag.__wrapped__(source, target) == wanted
+                            assert ext_on_flag(source, target) == wanted
+                            routes[route] += 1
+        assert all(routes.values()), routes
+
+
 class TestExtOnM:
+    def test_the_extreme_checked_descriptors_are_answered(self):
+        # every Bott lookup their Hom summands make lies within the evaluator's
+        # reach; pairs of two m = 200 descriptors are left out for time
+        T = MAX_twist
+        ends = [BD(m, x, y, 5) for m in (0, 1, MAX_m) for x in (T, -T) for y in (T, -T)]
+        answered = 0
+        for source in ends:
+            for target in ends:
+                if min(source.m, target.m) <= 1:
+                    answer = ext_on_M(source, target)
+                    assert answer is INDETERMINATE or type(answer) is tuple
+                    answered += 1
+        assert answered == 128
+
     def test_koszul_terms_are_the_two_flag_groups(self):
         src, tgt = BD(0, 2, 0, 5), BD(1, -1, 1, 5)
         twisted, plain = koszul_terms(src, tgt)

@@ -53,7 +53,8 @@ from flagchess import (
 )
 from flagchess.cli import MAX_N, MAX_m, MAX_n, MAX_twist
 from flagchess.render import game_result_to_json, parse_game_result
-from flagchess.weights import _flag_N, _game_N, _line_bundle
+from flagchess import _MAX_reach, _shown
+from flagchess.weights import _VANISHES, _flag_N, _game_N, _line_bundle
 
 
 def sort_regularize(w_plus_rho):
@@ -270,11 +271,101 @@ class TestSizesAreBounded:
             call()
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("evaluate", [line_bundle_cohomology, _line_bundle])
+    @pytest.mark.parametrize("x, y, shown", [
+        (10**10000, 0, "(an int of 10,001 digits, 0)"),
+        (0, 10**10000, "(0, an int of 10,001 digits)"),
+        (-(10**100000), 0, "(an int of 100,001 digits, 0)"),
+        (4_000_000_402, 0, "(4000000402, 0)"), (0, -4_000_000_402, "(0, -4000000402)"),
+        (10**12, 10**12, "(1000000000000, 1000000000000)"),
+    ], ids=["x-10^10000", "y-10^10000", "x-minus-10^100000", "x-past-by-one",
+            "y-past-by-one", "both-10^12"])
+    def test_a_twist_past_the_Bott_evaluators_reach_is_refused_at_once(self, evaluate, x, y,
+                                                                       shown):
+        start = time.perf_counter()
+        with deadline(1), pytest.raises(ValueError, match=re.escape(
+                f"{shown} is past the Bott evaluator's reach 4000000401")):
+            evaluate(MAX_N, x, y)
+        assert time.perf_counter() - start < 1
+
+    def test_the_reach_is_four_twists_two_powers_and_one(self):
+        assert _MAX_reach == 4 * MAX_twist + 2 * MAX_m + 1 == 4_000_000_401
+        for x, y in [(_MAX_reach, 0), (0, -_MAX_reach), (-_MAX_reach, _MAX_reach)]:
+            with deadline(1):
+                assert _line_bundle(MAX_N, x, y) == line_bundle_cohomology(MAX_N, x, y)
+
+    @pytest.mark.parametrize("dx, dy, shown", [
+        (1, 0, "(3, 1000000001, -1000000000)"), (0, -1, "(3, 1000000000, -1000000001)"),
+        (10**5000, 0, "(3, an int of 5,001 digits, -1000000000)")],
+        ids=["x-past-by-one", "y-past-by-one", "x-10^5000"])
+    def test_a_twist_past_MAX_twist_is_refused_in_the_constructors_words(self, dx, dy, shown):
+        d = BundleDescriptor(3, MAX_twist, -MAX_twist, 5)
+        with deadline(1), pytest.raises(ValueError, match=re.escape(
+                f"{shown} is past the oracle's bounds MAX_m, MAX_twist")):
+            d.twist(dx, dy)
+        assert d.twist(-1, 1) == (3, MAX_twist - 1, 1 - MAX_twist, 5)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: rho(10**5000), "need N <= 201, got an int of 5,001 digits"),
+        (lambda: rho(-(10**5000)), "need N >= 3, got an int of 5,001 digits"),
+        (lambda: BundleDescriptor(0, 10**5000, 0, 5),
+         "(0, an int of 5,001 digits, 0) is past the oracle's bounds MAX_m, MAX_twist"),
+        (lambda: BundleDescriptor(10**5000, 0, 0, 5),
+         "(an int of 5,001 digits, 0, 0) is past the oracle's bounds MAX_m, MAX_twist"),
+        (lambda: BundleDescriptor(-(10**5000), 0, 0, 5),
+         "symmetric power must be >= 0, got an int of 5,001 digits"),
+        (lambda: BundleDescriptor(0.5, 10**5000, 0, 5),
+         "m, x and y must be ints, got (0.5, an int of 5,001 digits, 0)"),
+        (lambda: run_game(10**5000, 1), "n must be <= 100, got an int of 5,001 digits"),
+        (lambda: check_lemma("A4", 10**5000, 1), "n must be <= 100, got an int of 5,001 digits"),
+        (lambda: check_lemma("A4", -(10**5000), 1), "n must be >= 2, got an int of 5,001 digits"),
+        (lambda: clebsch_gordan_rank2(10**5000, 10**5000),
+         "need int powers >= 0, the lesser <= 400, got "
+         "(an int of 5,001 digits, an int of 5,001 digits)"),
+        (lambda: line_bundle_cohomology(5, 10**4299, 0),
+         "(an int of 4,300 digits, 0) is past the Bott evaluator's reach 4000000401"),
+        (lambda: simple_reflection((1, 2), 10**5000),
+         r"reflection index an int of 5,001 digits out of range 1..2"),
+        (lambda: sym_resolution_step(-(10**5000), 5), "need k >= 1, got an int of 5,001 digits"),
+    ], ids=["rho", "rho-negative", "descriptor-x", "descriptor-m", "descriptor-m-negative",
+            "descriptor-type", "run_game", "check_lemma", "check_lemma-negative",
+            "clebsch_gordan_rank2", "line_bundle_cohomology", "simple_reflection",
+            "sym_resolution_step"])
+    def test_an_int_past_the_digit_limit_is_shown_by_its_size(self, call, message):
+        with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("value", [0, -1, 10**12, 2**2000 - 1, -(2**2000) + 1, True, 1.5,
+                                       "1", None, (), (1, 2.5, "x"), ((1, 2), 3)])
+    def test_an_ordinary_value_is_shown_as_its_repr(self, value):
+        assert _shown(value) == repr(value)
+
+    def test_a_long_int_is_shown_by_its_exact_digit_count(self):
+        for digits in (604, 605, 1000, 4300, 4301, 5001, 20000):
+            for value in (10**(digits - 1), 10**digits - 1, -(10**(digits - 1))):
+                assert _shown(value) == f"an int of {digits:,} digits"
+        assert _shown(2**2000) == "an int of 603 digits"
+
     @pytest.mark.parametrize("n", [1, 0, -(10**12)])
     def test_below_two_is_refused_in_the_same_words(self, n):
         for call in (lambda: _game_N(n, 1), lambda: run_game(n, 1), lambda: Board(n, 0, ())):
             with pytest.raises(ValueError, match=f"^n must be >= 2, got {n}$"):
                 call()
+
+
+class TestVanishingAnswerIsShared:
+    """Every vanishing answer of the Bott evaluator is the one object
+    ``weights._VANISHES``, which the filtration skips by identity."""
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 7, 13])
+    def test_every_vanishing_answer_is_the_shared_one(self, N):
+        vanishing = 0
+        for x in range(-3 * N, 3 * N + 1):
+            for y in range(-3 * N, 3 * N + 1):
+                for answer in (line_bundle_cohomology(N, x, y), _line_bundle(N, x, y)):
+                    assert (answer is _VANISHES) == answer.vanishes, (N, x, y)
+                    vanishing += answer.vanishes
+        assert 0 < vanishing < 2 * (6 * N + 1) ** 2
 
 
 class TestSimpleReflection:
