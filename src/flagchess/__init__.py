@@ -35,23 +35,22 @@ _HOME = {name: module for module, names in (
 _EMIT_FORMATS = ("text", "latex", "json", "json-lines")
 
 # The bounds on what reaches the oracle, re-exported by flagchess.cli and kept
-# by the library's rules: n by weights' (n, eps) rule, so that every start
-# board's N(N - 2) boxes stay few and N = 2n + eps stays within MAX_N; N by
-# weights' N rule; and m and the twist by schur.BundleDescriptor.  Past them,
-# the reach of the twists that the Bott evaluator meets from checked input,
-# derived and kept by weights._line_bundle.
+# through _sized: n by weights' (n, eps) rule, so that a start board's N(N - 2)
+# boxes stay few and N = 2n + eps <= MAX_N; N by its N rule; m and the twist by
+# schur.BundleDescriptor; past them the Bott reach, derived in _line_bundle.
 _MAX_n, _MAX_m, _MAX_twist = 100, 200, 10**9
 _MAX_N = 2 * _MAX_n + 1
 _MAX_reach = 4 * _MAX_twist + 2 * _MAX_m + 1
 
 
 def _shown(value: object) -> str:
-    """A value as a refusal shows it: its repr, a tuple's items each shown,
-    and an int past 2,000 bits as ``an int of 5,001 digits``, sized from its
-    bit length, so that no refusal meets Python's limit on converting an int
-    to text (4,300 digits by default, 640 at the least)."""
-    if type(value) is tuple:
-        return f"({', '.join(map(_shown, value))})"
+    """A value as a refusal shows it: its repr, a tuple's or a list's items
+    each shown, and an int past 2,000 bits as ``an int of 5,001 digits``,
+    sized from its bit length, so that no refusal meets Python's limit on
+    converting an int to text (4,300 digits by default, 640 at the least)."""
+    if type(value) is tuple or type(value) is list:
+        items = ", ".join(map(_shown, value))
+        return f"[{items}]" if type(value) is list else f"({items}{',' * (len(value) == 1)})"
     if not isinstance(value, int) or value.bit_length() <= 2000:
         return repr(value)
     # from below, as 0.30102999 < log10(2), then up to the first power of ten past it
@@ -59,6 +58,18 @@ def _shown(value: object) -> str:
     while size >= 10**digits:
         digits += 1
     return f"an int of {digits:,} digits"
+
+
+def _sized(value: object, name: str, low: int, high: int | None = None) -> int:
+    """``value`` if it is an int (not a bool) from ``low`` to ``high`` (None: no
+    bound): the one rule of every size the library and the CLI refuse.  Else a
+    ``ValueError`` in one of four forms, as ``n must be <= 100, got 101``."""
+    if type(value) is int and low <= value and (high is None or value <= high):
+        return value
+    words = (f"{name} must be an int" if type(value) is not int
+             else f"|{name}| must be <= {high}" if high == -low
+             else f"{name} must be >= {low}" if value < low else f"{name} must be <= {high}")
+    raise ValueError(f"{words}, got {_shown(value)}")
 
 
 class _Record(tuple):

@@ -48,7 +48,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import _Record
+from . import _Record, _shown, _sized
 from .oracle import ext_on_M, lemma_a4
 from .schur import INDETERMINATE, BundleDescriptor
 from .weights import GradedDims, _game_N
@@ -75,9 +75,7 @@ class SymBlock(_Content, namedtuple("SymBlock", "m")):
     __slots__ = ()
 
     def __new__(cls, m: int) -> SymBlock:
-        if type(m) is not int or m < 0:
-            raise ValueError(f"block grade must be an int >= 0, got {m!r}")
-        return tuple.__new__(cls, (m,))
+        return tuple.__new__(cls, (_sized(m, "block grade", 0),))
 
     @property
     def copies(self) -> int:
@@ -90,9 +88,7 @@ class Opaque(_Content, namedtuple("Opaque", "copies")):
     __slots__ = ()
 
     def __new__(cls, copies: int = 1) -> Opaque:
-        if type(copies) is not int or copies < 1:
-            raise ValueError(f"opaque copies must be an int >= 1, got {copies!r}")
-        return tuple.__new__(cls, (copies,))
+        return tuple.__new__(cls, (_sized(copies, "opaque copies", 1),))
 
 
 Content = SymBlock | Opaque
@@ -146,14 +142,15 @@ class Board(_Record, namedtuple("Board", "n eps boxes")):
         copies = 0
         for b in boxes:
             if type(b) is not Box:
-                raise ValueError(f"a box must be a Box, got {b!r}")
+                raise ValueError(f"a box must be a Box, got {_shown(b)}")
             x, y, content = b
             if type(x) is not int or type(y) is not int:
-                raise ValueError(f"box position must be two ints, got {(x, y)!r}")
+                raise ValueError(f"box position must be two ints, got {_shown((x, y))}")
             if not isinstance(content, Content):
-                raise ValueError(f"box content must be a SymBlock or an Opaque, got {content!r}")
+                raise ValueError("box content must be a SymBlock or an Opaque, "
+                                 f"got {_shown(content)}")
             if (x, y) in at:
-                raise ValueError(f"duplicate box position {(x, y)}")
+                raise ValueError(f"duplicate box position {_shown((x, y))}")
             at[x, y] = b
             copies += content.copies
         self = super().__new__(cls, n, eps, boxes)
@@ -199,7 +196,7 @@ def log_signature(record: MoveRecord) -> tuple:
     """Everything about a move except its oracle transcript; an entry that is
     not a ``MoveRecord`` raises ``ValueError``."""
     if type(record) is not MoveRecord:
-        raise ValueError(f"a log entry must be a MoveRecord, got {record!r}")
+        raise ValueError(f"a log entry must be a MoveRecord, got {_shown(record)}")
     return (record.kind, record.positions, record.params,
             record.copies_before, record.copies_after)
 
@@ -318,7 +315,7 @@ def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
 def _get(board: Board, pos: tuple[int, int], kind: str) -> Box:
     box = board.at(pos)
     if box is None:
-        raise MoveRefused(kind, f"no box at {pos}")
+        raise MoveRefused(kind, f"no box at {_shown(pos)}")
     return box
 
 
@@ -347,7 +344,7 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
         raise MoveRefused(kind, "steps must be >= 0")
     slots = [i for i, b in enumerate(board.boxes) if b.y == y]
     if not slots:
-        raise MoveRefused(kind, f"no boxes in row y={y}")
+        raise MoveRefused(kind, f"no boxes in row y={_shown(y)}")
     row = [board.boxes[i] for i in slots]
     N = board.N
     if len({b.x % N for b in row}) < len(row):
@@ -408,7 +405,7 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     if direction not in ("front_to_back", "back_to_front"):
         raise MoveRefused(kind, f"unknown direction {direction!r}")
     if not 0 <= k <= len(board.boxes):
-        raise MoveRefused(kind, f"cannot rotate {k} of {len(board.boxes)} boxes")
+        raise MoveRefused(kind, f"cannot rotate {_shown(k)} of {len(board.boxes)} boxes")
     sign = 1 if direction == "front_to_back" else -1
     split = k if sign == 1 else len(board.boxes) - k
     head, tail = board.boxes[:split], board.boxes[split:]
@@ -440,7 +437,7 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
     box = _get(board, pos, kind)
     i = board.index(pos)
     if count < 0 or i + count >= len(board.boxes):
-        raise MoveRefused(kind, f"cannot push past {count} boxes from slot {i}")
+        raise MoveRefused(kind, f"cannot push past {_shown(count)} boxes from slot {i}")
     moved = Box(box.x, box.y, Opaque(box.copies)) if opacify else box
     new_boxes = list(board.boxes)
     new_boxes[i:i + count + 1] = [*board.boxes[i + 1:i + count + 1], moved]
@@ -731,23 +728,25 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     """
     _checked_board(board)
     if type(validate) is not bool:
-        raise ValueError(f"validate must be a bool, got {validate!r}")
+        raise ValueError(f"validate must be a bool, got {_shown(validate)}")
     spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
-        raise ValueError(f"unknown move kind {kind!r}")
+        raise ValueError(f"unknown move kind {_shown(kind)}")
     if not isinstance(positions, Sequence) or any(
             type(p) is not tuple or tuple(map(type, p)) != (int, int) for p in positions):
-        raise ValueError(f"{kind} positions must be a sequence of pairs of ints, got {positions!r}")
+        raise ValueError(f"{kind} positions must be a sequence of pairs of ints, "
+                         f"got {_shown(positions)}")
     if spec.positions is not None and len(positions) != spec.positions:
         raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")
     if not isinstance(params, dict):
-        raise ValueError(f"{kind} params must be a dict, got {params!r}")
+        raise ValueError(f"{kind} params must be a dict, got {_shown(params)}")
     if not set(spec.params) - set(spec.optional) <= set(params) <= set(spec.params):
-        raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, got {tuple(params)}")
+        raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, "
+                         f"got {_shown(tuple(params))}")
     for name, value in params.items():
         if type(value) is not spec.params[name]:
             raise ValueError(f"{kind} parameter {name} must be "
-                             f"{spec.params[name].__name__}, got {value!r}")
+                             f"{spec.params[name].__name__}, got {_shown(value)}")
     args = (list(positions),) if spec.positions is None else tuple(positions)
     if spec.validates:
         params = {**params, "validate": validate}
@@ -759,7 +758,7 @@ def apply_record(board: Board, record: MoveRecord) -> Board:
     a non-``MoveRecord`` entry or non-sequence ``params`` raise ``ValueError``."""
     signature = log_signature(record)
     if not isinstance(record.params, Sequence):
-        raise ValueError(f"a record's params must be a sequence, got {record.params!r}")
+        raise ValueError(f"a record's params must be a sequence, got {_shown(record.params)}")
     new_board, rec = play(board, record.kind, record.positions, dict(record.params), False)
     if log_signature(rec) != signature:
         raise ValueError(f"replayed {record.kind} diverged from its record")

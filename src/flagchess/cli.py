@@ -18,7 +18,7 @@ import argparse
 import gc
 import sys
 
-from . import _EMIT_FORMATS, _MAX_m, _MAX_N, _MAX_n, _MAX_twist
+from . import _EMIT_FORMATS, _MAX_m, _MAX_N, _MAX_n, _MAX_twist, _sized
 from .oracle import check_lemma, ext_on_flag, ext_on_M, hom_bundle, koszul_terms
 from .schur import INDETERMINATE, BundleDescriptor, sym_cohomology, sym_filtration
 from .weights import _game_N, bwb_regularize, line_bundle_cohomology, rho
@@ -49,26 +49,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _sized(name: str, low: int, high: int):
-    """The argparse type of a size from low to high, refused in its bound's words;
+def _int(text: str | int) -> int:
+    """``int(text)``, past Python's limit on the digits of an int's text too,
+    so that a refusal shows a long int by its size and never echoes it."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:  # no limit, so the text is not an int
+            raise
+        sys.set_int_max_str_digits(0)
+        try:
+            return int(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+def _argument(name: str, low: int, high: int):
+    """The argparse type of a size from low to high, refused in the library's words;
     named ``int``, so text that is not an int still reads "invalid int value"."""
     def sized(text: str | int) -> int:
-        value = int(text)
-        if low <= value <= high:
-            return value
-        if low == -high:
-            bound = f"need |{name}| <= {high}"
-        else:
-            what = "symmetric power must be" if name == "m" else f"need {name}"
-            bound = f"{what} >= {low}" if value < low else f"{what} <= {high}"
-        raise argparse.ArgumentTypeError(f"{bound}, got {value}")
+        value = _int(text)
+        try:
+            return _sized(value, name, low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     sized.__name__ = "int"
     return sized
 
 
-_N, _n, _n_game = _sized("N", 3, MAX_N), _sized("n", 2, MAX_n), _sized("n", 2, MAX_GAME_n)
-_m = _sized("m", 0, MAX_m)
-_x, _y = (_sized(axis, -MAX_twist, MAX_twist) for axis in "xy")
+_N, _n, _n_game = _argument("N", 3, MAX_N), _argument("n", 2, MAX_n), _argument("n", 2, MAX_GAME_n)
+_m = _argument("m", 0, MAX_m)
+_x, _y = (_argument(axis, -MAX_twist, MAX_twist) for axis in "xy")
 
 
 def _triple(text: str) -> tuple[int, int, int]:
@@ -76,7 +88,7 @@ def _triple(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected m,x,y; got {text!r}")
     try:
-        m, x, y = (int(p) for p in parts)
+        m, x, y = map(_int, parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected integers m,x,y; got {text!r}") from exc
     return _m(m), _x(x), _y(y)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import _Record
+from . import _Record, _shown
 from .board import Board, Box, MoveRecord, SymBlock, _checked_board, apply_record, play
 from .weights import _game_N
 
@@ -42,13 +42,12 @@ def corrected_flip_board(n: int, eps: int) -> Board:
 
 class _Runner:
     """The one player of a game, scripted or parsed: its start board, each
-    move applied through ``play`` and logged, its phases, and its finish."""
+    move applied through ``play`` and logged, its phases, and its finish.
+    A ``validate`` that is not a bool is refused by ``play`` at the first move."""
 
     def __init__(self, n: int, eps: int, mode: str, validate: bool):
         if mode not in ("fibration", "flip"):
-            raise ValueError(f"mode must be fibration or flip, got {mode!r}")
-        if type(validate) is not bool:
-            raise ValueError(f"validate must be a bool, got {validate!r}")
+            raise ValueError(f"mode must be fibration or flip, got {_shown(mode)}")
         start = initial_board_fibration if mode == "fibration" else corrected_flip_board
         self.initial = self.board = start(n, eps)
         self.mode, self.validate = mode, validate
@@ -72,7 +71,7 @@ class _Runner:
         initial, final = self.initial, self.board
         n, eps = initial.n, initial.eps
         _recount("the game", final.boxes, initial.copies)
-        gr2_boxes, flags = extract_gr2(final, n, eps)
+        gr2_boxes, flags = extract_gr2(final)
         residual_count = sum(b.copies for b in _residual(final, gr2_boxes))
         expected = reference_residual_count(n, eps)
         if self.mode == "fibration" and residual_count != expected:
@@ -150,19 +149,16 @@ def _gr2_template(n: int, eps: int, anchor: tuple[int, int]) -> list[tuple[int, 
     return [(x0, y0 + i, n - 1) for i in range(2 * n + 1)]
 
 
-def extract_gr2(board: Board, n: int, eps: int,
-                ) -> tuple[tuple[Box, ...], tuple[str, ...]]:
-    """Find the expected column of blocks anywhere on the board.
+def extract_gr2(board: Board) -> tuple[tuple[Box, ...], tuple[str, ...]]:
+    """Find the expected column of the board's own n and eps anywhere on it.
 
     The match is positional but anchor-free: every block of the right grade
     is tried as the column's bottom cell.  Returns (matched boxes in column
     order, flags); a failed search returns no boxes and reports the best
     near-miss as a flag instead of raising.  A ``board`` that is not a
-    ``Board``, and an n or eps that ``run_game`` would refuse, raise
-    ``ValueError``.
+    ``Board`` raises ``ValueError``.
     """
-    _checked_board(board)
-    N = _game_N(n, eps)
+    n, eps, _ = _checked_board(board)
     anchor_grade = n - 2 if eps == 0 else n - 1
     best_hits, best_anchor = -1, None
     for box in board.boxes:
@@ -180,7 +176,7 @@ def extract_gr2(board: Board, n: int, eps: int,
         if hits > best_hits:
             best_hits, best_anchor = hits, box.pos
     flag = (f"no straightened column found; best anchor {best_anchor} "
-            f"matched {max(best_hits, 0)} of {N} cells")
+            f"matched {max(best_hits, 0)} of {board.N} cells")
     return (), (flag,)
 
 

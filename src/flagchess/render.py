@@ -23,7 +23,7 @@ import json
 import reprlib
 from typing import Any, Callable
 
-from . import _EMIT_FORMATS as EMIT_FORMATS
+from . import _EMIT_FORMATS as EMIT_FORMATS, _sized
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
@@ -206,8 +206,7 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     if type(version) is not int or version not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {version!r}")
     params, residual = d["params"], d["residual_f_count"]
-    if type(residual) is not int or residual < 0:
-        raise ValueError(f"residual_f_count must be an int >= 0, got {residual!r}")
+    _sized(residual, "residual_f_count", 0)
     moves = _list(d["moves"], "moves")
     validate = any(move["oracle"] != [] for move in moves)
     try:

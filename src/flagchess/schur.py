@@ -32,24 +32,20 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import repeat
 
-from . import _MAX_m, _MAX_twist, _Record, _shown
+from . import _MAX_m, _MAX_twist, _Record, _shown, _sized
 from .weights import _VANISHES, GradedDims, _flag_N, _line_bundle, line_bundle_cohomology
 
 
 class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
-    """Sym^m U2v(x*h1 + y*h2) on F(1,2,N), m = 0 the line bundle O(x,y); it
-    refuses m > ``cli.MAX_m``, |x| or |y| > ``cli.MAX_twist`` and N > ``cli.MAX_N``."""
+    """Sym^m U2v(x*h1 + y*h2) on F(1,2,N), m = 0 the line bundle O(x,y); it refuses,
+    field by field, an m not in 0..``cli.MAX_m``, |x| or |y| > ``cli.MAX_twist`` and N."""
 
     __slots__ = ()
 
     def __new__(cls, m: int, x: int, y: int, N: int) -> BundleDescriptor:
-        if not type(m) is type(x) is type(y) is int:
-            raise ValueError(f"m, x and y must be ints, got {_shown((m, x, y))}")
-        if m < 0:
-            raise ValueError(f"symmetric power must be >= 0, got {_shown(m)}")
-        if m > _MAX_m or abs(x) > _MAX_twist or abs(y) > _MAX_twist:
-            raise ValueError(f"{_shown((m, x, y))} is past the oracle's bounds MAX_m, MAX_twist")
-        return tuple.__new__(cls, (m, x, y, _flag_N(N)))
+        T = _MAX_twist
+        return tuple.__new__(cls, (_sized(m, "m", 0, _MAX_m), _sized(x, "x", -T, T),
+                                   _sized(y, "y", -T, T), _flag_N(N)))
 
     def twist(self, dx: int, dy: int) -> BundleDescriptor:
         """The same bundle twisted by O(dx, dy), checked as the constructor
@@ -73,8 +69,7 @@ def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
 
 def sym_resolution_step(k: int, N: int) -> tuple[BundleDescriptor, BundleDescriptor, BundleDescriptor]:
     """The short exact sequence 0 -> Sym^{k-1}U2v(-1,1) -> Sym^k U2v -> O(k,0) -> 0."""
-    if type(k) is not int or k < 1:
-        raise ValueError(f"need k >= 1, got {_shown(k)}")
+    _sized(k, "k", 1)
     return (
         BundleDescriptor(k - 1, -1, 1, N),
         BundleDescriptor(k, 0, 0, N),

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from . import _MAX_N, _MAX_n, _MAX_reach, _shown
+from . import _MAX_N, _MAX_n, _MAX_reach, _shown, _sized
 
 Weight = tuple[int, ...]
 
@@ -48,26 +48,14 @@ def rho(N: int) -> Weight:
 
 
 def _flag_N(N: int) -> int:
-    """N itself, refusing an N that is not an int (a bool is not taken for
-    one), N < 3, where F(1,2,N) does not exist, and N past ``cli.MAX_N``."""
-    if type(N) is not int:
-        raise ValueError(f"N must be an int, got {N!r}")
-    if not 3 <= N <= _MAX_N:
-        raise ValueError(f"need N {'>= 3' if N < 3 else f'<= {_MAX_N}'}, got {_shown(N)}")
-    return N
+    """N itself, an int from 3 (so that F(1,2,N) exists) to ``cli.MAX_N``."""
+    return _sized(N, "N", 3, _MAX_N)
 
 
 def _game_N(n: int, eps: int) -> int:
     """N = 2n + eps: the one (n, eps) rule, bound included.  It refuses an n
-    that is not an int from 2 to ``cli.MAX_n`` first and then an eps that is
-    not the int 0 or 1; a bool is not taken for an int."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
-    if not 2 <= n <= _MAX_n:
-        raise ValueError(f"n must be {'>= 2' if n < 2 else f'<= {_MAX_n}'}, got {_shown(n)}")
-    if type(eps) is not int or eps not in (0, 1):
-        raise ValueError(f"eps must be 0 or 1, got {eps!r}")
-    return 2 * n + eps
+    that is not an int from 2 to ``cli.MAX_n`` first, then an eps not 0 or 1."""
+    return 2 * _sized(n, "n", 2, _MAX_n) + _sized(eps, "eps", 0, 1)
 
 
 def simple_reflection(w: Weight, i: int) -> Weight:
@@ -76,8 +64,7 @@ def simple_reflection(w: Weight, i: int) -> Weight:
     Coordinate i is negated and its old value is added to the neighbours i-1
     and i+1 where they exist; everything else is untouched.
     """
-    if type(i) is not int or not 1 <= i <= len(w):
-        raise ValueError(f"reflection index {_shown(i)} out of range 1..{len(w)}")
+    _sized(i, "reflection index", 1, len(w))
     c = list(w)
     v = c[i - 1]
     c[i - 1] = -v
@@ -199,7 +186,7 @@ def _line_bundle(N: int, x: int, y: int) -> CohomResult:
     q+j <= 2T+2M, where q = Y or q = X+Y+1 >= -4T-M-1.  So 4T+2M+1 bounds
     both coordinates of both routes.
     """
-    _flag_N(N)
+    _sized(N, "N", 3, _MAX_N)  # _flag_N's rule, in one call
     if type(x) is not int or type(y) is not int:
         raise ValueError(f"x and y must be ints, got {_shown((x, y))}")
     if abs(x) > _MAX_reach or abs(y) > _MAX_reach:

@@ -1,7 +1,10 @@
-"""Shared fixtures: cached game runs and the acceptance summary printer."""
+"""Shared fixtures: cached game runs, a wall-time deadline and the acceptance
+summary printer."""
 from __future__ import annotations
 
+import signal
 import warnings
+from contextlib import contextmanager
 
 import pytest
 
@@ -34,6 +37,23 @@ def cached_game(n: int, eps: int, mode: str = "fibration",
 @pytest.fixture(scope="session")
 def game():
     return cached_game
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Fail the test once its body has run ``seconds`` of wall time, so that
+    a call that runs on unbounded fails in place of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"still running after {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 ACCEPTANCE_LINES: list[tuple[int, str]] = []

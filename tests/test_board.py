@@ -7,12 +7,14 @@ import inspect
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 from functools import lru_cache
 from pathlib import Path
 
+from conftest import deadline
 from hypothesis import given, strategies as st
 
 from flagchess import (
@@ -41,7 +43,7 @@ from flagchess import (
     play,
 )
 from flagchess import board as board_module
-from flagchess import extract_gr2, replay, run_game
+from flagchess import extract_gr2, initial_board_fibration, replay, run_game
 from flagchess.oracle import lemma_a4
 
 
@@ -61,14 +63,16 @@ class TestContentTypes:
         assert Opaque(7).copies == 7
 
     def test_negative_grade_rejected(self):
-        for m in (-1, 1.5, True, "2", None):
-            with pytest.raises(ValueError, match=f"block grade must be an int >= 0, got {m!r}"):
+        for m, bound in ((-1, ">= 0"), (1.5, "an int"), (True, "an int"), ("2", "an int"),
+                         (None, "an int")):
+            with pytest.raises(ValueError, match=f"^block grade must be {bound}, got {m!r}$"):
                 SymBlock(m)
 
     def test_opaque_copies_must_be_an_int_at_least_one(self):
-        for copies in (-3, 0, 1.5, True, "2"):
+        for copies, bound in ((-3, ">= 1"), (0, ">= 1"), (1.5, "an int"), (True, "an int"),
+                              ("2", "an int")):
             with pytest.raises(ValueError,
-                               match=f"opaque copies must be an int >= 1, got {copies!r}"):
+                               match=f"^opaque copies must be {bound}, got {copies!r}$"):
                 Opaque(copies)
 
     @pytest.mark.parametrize("make", [
@@ -775,7 +779,7 @@ class TestRecordsAndReplay:
 
     @pytest.mark.parametrize("board", [None, (), Board(2, 1, ()).boxes])
     def test_extract_and_an_empty_replay_refuse_a_board_that_is_not_a_board(self, board):
-        for call in (lambda: extract_gr2(board, 2, 1), lambda: replay(board, ())):
+        for call in (lambda: extract_gr2(board), lambda: replay(board, ())):
             with pytest.raises(ValueError, match=f"^board must be a Board, got "
                                                  f"{type(board).__name__}$"):
                 call()
@@ -957,3 +961,46 @@ class TestMoveTable:
                 annotation = parameters[name].annotation
                 assert annotation.split(" | ")[0] == wanted.__name__, (kind, name)
                 assert (name in spec.optional) == annotation.endswith(" | None"), (kind, name)
+
+
+class TestRefusalsShowALongInt:
+    """A refusal that shows a caller's int past Python's 4,300-digit limit
+    on converting an int to text shows it by its size, in the library's
+    words, and does not raise the interpreter's digit-limit error."""
+
+    @pytest.mark.parametrize("call, error, refusal", [
+        (lambda board, pos: Board(2, 1, (Box(1.5, 10**5000, SymBlock(0)),)), ValueError,
+         "box position must be two ints, got (1.5, an int of 5,001 digits)"),
+        (lambda board, pos: play(board, "push_right", ((10**5000, 0),),
+                                 {"count": 1, "opacify": False}, False), MoveRefused,
+         "push_right: no box at (an int of 5,001 digits, 0)"),
+        (lambda board, pos: play(board, "push_right", (pos,),
+                                 {"count": 10**5000, "opacify": False}, False), MoveRefused,
+         "push_right: cannot push past an int of 5,001 digits boxes from slot 0"),
+        (lambda board, pos: play(board, "serre_global", (),
+                                 {"k": 10**5000, "direction": "front_to_back"}, False),
+         MoveRefused, "serre_global: cannot rotate an int of 5,001 digits of 15 boxes"),
+        (lambda board, pos: play(board, "serre_translate", (),
+                                 {"y": 10**5000, "direction": "left", "steps": 1}, False),
+         MoveRefused, "serre_translate: no boxes in row y=an int of 5,001 digits"),
+        (lambda board, pos: play(board, "push_right", [(10**5000, 0.5)], {}, False), ValueError,
+         "push_right positions must be a sequence of pairs of ints, "
+         "got [(an int of 5,001 digits, 0.5)]"),
+        (lambda board, pos: Board(2, 1, (Box(10**5000, 0, SymBlock(0)),) * 2), ValueError,
+         "duplicate box position (an int of 5,001 digits, 0)"),
+        (lambda board, pos: play(board, 10**5000, (), {}, False), ValueError,
+         "unknown move kind an int of 5,001 digits"),
+        (lambda board, pos: play(board, "serre_global", (), {}, 10**5000), ValueError,
+         "validate must be a bool, got an int of 5,001 digits"),
+        (lambda board, pos: play(board, "serre_global", (),
+                                 {"k": 1, "direction": 10**5000}, False), ValueError,
+         "serre_global parameter direction must be str, got an int of 5,001 digits"),
+        (lambda board, pos: log_signature(10**5000), ValueError,
+         "a log entry must be a MoveRecord, got an int of 5,001 digits"),
+    ], ids=["board-position", "no-box", "push-count", "serre-global-k", "serre-translate-y",
+            "positions-list", "duplicate-position", "kind", "validate", "parameter-type",
+            "log-entry"])
+    def test_refused_in_the_librarys_words(self, call, error, refusal):
+        board = initial_board_fibration(2, 1)
+        with deadline(1), pytest.raises(error, match=f"^{re.escape(refusal)}$"):
+            call(board, board.boxes[0].pos)

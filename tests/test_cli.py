@@ -17,8 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from flagchess import (INDETERMINATE, Board, Box, LemmaPoint, LemmaReport, MoveRefused, Opaque,
-                       SymBlock, cli, play, render, replay, run_game)
+from conftest import deadline
+from flagchess import (INDETERMINATE, Board, BundleDescriptor, Box, LemmaPoint, LemmaReport,
+                       MoveRefused, Opaque, SymBlock, check_lemma, cli, cover_degree,
+                       line_bundle_cohomology, play, render, replay, rho, run_game)
 from flagchess import board as board_module, games as games_module
 from flagchess.cli import (
     EXIT_FLAGGED,
@@ -73,14 +75,13 @@ VALID_ARGV = {"game": "--n 2 --eps 0", "lemma": "--which A4 --n 2 --eps 1",
               "bwb": "--N 5 --x 0 --y 0", "cohom": "--N 5 --m 0 --x 0 --y 0",
               "ext": "--N 5 --space M --src 0,0,0 --tgt 0,0,0"}
 PAST_EITHER_END = {
-    "N": ((2, "need N >= 3, got 2"), (MAX_N + 1, f"need N <= {MAX_N}, got {MAX_N + 1}")),
-    "n": ((1, "need n >= 2, got 1"), (MAX_n + 1, f"need n <= {MAX_n}, got {MAX_n + 1}")),
-    "game n": ((1, "need n >= 2, got 1"),
-               (MAX_GAME_n + 1, f"need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}")),
-    "m": ((-1, "symmetric power must be >= 0, got -1"),
-          (MAX_m + 1, f"symmetric power must be <= {MAX_m}, got {MAX_m + 1}")),
-    **{axis: ((-MAX_twist - 1, f"need |{axis}| <= {MAX_twist}, got {-MAX_twist - 1}"),
-              (MAX_twist + 1, f"need |{axis}| <= {MAX_twist}, got {MAX_twist + 1}"))
+    "N": ((2, "N must be >= 3, got 2"), (MAX_N + 1, f"N must be <= {MAX_N}, got {MAX_N + 1}")),
+    "n": ((1, "n must be >= 2, got 1"), (MAX_n + 1, f"n must be <= {MAX_n}, got {MAX_n + 1}")),
+    "game n": ((1, "n must be >= 2, got 1"),
+               (MAX_GAME_n + 1, f"n must be <= {MAX_GAME_n}, got {MAX_GAME_n + 1}")),
+    "m": ((-1, "m must be >= 0, got -1"), (MAX_m + 1, f"m must be <= {MAX_m}, got {MAX_m + 1}")),
+    **{axis: ((-MAX_twist - 1, f"|{axis}| must be <= {MAX_twist}, got {-MAX_twist - 1}"),
+              (MAX_twist + 1, f"|{axis}| must be <= {MAX_twist}, got {MAX_twist + 1}"))
        for axis in "xy"},
 }
 
@@ -221,8 +222,8 @@ class TestExitCodes:
 
     def test_domain_usage_errors_return_three(self, capsys):
         # argparse refuses a size past its bound, and an unknown --emit, itself and exits
-        for argv, needle in ((("game", "--n", "1", "--eps", "0"), "n >= 2"),
-                             (("bwb", "--N", "2", "--x", "0", "--y", "0"), "N >= 3"),
+        for argv, needle in ((("game", "--n", "1", "--eps", "0"), "n must be >= 2"),
+                             (("bwb", "--N", "2", "--x", "0", "--y", "0"), "N must be >= 3"),
                              (("game", "--n", "2", "--eps", "0", "--emit", "yaml"), "emit")):
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
@@ -284,37 +285,37 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("flagchess: error: ")
-        assert err.endswith(f"symmetric power must be >= 0, got {m}\n")
+        assert err.endswith(f"m must be >= 0, got {m}\n")
 
     @pytest.mark.parametrize("argv, refusal", [
         (("game", "--n", str(MAX_GAME_n + 1), "--eps", "0", "--validate", "--emit", "json"),
-         f"argument --n: need n <= {MAX_GAME_n}, got {MAX_GAME_n + 1}"),
+         f"argument --n: n must be <= {MAX_GAME_n}, got {MAX_GAME_n + 1}"),
         (("lemma", "--which", "A6", "--n", str(MAX_n + 1), "--eps", "1"),
-         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
+         f"argument --n: n must be <= {MAX_n}, got {MAX_n + 1}"),
         (("degree", "--n", str(MAX_n + 1), "--eps", "0"),
-         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
+         f"argument --n: n must be <= {MAX_n}, got {MAX_n + 1}"),
         (("conditions", "--n", str(MAX_n + 1), "--eps", "1"),
-         f"argument --n: need n <= {MAX_n}, got {MAX_n + 1}"),
+         f"argument --n: n must be <= {MAX_n}, got {MAX_n + 1}"),
         (("bwb", "--N", str(MAX_N + 1), "--x", "0", "--y", "0"),
-         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: N must be <= {MAX_N}, got {MAX_N + 1}"),
         (("cohom", "--N", str(MAX_N + 1), "--m", "0", "--x", "0", "--y", "0"),
-         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: N must be <= {MAX_N}, got {MAX_N + 1}"),
         (("cohom", "--N", "5", "--m", str(MAX_m + 1), "--x", "0", "--y", "0"),
-         f"argument --m: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+         f"argument --m: m must be <= {MAX_m}, got {MAX_m + 1}"),
         (("ext", "--N", str(MAX_N + 1), "--space", "M", "--src=0,0,0", "--tgt=0,0,0"),
-         f"argument --N: need N <= {MAX_N}, got {MAX_N + 1}"),
+         f"argument --N: N must be <= {MAX_N}, got {MAX_N + 1}"),
         (("ext", "--N", "5", "--space", "M", f"--src={MAX_m + 1},0,0", "--tgt=0,0,0"),
-         f"argument --src: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+         f"argument --src: m must be <= {MAX_m}, got {MAX_m + 1}"),
         (("ext", "--N", "5", "--space", "flag", "--src=0,0,0", f"--tgt={MAX_m + 1},1,0"),
-         f"argument --tgt: symmetric power must be <= {MAX_m}, got {MAX_m + 1}"),
+         f"argument --tgt: m must be <= {MAX_m}, got {MAX_m + 1}"),
         (("bwb", "--N", str(MAX_N), "--x", str(MAX_twist + 1), "--y", "0"),
-         f"argument --x: need |x| <= {MAX_twist}, got {MAX_twist + 1}"),
+         f"argument --x: |x| must be <= {MAX_twist}, got {MAX_twist + 1}"),
         (("cohom", "--N", str(MAX_N), "--m", "0", "--x", "0", "--y", str(-MAX_twist - 1)),
-         f"argument --y: need |y| <= {MAX_twist}, got {-MAX_twist - 1}"),
+         f"argument --y: |y| must be <= {MAX_twist}, got {-MAX_twist - 1}"),
         (("ext", "--N", str(MAX_N), "--space", "M", f"--src=0,{-MAX_twist - 1},0",
-          "--tgt=0,0,0"), f"argument --src: need |x| <= {MAX_twist}, got {-MAX_twist - 1}"),
+          "--tgt=0,0,0"), f"argument --src: |x| must be <= {MAX_twist}, got {-MAX_twist - 1}"),
         (("ext", "--N", str(MAX_N), "--space", "flag", "--src=0,0,0", f"--tgt=0,0,{10**24}"),
-         f"argument --tgt: need |y| <= {MAX_twist}, got {10**24}"),
+         f"argument --tgt: |y| must be <= {MAX_twist}, got {10**24}"),
         *((argv, refusal) for _, _, argv, refusal in SIZES_PAST_EITHER_END),
     ], ids=["game-n", "lemma-n", "degree-n", "conditions-n", "bwb-N", "cohom-N", "cohom-m",
             "ext-N", "ext-src-m", "ext-tgt-m", "bwb-x", "cohom-y", "ext-src-x", "ext-tgt-y"]
@@ -326,6 +327,55 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert exc.value.code == EXIT_USAGE and out == ""
         assert err == f"flagchess: error: {refusal}\n"
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (("bwb", "--N", "1" + "0" * 5000, "--x", "0", "--y", "0"),
+         f"argument --N: N must be <= {MAX_N}, got an int of 5,001 digits"),
+        (("lemma", "--which", "A4", "--n", "-" + "9" * 5000, "--eps", "1"),
+         "argument --n: n must be >= 2, got an int of 5,000 digits"),
+        (("bwb", "--N", "5", "--x", "-" + "1" * 100_000, "--y", "0"),
+         f"argument --x: |x| must be <= {MAX_twist}, got an int of 100,000 digits"),
+        (("ext", "--N", "5", "--space", "M", f"--src=0,{'1' + '0' * 5000},0", "--tgt=0,0,0"),
+         f"argument --src: |x| must be <= {MAX_twist}, got an int of 5,001 digits"),
+    ], ids=["N", "n", "x", "src"])
+    def test_an_int_past_the_digit_limit_is_refused_by_its_size(self, capsys, monkeypatch,
+                                                                argv, refusal):
+        # one short line, the text not echoed, and Python's digit limit as it was
+        stop_every_command(monkeypatch)
+        limit = sys.get_int_max_str_digits()
+        with deadline(1), pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and out == ""
+        assert err == f"flagchess: error: {refusal}\n" and len(err.encode()) < 200
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("flag, argv, call", [
+        ("--N", ("bwb", "--N", str(MAX_N + 1), "--x", "0", "--y", "0"), lambda: rho(MAX_N + 1)),
+        ("--N", ("bwb", "--N", "2", "--x", "0", "--y", "0"),
+         lambda: line_bundle_cohomology(2, 0, 0)),
+        ("--N", ("bwb", "--N", "1" + "0" * 5000, "--x", "0", "--y", "0"), lambda: rho(10**5000)),
+        ("--n", ("lemma", "--which", "A4", "--n", str(MAX_n + 1), "--eps", "1"),
+         lambda: check_lemma("A4", MAX_n + 1, 1)),
+        ("--n", ("degree", "--n", "1", "--eps", "0"), lambda: cover_degree(1, 0)),
+        ("--m", ("cohom", "--N", "5", "--m", str(MAX_m + 1), "--x", "0", "--y", "0"),
+         lambda: BundleDescriptor(MAX_m + 1, 0, 0, 5)),
+        ("--src", ("ext", "--N", "5", "--space", "M", "--src=-1,0,0", "--tgt=0,0,0"),
+         lambda: BundleDescriptor(-1, 0, 0, 5)),
+        ("--x", ("bwb", "--N", "5", "--x", str(MAX_twist + 1), "--y", "0"),
+         lambda: BundleDescriptor(0, MAX_twist + 1, 0, 5)),
+        ("--tgt", ("ext", "--N", "5", "--space", "M", "--src=0,0,0", f"--tgt=0,{-MAX_twist - 1},0"),
+         lambda: BundleDescriptor(0, -MAX_twist - 1, 0, 5)),
+    ], ids=["N-above", "N-below", "N-digits", "n-above", "n-below", "m-above", "m-below",
+            "x-above", "x-below"])
+    def test_the_cli_and_the_library_refuse_a_size_in_the_same_words(self, capsys, monkeypatch,
+                                                                      flag, argv, call):
+        stop_every_command(monkeypatch)
+        with pytest.raises(ValueError) as library:
+            call()
+        with pytest.raises(SystemExit):
+            main(list(argv))
+        assert capsys.readouterr().err == f"flagchess: error: argument {flag}: {library.value}\n"
 
     @pytest.mark.parametrize("argv", [[command, *valid.split()]
                                       for command, valid in VALID_ARGV.items()],
@@ -725,11 +775,12 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
-    @pytest.mark.parametrize("value", ["abc", True, -4, None, 1.5])
-    def test_residual_count_must_be_an_int_at_least_zero(self, game, value):
+    @pytest.mark.parametrize("value, bound", [
+        ("abc", "an int"), (True, "an int"), (-4, ">= 0"), (None, "an int"), (1.5, "an int")])
+    def test_residual_count_must_be_an_int_at_least_zero(self, game, value, bound):
         def edit(doc):
             doc["residual_f_count"] = value
-        with pytest.raises(ValueError, match="residual_f_count must be an int >= 0"):
+        with pytest.raises(ValueError, match=f"^residual_f_count must be {bound}, got "):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("found, boxes", [
@@ -1043,14 +1094,14 @@ class TestReplayedChecks:
             parse_game_result(text)
         assert time.perf_counter() - start < 1
 
-    @pytest.mark.parametrize("boxes, kind, question", [
+    @pytest.mark.parametrize("boxes, kind, refusal", [
         # two grade-10**7 blocks, transposed: Hom alone has 10**7 + 1 pieces
-        ([(0, 0, 10**7), (1, 0, 10**7)], "transpose", (10**7, 0, 0)),
+        ([(0, 0, 10**7), (1, 0, 10**7)], "transpose", "m must be <= 200, got 10000000"),
         # a grade-0 block absorbing a grade 10**9 - 1 block: lemma A4 at t = 10**9
-        ([(0, 0, 0), (-(10**9) - 1, 1, 10**9 - 1)], "absorb", (10**9 - 1, -1, 1)),
+        ([(0, 0, 0), (-(10**9) - 1, 1, 10**9 - 1)], "absorb", "m must be <= 200, got 999999999"),
     ])
     def test_a_check_past_the_oracle_bounds_is_refused_before_the_oracle(
-            self, monkeypatch, boxes, kind, question):
+            self, monkeypatch, boxes, kind, refusal):
         # grades on a replayed game's boards stay below n, so no document
         # holds these blocks; the validated move itself refuses them
         initial = Board(3, 1, tuple(Box(x, y, SymBlock(m)) for x, y, m in boxes))
@@ -1060,8 +1111,7 @@ class TestReplayedChecks:
             raise AssertionError("the oracle was asked")
         monkeypatch.setattr(board_module, "ext_on_M", refuse)
         start = time.perf_counter()
-        with pytest.raises(MoveRefused, match=re.escape(
-                f"{kind}: {question} is past the oracle's bounds MAX_m, MAX_twist")):
+        with pytest.raises(MoveRefused, match=f"^{re.escape(f'{kind}: {refusal}')}$"):
             play(initial, kind, positions, {}, True)
         assert time.perf_counter() - start < 1
 
@@ -1082,7 +1132,7 @@ class TestReplayedChecks:
         start = time.perf_counter()
         with pytest.raises(ValueError, match=re.escape(
                 "the moves do not replay from the initial board: transpose: "
-                "(0, -1000000005, 1) is past the oracle's bounds MAX_m, MAX_twist")):
+                "|x| must be <= 1000000000, got -1000000005 at moves[1]")):
             parse_game_result(json.dumps(doc))
         assert time.perf_counter() - start < 1
 

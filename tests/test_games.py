@@ -21,7 +21,7 @@ from flagchess import (
     replay,
     run_game,
 )
-from flagchess.games import _gr2_template, _Runner
+from flagchess.games import _gr2_template
 from flagchess.render import game_result_to_json, parse_game_result
 
 # leftover copy counts measured from the deterministic scripts; the even
@@ -121,8 +121,6 @@ class TestGameCompletion:
         with pytest.raises(ValueError, match=message):
             run_game(3, 1, validate=validate)
         with pytest.raises(ValueError, match=message):
-            _Runner(3, 1, "fibration", validate)
-        with pytest.raises(ValueError, match=message):
             play(initial_board_fibration(2, 1), "serre_translate", (),
                  {"y": 2, "direction": "left", "steps": 1}, validate)
 
@@ -177,7 +175,7 @@ class TestColumnAndResiduals:
     def test_near_miss_reports_a_flag(self, game):
         final = game(3, 1).final
         pruned = Board(3, 1, tuple(b for b in final.boxes if b.pos != (0, 0)))
-        boxes, flags = extract_gr2(pruned, 3, 1)
+        boxes, flags = extract_gr2(pruned)
         assert boxes == ()
         assert flags == ("no straightened column found; best anchor (0, -2) "
                          "matched 6 of 7 cells",)
@@ -186,13 +184,20 @@ class TestColumnAndResiduals:
     def test_a_board_with_no_column_counts_its_n_cells(self, n, eps):
         # the column has N = 2n + eps cells, as many as its template lists
         assert len(_gr2_template(n, eps, (0, 0))) == 2 * n + eps
-        assert extract_gr2(Board(n, eps, ()), n, eps) == ((), (
+        assert extract_gr2(Board(n, eps, ())) == ((), (
             f"no straightened column found; best anchor None matched 0 of {2 * n + eps} cells",))
+
+    @pytest.mark.parametrize("n, eps", [(2, 0), (3, 1), (6, 0), (5, 1)])
+    def test_a_finished_game_is_split_by_its_final_board_alone(self, game, n, eps):
+        # extract_gr2 reads n and eps from the board it is given
+        result = game(n, eps)
+        assert extract_gr2(result.final) == (result.gr2_boxes, ())
+        assert len(result.gr2_boxes) == 2 * n + eps
 
     def test_extraction_is_anchor_free(self):
         column = tuple(Box(5, 3 + i, SymBlock(1)) for i in range(5))
         noise = (Box(-9, 0, SymBlock(0)), Box(9, 9, Opaque()))
-        boxes, flags = extract_gr2(Board(2, 1, noise + column), 2, 1)
+        boxes, flags = extract_gr2(Board(2, 1, noise + column))
         assert flags == ()
         assert [b.pos for b in boxes] == [(5, 3 + i) for i in range(5)]
 

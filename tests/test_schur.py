@@ -46,19 +46,19 @@ class TestBundleDescriptor:
         assert BundleDescriptor(2, 1, -1, 5).twist(-1, 3) == BundleDescriptor(2, 0, 2, 5)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="symmetric power must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="m must be >= 0, got -1"):
             BundleDescriptor(-1, 0, 0, 5)
-        with pytest.raises(ValueError, match="need N >= 3, got 2"):
+        with pytest.raises(ValueError, match="N must be >= 3, got 2"):
             BundleDescriptor(0, 0, 0, 2)
 
     def test_repr(self):
         assert repr(BundleDescriptor(2, 1, -1, 5)) == "BundleDescriptor(m=2, x=1, y=-1, N=5)"
 
     @pytest.mark.parametrize("make, refusal", [
-        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(m=-1), "symmetric power must be >= 0"),
-        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(x=0.5), "must be ints"),
-        (lambda: BundleDescriptor._make([0, 0, 0, 2]), "need N >= 3, got 2"),
-        (lambda: BundleDescriptor._make([-2, 0, 0, 5]), "symmetric power must be >= 0"),
+        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(m=-1), "m must be >= 0"),
+        (lambda: BundleDescriptor(1, 0, 0, 5)._replace(x=0.5), "x must be an int"),
+        (lambda: BundleDescriptor._make([0, 0, 0, 2]), "N must be >= 3, got 2"),
+        (lambda: BundleDescriptor._make([-2, 0, 0, 5]), "m must be >= 0"),
     ], ids=["replace-m", "replace-x", "make-N", "make-m"])
     def test_make_and_replace_check_too(self, make, refusal):
         with pytest.raises(ValueError, match=refusal):
