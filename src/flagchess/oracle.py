@@ -27,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+from . import _shown
 from .schur import (
     INDETERMINATE,
     BundleDescriptor,
@@ -222,5 +223,5 @@ def check_lemma(lemma: str, n: int, eps: int) -> LemmaReport:
                     new(BundleDescriptor, (m, 0, 0, N)), new(BundleDescriptor, (r, -1, 1, N)), (),
                 ))
     else:
-        raise ValueError(f"unknown lemma {lemma!r}; expected A4, A5 or A6")
+        raise ValueError(f"unknown lemma {_shown(lemma)}; expected A4, A5 or A6")
     return LemmaReport(lemma, n, eps, tuple(points))

@@ -9,12 +9,16 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 2) writes each distinct oracle check and
-each distinct move transcript once, where it first appears.  A move's
-``oracle`` is either an int k, "the transcript of move k", or a list whose
-entries are check objects, numbered 0, 1, 2, ... in document order, or ints
-naming a check defined earlier.  Version 1, which writes every check in
-full, is still read.
+A game document (schema version 3) writes each box as an array, ``[x, y, m]``
+for ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``,
+and each move as its ``kind``, ``positions``, ``params`` and ``oracle``.  It
+writes each distinct oracle check and each distinct move transcript once,
+where it first appears.  A move's ``oracle`` is either an int k, "the
+transcript of move k", or a list whose entries are check objects, numbered
+0, 1, 2, ... in document order, or ints naming a check defined earlier.
+Versions 1 and 2 are still read.  Both write each box as an object and each
+move with its ``verdict``, ``copies_before`` and ``copies_after``, which a
+replay derives; version 1 writes every check in full.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import json
 import reprlib
 from typing import Any, Callable
 
-from . import _EMIT_FORMATS as EMIT_FORMATS, _sized
+from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -81,11 +85,18 @@ def render_latex(board: Board) -> str:
 
 
 def box_to_dict(box: Box) -> dict:
+    """A box as versions 1 and 2 write it."""
     if isinstance(box.content, Opaque):
         content = {"kind": "opaque", "copies": box.content.copies}
     else:
         content = {"kind": "sym", "m": box.content.m}
     return {"x": box.x, "y": box.y, "content": content}
+
+
+def box_to_list(box: Box) -> list:
+    """A box as version 3 writes it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    x, y, content = box
+    return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
 
 def _list(value: Any, name: str) -> list:
@@ -94,8 +105,8 @@ def _list(value: Any, name: str) -> list:
     return value
 
 
-def board_to_dict(board: Board) -> dict:
-    return {"boxes": [box_to_dict(b) for b in board.boxes], "copies": board.copies}
+def board_to_dict(board: Board, box: Callable[[Box], Any] = box_to_list) -> dict:
+    return {"boxes": [box(b) for b in board.boxes], "copies": board.copies}
 
 
 def _check_to_dict(check: OracleCheck) -> dict:
@@ -103,16 +114,13 @@ def _check_to_dict(check: OracleCheck) -> dict:
             "expected": check.expected, "got": check.got, "ok": check.ok}
 
 
-def _move_dict(record: MoveRecord, oracle: int | list) -> dict:
-    return {
-        "kind": record.kind,
-        "positions": record.positions,
-        "params": dict(record.params),
-        "oracle": oracle,
-        "verdict": record.verdict,
-        "copies_before": record.copies_before,
-        "copies_after": record.copies_after,
-    }
+def _move_dict(record: MoveRecord, oracle: int | list, version: int = 1) -> dict:
+    move = {"kind": record.kind, "positions": record.positions,
+            "params": dict(record.params), "oracle": oracle}
+    if version < 3:
+        move.update(verdict=record.verdict, copies_before=record.copies_before,
+                    copies_after=record.copies_after)
+    return move
 
 
 def move_to_dict(record: MoveRecord) -> dict:
@@ -120,9 +128,10 @@ def move_to_dict(record: MoveRecord) -> dict:
     return _move_dict(record, [_check_to_dict(c) for c in record.oracle])
 
 
-def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
-    """The moves of a version 2 document: a transcript seen before becomes
-    the index of the move that wrote it, a check seen before its number."""
+def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
+    """The moves of a version 2 or 3 document: a transcript seen before
+    becomes the index of the move that wrote it, a check seen before its
+    number."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
     known: dict[int, int] = {}  # by object, so that a shared transcript is hashed once
@@ -133,7 +142,7 @@ def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
         if k is None:
             k = known[id(transcript)] = writer.setdefault(transcript, i)
         if k != i:
-            moves.append(_move_dict(record, k))
+            moves.append(_move_dict(record, k, version))
             continue
         oracle: list[int | dict] = []
         for check in transcript:
@@ -143,22 +152,24 @@ def _interned_moves(log: tuple[MoveRecord, ...]) -> list[dict]:
                 oracle.append(_check_to_dict(check))
             else:
                 oracle.append(j)
-        moves.append(_move_dict(record, oracle))
+        moves.append(_move_dict(record, oracle, version))
     return moves
 
 
 def _document(result: GameResult, version: int) -> dict:
     """The document that schema ``version`` writes for ``result``: version 1
-    writes every transcript in full, version 2 each distinct one once."""
+    writes every transcript in full, versions 2 and 3 each distinct one
+    once, and version 3 its boxes as arrays and its moves without what
+    their replay derives."""
+    box = box_to_list if version == 3 else box_to_dict
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
-        "initial": board_to_dict(result.initial),
+        "initial": board_to_dict(result.initial, box),
         "moves": ([move_to_dict(r) for r in result.log] if version == 1
-                  else _interned_moves(result.log)),
-        "final": board_to_dict(result.final),
-        "gr2": {"found": result.gr2_found,
-                "boxes": [box_to_dict(b) for b in result.gr2_boxes]},
+                  else _interned_moves(result.log, version)),
+        "final": board_to_dict(result.final, box),
+        "gr2": {"found": result.gr2_found, "boxes": [box(b) for b in result.gr2_boxes]},
         "residual_f_count": result.residual_f_count,
         "flags": result.flags,
     }
@@ -173,11 +184,11 @@ def game_result_to_json(result: GameResult) -> str:
 
 
 def parse_game_result(text: str | bytes) -> GameResult:
-    """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    and 2, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    """Exact inverse of :func:`game_result_to_json`; reads schema versions 1,
+    2 and 3, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 or 2), ``params``
+    (a bool is never an int): ``schema_version`` (1, 2 or 3), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
     ``residual_f_count`` (an int >= 0) and each move's ``kind``,
@@ -190,20 +201,27 @@ def parse_game_result(text: str | bytes) -> GameResult:
     which gives the column and the flags; only ``residual_f_count`` is kept
     as written.  The document must be what the writer of its version writes
     for that game, keys and their order included; otherwise the message
-    names the first path that differs, as in ``initial.boxes[0].x``,
-    ``moves[14].copies_before``, ``moves[3].oracle[0].got`` or ``flags``.
+    names the first path that differs, as in ``initial.boxes[0][0]``,
+    ``moves[14]`` (its keys), ``moves[3].oracle[0].got`` or ``flags``; in
+    versions 1 and 2, as in ``initial.boxes[0].x`` or
+    ``moves[14].copies_before``.  Text that is not JSON, or that holds an
+    int past Python's digit limit, is a malformed document.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
     try:
-        return _game_result_from_dict(json.loads(text), text)
+        d = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, or an int past the digit limit
+        raise ValueError(f"malformed game document: {exc!r}") from exc
+    try:
+        return _game_result_from_dict(d, text)
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed game document: {exc!r}") from exc
 
 
 def _game_result_from_dict(d: dict, text: str) -> GameResult:
     version = d["schema_version"]
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
         raise ValueError(f"unsupported schema version {version!r}")
     params, residual = d["params"], d["residual_f_count"]
     _sized(residual, "residual_f_count", 0)
@@ -318,5 +336,5 @@ def emit(result: GameResult, fmt: str) -> list[str]:
     if fmt == "json":
         return [game_result_to_json(result)]
     if fmt not in EMIT_FORMATS:
-        raise ValueError(f"unknown emit format {fmt!r}")
+        raise ValueError(f"unknown emit format {_shown(fmt)}")
     return globals()[f"emit_{fmt.replace('-', '_')}"](result)

@@ -69,6 +69,11 @@ def rebuilt_document(stream: str) -> dict:
             **body("summary")}
 
 
+def written(result, version: int = SCHEMA_VERSION) -> str:
+    """``result``'s document as the writer of schema ``version`` writes it."""
+    return dumps(render._document(result, version))
+
+
 # A valid argv for each command, and one past each end of every size in it.
 VALID_ARGV = {"game": "--n 2 --eps 0", "lemma": "--which A4 --n 2 --eps 1",
               "degree": "--n 2 --eps 0", "conditions": "--n 2 --eps 1",
@@ -530,6 +535,13 @@ class TestEmitFormats:
         with pytest.raises(ValueError, match="unknown emit format 'yaml'"):
             render.emit(game(2, 1), "yaml")
 
+    def test_an_unknown_format_past_the_digit_limit_is_shown_by_its_size(self, game):
+        result = game(2, 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^unknown emit format an int of 5,001 digits$"):
+            render.emit(result, 10**5000)
+        assert time.perf_counter() - start < 1
+
     def test_a_parsed_result_renders_without_phases(self, game):
         result = game(2, 0)
         parsed = parse_game_result(game_result_to_json(result))
@@ -556,9 +568,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1 and 2 are versions: a bool or a float that equals one is not
+        # only the ints 1, 2 and 3 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 3, True, 1.0, 2.0, "1"):
+        for version in (99, 0, 4, True, 1.0, 2.0, 3.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -602,47 +614,100 @@ class TestWireSchema:
             parse_game_result(json.dumps(doc))
 
     @staticmethod
-    def edited(game, edit):
-        doc = json.loads(game_result_to_json(game(2, 1)))
+    def edited(game, edit, version: int = SCHEMA_VERSION):
+        doc = json.loads(written(game(2, 1), version))
         edit(doc)
         return json.dumps(doc)
 
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("board", ["initial", "final"])
     @pytest.mark.parametrize("axis, value", [("x", "0"), ("y", "0"), ("x", True),
                                              ("y", 1.0)])
-    def test_box_positions_must_be_ints(self, game, board, axis, value):
+    def test_box_positions_must_be_ints(self, game, board, axis, value, version):
         # both boards are what the game, started and replayed, writes
+        key = axis if version == 2 else "xy".index(axis)
+
         def edit(doc):
-            doc[board]["boxes"][0][axis] = value
-        with pytest.raises(ValueError, match=rf"^{board}\.boxes\[0\]\.{axis} is {value!r} but "
+            doc[board]["boxes"][0][key] = value
+        path = rf"\.{axis}" if version == 2 else rf"\[{key}\]"
+        with pytest.raises(ValueError, match=rf"^{board}\.boxes\[0\]{path} is {value!r} but "
                                              "the replayed game writes"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, version))
 
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("value", ["1", True, 1.0, -1, None])
-    def test_sym_grades_must_be_ints_at_least_zero(self, game, value):
+    def test_sym_grades_must_be_ints_at_least_zero(self, game, value, version):
         def edit(doc):
-            box = next(b for b in doc["initial"]["boxes"] if b["content"]["kind"] == "sym")
-            box["content"]["m"] = value
-        with pytest.raises(ValueError, match=rf"^initial\.boxes\[0\]\.content\.m is {value!r} "
+            box = doc["initial"]["boxes"][0]
+            assert box in ({"x": -2, "y": 1, "content": {"kind": "sym", "m": 0}}, [-2, 1, 0])
+            if version == 2:
+                box["content"]["m"] = value
+            else:
+                box[2] = value
+        path = r"\.content\.m" if version == 2 else r"\[2\]"
+        with pytest.raises(ValueError, match=rf"^initial\.boxes\[0\]{path} is {value!r} "
                                              "but the replayed game writes 0$"):
+            parse_game_result(self.edited(game, edit, version))
+
+    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("value", [0, -1, True, 1.0, "1"])
+    def test_opaque_copies_must_be_ints_at_least_one(self, game, value, version):
+        def edit(doc):
+            if version == 2:
+                box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "opaque")
+                box, key = box["content"], "copies"
+            else:
+                box, key = next(b for b in doc["final"]["boxes"] if len(b) == 4), 3
+            doc["final"]["copies"] += (value if type(value) is int else 0) - box[key]
+            box[key] = value
+        path = r"\.content\.copies" if version == 2 else r"\[3\]"
+        with pytest.raises(ValueError, match=rf"^final\.boxes\[\d+\]{path} is "
+                                             r".* but the replayed game writes 1$"):
+            parse_game_result(self.edited(game, edit, version))
+
+    @pytest.mark.parametrize("box, refusal", [
+        # a bool and a float that equal the written ints
+        ([-2, True, 0], r"\[1\] is True but the replayed game writes 1"),
+        ([-2, 1, 0.0], r"\[2\] is 0\.0 but the replayed game writes 0"),
+        # arrays of the wrong length
+        ([-2, 1], " has 2 entries but the replayed game writes 3"),
+        ([-2, 1, 0, 1], " has 4 entries but the replayed game writes 3"),
+        # an unknown content tag, and the tag of the other kind of content
+        ([-2, 1, "sym", 0], r"\[2\] is 'sym' but the replayed game writes 0"),
+        ([-2, 1, "opaque", 1], r"\[2\] is 'opaque' but the replayed game writes 0"),
+        # the fields reordered, and the box as versions 1 and 2 write it
+        ([1, -2, 0], r"\[0\] is 1 but the replayed game writes -2"),
+        ({"x": -2, "y": 1, "content": {"kind": "sym", "m": 0}},
+         r" is \{'x': -2, 'y': 1, 'content': \{.*\}\} but the replayed game writes "
+         r"\[-2, 1, 0\]")])
+    def test_a_box_must_be_written_as_its_array(self, game, box, refusal):
+        def edit(doc):
+            assert doc["initial"]["boxes"][0] == [-2, 1, 0]
+            doc["initial"]["boxes"][0] = box
+        with pytest.raises(ValueError, match=rf"^initial\.boxes\[0\]{refusal}$"):
             parse_game_result(self.edited(game, edit))
 
-    @pytest.mark.parametrize("value", [0, -1, True, 1.0, "1"])
-    def test_opaque_copies_must_be_ints_at_least_one(self, game, value):
+    @pytest.mark.parametrize("tag", ["zzz", "sym", None, 1])
+    def test_an_unknown_opaque_tag_is_refused(self, game, tag):
         def edit(doc):
-            box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "opaque")
-            doc["final"]["copies"] += (value if type(value) is int else 0) - box["content"]["copies"]
-            box["content"]["copies"] = value
-        with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\.content\.copies is "
-                                             r".* but the replayed game writes 1$"):
+            next(b for b in doc["final"]["boxes"] if len(b) == 4)[2] = tag
+        with pytest.raises(ValueError, match=rf"^final\.boxes\[\d+\]\[2\] is {tag!r} but the "
+                                             "replayed game writes 'opaque'$"):
             parse_game_result(self.edited(game, edit))
+
+    def test_a_version_3_box_in_a_version_2_document_is_refused(self, game):
+        def edit(doc):
+            doc["initial"]["boxes"][0] = [-2, 1, 0]
+        with pytest.raises(ValueError, match=r"^initial\.boxes\[0\] is \[-2, 1, 0\] but the "
+                                             r"replayed game writes \{'x': -2, "):
+            parse_game_result(self.edited(game, edit, 2))
 
     def test_an_unknown_content_kind_raises_value_error(self, game):
         def edit(doc):
             doc["initial"]["boxes"][0]["content"]["kind"] = "zzz"
         with pytest.raises(ValueError, match=r"^initial\.boxes\[0\]\.content\.kind is 'zzz' but "
                                              "the replayed game writes 'sym'$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 2))
 
     @pytest.mark.parametrize("value", ["zzz", "", None, ["fibration"]])
     def test_mode_must_be_fibration_or_flip(self, game, value):
@@ -658,16 +723,25 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=r"^flags (is|has) .* but the replayed game writes"):
             parse_game_result(self.edited(game, edit))
 
-    def test_gr2_boxes_must_be_on_the_final_board(self, game):
+    @pytest.mark.parametrize("version, path", [(2, r"\.(x|content\.m)"), (3, r"\[(0|2)\]")])
+    def test_gr2_boxes_must_be_on_the_final_board(self, game, version, path):
         def off_board(doc):
-            doc["gr2"]["boxes"][0].update(x=99, y=99)
+            box = doc["gr2"]["boxes"][0]
+            if version == 2:
+                box.update(x=99, y=99)
+            else:
+                box[:2] = [99, 99]
 
         def wrong_content(doc):
-            doc["gr2"]["boxes"][0]["content"]["m"] += 1
+            box = doc["gr2"]["boxes"][0]
+            if version == 2:
+                box["content"]["m"] += 1
+            else:
+                box[2] += 1
         for edit in (off_board, wrong_content):
-            with pytest.raises(ValueError, match=r"^gr2\.boxes\[0\]\.(x|content\.m) is \d+ but "
+            with pytest.raises(ValueError, match=rf"^gr2\.boxes\[0\]{path} is \d+ but "
                                                  r"the replayed game writes \d+$"):
-                parse_game_result(self.edited(game, edit))
+                parse_game_result(self.edited(game, edit, version))
 
     def test_gr2_boxes_must_not_repeat(self, game):
         # a repeated box would count its copies twice in the column
@@ -687,7 +761,7 @@ class TestWireSchema:
             doc["moves"][0]["verdict"] = value
         with pytest.raises(ValueError, match=rf"^moves\[0\]\.verdict is {value!r} but the "
                                              "replayed game writes 'applied'$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 2))
 
     @pytest.mark.parametrize("key", ["copies_before", "copies_after"])
     @pytest.mark.parametrize("value", [14, 16, 15.0, "15"])
@@ -696,6 +770,18 @@ class TestWireSchema:
             doc["moves"][-1][key] = value
         with pytest.raises(ValueError, match=rf"^moves\[\d+\]\.{key} is {value!r} but the "
                                              "replayed game writes 15$"):
+            parse_game_result(self.edited(game, edit, 2))
+
+    @pytest.mark.parametrize("key, value", [
+        ("verdict", "applied"), ("copies_before", 15), ("copies_after", 15)])
+    def test_a_move_carrying_a_field_the_replay_derives_is_refused(self, game, key, value):
+        # version 3 drops each of these, with its right value too
+        def edit(doc):
+            doc["moves"][0][key] = value
+        with pytest.raises(ValueError, match=rf"^moves\[0\] has keys \['kind', 'positions', "
+                                             rf"'params', 'oracle', '{key}'\] but the replayed "
+                                             r"game writes \['kind', 'positions', 'params', "
+                                             r"'oracle'\]$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("value", ["flag", "m", None])
@@ -753,9 +839,10 @@ class TestWireSchema:
                                              "entries but the replayed game writes 0$"):
             parse_game_result(self.edited(game, edit))
 
+    @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("field", ["moves", "initial.boxes", "final.boxes", "gr2.boxes",
                                        "move positions", "oracle expected", "oracle got"])
-    def test_lists_must_not_be_objects(self, game, field):
+    def test_lists_must_not_be_objects(self, game, field, version):
         # an empty object iterates like an empty list: the two lists the
         # parser reads are refused by their form, the rest by the writer
         def edit(doc):
@@ -771,9 +858,10 @@ class TestWireSchema:
         match = (f"^{field} must be a list, got {{}}$" if field in ("moves", "move positions")
                  else rf"^moves\[\d+\]\.oracle\[\d+\]\.{field.split()[1]} is {{}} but the "
                       r"replayed game writes \[\]$" if field.startswith("oracle ")
-                 else rf"^{field} is {{}} but the replayed game writes \[{{'x': ")
+                 else rf"^{field} is {{}} but the replayed game writes \[{{'x': " if version == 2
+                 else rf"^{field} is {{}} but the replayed game writes \[\[-?\d")
         with pytest.raises(ValueError, match=match):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, version))
 
     @pytest.mark.parametrize("value, bound", [
         ("abc", "an int"), (True, "an int"), (-4, ">= 0"), (None, "an int"), (1.5, "an int")])
@@ -782,6 +870,17 @@ class TestWireSchema:
             doc["residual_f_count"] = value
         with pytest.raises(ValueError, match=f"^residual_f_count must be {bound}, got "):
             parse_game_result(self.edited(game, edit))
+
+    def test_a_number_past_the_digit_limit_is_a_malformed_document(self, game):
+        # json reads an int through int(), which refuses more than 4,300 digits
+        text = game_result_to_json(game(2, 1))
+        assert text.count('"residual_f_count":5,') == 1
+        text = text.replace('"residual_f_count":5,', f'"residual_f_count":{"9" * 5001},')
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^malformed game document: ValueError\\('Exceeds "
+                                             "the limit \\(4300 digits\\)"):
+            parse_game_result(text)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("found, boxes", [
         ("zzz", None), (1, None), (None, None), (False, None), (True, [])])
@@ -796,17 +895,20 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=match):
             parse_game_result(self.edited(game, edit))
 
-    def test_initial_and_final_copies_must_agree(self, game):
+    @pytest.mark.parametrize("version, path", [(2, r"\.content\.m"), (3, r"\[2\]")])
+    def test_initial_and_final_copies_must_agree(self, game, version, path):
         # the final board is the replayed one, so its totals cannot drift
         def edit(doc):
-            column = {(b["x"], b["y"]) for b in doc["gr2"]["boxes"]}
-            box = next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "sym"
-                       and (b["x"], b["y"]) not in column)
-            box["content"]["m"] += 1
+            column = doc["gr2"]["boxes"]
+            if version == 2:
+                next(b for b in doc["final"]["boxes"] if b["content"]["kind"] == "sym"
+                     and b not in column)["content"]["m"] += 1
+            else:
+                next(b for b in doc["final"]["boxes"] if len(b) == 3 and b not in column)[2] += 1
             doc["final"]["copies"] += 1
-        with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\.content\.m is \d+ but "
+        with pytest.raises(ValueError, match=rf"^final\.boxes\[\d+\]{path} is \d+ but "
                                              r"the replayed game writes \d+$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, version))
 
     def test_residual_boxes_follow_the_final_board_and_column(self, game):
         result = game(2, 1)
@@ -842,7 +944,7 @@ class TestWireSchema:
         for moves in ([], doc["moves"][:-1]):
             bad = copy.deepcopy(doc)
             bad["moves"] = moves
-            with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\..* but the "
+            with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\[\d\] is .* but the "
                                                  "replayed game writes"):
                 parse_game_result(json.dumps(bad))
 
@@ -869,7 +971,7 @@ class TestWireSchema:
         def edit(doc):
             (doc if where == "top level" else doc["moves"][0])["note"] = "x"
         path, last = (("the document", "flags") if where == "top level"
-                      else (r"moves\[0\]", "copies_after"))
+                      else (r"moves\[0\]", "oracle"))
         with pytest.raises(ValueError, match=rf"^{path} has keys \[.*'{last}', 'note'\] but the "
                                              rf"replayed game writes \[.*'{last}'\]$"):
             parse_game_result(self.edited(game, edit))
@@ -881,9 +983,10 @@ class TestWireSchema:
         with pytest.raises(ValueError, match=r"^initial\.boxes\[0\] has keys \['y', 'x', "
                                              r"'content'\] but the replayed game writes "
                                              r"\['x', 'y', 'content'\]$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 2))
 
-    def test_a_moved_initial_box_is_refused(self):
+    @pytest.mark.parametrize("version, path", [(2, r"\.x"), (3, r"\[0\]")])
+    def test_a_moved_initial_box_is_refused(self, version, path):
         # every move still replays with the box at (1, 1) moved to (2, 1),
         # but the start board is derived from the params, never read
         game = run_game(2, 0, validate=False)
@@ -892,9 +995,9 @@ class TestWireSchema:
         moved = Board(2, 0, (*start.boxes[:3], Box(2, 1, start.boxes[3].content),
                              *start.boxes[4:]))
         replay(moved, game.log)
-        text = game_result_to_json(game._replace(initial=moved))
-        with pytest.raises(ValueError, match=r"^initial\.boxes\[3\]\.x is 2 but the replayed "
-                                             "game writes 1$"):
+        text = written(game._replace(initial=moved), version)
+        with pytest.raises(ValueError, match=rf"^initial\.boxes\[3\]{path} is 2 but the "
+                                             "replayed game writes 1$"):
             parse_game_result(text)
 
     def test_json_lines_matches_the_log_length(self, game):
@@ -907,21 +1010,30 @@ class TestWireSchema:
 
 
 class TestOracleReferences:
-    """Version 2 writes each distinct oracle check and transcript once."""
+    """Versions 2 and 3 write each distinct oracle check and transcript once."""
 
-    V1 = Path(__file__).with_name("game_n3_eps1_v1.json")
+    # what versions 1 and 2 wrote for ``game --n 3 --eps 1 --emit json``
+    FIXTURES = {1: Path(__file__).with_name("game_n3_eps1_v1.json"),
+                2: Path(__file__).with_name("game_n3_eps1_v2.json")}
+    V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    def test_a_version_1_document_parses_as_its_version_2_form(self, capsys):
-        v1 = self.V1.read_text()
-        _, v2, _ = run_cli(capsys, *self.ARGV, "json")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_older_document_parses_as_its_current_form(self, capsys, version):
+        older = self.FIXTURES[version].read_text()
+        _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
-        assert json.loads(v1)["schema_version"] == 1
-        assert json.loads(v2)["schema_version"] == SCHEMA_VERSION == 2
-        expected = parse_game_result(v1)
-        assert parse_game_result(v2) == expected
+        assert json.loads(older)["schema_version"] == version
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 3
+        expected = parse_game_result(older)
+        assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
-        assert len(v2) < len(v1)
+        assert len(current) < len(older) / 2
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
+        older = self.FIXTURES[version].read_text()
+        assert written(parse_game_result(older), version) + "\n" == older
 
     def test_the_version_1_writer_gives_the_recorded_moves(self):
         moves = [json.loads(dumps(move_to_dict(m))) for m in run_game(3, 1, validate=True).log]

@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "b843a1e962e5bddaee02ba74f5337cbe25a3470f16724e32423003ca0fb21bf0"),
+        (1, "792559eb846b5ed5b55669bee141bf65cb7a521c7679de77335ed15c675fcd7d"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "609dfdac918477dafcccfb480a1f3e54c9f65675779010c05be21e7cdc61411b"),
+        (1, "8c35c743c6b508effa64b53d15f8dda7cf2eedbc39fb6d22062128c19aab1e6b"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "19ef87f46d771031f4c1c80b9e46f755f7645d7ede44b3ccc4202b5b08671cee"),
+        (0, "b813a99876773ddf65b33e8bbb13939277475e4912656d027560fe419e59b900"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "8cc0cf0b90c2de64f2e7f671496ae27cc7fd0a65e0fec861ea6b31964c9916b9"),
+        (0, "9a6b1fb8fcff42472400202824a77f8cb53f5d3323d2cc5914f90d3ba64a72df"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "42a956c8095cd96e5712452fa8ee1ba2d8eea0f4be609aed632260cf870dcca4"),
+        (0, "e4adde785c23398260c188ff3ed3d57c6036c27dd4cf8aa51b384798db08f5e2"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "6470c2b97e792a7575cec6d5b375a08283d26399f752b93d254958c981e9f0ab"),
+        (0, "97347a7768a75205ddba372c6d22783218b7d7e357bbf34e770beb5d82b282fb"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "fa3d5a0b9bea5af6b87dfaac9f4dc72e0709e2d843612238ec119f4a58044ef1"),
+        (0, "6f6e3f71daa3096da2a80d2382efa1cab794d50045c8e2ab4cd481c1649444e7"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "b0f304d968f4fa10488cd21f96258b7f27199ce0f21c4b6769f7438eaf09bfb8"),
+        (0, "1a0ca3ed79c8d152d01d46b014d77b96be30a55eee63a59d7ef2a479e39e4e5c"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "c7632de77b3261fc1482e384fc4676954b484e59aa95027147f057694bf8bf23"),
+        (1, "9b37f02f9d180945f8bf2237ddac0f7f450de13fafba93974f9dc391de732541"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "f511cec2f2214c4905c49c0b5009a6f490e52252897743fb34d0117f6b32ab67"),
+        (1, "cd1c21a63cccb8bdd3a98d5dc2e179de7b777fc9f37b087c96ff9403c3ce2526"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "d86caffc751f7e6b1213fd6ca2c7521f0af38f7686696110e8d2352dcc38b99f"),
+        (0, "56a34e0cf271a5a50772e3edb8ba21808ab7401c15cd63ca16f90bb486669716"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "94240d755485bde2ff40d165775c3a5f77fd7ce268a97534b128bbb5c404b0f5"),
+        (0, "0623a2b9ab4fcda0dba375f1db49be981797fd95aa0b8666b62565c0bf28bf6c"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "6e6b9a3d8326f6832b0c418ea3e0c922688420fb8e1cedd6f07eea95c876cd51"),
+        (0, "153b11fe120e59c0785585ef734d3b208251dd2927e471903646ef5d2ee9d7be"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "487ab5732f100ac8e90d318792a9ae8f510ba81d0571082d1b9caf0ec7f5c9b6"),
+        (0, "bb350b09499758a1106b483a65f981c0b8d0c73293d75178e5e3188fffaa58fe"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight

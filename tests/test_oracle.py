@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -272,6 +273,15 @@ class TestCheckLemma:
             assert report.mismatches == 0
             assert report.indeterminates == 0
             assert report.passed
+
+    @pytest.mark.parametrize("lemma, shown", [
+        ("A7", "'A7'"), (None, "None"), (10**5000, "an int of 5,001 digits")],
+        ids=["A7", "None", "5001-digits"])
+    def test_an_unknown_lemma_raises_value_error_in_its_own_words(self, lemma, shown):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^unknown lemma {shown}; expected A4, A5 or A6$"):
+            check_lemma(lemma, 2, 1)
+        assert time.perf_counter() - start < 1
 
     def test_a4_point_structure(self):
         report = check_lemma("A4", 3, 1)
