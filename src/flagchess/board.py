@@ -534,6 +534,7 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
     twist (t, 0) against a grade t-1 block at (-1, 1) pairs nontrivially, so
     those two may never commute past each other.  With validation on, the
     actual vanishing Ext_M(left, right-relative) = 0 is checked as well.
+    No game script plays it; it serves hand-written documents and tests.
     """
     kind = "transpose"
     left, right, i, j, between = _window(board, kind, left_pos, right_pos,
@@ -558,7 +559,8 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
 
     The pair at relative twists (t, 0) and (-1, 1) pairs in exactly one
     degree; the merge replaces both by a single grade-t block at the
-    common origin (source x + 1, source y - 1).
+    common origin (source x + 1, source y - 1).  No game script plays it;
+    it serves hand-written documents and tests.
     """
     kind = "absorb"
     target, source, i, j, between = _window(board, kind, target_pos, source_pos,

@@ -31,7 +31,7 @@ EXIT_USAGE = 3
 # Size bounds: past one, argparse exits 3 before any command runs.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
 # about 0.75-1.2 s and 5.5-7 s on a 2-core Xeon; the game's JSON document is
-# about 0.65 MB and its peak memory about 26 MB.  The twist bound keeps every
+# about 0.22 MB and its peak memory about 24 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions; every (n, eps) of the library
@@ -79,7 +79,7 @@ def _argument(name: str, low: int, high: int):
 
 
 _N, _n, _n_game = _argument("N", 3, MAX_N), _argument("n", 2, MAX_n), _argument("n", 2, MAX_GAME_n)
-_m = _argument("m", 0, MAX_m)
+_m, _eps = _argument("m", 0, MAX_m), _argument("eps", 0, 1)
 _x, _y = (_argument(axis, -MAX_twist, MAX_twist) for axis in "xy")
 
 
@@ -256,11 +256,11 @@ def build_parser() -> _Parser:
     p = add("lemma", cmd_lemma, "sweep a vanishing lemma over its stated grid")
     p.add_argument("--which", choices=("A4", "A5", "A6"), required=True)
     p.add_argument("--n", type=_n, required=True)
-    p.add_argument("--eps", type=int, choices=(0, 1), required=True)
+    p.add_argument("--eps", type=_eps, required=True, metavar="{0,1}")
 
     p = add("game", cmd_game, "play the straightening game")
     p.add_argument("--n", type=_n_game, required=True)
-    p.add_argument("--eps", type=int, choices=(0, 1), required=True)
+    p.add_argument("--eps", type=_eps, required=True, metavar="{0,1}")
     p.add_argument("--mode", choices=("fibration", "flip"), default="fibration")
     # set_defaults, not default=: Python 3.10 would append "(default: True)"
     p.add_argument("--validate", action=argparse.BooleanOptionalAction,
@@ -271,11 +271,11 @@ def build_parser() -> _Parser:
 
     p = add("degree", cmd_degree, "branch-divisor degree, two independent ways")
     p.add_argument("--n", type=_n, required=True)
-    p.add_argument("--eps", type=int, choices=(0, 1), required=True)
+    p.add_argument("--eps", type=_eps, required=True, metavar="{0,1}")
 
     p = add("conditions", cmd_conditions, "section and condition counts for M")
     p.add_argument("--n", type=_n, required=True)
-    p.add_argument("--eps", type=int, choices=(0, 1), required=True)
+    p.add_argument("--eps", type=_eps, required=True, metavar="{0,1}")
 
     return parser
 

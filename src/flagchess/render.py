@@ -9,16 +9,28 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 3) writes each box as an array, ``[x, y, m]``
+A game document (schema version 4) writes each box as an array, ``[x, y, m]``
 for ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``,
 and each move as its ``kind``, ``positions``, ``params`` and ``oracle``.  It
 writes each distinct oracle check and each distinct move transcript once,
 where it first appears.  A move's ``oracle`` is either an int k, "the
-transcript of move k", or a list whose entries are check objects, numbered
-0, 1, 2, ... in document order, or ints naming a check defined earlier.
-Versions 1 and 2 are still read.  Both write each box as an object and each
-move with its ``verdict``, ``copies_before`` and ``copies_after``, which a
-replay derives; version 1 writes every check in full.
+transcript of move k", or a list of entries in three shapes, told apart by
+shape alone:
+
+* ``[source, target, expected]``, a check not written before; checks are
+  numbered 0, 1, 2, ... in document order;
+* ``[first, count]``, a maximal run of three or more consecutive earlier
+  check numbers, ``first`` to ``first + count - 1``;
+* an int, any other earlier check.
+
+A check's ``space``, ``got`` and ``ok`` are not written: ``board._question``
+asks only on M, and a refused move is never logged, so every logged check
+got what it expected.  Versions 1 to 3 are still read and re-written by
+their own writers.  Version 3 writes each check as the object
+``{source, target, space, expected, got, ok}`` and each earlier one as its
+int.  Versions 1 and 2 also write each box as an object and each move with
+its ``verdict``, ``copies_before`` and ``copies_after``, which a replay
+derives; version 1 writes every check in full.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -94,7 +106,7 @@ def box_to_dict(box: Box) -> dict:
 
 
 def box_to_list(box: Box) -> list:
-    """A box as version 3 writes it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    """A box as versions 3 and 4 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
     x, y, content = box
     return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
@@ -128,10 +140,28 @@ def move_to_dict(record: MoveRecord) -> dict:
     return _move_dict(record, [_check_to_dict(c) for c in record.oracle])
 
 
+def _runs(entries: list) -> list:
+    """A version 4 transcript's entries: each maximal run of three or more
+    consecutive check numbers becomes ``[first, count]``, in one pass."""
+    grouped, k, size = [], 0, len(entries)
+    while k < size:
+        first, end = entries[k], k + 1
+        if type(first) is int:
+            while end < size and entries[end] == first + end - k:
+                end += 1
+        if end - k >= 3:
+            grouped.append([first, end - k])
+        else:
+            grouped += entries[k:end]
+        k = end
+    return grouped
+
+
 def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
-    """The moves of a version 2 or 3 document: a transcript seen before
+    """The moves of a version 2, 3 or 4 document: a transcript seen before
     becomes the index of the move that wrote it, a check seen before its
-    number."""
+    number, and in version 4 a new check its triple and a run of numbers
+    its ``[first, count]``."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
     known: dict[int, int] = {}  # by object, so that a shared transcript is hashed once
@@ -144,24 +174,26 @@ def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
         if k != i:
             moves.append(_move_dict(record, k, version))
             continue
-        oracle: list[int | dict] = []
+        oracle: list[int | list | dict] = []
         for check in transcript:
             j = check_number.get(check)
             if j is None:
                 check_number[check] = len(check_number)
-                oracle.append(_check_to_dict(check))
+                oracle.append(_check_to_dict(check) if version < 4
+                              else [check.source, check.target, check.expected])
             else:
                 oracle.append(j)
-        moves.append(_move_dict(record, oracle, version))
+        moves.append(_move_dict(record, _runs(oracle) if version >= 4 else oracle, version))
     return moves
 
 
 def _document(result: GameResult, version: int) -> dict:
     """The document that schema ``version`` writes for ``result``: version 1
-    writes every transcript in full, versions 2 and 3 each distinct one
-    once, and version 3 its boxes as arrays and its moves without what
-    their replay derives."""
-    box = box_to_list if version == 3 else box_to_dict
+    writes every transcript in full, versions 2 to 4 each distinct one
+    once, versions 3 and 4 their boxes as arrays and their moves without
+    what their replay derives, and version 4 each check as a triple and
+    runs of earlier checks as pairs."""
+    box = box_to_list if version >= 3 else box_to_dict
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
@@ -184,11 +216,11 @@ def game_result_to_json(result: GameResult) -> str:
 
 
 def parse_game_result(text: str | bytes) -> GameResult:
-    """Exact inverse of :func:`game_result_to_json`; reads schema versions 1,
-    2 and 3, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
+    to 4, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1, 2 or 3), ``params``
+    (a bool is never an int): ``schema_version`` (1 to 4), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
     ``residual_f_count`` (an int >= 0) and each move's ``kind``,
@@ -200,12 +232,14 @@ def parse_game_result(text: str | bytes) -> GameResult:
     The runner's finish then splits the final board as ``run_game`` does,
     which gives the column and the flags; only ``residual_f_count`` is kept
     as written.  The document must be what the writer of its version writes
-    for that game, keys and their order included; otherwise the message
-    names the first path that differs, as in ``initial.boxes[0][0]``,
-    ``moves[14]`` (its keys), ``moves[3].oracle[0].got`` or ``flags``; in
-    versions 1 and 2, as in ``initial.boxes[0].x`` or
-    ``moves[14].copies_before``.  Text that is not JSON, or that holds an
-    int past Python's digit limit, is a malformed document.
+    for that game, keys and their order included, though not its
+    whitespace; otherwise the message names the first path that differs, as
+    in ``initial.boxes[0][0]``, ``moves[14]`` (its keys),
+    ``moves[3].oracle[0][2]`` or ``flags``; in version 3, as in
+    ``moves[3].oracle[0].got``; in versions 1 and 2, as in
+    ``initial.boxes[0].x`` or ``moves[14].copies_before``.  Text that is not
+    JSON, or that holds an int past Python's digit limit, is a malformed
+    document.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
@@ -221,7 +255,7 @@ def parse_game_result(text: str | bytes) -> GameResult:
 
 def _game_result_from_dict(d: dict, text: str) -> GameResult:
     version = d["schema_version"]
-    if type(version) is not int or version not in (1, 2, SCHEMA_VERSION):
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r}")
     params, residual = d["params"], d["residual_f_count"]
     _sized(residual, "residual_f_count", 0)
@@ -241,7 +275,8 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     # the count alone is taken as written, so that the benchmark's gate can refuse a wrong one
     result = g.finish()._replace(residual_f_count=residual)
     written = dumps(_document(result, version))
-    if written != text.removesuffix("\n"):
+    # text that differs only in whitespace re-encodes to the writer's, without a walk
+    if written != text.removesuffix("\n") and dumps(d) != written:
         _refuse_difference(d, json.loads(written), "")
     return result
 

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import copy
 import errno
+import functools
 import gc
 import io
+import itertools
 import json
+import operator
 import os
 import re
 import shutil
@@ -13,13 +16,14 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import deadline
 from flagchess import (INDETERMINATE, Board, BundleDescriptor, Box, LemmaPoint, LemmaReport,
-                       MoveRefused, Opaque, SymBlock, check_lemma, cli, cover_degree,
+                       MoveRefused, Opaque, OracleCheck, SymBlock, check_lemma, cli, cover_degree,
                        line_bundle_cohomology, play, render, replay, rho, run_game)
 from flagchess import board as board_module, games as games_module
 from flagchess.cli import (
@@ -74,6 +78,58 @@ def written(result, version: int = SCHEMA_VERSION) -> str:
     return dumps(render._document(result, version))
 
 
+def is_check(entry) -> bool:
+    """Whether a transcript entry writes a check: version 3's object or
+    version 4's ``[source, target, expected]``, never a ``[first, count]`` run."""
+    return type(entry) is dict or type(entry) is list and len(entry) == 3
+
+
+def written_checks(moves: list) -> list:
+    """The checks a version 3 or 4 document writes, in their numbering."""
+    return [e for m in moves if type(m["oracle"]) is list for e in m["oracle"] if is_check(e)]
+
+
+def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
+    """Each move's transcript, read from a version 4 document's entries as
+    ``render``'s docstring states them, with no code of the writer's."""
+    checks, transcripts = [], []
+    for move in moves:
+        oracle = move["oracle"]
+        if type(oracle) is int:
+            transcripts.append(transcripts[oracle])
+            continue
+        transcript = []
+        for entry in oracle:
+            if type(entry) is int:
+                transcript.append(checks[entry])
+            elif len(entry) == 2:
+                first, count = entry
+                assert count >= 3 and first + count <= len(checks)
+                transcript += checks[first:first + count]
+            else:
+                source, target, expected = entry
+                expected = tuple(map(tuple, expected))
+                checks.append(OracleCheck(tuple(source), tuple(target), "M", expected, expected))
+                transcript.append(checks[-1])
+        transcripts.append(tuple(transcript))
+    return transcripts
+
+
+def regrouped(oracle: list) -> list:
+    """A version 4 transcript's entries grouped afresh: the run entries
+    spelt out, then each maximal stretch of three or more consecutive check
+    numbers (consecutive entries whose index minus number is the same)
+    made ``[first, count]``."""
+    spelt = [n for e in oracle for n in (range(e[0], e[0] + e[1]) if type(e) is list
+                                          and len(e) == 2 else [e])]
+    entries = []
+    for _, stretch in itertools.groupby(enumerate(spelt), lambda p: p[0] - p[1]
+                                          if type(p[1]) is int else (p[0], "new")):
+        values = [v for _, v in stretch]
+        entries += [[values[0], len(values)]] if len(values) >= 3 else values
+    return entries
+
+
 # A valid argv for each command, and one past each end of every size in it.
 VALID_ARGV = {"game": "--n 2 --eps 0", "lemma": "--which A4 --n 2 --eps 1",
               "degree": "--n 2 --eps 0", "conditions": "--n 2 --eps 1",
@@ -85,6 +141,7 @@ PAST_EITHER_END = {
     "game n": ((1, "n must be >= 2, got 1"),
                (MAX_GAME_n + 1, f"n must be <= {MAX_GAME_n}, got {MAX_GAME_n + 1}")),
     "m": ((-1, "m must be >= 0, got -1"), (MAX_m + 1, f"m must be <= {MAX_m}, got {MAX_m + 1}")),
+    "eps": ((-1, "eps must be >= 0, got -1"), (2, "eps must be <= 1, got 2")),
     **{axis: ((-MAX_twist - 1, f"|{axis}| must be <= {MAX_twist}, got {-MAX_twist - 1}"),
               (MAX_twist + 1, f"|{axis}| must be <= {MAX_twist}, got {MAX_twist + 1}"))
        for axis in "xy"},
@@ -197,6 +254,13 @@ class TestExitCodes:
         line = words[start:words.index("--emit {", start)]
         assert line == ("--validate, --no-validate check every windowed move with the "
                         "oracle (default: on) ")
+
+    @pytest.mark.parametrize("command", ["game", "lemma", "degree", "conditions"])
+    def test_help_shows_the_two_values_of_eps(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert " --eps {0,1}" in capsys.readouterr().out
 
     def test_game_flip_clean(self, capsys):
         code, _, _ = run_cli(capsys, "game", "--n", "2", "--eps", "0",
@@ -342,7 +406,9 @@ class TestExitCodes:
          f"argument --x: |x| must be <= {MAX_twist}, got an int of 100,000 digits"),
         (("ext", "--N", "5", "--space", "M", f"--src=0,{'1' + '0' * 5000},0", "--tgt=0,0,0"),
          f"argument --src: |x| must be <= {MAX_twist}, got an int of 5,001 digits"),
-    ], ids=["N", "n", "x", "src"])
+        (("game", "--n", "2", "--eps", "1" + "0" * 5000),
+         "argument --eps: eps must be <= 1, got an int of 5,001 digits"),
+    ], ids=["N", "n", "x", "src", "eps"])
     def test_an_int_past_the_digit_limit_is_refused_by_its_size(self, capsys, monkeypatch,
                                                                 argv, refusal):
         # one short line, the text not echoed, and Python's digit limit as it was
@@ -371,8 +437,10 @@ class TestExitCodes:
          lambda: BundleDescriptor(0, MAX_twist + 1, 0, 5)),
         ("--tgt", ("ext", "--N", "5", "--space", "M", "--src=0,0,0", f"--tgt=0,{-MAX_twist - 1},0"),
          lambda: BundleDescriptor(0, -MAX_twist - 1, 0, 5)),
+        ("--eps", ("degree", "--n", "2", "--eps", "2"), lambda: cover_degree(2, 2)),
+        ("--eps", ("game", "--n", "2", "--eps", "-1"), lambda: run_game(2, -1)),
     ], ids=["N-above", "N-below", "N-digits", "n-above", "n-below", "m-above", "m-below",
-            "x-above", "x-below"])
+            "x-above", "x-below", "eps-above", "eps-below"])
     def test_the_cli_and_the_library_refuse_a_size_in_the_same_words(self, capsys, monkeypatch,
                                                                       flag, argv, call):
         stop_every_command(monkeypatch)
@@ -389,7 +457,7 @@ class TestExitCodes:
         stop_every_command(monkeypatch)
         for i in range(1, len(argv), 2):
             flag = argv[i]
-            if flag[2:] not in ("N", "n", "m", "x", "y"):
+            if flag[2:] not in ("N", "n", "m", "x", "y", "eps"):
                 continue
             for text in ("x", "1.5", ""):
                 with pytest.raises(SystemExit) as exc:
@@ -568,9 +636,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1, 2 and 3 are versions: a bool or a float that equals one is not
+        # only the ints 1 to 4 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 4, True, 1.0, 2.0, 3.0, "1"):
+        for version in (99, 0, 5, True, 1.0, 2.0, 3.0, 4.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -790,17 +858,20 @@ class TestWireSchema:
             self.first_check(doc)["space"] = value
         with pytest.raises(ValueError, match=rf"\.oracle\[\d+\]\.space is {value!r} but the "
                                              "replayed game writes 'M'$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 3))
 
     @pytest.mark.parametrize("end", ["source", "target"])
     @pytest.mark.parametrize("value", [[0, 1], [0, 1, 2, 3], [0, 1, 2.0], [0, True, 2],
                                        "0,1,2", None])
     def test_oracle_ends_must_be_three_ints(self, game, end, value):
-        def edit(doc):
-            self.first_check(doc)[end] = value
-        with pytest.raises(ValueError, match=rf"^moves\[\d+\]\.oracle\[\d+\]\.{end}(\[\d\])? "
-                                             "(is|has) .* but the replayed game writes"):
-            parse_game_result(self.edited(game, edit))
+        # version 3 names a check's ends by key, version 4 by their place in its triple
+        for version, key in ((3, end), (4, ("source", "target").index(end))):
+            def edit(doc):
+                self.first_check(doc)[key] = value
+            path = rf"\.{end}" if version == 3 else rf"\[{key}\]"
+            with pytest.raises(ValueError, match=rf"^moves\[\d+\]\.oracle\[\d+\]{path}(\[\d\])? "
+                                                 "(is|has) .* but the replayed game writes"):
+                parse_game_result(self.edited(game, edit, version))
 
     @pytest.mark.parametrize("field, value", [
         ("ok", False), ("ok", 1), ("ok", None), ("got", [[9, 9]]), ("got", "indeterminate"),
@@ -815,7 +886,7 @@ class TestWireSchema:
                  else rf"^moves\[\d+\]\.oracle\[\d+\]\.{field} (is|has) .* but the replayed "
                       "game writes")
         with pytest.raises(ValueError, match=match):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 3))
 
     @pytest.mark.parametrize("got", [[[0, 7]], "zzz", "indeterminate"])
     def test_applied_moves_hold_no_failed_check(self, game, got):
@@ -824,7 +895,7 @@ class TestWireSchema:
             check["got"], check["ok"] = got, False
         with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\.got (is|has) .* but "
                                              r"the replayed game writes (\[\]|0)$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 3))
 
     @pytest.mark.parametrize("expected, got, field", [
         *((v, v, "expected") for v in ([["x", "y"]], [[1]], [[2, 1], [1, 1]], [[1, 0]],
@@ -837,6 +908,18 @@ class TestWireSchema:
             self.first_check(doc).update(expected=expected, got=got)
         with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\.expected has \d+ "
                                              "entries but the replayed game writes 0$"):
+            parse_game_result(self.edited(game, edit, 3))
+
+    @pytest.mark.parametrize("expected", [[["x", "y"]], [[1]], [[2, 1], [1, 1]], [[1, 0]],
+                                          [[1, True]], [[0, 1], [0, 1]], {}, "indeterminate"])
+    def test_a_triple_holds_the_recorded_answer(self, game, expected):
+        # the first check the replay asks expects nothing; its triple writes that third
+        def edit(doc):
+            triple = self.first_check(doc)
+            assert triple[2] == []
+            triple[2] = expected
+        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\[2\] (is|has) .* "
+                                             r"but the replayed game writes (0|\[\])$"):
             parse_game_result(self.edited(game, edit))
 
     @pytest.mark.parametrize("version", [2, 3])
@@ -928,6 +1011,34 @@ class TestWireSchema:
         assert parse_game_result(json.dumps(doc)) == parse_game_result(text)
         assert dumps(doc) + "\n" == text
 
+    @pytest.mark.parametrize("indent", [None, 1], ids=["default-separators", "indent-1"])
+    def test_a_document_that_differs_only_in_whitespace_is_not_walked(self, game, monkeypatch,
+                                                                      indent):
+        result = game(3, 1, validate=True)
+        text = json.dumps(json.loads(game_result_to_json(result)), indent=indent)
+        assert text != game_result_to_json(result)
+
+        def walked(*args):
+            raise AssertionError("the document was walked")
+        monkeypatch.setattr(render, "_refuse_difference", walked)
+        assert parse_game_result(text) == result
+
+    @pytest.mark.parametrize("indent", [None, 1], ids=["default-separators", "indent-1"])
+    @pytest.mark.parametrize("keys, path", [
+        (("final", "boxes", 0, 2), r"final\.boxes\[0\]\[2\]"),
+        (("moves", 5, "oracle", 0, 0, 1), r"moves\[5\]\.oracle\[0\]\[0\]\[1\]")],
+        ids=["final-box", "first-check"])
+    def test_a_changed_leaf_in_other_whitespace_is_refused_by_its_path(self, game, indent,
+                                                                       keys, path):
+        doc = json.loads(game_result_to_json(game(3, 1, validate=True)))
+        *parents, last = keys
+        node = functools.reduce(operator.getitem, parents, doc)
+        right = node[last]
+        node[last] += 1
+        with pytest.raises(ValueError, match=rf"^{path} is {right + 1} but the replayed game "
+                                             rf"writes {right}$"):
+            parse_game_result(json.dumps(doc, indent=indent))
+
     def test_replay_rejects_mistyped_move_parameters(self, game):
         doc = json.loads(game_result_to_json(game(2, 1)))
         assert doc["moves"][0]["params"] == {"y": 2, "direction": "left", "steps": 1}
@@ -1010,27 +1121,28 @@ class TestWireSchema:
 
 
 class TestOracleReferences:
-    """Versions 2 and 3 write each distinct oracle check and transcript once."""
+    """Versions 2 to 4 write each distinct oracle check and transcript once,
+    and version 4 each run of three or more earlier checks as one pair."""
 
-    # what versions 1 and 2 wrote for ``game --n 3 --eps 1 --emit json``
-    FIXTURES = {1: Path(__file__).with_name("game_n3_eps1_v1.json"),
-                2: Path(__file__).with_name("game_n3_eps1_v2.json")}
+    # what versions 1 to 3 wrote for ``game --n 3 --eps 1 --emit json``
+    FIXTURES = {version: Path(__file__).with_name(f"game_n3_eps1_v{version}.json")
+                for version in (1, 2, 3)}
     V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_an_older_document_parses_as_its_current_form(self, capsys, version):
         older = self.FIXTURES[version].read_text()
         _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
         assert json.loads(older)["schema_version"] == version
-        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 3
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 4
         expected = parse_game_result(older)
         assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
-        assert len(current) < len(older) / 2
+        assert len(current) < len(older) * (0.9 if version == 3 else 0.5)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
         older = self.FIXTURES[version].read_text()
         assert written(parse_game_result(older), version) + "\n" == older
@@ -1051,15 +1163,16 @@ class TestOracleReferences:
             parse_game_result(json.dumps(doc))
 
     def test_a_check_written_where_the_writer_refers_to_it_is_refused(self, game):
-        doc = json.loads(game_result_to_json(game(3, 1, validate=True)))
-        checks = [e for m in doc["moves"] if type(m["oracle"]) is list
-                  for e in m["oracle"] if type(e) is dict]
-        i, j, _ = next(site for site in self.reference_sites(doc["moves"]) if site[1] is not None)
-        number = doc["moves"][i]["oracle"][j]
-        doc["moves"][i]["oracle"][j] = checks[number]
-        with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\] is \{{'source': \["
-                                             rf".* but the replayed game writes {number}$"):
-            parse_game_result(json.dumps(doc))
+        for version, shown in ((3, r"\{'source': \["), (4, r"\[\[")):
+            doc = json.loads(written(game(3, 1, validate=True), version))
+            checks = written_checks(doc["moves"])
+            i, j, _ = next(site for site in self.reference_sites(doc["moves"])
+                           if site[1] is not None)
+            number = doc["moves"][i]["oracle"][j]
+            doc["moves"][i]["oracle"][j] = checks[number]
+            with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\] is {shown}"
+                                                 rf".* but the replayed game writes {number}$"):
+                parse_game_result(json.dumps(doc))
 
     def test_version_1_holds_no_references(self):
         doc = json.loads(self.V1.read_text())
@@ -1084,21 +1197,20 @@ class TestOracleReferences:
 
     def test_each_distinct_check_and_transcript_is_written_once(self, game):
         result = game(3, 1, validate=True)
-        moves = json.loads(game_result_to_json(result))["moves"]
-        written = [e for m in moves if type(m["oracle"]) is list
-                   for e in m["oracle"] if type(e) is dict]
-        assert len(written) == len({c for r in result.log for c in r.oracle})
-        listed = [r.oracle for r, m in zip(result.log, moves)
-                  if r.oracle and type(m["oracle"]) is list]
-        assert len(listed) == len(set(listed)) == len({r.oracle for r in result.log} - {()})
-        for record, move in zip(result.log, moves):
-            if type(move["oracle"]) is int:
-                assert result.log[move["oracle"]].oracle == record.oracle
+        for version in (3, 4):
+            moves = json.loads(written(result, version))["moves"]
+            assert len(written_checks(moves)) == len({c for r in result.log for c in r.oracle})
+            listed = [r.oracle for r, m in zip(result.log, moves)
+                      if r.oracle and type(m["oracle"]) is list]
+            assert len(listed) == len(set(listed)) == len({r.oracle for r in result.log} - {()})
+            for record, move in zip(result.log, moves):
+                if type(move["oracle"]) is int:
+                    assert result.log[move["oracle"]].oracle == record.oracle
 
     @staticmethod
     def reference_sites(moves: list) -> list[tuple[int, int | None, int]]:
-        """Each reference as (move, entry or None for a transcript reference,
-        checks defined before it)."""
+        """Each int reference as (move, entry or None for a transcript
+        reference, checks defined before it); version 4's runs are left out."""
         sites, defined = [], 0
         for i, move in enumerate(moves):
             if type(move["oracle"]) is int:
@@ -1107,9 +1219,83 @@ class TestOracleReferences:
             for j, entry in enumerate(move["oracle"]):
                 if type(entry) is int:
                     sites.append((i, j, defined))
-                else:
+                elif is_check(entry):
                     defined += 1
         return sites
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_small_game_round_trips_and_reads_as_its_log(self, game, n, eps, mode):
+        # byte for byte through the parser, the same document from json-lines,
+        # each transcript read back as logged and each run maximal
+        result = game(n, eps, mode)
+        text = game_result_to_json(result)
+        parsed = parse_game_result(text)
+        assert parsed == result and game_result_to_json(parsed) == text
+        assert dumps(rebuilt_document("\n".join(emit_json_lines(result)))) == text
+        moves = json.loads(text)["moves"]
+        assert read_transcripts(moves) == [r.oracle for r in result.log]
+        for move in moves:
+            if type(move["oracle"]) is list:
+                assert regrouped(move["oracle"]) == move["oracle"]
+
+    @staticmethod
+    def entry_site(doc: dict, wanted: Callable[[list, int], bool]) -> tuple[list, int, int]:
+        """The transcript, its move and the index of the first entry that
+        ``wanted`` accepts."""
+        return next((oracle, i, j) for i, m in enumerate(doc["moves"])
+                    if type(oracle := m["oracle"]) is list
+                    for j in range(len(oracle)) if wanted(oracle, j))
+
+    @staticmethod
+    def refused(doc: dict, i: int, j: int, rest: str) -> None:
+        with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\]{rest}$"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_a_triple_of_another_size_is_refused(self, game, size):
+        doc = json.loads(game_result_to_json(game(4, 1)))
+        oracle, i, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
+        oracle[j] = [*oracle[j], [[0, 1]]][:size]
+        self.refused(doc, i, j, f" has {size} entries but the replayed game writes 3")
+
+    @pytest.mark.parametrize("version, other, shown, writes", [
+        (4, 3, r"\{'source': \[.*\}", r"\[\[.*\]\]"),
+        (3, 4, r"\[\[.*\]\]", r"\{'source': \[.*\}")])
+    def test_a_check_in_the_form_of_another_version_is_refused(self, game, version, other,
+                                                              shown, writes):
+        # the first check each version writes is the same check
+        doc = json.loads(written(game(4, 1), version))
+        oracle, i, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
+        oracle[j] = written_checks(json.loads(written(game(4, 1), other))["moves"])[0]
+        self.refused(doc, i, j, f" is {shown} but the replayed game writes {writes}")
+
+    @pytest.mark.parametrize("field, change", [(0, 1), (0, -1), (1, 1), (1, -1)],
+                             ids=["first-after", "first-before", "longer", "shorter"])
+    def test_a_run_that_names_other_checks_is_refused(self, game, field, change):
+        doc = json.loads(game_result_to_json(game(4, 1)))
+        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
+        right = oracle[j][field]
+        oracle[j][field] += change
+        self.refused(doc, i, j, rf"\[{field}\] is {right + change} but the replayed game "
+                                f"writes {right}")
+
+    def test_a_run_of_two_is_refused_where_the_writer_writes_ints(self, game):
+        doc = json.loads(game_result_to_json(game(4, 1)))
+        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is int and j + 1 < len(o)
+                                       and o[j + 1] == o[j] + 1)
+        first = oracle[j]
+        oracle[j:j + 2] = [[first, 2]]
+        self.refused(doc, i, j, rf" is \[{first}, 2\] but the replayed game writes {first}")
+
+    def test_a_run_spelt_as_ints_is_refused(self, game):
+        doc = json.loads(game_result_to_json(game(4, 1)))
+        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
+        first, count = oracle[j]
+        oracle[j:j + 1] = range(first, first + count)
+        self.refused(doc, i, j, rf" is {first} but the replayed game writes "
+                                rf"\[{first}, {count}\]")
 
     @given(st.data())
     def test_bad_references_raise_value_error(self, game, data):
@@ -1142,13 +1328,12 @@ class TestReplayedChecks:
     each check is asked again and none is taken as written."""
 
     @staticmethod
-    def document(game) -> dict:
-        return json.loads(game_result_to_json(game(3, 1, validate=True)))
+    def document(game, version: int = SCHEMA_VERSION) -> dict:
+        return json.loads(written(game(3, 1, validate=True), version))
 
     @staticmethod
-    def first_written(doc: dict) -> dict:
-        return next(e for m in doc["moves"] if type(m["oracle"]) is list
-                    for e in m["oracle"] if type(e) is dict)
+    def first_written(doc: dict) -> dict | list:
+        return written_checks(doc["moves"])[0]
 
     def refused(self, doc: dict, path: str) -> None:
         with pytest.raises(ValueError, match=rf"^{path}.* (is|has) .* but the replayed game "
@@ -1156,22 +1341,27 @@ class TestReplayedChecks:
             parse_game_result(json.dumps(doc))
 
     def test_a_check_forged_with_its_own_answer_is_refused(self, game):
-        doc = self.document(game)
+        doc = self.document(game, 3)
         self.first_written(doc).update(expected=[[0, 7]], got=[[0, 7]])
         self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.expected")
+        doc = self.document(game)
+        self.first_written(doc)[2] = [[0, 7]]
+        self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\[2\]")
 
     def test_a_forged_source_is_refused(self, game):
-        doc = self.document(game)
-        self.first_written(doc)["source"] = [0, 99, 0]
-        self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.source")
+        for version, key, field in ((3, "source", r"\.source"), (4, 0, r"\[0\]")):
+            doc = self.document(game, version)
+            self.first_written(doc)[key] = [0, 99, 0]
+            self.refused(doc, rf"moves\[\d+\]\.oracle\[\d+\]{field}")
 
     def test_two_swapped_checks_are_refused(self, game):
-        doc = self.document(game)
-        oracle = next(m["oracle"] for m in doc["moves"] if type(m["oracle"]) is list
-                      and sum(type(e) is dict for e in m["oracle"]) >= 2)
-        j, k = [j for j, e in enumerate(oracle) if type(e) is dict][:2]
-        oracle[j], oracle[k] = oracle[k], oracle[j]
-        self.refused(doc, rf"moves\[\d+\]\.oracle\[{j}\]\.")
+        for version in (3, 4):
+            doc = self.document(game, version)
+            oracle = next(m["oracle"] for m in doc["moves"] if type(m["oracle"]) is list
+                          and sum(map(is_check, m["oracle"])) >= 2)
+            j, k = [j for j, e in enumerate(oracle) if is_check(e)][:2]
+            oracle[j], oracle[k] = oracle[k], oracle[j]
+            self.refused(doc, rf"moves\[\d+\]\.oracle\[{j}\](\.|\[)")
 
     def test_a_dropped_check_is_refused(self, game):
         doc = self.document(game)

@@ -13,6 +13,8 @@ from flagchess import (
     Opaque,
     SymBlock,
     corrected_flip_board,
+    ext_on_flag,
+    ext_on_M,
     extract_gr2,
     initial_board_fibration,
     move_global_twist,
@@ -21,6 +23,7 @@ from flagchess import (
     replay,
     run_game,
 )
+from flagchess import board as board_module
 from flagchess.games import _gr2_template
 from flagchess.render import game_result_to_json, parse_game_result
 
@@ -334,3 +337,32 @@ class TestColumnFound:
         assert "gr2_found" not in GameResult._fields
         assert result.gr2_found is True
         assert result._replace(gr2_boxes=()).gr2_found is False
+
+
+class TestQuestionFamilies:
+    """Every question a validated game asks the oracle is a point of lemma A4,
+    Ext_M(O(t,0), Sym^r U2v(-1,1)), or of the fed-back zeros of ``rule1``
+    (R1), Ext_M(O(b,0), Sym^k U2v); and on F(1,2,N) its twisted Koszul term
+    vanishes, so the answer on M is the plain term's."""
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_question_is_an_a4_or_an_r1_point(self, monkeypatch, n, eps, mode):
+        asked = set()
+
+        def recording(source, target):
+            asked.add((source, target))
+            return ext_on_M(source, target)
+        monkeypatch.setattr(board_module, "ext_on_M", recording)
+        result = run_game(n, eps, mode=mode)
+        assert asked
+        assert not {"transpose", "absorb"} & {record.kind for record in result.log}
+        for source, target in asked:
+            assert source.N == target.N == 2 * n + eps
+            assert source.m == source.y == 0
+            t, (r, x, y) = source.x, target[:3]
+            a4 = (x, y) == (-1, 1) and 1 <= t and 0 <= r <= min(t - 1, n - 2)
+            r1 = (x, y) == (0, 0) and 1 <= t < r <= n - 1
+            assert a4 or r1, (source, target)
+            assert ext_on_flag(source, target.twist(-1, -1)) == ()

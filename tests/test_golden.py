@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "792559eb846b5ed5b55669bee141bf65cb7a521c7679de77335ed15c675fcd7d"),
+        (1, "9a230d19ef3ef85f0077cdfa8d0db43e7d39e8b946a3e4cc011e95ef5fd2bba3"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "8c35c743c6b508effa64b53d15f8dda7cf2eedbc39fb6d22062128c19aab1e6b"),
+        (1, "f11fa0fd72a391708b56ff0a80969e286fe3cee65adfe4084c86c850d45e73a1"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "b813a99876773ddf65b33e8bbb13939277475e4912656d027560fe419e59b900"),
+        (0, "8ca1d389c4155ff9c0fd8ebfcbb725c5372bc5597a8ec0c1f8a9ed714d8f3a37"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "9a6b1fb8fcff42472400202824a77f8cb53f5d3323d2cc5914f90d3ba64a72df"),
+        (0, "7a9e26a463cf818e1a2e00ea7d75ba70408fdcbf467307932d98d733152cff2a"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "e4adde785c23398260c188ff3ed3d57c6036c27dd4cf8aa51b384798db08f5e2"),
+        (0, "17817fd82eff61d4a7f6f04ddfacf2f2d2bb3208e7b8e769b17c3803c7f7b665"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "97347a7768a75205ddba372c6d22783218b7d7e357bbf34e770beb5d82b282fb"),
+        (0, "ec67471c2cc2ae4817525d3f4b68c6b4665277bd26d819bb90f2e011a1852173"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "6f6e3f71daa3096da2a80d2382efa1cab794d50045c8e2ab4cd481c1649444e7"),
+        (0, "173dc6ab5188ec482c40be164c41afd0d989e393fc75fedbf1e32db323997b8f"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "1a0ca3ed79c8d152d01d46b014d77b96be30a55eee63a59d7ef2a479e39e4e5c"),
+        (0, "243de195830f74fb4d15f166ba1a5be2842dff3304ae2e23017225398425e28e"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "9b37f02f9d180945f8bf2237ddac0f7f450de13fafba93974f9dc391de732541"),
+        (1, "5349d61f95374e2d4be68e44bc1ee2ad3ffe18a520296bdfd49d08253f97b4de"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "cd1c21a63cccb8bdd3a98d5dc2e179de7b777fc9f37b087c96ff9403c3ce2526"),
+        (1, "b87930ab54fc02b6c93f2eef309c30f639e0aa9220354ce1c34d0c45d22b4d36"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "56a34e0cf271a5a50772e3edb8ba21808ab7401c15cd63ca16f90bb486669716"),
+        (0, "2715211d37f90cbbfc37b90924b83859487229436b354e05ccd29591f566db14"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "0623a2b9ab4fcda0dba375f1db49be981797fd95aa0b8666b62565c0bf28bf6c"),
+        (0, "f7d66e33735e2a294239fa1bc724befddaee8bb64a9b1d49bec99fb669133a08"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "153b11fe120e59c0785585ef734d3b208251dd2927e471903646ef5d2ee9d7be"),
+        (0, "54ace74de9574b979cb935819b09b2ecd2f221b4693cd1037e46c6b3ec9e42fc"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "bb350b09499758a1106b483a65f981c0b8d0c73293d75178e5e3188fffaa58fe"),
+        (0, "d33016989ca868f79d43960f14793629ced8d27fdca628a2a74f6ca648e75869"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight
