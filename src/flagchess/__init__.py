@@ -60,15 +60,16 @@ def _shown(value: object) -> str:
     return f"an int of {digits:,} digits"
 
 
-def _sized(value: object, name: str, low: int, high: int | None = None) -> int:
+def _sized(value: object, name: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` if it is an int (not a bool) from ``low`` to ``high`` (None: no
     bound): the one rule of every size the library and the CLI refuse.  Else a
     ``ValueError`` in one of four forms, as ``n must be <= 100, got 101``."""
-    if type(value) is int and low <= value and (high is None or value <= high):
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
         return value
     words = (f"{name} must be an int" if type(value) is not int
-             else f"|{name}| must be <= {high}" if high == -low
-             else f"{name} must be >= {low}" if value < low else f"{name} must be <= {high}")
+             else f"|{name}| must be <= {high}" if low is not None and high == -low
+             else f"{name} must be <= {high}" if high is not None and value > high
+             else f"{name} must be >= {low}")
     raise ValueError(f"{words}, got {_shown(value)}")
 
 

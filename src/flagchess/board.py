@@ -313,7 +313,7 @@ def _commit(board: Board, boxes: Sequence[Box], removed: Sequence[Box],
 
 
 def _get(board: Board, pos: tuple[int, int], kind: str) -> Box:
-    box = board.at(pos)
+    box = _checked_board(board).at(pos)
     if box is None:
         raise MoveRefused(kind, f"no box at {_shown(pos)}")
     return box
@@ -338,6 +338,9 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
     of L boxes.
     """
     kind = "serre_translate"
+    _sized(y, f"{kind} parameter y")
+    _sized(steps, f"{kind} parameter steps")
+    _checked_board(board)
     if direction not in ("left", "right"):
         raise MoveRefused(kind, f"unknown direction {direction!r}")
     if steps < 0:
@@ -402,6 +405,8 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     may not land on the position of a box that stays.
     """
     kind = "serre_global"
+    _sized(k, f"{kind} parameter k")
+    _checked_board(board)
     if direction not in ("front_to_back", "back_to_front"):
         raise MoveRefused(kind, f"unknown direction {direction!r}")
     if not 0 <= k <= len(board.boxes):
@@ -419,7 +424,9 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
 def move_global_twist(board: Board, dx: int, dy: int,
                       note: str | None = None) -> tuple[Board, MoveRecord]:
     """Twist every box by (dx, dy); pure relabeling of the lattice."""
-    new_boxes = [Box(b.x + dx, b.y + dy, b.content) for b in board.boxes]
+    _sized(dx, "global_twist parameter dx")
+    _sized(dy, "global_twist parameter dy")
+    new_boxes = [Box(b.x + dx, b.y + dy, b.content) for b in _checked_board(board).boxes]
     params: Params = (("dx", dx), ("dy", dy))
     if note is not None:
         params += (("note", note),)
@@ -434,6 +441,7 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
     as it goes (the position is kept for the ledger of leftover material).
     """
     kind = "push_right"
+    _sized(count, f"{kind} parameter count")
     box = _get(board, pos, kind)
     i = board.index(pos)
     if count < 0 or i + count >= len(board.boxes):
@@ -632,6 +640,8 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
     r-1 block appears at (zx, zy), and the first r zeros are consumed.
     """
     kind = "rule2"
+    _sized(t, f"{kind} parameter t")
+    _sized(r, f"{kind} parameter r")
     zx, zy = zeros_start
     first, block, i, j, between = _window(board, kind, zeros_start, block_pos,
                                           ("zeros", "block"))
@@ -720,15 +730,15 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
 
     The call's shape is checked against the table first, and a kind, a
     position count, a parameter set or a parameter type the table does not
-    allow raises ``ValueError``, as do a ``board`` that is not a ``Board``, a
-    kind that is not a string, ``positions`` that are not a sequence of
-    tuple pairs of ints and ``params`` that are not a dict; a bool is not
-    taken for an int.
-    So does a ``validate`` that is not a bool.  The move is looked up among
-    the module's names at call time, so a rebinding of ``move_<kind>`` is
-    seen here too.
+    allow raises ``ValueError``, as do a kind that is not a string,
+    ``positions`` that are not a sequence of tuple pairs of ints, ``params``
+    that are not a dict and a ``validate`` that is not a bool.  The move
+    itself refuses, in the same words, an int parameter that is not an int
+    (a bool included), before any other check, and a ``board`` that is not
+    a ``Board``, before reading it.  The move is looked up among the
+    module's names at call time, so a rebinding of ``move_<kind>`` is seen
+    here too.
     """
-    _checked_board(board)
     if type(validate) is not bool:
         raise ValueError(f"validate must be a bool, got {_shown(validate)}")
     spec = MOVES.get(kind) if type(kind) is str else None
@@ -746,7 +756,7 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
         raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, "
                          f"got {_shown(tuple(params))}")
     for name, value in params.items():
-        if type(value) is not spec.params[name]:
+        if spec.params[name] is not int and type(value) is not spec.params[name]:
             raise ValueError(f"{kind} parameter {name} must be "
                              f"{spec.params[name].__name__}, got {_shown(value)}")
     args = (list(positions),) if spec.positions is None else tuple(positions)

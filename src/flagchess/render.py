@@ -9,9 +9,14 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 4) writes each box as an array, ``[x, y, m]``
-for ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``,
-and each move as its ``kind``, ``positions``, ``params`` and ``oracle``.  It
+A game document (schema version 5) writes each board as ``{"runs": [...],
+"copies": c}``.  A run, ``[x, y, m, k]`` or ``[x, y, "opaque", copies, k]``,
+is k >= 1 boxes of one content in consecutive SOD slots at (x, y),
+(x + 1, y), ..., (x + k - 1, y); a new run starts wherever y or the content
+changes or x does not step by 1.  Spelling the runs out in order gives the
+boxes in SOD order.  A ``gr2`` box is an array, ``[x, y, m]`` for
+``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``, and
+a move is its ``kind``, ``positions``, ``params`` and ``oracle``.  It
 writes each distinct oracle check and each distinct move transcript once,
 where it first appears.  A move's ``oracle`` is either an int k, "the
 transcript of move k", or a list of entries in three shapes, told apart by
@@ -25,12 +30,13 @@ shape alone:
 
 A check's ``space``, ``got`` and ``ok`` are not written: ``board._question``
 asks only on M, and a refused move is never logged, so every logged check
-got what it expected.  Versions 1 to 3 are still read and re-written by
-their own writers.  Version 3 writes each check as the object
-``{source, target, space, expected, got, ok}`` and each earlier one as its
-int.  Versions 1 and 2 also write each box as an object and each move with
-its ``verdict``, ``copies_before`` and ``copies_after``, which a replay
-derives; version 1 writes every check in full.
+got what it expected.  Versions 1 to 4 are still read and re-written by
+their own writers.  Version 4 writes each board as ``{"boxes": [...],
+"copies": c}``, one array per box.  Version 3 also writes each check as the
+object ``{source, target, space, expected, got, ok}`` and each earlier one
+as its int.  Versions 1 and 2 also write each box as an object and each
+move with its ``verdict``, ``copies_before`` and ``copies_after``, which a
+replay derives; version 1 writes every check in full.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -106,7 +112,7 @@ def box_to_dict(box: Box) -> dict:
 
 
 def box_to_list(box: Box) -> list:
-    """A box as versions 3 and 4 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    """A box as versions 3 to 5 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
     x, y, content = box
     return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
@@ -117,8 +123,19 @@ def _list(value: Any, name: str) -> list:
     return value
 
 
-def board_to_dict(board: Board, box: Callable[[Box], Any] = box_to_list) -> dict:
-    return {"boxes": [box(b) for b in board.boxes], "copies": board.copies}
+def board_to_dict(board: Board, version: int = SCHEMA_VERSION) -> dict:
+    """A board as schema ``version`` writes it; version 5 writes its row
+    runs, each as its first box's array and its length."""
+    if version < 5:
+        box = box_to_list if version >= 3 else box_to_dict
+        return {"boxes": [box(b) for b in board.boxes], "copies": board.copies}
+    runs, follow = [], None
+    for box in board.boxes:
+        if box != follow:
+            runs.append([*box_to_list(box), 0])
+        runs[-1][-1] += 1
+        follow = (box.x + 1, box.y, box.content)  # the box that carries this run on
+    return {"runs": runs, "copies": board.copies}
 
 
 def _check_to_dict(check: OracleCheck) -> dict:
@@ -141,7 +158,7 @@ def move_to_dict(record: MoveRecord) -> dict:
 
 
 def _runs(entries: list) -> list:
-    """A version 4 transcript's entries: each maximal run of three or more
+    """A version 4 or 5 transcript's entries: each maximal run of three or more
     consecutive check numbers becomes ``[first, count]``, in one pass."""
     grouped, k, size = [], 0, len(entries)
     while k < size:
@@ -158,9 +175,9 @@ def _runs(entries: list) -> list:
 
 
 def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
-    """The moves of a version 2, 3 or 4 document: a transcript seen before
+    """The moves of a version 2 to 5 document: a transcript seen before
     becomes the index of the move that wrote it, a check seen before its
-    number, and in version 4 a new check its triple and a run of numbers
+    number, and from version 4 a new check its triple and a run of numbers
     its ``[first, count]``."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
@@ -189,18 +206,18 @@ def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
 
 def _document(result: GameResult, version: int) -> dict:
     """The document that schema ``version`` writes for ``result``: version 1
-    writes every transcript in full, versions 2 to 4 each distinct one
-    once, versions 3 and 4 their boxes as arrays and their moves without
-    what their replay derives, and version 4 each check as a triple and
-    runs of earlier checks as pairs."""
+    writes every transcript in full, versions 2 to 5 each distinct one
+    once, versions 3 to 5 their boxes as arrays and their moves without
+    what their replay derives, versions 4 and 5 each check as a triple and
+    runs of earlier checks as pairs, and version 5 its boards as row runs."""
     box = box_to_list if version >= 3 else box_to_dict
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
-        "initial": board_to_dict(result.initial, box),
+        "initial": board_to_dict(result.initial, version),
         "moves": ([move_to_dict(r) for r in result.log] if version == 1
                   else _interned_moves(result.log, version)),
-        "final": board_to_dict(result.final, box),
+        "final": board_to_dict(result.final, version),
         "gr2": {"found": result.gr2_found, "boxes": [box(b) for b in result.gr2_boxes]},
         "residual_f_count": result.residual_f_count,
         "flags": result.flags,
@@ -217,10 +234,10 @@ def game_result_to_json(result: GameResult) -> str:
 
 def parse_game_result(text: str | bytes) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    to 4, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    to 5, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 to 4), ``params``
+    (a bool is never an int): ``schema_version`` (1 to 5), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
     ``residual_f_count`` (an int >= 0) and each move's ``kind``,
@@ -234,23 +251,34 @@ def parse_game_result(text: str | bytes) -> GameResult:
     as written.  The document must be what the writer of its version writes
     for that game, keys and their order included, though not its
     whitespace; otherwise the message names the first path that differs, as
-    in ``initial.boxes[0][0]``, ``moves[14]`` (its keys),
-    ``moves[3].oracle[0][2]`` or ``flags``; in version 3, as in
-    ``moves[3].oracle[0].got``; in versions 1 and 2, as in
-    ``initial.boxes[0].x`` or ``moves[14].copies_before``.  Text that is not
-    JSON, or that holds an int past Python's digit limit, is a malformed
-    document.
+    in ``initial.runs[0][3]``, ``moves[14]`` (its keys),
+    ``moves[3].oracle[0][2]`` or ``flags``; in versions 3 and 4, as in
+    ``initial.boxes[0][0]``; in version 3, as in ``moves[3].oracle[0].got``;
+    in versions 1 and 2, as in ``initial.boxes[0].x`` or
+    ``moves[14].copies_before``.  Text that is not JSON, that repeats a key
+    of an object or that holds an int past Python's digit limit is a
+    malformed document.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
     try:
-        d = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, or an int past the digit limit
+        d = json.loads(text, object_pairs_hook=_object)
+    except (ValueError, RecursionError) as exc:  # not JSON, a repeated key, too many digits
         raise ValueError(f"malformed game document: {exc!r}") from exc
     try:
         return _game_result_from_dict(d, text)
     except (KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise ValueError(f"malformed game document: {exc!r}") from exc
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, refusing a repeated key, of which ``json``
+    would keep the last value."""
+    d = dict(pairs)
+    if len(d) < len(pairs):  # the keys are d's up to the first repeat
+        key = next(k for (k, _), new in zip(pairs, [*d, None]) if k != new)
+        raise ValueError(f"the key {_repr(key)} is repeated in an object")
+    return d
 
 
 def _game_result_from_dict(d: dict, text: str) -> GameResult:

@@ -962,6 +962,32 @@ class TestMoveTable:
                 assert annotation.split(" | ")[0] == wanted.__name__, (kind, name)
                 assert (name in spec.optional) == annotation.endswith(" | None"), (kind, name)
 
+    # a value of each parameter's type, and each move's positions, which a refusal precedes
+    VALID = {"y": 1, "steps": 1, "k": 1, "dx": 0, "dy": 0, "note": "a", "count": 0,
+             "opacify": False, "t": 1, "r": 1}
+    DIRECTION = {"serre_translate": "left", "serre_global": "front_to_back"}
+
+    @pytest.mark.parametrize("kind", list(MOVES))
+    def test_a_direct_call_refuses_bad_arguments_in_the_words_of_play(self, kind):
+        # a board that is not a Board and an int parameter that is not an int
+        spec = MOVES[kind]
+        move = getattr(board_module, f"move_{kind}")
+        positions = ([(0, 1)],) if spec.positions is None else ((0, 1), (-1, 2))[:spec.positions]
+        params = {name: self.DIRECTION.get(kind) if name == "direction" else self.VALID[name]
+                  for name in spec.params}
+        board = initial_board_fibration(2, 1)
+        calls = [(None, params, "board must be a Board, got NoneType")]
+        calls += [(board, {**params, name: value},
+                   f"{kind} parameter {name} must be an int, got {value!r}")
+                  for name, wanted in spec.params.items() if wanted is int
+                  for value in (1.5, True, None, "1")]
+        for on, given, refusal in calls:
+            for call in (lambda: move(on, *positions, **given),
+                         lambda: play(on, kind, tuple(positions[0] if spec.positions is None
+                                                      else positions), given, False)):
+                with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                    call()
+
 
 class TestRefusalsShowALongInt:
     """A refusal that shows a caller's int past Python's 4,300-digit limit

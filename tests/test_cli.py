@@ -79,18 +79,18 @@ def written(result, version: int = SCHEMA_VERSION) -> str:
 
 
 def is_check(entry) -> bool:
-    """Whether a transcript entry writes a check: version 3's object or
-    version 4's ``[source, target, expected]``, never a ``[first, count]`` run."""
+    """Whether a transcript entry writes a check: version 3's object or the
+    ``[source, target, expected]`` of versions 4 and 5, never a ``[first, count]`` run."""
     return type(entry) is dict or type(entry) is list and len(entry) == 3
 
 
 def written_checks(moves: list) -> list:
-    """The checks a version 3 or 4 document writes, in their numbering."""
+    """The checks a version 3, 4 or 5 document writes, in their numbering."""
     return [e for m in moves if type(m["oracle"]) is list for e in m["oracle"] if is_check(e)]
 
 
 def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
-    """Each move's transcript, read from a version 4 document's entries as
+    """Each move's transcript, read from a version 4 or 5 document's entries as
     ``render``'s docstring states them, with no code of the writer's."""
     checks, transcripts = [], []
     for move in moves:
@@ -116,7 +116,7 @@ def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
 
 
 def regrouped(oracle: list) -> list:
-    """A version 4 transcript's entries grouped afresh: the run entries
+    """A version 4 or 5 transcript's entries grouped afresh: the run entries
     spelt out, then each maximal stretch of three or more consecutive check
     numbers (consecutive entries whose index minus number is the same)
     made ``[first, count]``."""
@@ -636,9 +636,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1 to 4 are versions: a bool or a float that equals one is not
+        # only the ints 1 to 5 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 5, True, 1.0, 2.0, 3.0, 4.0, "1"):
+        for version in (99, 0, 6, True, 1.0, 2.0, 3.0, 4.0, 5.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -749,19 +749,22 @@ class TestWireSchema:
          r" is \{'x': -2, 'y': 1, 'content': \{.*\}\} but the replayed game writes "
          r"\[-2, 1, 0\]")])
     def test_a_box_must_be_written_as_its_array(self, game, box, refusal):
+        # version 4 is the last to write a board's boxes one by one
         def edit(doc):
             assert doc["initial"]["boxes"][0] == [-2, 1, 0]
             doc["initial"]["boxes"][0] = box
         with pytest.raises(ValueError, match=rf"^initial\.boxes\[0\]{refusal}$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 4))
 
     @pytest.mark.parametrize("tag", ["zzz", "sym", None, 1])
     def test_an_unknown_opaque_tag_is_refused(self, game, tag):
-        def edit(doc):
-            next(b for b in doc["final"]["boxes"] if len(b) == 4)[2] = tag
-        with pytest.raises(ValueError, match=rf"^final\.boxes\[\d+\]\[2\] is {tag!r} but the "
-                                             "replayed game writes 'opaque'$"):
-            parse_game_result(self.edited(game, edit))
+        # version 4 writes an opaque box in 4 entries, version 5 an opaque run in 5
+        for version, key, size in ((4, "boxes", 4), (5, "runs", 5)):
+            def edit(doc):
+                next(b for b in doc["final"][key] if len(b) == size)[2] = tag
+            with pytest.raises(ValueError, match=rf"^final\.{key}\[\d+\]\[2\] is {tag!r} but "
+                                                 "the replayed game writes 'opaque'$"):
+                parse_game_result(self.edited(game, edit, version))
 
     def test_a_version_3_box_in_a_version_2_document_is_refused(self, game):
         def edit(doc):
@@ -965,6 +968,21 @@ class TestWireSchema:
             parse_game_result(text)
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("old, new, key", [
+        # the forgery that json would read past, keeping the last value
+        ('"residual_f_count":', '"residual_f_count":"forged","residual_f_count":',
+         "residual_f_count"),
+        ('{"kind":', '{"kind":"push_right","kind":', "kind"),
+        ('"steps":1}', '"steps":2,"steps":1}', "steps")],
+        ids=["top-level", "move", "move-params"])
+    def test_a_repeated_key_is_refused(self, game, old, new, key):
+        text = game_result_to_json(game(2, 1))
+        assert old in text
+        found = ValueError(f"the key {key!r} is repeated in an object")
+        refusal = f"malformed game document: {found!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            parse_game_result(text.replace(old, new, 1))
+
     @pytest.mark.parametrize("found, boxes", [
         ("zzz", None), (1, None), (None, None), (False, None), (True, [])])
     def test_gr2_found_must_be_a_bool_that_matches_the_boxes(self, game, found, boxes):
@@ -1025,7 +1043,7 @@ class TestWireSchema:
 
     @pytest.mark.parametrize("indent", [None, 1], ids=["default-separators", "indent-1"])
     @pytest.mark.parametrize("keys, path", [
-        (("final", "boxes", 0, 2), r"final\.boxes\[0\]\[2\]"),
+        (("final", "runs", 0, 2), r"final\.runs\[0\]\[2\]"),
         (("moves", 5, "oracle", 0, 0, 1), r"moves\[5\]\.oracle\[0\]\[0\]\[1\]")],
         ids=["final-box", "first-check"])
     def test_a_changed_leaf_in_other_whitespace_is_refused_by_its_path(self, game, indent,
@@ -1047,7 +1065,7 @@ class TestWireSchema:
             bad["moves"][0]["params"][name] = value
             # the parser replays the log, so the refusal comes from parsing
             with pytest.raises(ValueError, match="^the moves do not replay from the initial "
-                                                 f"board: .*parameter {name} must be int"):
+                                                 f"board: .*parameter {name} must be an int"):
                 parse_game_result(json.dumps(bad))
 
     def test_moves_that_do_not_lead_to_the_final_board_are_refused(self, game):
@@ -1055,7 +1073,7 @@ class TestWireSchema:
         for moves in ([], doc["moves"][:-1]):
             bad = copy.deepcopy(doc)
             bad["moves"] = moves
-            with pytest.raises(ValueError, match=r"^final\.boxes\[\d+\]\[\d\] is .* but the "
+            with pytest.raises(ValueError, match=r"^final\.runs\[\d+\]\[\d\] is .* but the "
                                                  "replayed game writes"):
                 parse_game_result(json.dumps(bad))
 
@@ -1121,28 +1139,28 @@ class TestWireSchema:
 
 
 class TestOracleReferences:
-    """Versions 2 to 4 write each distinct oracle check and transcript once,
-    and version 4 each run of three or more earlier checks as one pair."""
+    """Versions 2 to 5 write each distinct oracle check and transcript once,
+    and versions 4 and 5 each run of three or more earlier checks as one pair."""
 
-    # what versions 1 to 3 wrote for ``game --n 3 --eps 1 --emit json``
+    # what versions 1 to 4 wrote for ``game --n 3 --eps 1 --emit json``
     FIXTURES = {version: Path(__file__).with_name(f"game_n3_eps1_v{version}.json")
-                for version in (1, 2, 3)}
+                for version in (1, 2, 3, 4)}
     V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_an_older_document_parses_as_its_current_form(self, capsys, version):
         older = self.FIXTURES[version].read_text()
         _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
         assert json.loads(older)["schema_version"] == version
-        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 4
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 5
         expected = parse_game_result(older)
         assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
-        assert len(current) < len(older) * (0.9 if version == 3 else 0.5)
+        assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95}[version]
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
         older = self.FIXTURES[version].read_text()
         assert written(parse_game_result(older), version) + "\n" == older
@@ -1320,6 +1338,74 @@ class TestOracleReferences:
             moves[i]["oracle"][j] = value
         with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle(\[\d+\])? is .* but the "
                                              "replayed game writes"):
+            parse_game_result(json.dumps(doc))
+
+
+def spelt_out(runs: list) -> tuple[Box, ...]:
+    """The boxes, in SOD order, of a version 5 board's runs, read as
+    ``render``'s docstring states them, with no code of the writer's."""
+    boxes = []
+    for *first, k in runs:
+        assert type(k) is int and k >= 1
+        content = Opaque(first[3]) if first[2] == "opaque" else SymBlock(first[2])
+        boxes += [Box(first[0] + i, first[1], content) for i in range(k)]
+    return tuple(boxes)
+
+
+class TestBoardRuns:
+    """Version 5 writes each board as its runs: boxes of one content in
+    consecutive SOD slots, one step apart along a row."""
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_board_spells_out_as_its_boxes(self, game, n, eps, mode):
+        # the initial board, each phase board and the final board, in stream order
+        result = game(n, eps, mode)
+        boards = [json.loads(line).get("board") for line in emit_json_lines(result)]
+        boards = [board for board in boards if board is not None]
+        assert [name for name, _, _ in result.phases][::len(result.phases) - 1] == [
+            "initial", "final"]
+        assert [spelt_out(board["runs"]) for board in boards] == [
+            board.boxes for _, board, _ in result.phases]
+        assert {board["copies"] for board in boards} == {result.initial.copies}
+        doc = json.loads(game_result_to_json(result))
+        assert [doc["initial"], doc["final"]] == boards[::len(boards) - 1]
+        for board in boards:
+            # each run maximal: the next run does not carry it on
+            for (*left, k), (*right, _) in zip(board["runs"], board["runs"][1:]):
+                assert right != [left[0] + k, *left[1:]]
+        if mode == "fibration":
+            # a start board is N - 2 rows of N zeros
+            assert doc["initial"]["runs"] == [[-n + row, row + 1, 0, 2 * n + eps]
+                                              for row in range(2 * n + eps - 2)]
+
+    @pytest.mark.parametrize("board, start, stop, runs, refusal", [
+        ("initial", 0, 1, [[-2, 1, 0, 2], [0, 1, 0, 3]], r"runs\[0\]\[3\] is 2 .* writes 5"),
+        ("initial", 0, 2, [[-2, 1, 0, 10]], r"runs\[0\]\[3\] is 10 .* writes 5"),
+        ("initial", 0, 0, [[-3, 1, 0, 0]], r"runs\[0\]\[0\] is -3 .* writes -2"),
+        ("initial", 0, 1, [[-2, 1, 0, 5.0]], r"runs\[0\]\[3\] is 5\.0 .* writes 5"),
+        ("initial", 0, 1, [[-2, 1, 0]], r"runs\[0\] has 3 entries .* writes 4"),
+        ("initial", 0, 1, [[-2, 1, 0]] * 5, r"runs\[0\] has 3 entries .* writes 4"),
+        ("final", 3, 4, [[1, 1, 0, 1], [2, 1, 0, 1]], r"runs\[3\]\[3\] is 1 .* writes 2"),
+        ("final", 5, 7, [[0, 2, 1, 2]], r"runs\[5\]\[3\] is 2 .* writes 1")],
+        ids=["split", "merged", "empty", "float-length", "box", "boxes", "final-split",
+             "final-merged"])
+    def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, board, start,
+                                                                   stop, runs, refusal):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        assert doc["initial"]["runs"] == [[-2, 1, 0, 5], [-1, 2, 0, 5], [0, 3, 0, 5]]
+        assert doc["final"]["runs"][3:7] == [[1, 1, 0, 2], [-2, 2, "opaque", 1, 1],
+                                             [0, 2, 1, 1], [0, 3, 1, 1]]
+        doc[board]["runs"][start:stop] = runs
+        with pytest.raises(ValueError, match=rf"^{board}\.{refusal}$"):
+            parse_game_result(json.dumps(doc))
+
+    def test_a_board_written_as_its_boxes_is_refused(self, game):
+        doc = json.loads(game_result_to_json(game(2, 1)))
+        doc["initial"] = json.loads(written(game(2, 1), 4))["initial"]
+        with pytest.raises(ValueError, match=r"^initial has keys \['boxes', 'copies'\] but the "
+                                             r"replayed game writes \['runs', 'copies'\]$"):
             parse_game_result(json.dumps(doc))
 
 

@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "9a230d19ef3ef85f0077cdfa8d0db43e7d39e8b946a3e4cc011e95ef5fd2bba3"),
+        (1, "780b0814095842de7919d3a9cae8e64f92ff253dd8aa6897ad9175e48ce2dbe2"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "f11fa0fd72a391708b56ff0a80969e286fe3cee65adfe4084c86c850d45e73a1"),
+        (1, "c7087a1d225f95ee324e6d8dfd4bbd9c1a439e697c1ed70ffa1ef975a86f7d63"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "8ca1d389c4155ff9c0fd8ebfcbb725c5372bc5597a8ec0c1f8a9ed714d8f3a37"),
+        (0, "45f971fc098a4a7a9f6e0606f4b1a109697204a6fc7efaa8dce2851a053c8caf"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "7a9e26a463cf818e1a2e00ea7d75ba70408fdcbf467307932d98d733152cff2a"),
+        (0, "991e77c0b1ae74373a15653fdf264d0353855dc183e4eed763e87278ed325282"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "17817fd82eff61d4a7f6f04ddfacf2f2d2bb3208e7b8e769b17c3803c7f7b665"),
+        (0, "ee8e72c3c02f5c1edbdf08aa4ecef15f517d7ac0099e7501bb1dd3ca38d4a07e"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "ec67471c2cc2ae4817525d3f4b68c6b4665277bd26d819bb90f2e011a1852173"),
+        (0, "a4209b86f5ef3e766c90be0ed5e625421e32229b5348a04f535680fc63c0bad1"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "173dc6ab5188ec482c40be164c41afd0d989e393fc75fedbf1e32db323997b8f"),
+        (0, "289ad31f1b7c9f41428246dd1fefe3072fc4bc25b57d6ae07e55dd8154aac7c8"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "243de195830f74fb4d15f166ba1a5be2842dff3304ae2e23017225398425e28e"),
+        (0, "c4bb3b3386ab5ff7974c05c3937e9fd16cc03bb945f677c6d2e5fa9797b7deba"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "5349d61f95374e2d4be68e44bc1ee2ad3ffe18a520296bdfd49d08253f97b4de"),
+        (1, "cb5307b64d7b067de5c03f9002322894478d0272751eff7541d1e76defc14230"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "b87930ab54fc02b6c93f2eef309c30f639e0aa9220354ce1c34d0c45d22b4d36"),
+        (1, "d7e55f13e0b6cd465982cf2da44bfb6d0fe6bc378789d49502b6b7de12b10243"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "2715211d37f90cbbfc37b90924b83859487229436b354e05ccd29591f566db14"),
+        (0, "04609746d3168471445982c8dfed19e7fb71d3c7567082de832e620b06549582"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "f7d66e33735e2a294239fa1bc724befddaee8bb64a9b1d49bec99fb669133a08"),
+        (0, "b1943d3e0f6603871217ec590840d6be2c7c77830052e0e9047a1639c0947062"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "54ace74de9574b979cb935819b09b2ecd2f221b4693cd1037e46c6b3ec9e42fc"),
+        (0, "4ffc60d9af8d5dbd6cf5346a96be7f2a781075dcf0c4abc37b561516a32ca9fa"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "d33016989ca868f79d43960f14793629ced8d27fdca628a2a74f6ca648e75869"),
+        (0, "47d320f9464e35bf292fb0da33f189152a2266d21799d6b1b94932eee96afd74"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight
@@ -142,7 +142,7 @@ def test_a_fresh_process_prints_the_pinned_stdout(command):
 # refusal text, so the digest pins each outcome, each refusal's wording and
 # which refusal comes first.  Nothing below iterates over a set, so the
 # digest does not depend on the hash seed.
-MOVE_OUTCOMES = (4000, "7ebc6a15b99f8d89bd35fdd9b51577d3200bb2ae4cac4edefcb1b094bb1e9928")
+MOVE_OUTCOMES = (4000, "cb8309fc37eba8c1f0b75440ed363221a081170436923bbc74a0b06029dfd9c5")
 
 
 def _random_board(rng):
