@@ -339,6 +339,7 @@ def move_serre_translate(board: Board, y: int, direction: str, steps: int,
     """
     kind = "serre_translate"
     _sized(y, f"{kind} parameter y")
+    _typed(direction, str, f"{kind} parameter direction must be str")
     _sized(steps, f"{kind} parameter steps")
     _checked_board(board)
     if direction not in ("left", "right"):
@@ -406,6 +407,7 @@ def move_serre_global(board: Board, k: int, direction: str) -> tuple[Board, Move
     """
     kind = "serre_global"
     _sized(k, f"{kind} parameter k")
+    _typed(direction, str, f"{kind} parameter direction must be str")
     _checked_board(board)
     if direction not in ("front_to_back", "back_to_front"):
         raise MoveRefused(kind, f"unknown direction {direction!r}")
@@ -426,10 +428,11 @@ def move_global_twist(board: Board, dx: int, dy: int,
     """Twist every box by (dx, dy); pure relabeling of the lattice."""
     _sized(dx, "global_twist parameter dx")
     _sized(dy, "global_twist parameter dy")
-    new_boxes = [Box(b.x + dx, b.y + dy, b.content) for b in _checked_board(board).boxes]
     params: Params = (("dx", dx), ("dy", dy))
     if note is not None:
+        _typed(note, str, "global_twist parameter note must be str")
         params += (("note", note),)
+    new_boxes = [Box(b.x + dx, b.y + dy, b.content) for b in _checked_board(board).boxes]
     return _commit(board, new_boxes, board.boxes, new_boxes, "global_twist", (), params)
 
 
@@ -442,6 +445,8 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
     """
     kind = "push_right"
     _sized(count, f"{kind} parameter count")
+    _typed(opacify, bool, f"{kind} parameter opacify must be bool")
+    _pairs(kind, (pos,))
     box = _get(board, pos, kind)
     i = board.index(pos)
     if count < 0 or i + count >= len(board.boxes):
@@ -455,6 +460,7 @@ def move_push_right(board: Board, pos: tuple[int, int], count: int,
 
 def _check_list(kind: str, positions: list[tuple[int, int]], verb: str) -> None:
     """Refuse an empty list of positions, or one that repeats a position."""
+    _pairs(kind, positions)
     if not positions:
         raise MoveRefused(kind, f"nothing to {verb}")
     if len(set(positions)) != len(positions):
@@ -509,6 +515,7 @@ def _window(board: Board, kind: str, first_pos: tuple[int, int],
     precede the last in SOD order; ``roles`` names the two in the refusal.
     """
     first_role, last_role = roles
+    _pairs(kind, (first_pos, last_pos))
     first, last = _get(board, first_pos, kind), _get(board, last_pos, kind)
     _sym(first, kind, first_role)
     _sym(last, kind, last_role)
@@ -545,6 +552,7 @@ def move_transpose(board: Board, left_pos: tuple[int, int],
     No game script plays it; it serves hand-written documents and tests.
     """
     kind = "transpose"
+    _typed(validate, bool, "validate must be a bool")
     left, right, i, j, between = _window(board, kind, left_pos, right_pos,
                                          ("left box", "right box"))
     if between:
@@ -571,6 +579,7 @@ def move_absorb(board: Board, target_pos: tuple[int, int],
     it serves hand-written documents and tests.
     """
     kind = "absorb"
+    _typed(validate, bool, "validate must be a bool")
     target, source, i, j, between = _window(board, kind, target_pos, source_pos,
                                             ("target", "source"))
     if target.content.m != 0:
@@ -610,6 +619,7 @@ def move_rule1(board: Board, gray_pos: tuple[int, int],
     grade-r block, the mover disappears, and the row of zeros survives.
     """
     kind = "rule1"
+    _typed(validate, bool, "validate must be a bool")
     gray, mover, i, j, window = _window(board, kind, gray_pos, block_pos,
                                         ("head", "mover"))
     if gray.content.m != 0:
@@ -642,9 +652,10 @@ def move_rule2(board: Board, zeros_start: tuple[int, int],
     kind = "rule2"
     _sized(t, f"{kind} parameter t")
     _sized(r, f"{kind} parameter r")
-    zx, zy = zeros_start
+    _typed(validate, bool, "validate must be a bool")
     first, block, i, j, between = _window(board, kind, zeros_start, block_pos,
                                           ("zeros", "block"))
+    zx, zy = zeros_start
     if block_pos != (zx - 1, zy + 1):
         raise MoveRefused(
             kind, f"block must sit at ({zx - 1}, {zy + 1}), got {block_pos}")
@@ -672,6 +683,7 @@ def move_orange_merge(board: Board, orange_pos: tuple[int, int],
     arrangement rather than by a pairing computation.
     """
     kind = "orange_merge"
+    _pairs(kind, (orange_pos, target_pos))
     if orange_pos == target_pos:
         raise MoveRefused(kind, "orange and target must be different boxes")
     orange = _get(board, orange_pos, kind)
@@ -716,6 +728,21 @@ MOVES: dict[str, MoveSpec] = {
 }
 
 
+def _typed(value: object, cls: type, words: str) -> None:
+    """Refuse with ``ValueError``, in ``words`` and then what it got, a value
+    whose type is not ``cls``: a move's str or bool parameter, or ``validate``."""
+    if type(value) is not cls:
+        raise ValueError(f"{words}, got {_shown(value)}")
+
+
+def _pairs(kind: str, positions: Sequence) -> None:
+    """Refuse with ``ValueError`` ``positions`` that are not a sequence of tuple pairs of ints."""
+    if not isinstance(positions, Sequence) or any(
+            type(p) is not tuple or tuple(map(type, p)) != (int, int) for p in positions):
+        raise ValueError(f"{kind} positions must be a sequence of pairs of ints, "
+                         f"got {_shown(positions)}")
+
+
 def _checked_board(board: Board) -> Board:
     """``board`` itself, refusing with ``ValueError`` anything that is not a ``Board``."""
     if type(board) is not Board:
@@ -729,25 +756,23 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     """Call ``move_<kind>`` as :data:`MOVES` describes it.
 
     The call's shape is checked against the table first, and a kind, a
-    position count, a parameter set or a parameter type the table does not
-    allow raises ``ValueError``, as do a kind that is not a string,
-    ``positions`` that are not a sequence of tuple pairs of ints, ``params``
-    that are not a dict and a ``validate`` that is not a bool.  The move
-    itself refuses, in the same words, an int parameter that is not an int
-    (a bool included), before any other check, and a ``board`` that is not
-    a ``Board``, before reading it.  The move is looked up among the
+    position count or a parameter set the table does not allow raises
+    ``ValueError``, as do a kind that is not a string, ``positions`` that
+    are not a sequence, ``params`` that are not a dict and a ``validate``
+    that is not a bool.  The move itself refuses, in the same words, a
+    parameter of the wrong type (an int one that is not an int, a bool
+    included), a ``validate`` that is not a bool and a position that is
+    not a tuple of two ints, before any other check, and a ``board`` that
+    is not a ``Board``, before reading it.  The move is looked up among the
     module's names at call time, so a rebinding of ``move_<kind>`` is seen
     here too.
     """
-    if type(validate) is not bool:
-        raise ValueError(f"validate must be a bool, got {_shown(validate)}")
+    _typed(validate, bool, "validate must be a bool")
     spec = MOVES.get(kind) if type(kind) is str else None
     if spec is None:
         raise ValueError(f"unknown move kind {_shown(kind)}")
-    if not isinstance(positions, Sequence) or any(
-            type(p) is not tuple or tuple(map(type, p)) != (int, int) for p in positions):
-        raise ValueError(f"{kind} positions must be a sequence of pairs of ints, "
-                         f"got {_shown(positions)}")
+    if not isinstance(positions, Sequence):
+        raise ValueError(f"{kind} positions must be a sequence, got {_shown(positions)}")
     if spec.positions is not None and len(positions) != spec.positions:
         raise ValueError(f"{kind} takes {spec.positions} positions, got {len(positions)}")
     if not isinstance(params, dict):
@@ -755,10 +780,6 @@ def play(board: Board, kind: str, positions: tuple[tuple[int, int], ...],
     if not set(spec.params) - set(spec.optional) <= set(params) <= set(spec.params):
         raise ValueError(f"{kind} takes parameters {tuple(spec.params)}, "
                          f"got {_shown(tuple(params))}")
-    for name, value in params.items():
-        if spec.params[name] is not int and type(value) is not spec.params[name]:
-            raise ValueError(f"{kind} parameter {name} must be "
-                             f"{spec.params[name].__name__}, got {_shown(value)}")
     args = (list(positions),) if spec.positions is None else tuple(positions)
     if spec.validates:
         params = {**params, "validate": validate}

@@ -9,18 +9,24 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 5) writes each board as ``{"runs": [...],
+A game document (schema version 6) writes each board as ``{"runs": [...],
 "copies": c}``.  A run, ``[x, y, m, k]`` or ``[x, y, "opaque", copies, k]``,
 is k >= 1 boxes of one content in consecutive SOD slots at (x, y),
 (x + 1, y), ..., (x + k - 1, y); a new run starts wherever y or the content
 changes or x does not step by 1.  Spelling the runs out in order gives the
 boxes in SOD order.  A ``gr2`` box is an array, ``[x, y, m]`` for
 ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``, and
-a move is its ``kind``, ``positions``, ``params`` and ``oracle``.  It
-writes each distinct oracle check and each distinct move transcript once,
-where it first appears.  A move's ``oracle`` is either an int k, "the
-transcript of move k", or a list of entries in three shapes, told apart by
-shape alone:
+a move is its ``kind``, ``positions``, ``params`` and ``oracle``.  A maximal
+run of k >= 2 consecutive moves of one kind and one params, each with at
+least one position and each position one column right of the move before
+it, (x, y) to (x + 1, y), is one entry ``{"kind", "positions", "params",
+"oracle", "count": k}``: its ``positions`` are the first move's (the j-th
+move's, from 0, are those moved j columns right) and its ``oracle`` lists
+the k moves' oracles.  Spelling the runs out in order gives the log.  The
+document writes each distinct oracle check and each distinct move
+transcript once, where it first appears.  A move's ``oracle`` is either an
+int k, "the transcript of move k" (k counts the log's moves, not the
+entries), or a list of entries in three shapes, told apart by shape alone:
 
 * ``[source, target, expected]``, a check not written before; checks are
   numbered 0, 1, 2, ... in document order;
@@ -30,13 +36,14 @@ shape alone:
 
 A check's ``space``, ``got`` and ``ok`` are not written: ``board._question``
 asks only on M, and a refused move is never logged, so every logged check
-got what it expected.  Versions 1 to 4 are still read and re-written by
-their own writers.  Version 4 writes each board as ``{"boxes": [...],
-"copies": c}``, one array per box.  Version 3 also writes each check as the
-object ``{source, target, space, expected, got, ok}`` and each earlier one
-as its int.  Versions 1 and 2 also write each box as an object and each
-move with its ``verdict``, ``copies_before`` and ``copies_after``, which a
-replay derives; version 1 writes every check in full.
+got what it expected.  Versions 1 to 5 are still read and re-written by
+their own writers.  Version 5 writes each move as its own entry.  Version 4
+also writes each board as ``{"boxes": [...], "copies": c}``, one array per
+box.  Version 3 also writes each check as the object ``{source, target,
+space, expected, got, ok}`` and each earlier one as its int.  Versions 1
+and 2 also write each box as an object and each move with its ``verdict``,
+``copies_before`` and ``copies_after``, which a replay derives; version 1
+writes every check in full.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
 from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -112,7 +119,7 @@ def box_to_dict(box: Box) -> dict:
 
 
 def box_to_list(box: Box) -> list:
-    """A box as versions 3 to 5 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    """A box as versions 3 to 6 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
     x, y, content = box
     return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
@@ -124,8 +131,8 @@ def _list(value: Any, name: str) -> list:
 
 
 def board_to_dict(board: Board, version: int = SCHEMA_VERSION) -> dict:
-    """A board as schema ``version`` writes it; version 5 writes its row
-    runs, each as its first box's array and its length."""
+    """A board as schema ``version`` writes it; from version 5 its row runs,
+    each as its first box's array and its length."""
     if version < 5:
         box = box_to_list if version >= 3 else box_to_dict
         return {"boxes": [box(b) for b in board.boxes], "copies": board.copies}
@@ -158,7 +165,7 @@ def move_to_dict(record: MoveRecord) -> dict:
 
 
 def _runs(entries: list) -> list:
-    """A version 4 or 5 transcript's entries: each maximal run of three or more
+    """A version 4 to 6 transcript's entries: each maximal run of three or more
     consecutive check numbers becomes ``[first, count]``, in one pass."""
     grouped, k, size = [], 0, len(entries)
     while k < size:
@@ -175,10 +182,10 @@ def _runs(entries: list) -> list:
 
 
 def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
-    """The moves of a version 2 to 5 document: a transcript seen before
-    becomes the index of the move that wrote it, a check seen before its
-    number, and from version 4 a new check its triple and a run of numbers
-    its ``[first, count]``."""
+    """The moves of a version 2 to 6 document, one per logged move: a
+    transcript seen before becomes the index of the move that wrote it, a
+    check seen before its number, and from version 4 a new check its triple
+    and a run of numbers its ``[first, count]``."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
     known: dict[int, int] = {}  # by object, so that a shared transcript is hashed once
@@ -204,19 +211,44 @@ def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
     return moves
 
 
+def _move_runs(log: tuple[MoveRecord, ...], moves: list[dict]) -> list[dict]:
+    """Version 6's move entries: each maximal run of two or more moves of one
+    kind and params, each position one column right of the move before's,
+    as its first move's entry with the run's oracles listed and its count."""
+    entries: list[dict] = []
+    follow = None
+    for record, move in zip(log, moves):
+        kind, positions, params = record[:3]
+        if (kind, positions, params) != follow:
+            entries.append(move)
+        else:
+            run = entries[-1]
+            if "count" not in run:
+                run = entries[-1] = {**run, "oracle": [run["oracle"]], "count": 1}
+            run["oracle"].append(move["oracle"])
+            run["count"] += 1
+        # the move that carries this run on, if a move with positions can
+        follow = positions and (kind, tuple((x + 1, y) for x, y in positions), params)
+    return entries
+
+
 def _document(result: GameResult, version: int) -> dict:
     """The document that schema ``version`` writes for ``result``: version 1
-    writes every transcript in full, versions 2 to 5 each distinct one
-    once, versions 3 to 5 their boxes as arrays and their moves without
-    what their replay derives, versions 4 and 5 each check as a triple and
-    runs of earlier checks as pairs, and version 5 its boards as row runs."""
+    writes every transcript in full, versions 2 to 6 each distinct one
+    once, versions 3 to 6 their boxes as arrays and their moves without
+    what their replay derives, versions 4 to 6 each check as a triple and
+    runs of earlier checks as pairs, versions 5 and 6 their boards as row
+    runs, and version 6 its runs of moves as one entry each."""
     box = box_to_list if version >= 3 else box_to_dict
+    moves = ([move_to_dict(r) for r in result.log] if version == 1
+             else _interned_moves(result.log, version))
+    if version >= 6:
+        moves = _move_runs(result.log, moves)
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
         "initial": board_to_dict(result.initial, version),
-        "moves": ([move_to_dict(r) for r in result.log] if version == 1
-                  else _interned_moves(result.log, version)),
+        "moves": moves,
         "final": board_to_dict(result.final, version),
         "gr2": {"found": result.gr2_found, "boxes": [box(b) for b in result.gr2_boxes]},
         "residual_f_count": result.residual_f_count,
@@ -234,25 +266,29 @@ def game_result_to_json(result: GameResult) -> str:
 
 def parse_game_result(text: str | bytes) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    to 5, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    to 6, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 to 5), ``params``
+    (a bool is never an int): ``schema_version`` (1 to 6), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
-    ``residual_f_count`` (an int >= 0) and each move's ``kind``,
-    ``positions`` and ``params``.  The moves are played on the runner that
-    ``run_game`` plays, from the start board of the params, validated when
-    some move's ``oracle`` is not ``[]``, so that every recorded check is
-    asked of the oracle again, within ``cli.MAX_m`` and ``cli.MAX_twist``;
-    a move the replay refuses is named by its path, as in ``moves[7]``.
-    The runner's finish then splits the final board as ``run_game`` does,
-    which gives the column and the flags; only ``residual_f_count`` is kept
-    as written.  The document must be what the writer of its version writes
-    for that game, keys and their order included, though not its
-    whitespace; otherwise the message names the first path that differs, as
-    in ``initial.runs[0][3]``, ``moves[14]`` (its keys),
-    ``moves[3].oracle[0][2]`` or ``flags``; in versions 3 and 4, as in
+    ``residual_f_count`` (an int >= 0), each run's ``count`` (an int >= 2,
+    as many as its ``oracle`` list holds, checked before any move is
+    played) and each move's ``kind``, ``positions`` and ``params``.  The
+    moves, a run's spelt out one column right each time, are played on the
+    runner that ``run_game`` plays, from the start board of the params,
+    validated when some move's ``oracle`` is not ``[]``, so that every
+    recorded check is asked of the oracle again, within ``cli.MAX_m`` and
+    ``cli.MAX_twist``; a move the replay refuses is named by its entry's
+    path, as in ``moves[7]``.  The runner's finish then splits the final
+    board as ``run_game`` does, which gives the column and the flags; only
+    ``residual_f_count`` is kept as written.  The document must be what the
+    writer of its version writes for that game, keys and their order
+    included, though not its whitespace, so a run split or merged by hand
+    is refused too; otherwise the message names the first path that
+    differs, as in ``initial.runs[0][3]``, ``moves[14]`` (its keys),
+    ``moves[6].count``, ``moves[3].oracle[0][2]``, ``moves[6].oracle[1]``
+    (the second move of a run) or ``flags``; in versions 3 and 4, as in
     ``initial.boxes[0][0]``; in version 3, as in ``moves[3].oracle[0].got``;
     in versions 1 and 2, as in ``initial.boxes[0].x`` or
     ``moves[14].copies_before``.  Text that is not JSON, that repeats a key
@@ -288,18 +324,30 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     params, residual = d["params"], d["residual_f_count"]
     _sized(residual, "residual_f_count", 0)
     moves = _list(d["moves"], "moves")
-    validate = any(move["oracle"] != [] for move in moves)
+    oracles = []  # each logged move's, those of a run listed in its entry
+    for i, move in enumerate(moves):
+        if "count" not in move:
+            oracles.append(move["oracle"])
+            continue
+        count = _sized(move["count"], f"moves[{i}].count", 2)
+        listed = _list(move["oracle"], f"moves[{i}].oracle")
+        if len(listed) != count:
+            raise ValueError(f"moves[{i}].oracle has {len(listed)} entries but "
+                             f"moves[{i}].count is {count}")
+        oracles += listed
     try:
-        g = _Runner(params["n"], params["eps"], params["mode"], validate)
+        g = _Runner(params["n"], params["eps"], params["mode"], any(o != [] for o in oracles))
     except ValueError as exc:
         raise ValueError(f"params.{exc}") from exc
-    for move in moves:
+    for i, move in enumerate(moves):
         positions = tuple(tuple(p) for p in _list(move["positions"], "move positions"))
-        try:
-            g.play(move["kind"], positions, move["params"])
-        except (ValueError, MoveRefused) as exc:
-            raise ValueError(f"the moves do not replay from the initial board: {exc} "
-                             f"at moves[{len(g.log)}]") from exc
+        for _ in range(move.get("count", 1)):  # a run's moves step one column right
+            try:
+                g.play(move["kind"], positions, move["params"])
+            except (ValueError, MoveRefused) as exc:
+                raise ValueError(f"the moves do not replay from the initial board: {exc} "
+                                 f"at moves[{i}]") from exc
+            positions = tuple((x + 1, y) for x, y in positions)
     # the count alone is taken as written, so that the benchmark's gate can refuse a wrong one
     result = g.finish()._replace(residual_f_count=residual)
     written = dumps(_document(result, version))
@@ -347,8 +395,10 @@ def _refuse_difference(got: Any, want: Any, path: str) -> None:
 
 def emit_json_lines(result: GameResult) -> list[str]:
     """Streaming form of :func:`game_result_to_dict`: header, initial, each
-    move (with the result's phase snapshots interleaved at the move counts
-    where they were taken), then final, column, and summary records."""
+    move entry, its ``index`` the entry's number (with the result's phase
+    snapshots interleaved at the move counts where they were taken, each
+    between two entries: one inside a run of moves raises
+    ``AssertionError``), then final, column, and summary records."""
     doc = game_result_to_dict(result)
     phase_at: dict[int, list[str]] = {}
     for name, board, count in result.phases:
@@ -358,10 +408,14 @@ def emit_json_lines(result: GameResult) -> list[str]:
     lines = [dumps({"record": "header", "schema_version": doc["schema_version"],
                     "params": doc["params"]}),
              dumps({"record": "initial", "board": doc["initial"]})]
+    played = 0
     for i, move in enumerate(doc["moves"]):
-        lines += phase_at.get(i, [])
+        lines += phase_at.pop(played, [])
         lines.append(dumps({"record": "move", "index": i, **move}))
-    lines += phase_at.get(len(doc["moves"]), [])
+        played += move.get("count", 1)
+    lines += phase_at.pop(played, [])
+    if phase_at:
+        raise AssertionError(f"phase snapshots inside a run of moves, after {list(phase_at)}")
     lines.append(dumps({"record": "final", "board": doc["final"]}))
     lines.append(dumps({"record": "gr2", **doc["gr2"]}))
     lines.append(dumps({"record": "summary", "residual_f_count": doc["residual_f_count"],

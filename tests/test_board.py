@@ -748,7 +748,7 @@ class TestRecordsAndReplay:
                     call()
 
     @pytest.mark.parametrize("field, message", [
-        ("positions", r"^serre_translate positions must be a sequence of pairs of ints, got None$"),
+        ("positions", r"^serre_translate positions must be a sequence, got None$"),
         ("params", r"^a record's params must be a sequence, got None$")])
     def test_replay_rejects_fields_that_are_not_sequences(self, game, field, message):
         result = game(2, 1)
@@ -757,7 +757,7 @@ class TestRecordsAndReplay:
 
     @pytest.mark.parametrize("positions, params, message", [
         (None, {"y": 2, "direction": "left", "steps": 1},
-         r"^serre_translate positions must be a sequence of pairs of ints, got None$"),
+         r"^serre_translate positions must be a sequence, got None$"),
         ((), None, r"^serre_translate params must be a dict, got None$"),
         ((), (("y", 2), ("direction", "left"), ("steps", 1)),
          r"^serre_translate params must be a dict, got \(\('y', 2\), "),
@@ -966,27 +966,54 @@ class TestMoveTable:
     VALID = {"y": 1, "steps": 1, "k": 1, "dx": 0, "dy": 0, "note": "a", "count": 0,
              "opacify": False, "t": 1, "r": 1}
     DIRECTION = {"serre_translate": "left", "serre_global": "front_to_back"}
+    # for each parameter type, how a refusal names it and values of other types
+    # (None leaves an optional parameter out, so it is not one of them there)
+    WORDS = {int: "an int", str: "str", bool: "bool"}
+    WRONG = {int: (1.5, True, None, "1"), str: (None, 1, True, b"a"), bool: (None, 1, "yes", 0.0)}
 
     @pytest.mark.parametrize("kind", list(MOVES))
     def test_a_direct_call_refuses_bad_arguments_in_the_words_of_play(self, kind):
-        # a board that is not a Board and an int parameter that is not an int
+        # a board that is not a Board, a parameter or a validate of another
+        # type, and a position that is not a tuple pair of ints
         spec = MOVES[kind]
         move = getattr(board_module, f"move_{kind}")
         positions = ([(0, 1)],) if spec.positions is None else ((0, 1), (-1, 2))[:spec.positions]
         params = {name: self.DIRECTION.get(kind) if name == "direction" else self.VALID[name]
                   for name in spec.params}
         board = initial_board_fibration(2, 1)
-        calls = [(None, params, "board must be a Board, got NoneType")]
-        calls += [(board, {**params, name: value},
-                   f"{kind} parameter {name} must be an int, got {value!r}")
-                  for name, wanted in spec.params.items() if wanted is int
-                  for value in (1.5, True, None, "1")]
-        for on, given, refusal in calls:
-            for call in (lambda: move(on, *positions, **given),
-                         lambda: play(on, kind, tuple(positions[0] if spec.positions is None
-                                                      else positions), given, False)):
+        calls = [(None, positions, params, "board must be a Board, got NoneType")]
+        calls += [(board, positions, {**params, name: value},
+                   f"{kind} parameter {name} must be {self.WORDS[wanted]}, got {value!r}")
+                  for name, wanted in spec.params.items() for value in self.WRONG[wanted]
+                  if not (value is None and name in spec.optional)]
+        if spec.validates:
+            calls += [(board, positions, {**params, "validate": value},
+                       f"validate must be a bool, got {value!r}") for value in (None, 1, "yes")]
+        for bad in ((0.0, 1), (True, 1), [0, 1], (0, 1, 2), (0,), None) if positions else ():
+            # the move is given its positions as a list, or one by one
+            moved = ([bad],) if spec.positions is None else (bad, *positions[1:])
+            shown = moved[0] if spec.positions is None else moved
+            calls.append((board, moved, params, f"{kind} positions must be a sequence of "
+                                                f"pairs of ints, got {shown!r}"))
+        for on, where, given, refusal in calls:
+            rest = {name: value for name, value in given.items() if name != "validate"}
+            for call in (lambda: move(on, *where, **given),
+                         lambda: play(on, kind, tuple(where[0] if spec.positions is None
+                                                      else where), rest,
+                                      given.get("validate", False))):
                 with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
                     call()
+
+    def test_a_position_of_floats_is_refused_where_the_position_map_would_find_a_box(self):
+        # 0.0 == 0 in the map's dict, so the box at (0, 1) would be found and retired
+        board = initial_board_fibration(2, 1)
+        assert board.at((0.0, 1)) is not None
+        with pytest.raises(ValueError, match=r"^push_right positions must be a sequence of "
+                                             r"pairs of ints, got \(\(0\.0, 1\),\)$"):
+            move_push_right(board, (0.0, 1), 1, True)
+        with pytest.raises(ValueError, match=r"^push_right parameter opacify must be bool, "
+                                             r"got 'yes'$"):
+            move_push_right(board, (0, 1), 1, "yes")
 
 
 class TestRefusalsShowALongInt:
@@ -1009,9 +1036,10 @@ class TestRefusalsShowALongInt:
         (lambda board, pos: play(board, "serre_translate", (),
                                  {"y": 10**5000, "direction": "left", "steps": 1}, False),
          MoveRefused, "serre_translate: no boxes in row y=an int of 5,001 digits"),
-        (lambda board, pos: play(board, "push_right", [(10**5000, 0.5)], {}, False), ValueError,
+        (lambda board, pos: play(board, "push_right", [(10**5000, 0.5)],
+                                 {"count": 1, "opacify": False}, False), ValueError,
          "push_right positions must be a sequence of pairs of ints, "
-         "got [(an int of 5,001 digits, 0.5)]"),
+         "got ((an int of 5,001 digits, 0.5),)"),
         (lambda board, pos: Board(2, 1, (Box(10**5000, 0, SymBlock(0)),) * 2), ValueError,
          "duplicate box position (an int of 5,001 digits, 0)"),
         (lambda board, pos: play(board, 10**5000, (), {}, False), ValueError,

@@ -22,9 +22,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import deadline
-from flagchess import (INDETERMINATE, Board, BundleDescriptor, Box, LemmaPoint, LemmaReport,
-                       MoveRefused, Opaque, OracleCheck, SymBlock, check_lemma, cli, cover_degree,
-                       line_bundle_cohomology, play, render, replay, rho, run_game)
+from flagchess import (INDETERMINATE, Board, BundleDescriptor, Box, GameResult, LemmaPoint,
+                       LemmaReport, MoveRefused, Opaque, OracleCheck, SymBlock, check_lemma, cli,
+                       cover_degree, line_bundle_cohomology, play, render, replay, rho, run_game)
 from flagchess import board as board_module, games as games_module
 from flagchess.cli import (
     EXIT_FLAGGED,
@@ -42,6 +42,7 @@ from flagchess.render import (
     SCHEMA_VERSION,
     dumps,
     emit_json_lines,
+    game_result_to_dict,
     game_result_to_json,
     move_to_dict,
     parse_game_result,
@@ -80,21 +81,54 @@ def written(result, version: int = SCHEMA_VERSION) -> str:
 
 def is_check(entry) -> bool:
     """Whether a transcript entry writes a check: version 3's object or the
-    ``[source, target, expected]`` of versions 4 and 5, never a ``[first, count]`` run."""
+    ``[source, target, expected]`` of versions 4 to 6, never a ``[first, count]`` run."""
     return type(entry) is dict or type(entry) is list and len(entry) == 3
 
 
+def oracle_sites(moves: list) -> list[tuple[str, dict | list, str | int]]:
+    """Where each logged move's oracle is written in a version 2 to 6
+    document's moves, in log order: its path, and the object or list that
+    holds it and its key there.  A version 6 run lists its moves' oracles."""
+    sites: list[tuple[str, dict | list, str | int]] = []
+    for i, move in enumerate(moves):
+        if "count" in move:
+            sites += [(f"moves[{i}].oracle[{k}]", move["oracle"], k)
+                      for k in range(move["count"])]
+        else:
+            sites.append((f"moves[{i}].oracle", move, "oracle"))
+    return sites
+
+
 def written_checks(moves: list) -> list:
-    """The checks a version 3, 4 or 5 document writes, in their numbering."""
-    return [e for m in moves if type(m["oracle"]) is list for e in m["oracle"] if is_check(e)]
+    """The checks a version 3 to 6 document writes, in their numbering."""
+    return [e for _, holder, key in oracle_sites(moves) if type(holder[key]) is list
+            for e in holder[key] if is_check(e)]
+
+
+def spelt_out_moves(moves: list) -> list[dict]:
+    """A version 6 document's moves, one per logged move, each run spelt out
+    as ``render``'s docstring states it, with no code of the writer's: the
+    k-th move of a run has the run's kind and params, its positions moved
+    k columns right, and the k-th oracle."""
+    log = []
+    for move in moves:
+        if "count" not in move:
+            log.append(move)
+            continue
+        assert type(move["count"]) is int and move["count"] >= 2
+        assert len(move["oracle"]) == move["count"] and move["positions"]
+        log += [{"kind": move["kind"], "positions": [[x + k, y] for x, y in move["positions"]],
+                 "params": move["params"], "oracle": oracle}
+                for k, oracle in enumerate(move["oracle"])]
+    return log
 
 
 def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
-    """Each move's transcript, read from a version 4 or 5 document's entries as
-    ``render``'s docstring states them, with no code of the writer's."""
+    """Each logged move's transcript, read from a version 4 to 6 document's
+    entries as ``render``'s docstring states them, with no code of the writer's."""
     checks, transcripts = [], []
-    for move in moves:
-        oracle = move["oracle"]
+    for _, holder, key in oracle_sites(moves):
+        oracle = holder[key]
         if type(oracle) is int:
             transcripts.append(transcripts[oracle])
             continue
@@ -116,7 +150,7 @@ def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
 
 
 def regrouped(oracle: list) -> list:
-    """A version 4 or 5 transcript's entries grouped afresh: the run entries
+    """A version 4 to 6 transcript's entries grouped afresh: the run entries
     spelt out, then each maximal stretch of three or more consecutive check
     numbers (consecutive entries whose index minus number is the same)
     made ``[first, count]``."""
@@ -565,7 +599,11 @@ class TestEmitFormats:
         assert kinds[1] == "initial"
         assert kinds[-2] == "gr2"
         assert kinds[-1] == "summary"
-        assert kinds.count("move") == 15
+        # 15 moves in 14 entries, a run of two rule1 feeds among them, numbered by entry
+        moves = [r for r in records if r["record"] == "move"]
+        assert [m["index"] for m in moves] == list(range(14))
+        assert sum(m.get("count", 1) for m in moves) == 15
+        assert [m["count"] for m in moves if "count" in m] == [2]
         phase_names = [r["name"] for r in records if r["record"] == "phase"]
         assert phase_names == ["align", "phase1", "serre", "phase2", "endgame"]
         assert records[0]["schema_version"] == SCHEMA_VERSION
@@ -636,9 +674,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1 to 5 are versions: a bool or a float that equals one is not
+        # only the ints 1 to 6 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 6, True, 1.0, 2.0, 3.0, 4.0, 5.0, "1"):
+        for version in (99, 0, 7, True, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -824,7 +862,8 @@ class TestWireSchema:
 
     @staticmethod
     def first_check(doc):
-        return next(c for m in doc["moves"] for c in m["oracle"])
+        return next(c for _, holder, key in oracle_sites(doc["moves"])
+                    if type(holder[key]) is list for c in holder[key])
 
     @pytest.mark.parametrize("value", ["refused", "", None, 7])
     def test_move_verdicts_must_be_applied(self, game, value):
@@ -1087,12 +1126,13 @@ class TestWireSchema:
         assert type(info.value.__cause__) is MoveRefused
 
     def test_a_move_refused_on_replay_is_named_by_its_path(self, game):
-        # without moves[3], eight more moves replay before rule2 finds a zero too many
+        # without moves[3], eight more moves (seven entries) replay before rule2
+        # finds a zero too many; the path counts entries, not moves
         doc = json.loads(game_result_to_json(game(2, 1)))
         del doc["moves"][3]
         with pytest.raises(ValueError, match=r"^the moves do not replay from the initial "
                                              r"board: rule2: expected 2 zeros before the "
-                                             r"block, found 3 at moves\[11\]$"):
+                                             r"block, found 3 at moves\[10\]$"):
             parse_game_result(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["top level", "move"])
@@ -1139,28 +1179,28 @@ class TestWireSchema:
 
 
 class TestOracleReferences:
-    """Versions 2 to 5 write each distinct oracle check and transcript once,
-    and versions 4 and 5 each run of three or more earlier checks as one pair."""
+    """Versions 2 to 6 write each distinct oracle check and transcript once,
+    and versions 4 to 6 each run of three or more earlier checks as one pair."""
 
-    # what versions 1 to 4 wrote for ``game --n 3 --eps 1 --emit json``
+    # what versions 1 to 5 wrote for ``game --n 3 --eps 1 --emit json``
     FIXTURES = {version: Path(__file__).with_name(f"game_n3_eps1_v{version}.json")
-                for version in (1, 2, 3, 4)}
+                for version in (1, 2, 3, 4, 5)}
     V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_an_older_document_parses_as_its_current_form(self, capsys, version):
         older = self.FIXTURES[version].read_text()
         _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
         assert json.loads(older)["schema_version"] == version
-        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 5
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 6
         expected = parse_game_result(older)
         assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
-        assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95}[version]
+        assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95, 5: 0.9}[version]
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
         older = self.FIXTURES[version].read_text()
         assert written(parse_game_result(older), version) + "\n" == older
@@ -1184,11 +1224,13 @@ class TestOracleReferences:
         for version, shown in ((3, r"\{'source': \["), (4, r"\[\[")):
             doc = json.loads(written(game(3, 1, validate=True), version))
             checks = written_checks(doc["moves"])
-            i, j, _ = next(site for site in self.reference_sites(doc["moves"])
+            m, j, _ = next(site for site in self.reference_sites(doc["moves"])
                            if site[1] is not None)
-            number = doc["moves"][i]["oracle"][j]
-            doc["moves"][i]["oracle"][j] = checks[number]
-            with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\] is {shown}"
+            path, holder, key = oracle_sites(doc["moves"])[m]
+            oracle = holder[key]
+            number = oracle[j]
+            oracle[j] = checks[number]
+            with pytest.raises(ValueError, match=rf"^{re.escape(path)}\[{j}\] is {shown}"
                                                  rf".* but the replayed game writes {number}$"):
                 parse_game_result(json.dumps(doc))
 
@@ -1215,28 +1257,30 @@ class TestOracleReferences:
 
     def test_each_distinct_check_and_transcript_is_written_once(self, game):
         result = game(3, 1, validate=True)
-        for version in (3, 4):
+        for version in (3, 4, 6):
             moves = json.loads(written(result, version))["moves"]
             assert len(written_checks(moves)) == len({c for r in result.log for c in r.oracle})
-            listed = [r.oracle for r, m in zip(result.log, moves)
-                      if r.oracle and type(m["oracle"]) is list]
+            oracles = [holder[key] for _, holder, key in oracle_sites(moves)]
+            assert len(oracles) == len(result.log)
+            listed = [r.oracle for r, o in zip(result.log, oracles) if r.oracle and type(o) is list]
             assert len(listed) == len(set(listed)) == len({r.oracle for r in result.log} - {()})
-            for record, move in zip(result.log, moves):
-                if type(move["oracle"]) is int:
-                    assert result.log[move["oracle"]].oracle == record.oracle
+            for record, oracle in zip(result.log, oracles):
+                if type(oracle) is int:
+                    assert result.log[oracle].oracle == record.oracle
 
     @staticmethod
     def reference_sites(moves: list) -> list[tuple[int, int | None, int]]:
-        """Each int reference as (move, entry or None for a transcript
-        reference, checks defined before it); version 4's runs are left out."""
+        """Each int reference as (logged move, entry or None for a transcript
+        reference, checks defined before it); runs of checks are left out.
+        The move's oracle is where ``oracle_sites`` puts it."""
         sites, defined = [], 0
-        for i, move in enumerate(moves):
-            if type(move["oracle"]) is int:
-                sites.append((i, None, defined))
+        for m, (_, holder, key) in enumerate(oracle_sites(moves)):
+            if type(holder[key]) is int:
+                sites.append((m, None, defined))
                 continue
-            for j, entry in enumerate(move["oracle"]):
+            for j, entry in enumerate(holder[key]):
                 if type(entry) is int:
-                    sites.append((i, j, defined))
+                    sites.append((m, j, defined))
                 elif is_check(entry):
                     defined += 1
         return sites
@@ -1254,29 +1298,29 @@ class TestOracleReferences:
         assert dumps(rebuilt_document("\n".join(emit_json_lines(result)))) == text
         moves = json.loads(text)["moves"]
         assert read_transcripts(moves) == [r.oracle for r in result.log]
-        for move in moves:
-            if type(move["oracle"]) is list:
-                assert regrouped(move["oracle"]) == move["oracle"]
+        for _, holder, key in oracle_sites(moves):
+            if type(holder[key]) is list:
+                assert regrouped(holder[key]) == holder[key]
 
     @staticmethod
-    def entry_site(doc: dict, wanted: Callable[[list, int], bool]) -> tuple[list, int, int]:
-        """The transcript, its move and the index of the first entry that
+    def entry_site(doc: dict, wanted: Callable[[list, int], bool]) -> tuple[list, str, int]:
+        """The transcript, its path and the index of the first entry that
         ``wanted`` accepts."""
-        return next((oracle, i, j) for i, m in enumerate(doc["moves"])
-                    if type(oracle := m["oracle"]) is list
+        return next((oracle, path, j) for path, holder, key in oracle_sites(doc["moves"])
+                    if type(oracle := holder[key]) is list
                     for j in range(len(oracle)) if wanted(oracle, j))
 
     @staticmethod
-    def refused(doc: dict, i: int, j: int, rest: str) -> None:
-        with pytest.raises(ValueError, match=rf"^moves\[{i}\]\.oracle\[{j}\]{rest}$"):
+    def refused(doc: dict, path: str, j: int, rest: str) -> None:
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}\[{j}\]{rest}$"):
             parse_game_result(json.dumps(doc))
 
     @pytest.mark.parametrize("size", [2, 4])
     def test_a_triple_of_another_size_is_refused(self, game, size):
         doc = json.loads(game_result_to_json(game(4, 1)))
-        oracle, i, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
+        oracle, path, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
         oracle[j] = [*oracle[j], [[0, 1]]][:size]
-        self.refused(doc, i, j, f" has {size} entries but the replayed game writes 3")
+        self.refused(doc, path, j, f" has {size} entries but the replayed game writes 3")
 
     @pytest.mark.parametrize("version, other, shown, writes", [
         (4, 3, r"\{'source': \[.*\}", r"\[\[.*\]\]"),
@@ -1285,59 +1329,61 @@ class TestOracleReferences:
                                                               shown, writes):
         # the first check each version writes is the same check
         doc = json.loads(written(game(4, 1), version))
-        oracle, i, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
+        oracle, path, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
         oracle[j] = written_checks(json.loads(written(game(4, 1), other))["moves"])[0]
-        self.refused(doc, i, j, f" is {shown} but the replayed game writes {writes}")
+        self.refused(doc, path, j, f" is {shown} but the replayed game writes {writes}")
 
     @pytest.mark.parametrize("field, change", [(0, 1), (0, -1), (1, 1), (1, -1)],
                              ids=["first-after", "first-before", "longer", "shorter"])
     def test_a_run_that_names_other_checks_is_refused(self, game, field, change):
         doc = json.loads(game_result_to_json(game(4, 1)))
-        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
+        oracle, path, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
         right = oracle[j][field]
         oracle[j][field] += change
-        self.refused(doc, i, j, rf"\[{field}\] is {right + change} but the replayed game "
+        self.refused(doc, path, j, rf"\[{field}\] is {right + change} but the replayed game "
                                 f"writes {right}")
 
     def test_a_run_of_two_is_refused_where_the_writer_writes_ints(self, game):
         doc = json.loads(game_result_to_json(game(4, 1)))
-        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is int and j + 1 < len(o)
+        oracle, path, j = self.entry_site(doc, lambda o, j: type(o[j]) is int and j + 1 < len(o)
                                        and o[j + 1] == o[j] + 1)
         first = oracle[j]
         oracle[j:j + 2] = [[first, 2]]
-        self.refused(doc, i, j, rf" is \[{first}, 2\] but the replayed game writes {first}")
+        self.refused(doc, path, j, rf" is \[{first}, 2\] but the replayed game writes {first}")
 
     def test_a_run_spelt_as_ints_is_refused(self, game):
         doc = json.loads(game_result_to_json(game(4, 1)))
-        oracle, i, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
+        oracle, path, j = self.entry_site(doc, lambda o, j: type(o[j]) is list and len(o[j]) == 2)
         first, count = oracle[j]
         oracle[j:j + 1] = range(first, first + count)
-        self.refused(doc, i, j, rf" is {first} but the replayed game writes "
+        self.refused(doc, path, j, rf" is {first} but the replayed game writes "
                                 rf"\[{first}, {count}\]")
 
     @given(st.data())
     def test_bad_references_raise_value_error(self, game, data):
         text = game_result_to_json(game(3, 1, validate=True))
         doc = json.loads(text)
-        moves = doc["moves"]
-        i, j, defined = data.draw(st.sampled_from(self.reference_sites(moves)))
+        oracles = oracle_sites(doc["moves"])
+        m, j, defined = data.draw(st.sampled_from(self.reference_sites(doc["moves"])))
         bad_forms = {
             "not an int": st.sampled_from([True, False, 1.0, "0", None]),
             "negative": st.integers(-50, -1),
         }
         if j is None:
-            bad_forms["this or a later move"] = st.just(i) | st.integers(i, len(moves) + 50)
+            bad_forms["this or a later move"] = st.just(m) | st.integers(m, len(oracles) + 50)
             bad_forms["a move that refers"] = st.sampled_from(
-                [k for k in range(i) if type(moves[k]["oracle"]) is int] or [None])
+                [k for k, (_, holder, key) in enumerate(oracles[:m])
+                 if type(holder[key]) is int] or [None])
         else:
             bad_forms["not yet defined"] = st.just(defined) | st.integers(defined, defined + 50)
         value = data.draw(st.sampled_from(sorted(bad_forms)).flatmap(bad_forms.__getitem__))
+        _, holder, key = oracles[m]
         if j is None:
-            moves[i]["oracle"] = value
+            holder[key] = value
         else:
-            moves[i]["oracle"][j] = value
-        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle(\[\d+\])? is .* but the "
-                                             "replayed game writes"):
+            holder[key][j] = value
+        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle(\[\d+\]){0,2} is .* but "
+                                             "the replayed game writes"):
             parse_game_result(json.dumps(doc))
 
 
@@ -1409,6 +1455,113 @@ class TestBoardRuns:
             parse_game_result(json.dumps(doc))
 
 
+class TestMoveRuns:
+    """Version 6 writes each maximal run of two or more moves of one kind and
+    params, each position one column right of the move before's, as one entry."""
+
+    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_every_game_round_trips_and_spells_out_as_its_log(self, game, n, eps, mode,
+                                                              validate):
+        result = game(n, eps, mode, validate)
+        text = game_result_to_json(result)
+        parsed = parse_game_result(text)
+        assert parsed == result and game_result_to_json(parsed) == text
+        assert dumps(rebuilt_document("\n".join(emit_json_lines(result)))) == text
+        moves = json.loads(text)["moves"]
+        # spelt out, the entries are the moves version 5 writes, one per logged move
+        assert spelt_out_moves(moves) == json.loads(written(result, 5))["moves"]
+        if (n, eps) != (2, 0):  # the one game that feeds no row of two or more blocks
+            assert len(moves) < len(result.log)
+        for move, following in zip(moves, moves[1:]):
+            # each run maximal: the next entry does not carry it on
+            step = move.get("count", 1)
+            assert not (move["positions"] and following["kind"] == move["kind"]
+                        and following["params"] == move["params"]
+                        and following["positions"] == [[x + step, y]
+                                                       for x, y in move["positions"]])
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", [*range(2, 17), 28])
+    def test_no_phase_snapshot_falls_inside_a_run(self, game, n, eps, mode):
+        # json-lines puts each snapshot between two entries; the log is the
+        # same with validation off
+        result = game(n, eps, mode, validate=False)
+        starts = list(itertools.accumulate((move.get("count", 1) for move in
+                                            game_result_to_dict(result)["moves"]), initial=0))
+        assert starts[-1] == len(result.log)
+        assert {count for _, _, count in result.phases} <= set(starts)
+        records = [json.loads(line)["record"] for line in emit_json_lines(result)]
+        assert records.count("phase") == len(result.phases) - 2
+
+    def test_a_snapshot_inside_a_run_is_refused_rather_than_dropped(self, game):
+        result = game(3, 1)
+        inside = next(i for i, (record, following) in enumerate(zip(result.log, result.log[1:]))
+                      if record.kind == following.kind == "rule1"
+                      and following.positions[0] == (record.positions[0][0] + 1,
+                                                     record.positions[0][1])) + 1
+        moved = GameResult(*result, phases=(("inside", result.initial, inside),))
+        with pytest.raises(AssertionError, match=rf"^phase snapshots inside a run of moves, "
+                                                 rf"after \[{inside}\]$"):
+            emit_json_lines(moved)
+
+    @pytest.mark.parametrize("case", ["split-first", "split-last", "merged"])
+    def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, case):
+        doc = json.loads(game_result_to_json(game(3, 1)))
+        run, following = doc["moves"][13:15]
+        assert (run["kind"], run["positions"], run["count"]) == ("rule1", [[-1, 5], [-2, 6]], 3)
+        assert (following["kind"], following["positions"], following["count"]) == (
+            "rule1", [[0, 4], [-1, 5]], 2)
+        lone = {key: value for key, value in run.items() if key != "count"}
+        shifted = [[x + 1, y] for x, y in run["positions"]]
+        if case == "split-first":  # a lone move, then a run of two
+            entries = [{**lone, "oracle": run["oracle"][0]},
+                       {**run, "positions": shifted, "oracle": run["oracle"][1:], "count": 2}]
+            refusal = r"moves\[13\] has keys \[.*'oracle'\] but the replayed game writes \[.*'count'\]"
+        elif case == "split-last":  # a run of two, then a lone move
+            entries = [{**run, "oracle": run["oracle"][:2], "count": 2},
+                       {**lone, "positions": [[x + 1, y] for x, y in shifted],
+                        "oracle": run["oracle"][2]}]
+            refusal = r"moves\[13\]\.oracle has 2 entries but the replayed game writes 3"
+        else:  # with the run that follows it, which starts a row below
+            entries = [{**run, "oracle": run["oracle"] + following["oracle"], "count": 5}]
+            refusal = (r"the moves do not replay from the initial board: rule1: .* "
+                       r"at moves\[13\]")
+        doc["moves"][13:15] = entries + ([following] if case != "merged" else [])
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("count, oracle, refusal", [
+        (0, None, "moves[13].count must be >= 2, got 0"),
+        (1, None, "moves[13].count must be >= 2, got 1"),
+        (True, None, "moves[13].count must be an int, got True"),
+        ("2", None, "moves[13].count must be an int, got '2'"),
+        (10**12, None, "moves[13].oracle has 3 entries but moves[13].count is 1000000000000"),
+        (3, 2, "moves[13].oracle has 2 entries but moves[13].count is 3"),
+        (3, 4, "moves[13].oracle has 4 entries but moves[13].count is 3"),
+        (3, 5, "moves[13].oracle must be a list, got 5")],
+        ids=["zero", "one", "bool", "str", "10**12", "oracle-short", "oracle-long",
+             "oracle-int"])
+    def test_a_bad_count_is_refused_before_any_move_is_played(self, game, monkeypatch, count,
+                                                              oracle, refusal):
+        doc = json.loads(game_result_to_json(game(3, 1)))
+        run = doc["moves"][13]
+        run["count"] = count
+        if type(oracle) is int and oracle < 5:
+            run["oracle"] = (run["oracle"] * 2)[:oracle]
+        elif oracle is not None:
+            run["oracle"] = oracle
+
+        def played(*args):
+            raise AssertionError("a move was played")
+        monkeypatch.setattr(games_module, "play", played)
+        with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            parse_game_result(json.dumps(doc))
+
+
 class TestReplayedChecks:
     """A document that records oracle checks is replayed with the oracle, so
     each check is asked again and none is taken as written."""
@@ -1451,15 +1604,16 @@ class TestReplayedChecks:
 
     def test_a_dropped_check_is_refused(self, game):
         doc = self.document(game)
-        i = max(i for i, m in enumerate(doc["moves"]) if type(m["oracle"]) is list and m["oracle"])
-        doc["moves"][i]["oracle"].pop()
-        self.refused(doc, rf"moves\[{i}\]\.oracle")
+        path, holder, key = [(path, holder, key) for path, holder, key in oracle_sites(doc["moves"])
+                             if type(holder[key]) is list and holder[key]][-1]
+        holder[key].pop()
+        self.refused(doc, re.escape(path))
 
     @staticmethod
     def past_the_bound(game, validate: bool) -> str:
         """An n = 2 game's document with ``params.n`` set to 10**6."""
         doc = json.loads(game_result_to_json(game(2, 0, validate=validate)))
-        assert any(move["oracle"] for move in doc["moves"]) == validate
+        assert any(holder[key] for _, holder, key in oracle_sites(doc["moves"])) == validate
         doc["params"]["n"] = 10**6
         return dumps(doc)
 

@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "780b0814095842de7919d3a9cae8e64f92ff253dd8aa6897ad9175e48ce2dbe2"),
+        (1, "c795137691a835b77a11a42873f9f05e1f1331086f53c116f8dec8f4028b0d4e"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "c7087a1d225f95ee324e6d8dfd4bbd9c1a439e697c1ed70ffa1ef975a86f7d63"),
+        (1, "866bcadc4566b2dbba7762e2fdf5e29d56cc8975a0b9a8c5bf02ae499888efdd"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "45f971fc098a4a7a9f6e0606f4b1a109697204a6fc7efaa8dce2851a053c8caf"),
+        (0, "b9b0ca9d738d07d7971a385f970e06c87419993ddc34f22494ab282f6cfc7359"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "991e77c0b1ae74373a15653fdf264d0353855dc183e4eed763e87278ed325282"),
+        (0, "cd80f32437e496ec536288cf339d75d39261f754a21a51186bbc77f21b782d20"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "ee8e72c3c02f5c1edbdf08aa4ecef15f517d7ac0099e7501bb1dd3ca38d4a07e"),
+        (0, "2fbf88b53b4b7fc965002c80ed622e2a6f97bbc53e75583152ddc7fafadd4e7f"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "a4209b86f5ef3e766c90be0ed5e625421e32229b5348a04f535680fc63c0bad1"),
+        (0, "1619665378315ed82d3205ae57eebf3ad18122ebd54d8f62d774016ccb2cb6d1"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "289ad31f1b7c9f41428246dd1fefe3072fc4bc25b57d6ae07e55dd8154aac7c8"),
+        (0, "82a9abfcbd48436010b833b5ad39b33efbd5027e884181bfe51c861dd87c279e"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "c4bb3b3386ab5ff7974c05c3937e9fd16cc03bb945f677c6d2e5fa9797b7deba"),
+        (0, "917a6fae66ef3afe7a10b4cc9c2cb870a3104fcccd3037edd1c624011609857c"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "cb5307b64d7b067de5c03f9002322894478d0272751eff7541d1e76defc14230"),
+        (1, "4c0865d48222c1dbb6e49a66fce8080ae919d599183b02e2bea700ffc84097e7"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "d7e55f13e0b6cd465982cf2da44bfb6d0fe6bc378789d49502b6b7de12b10243"),
+        (1, "4bd25cb15dc216a65a7e3d2734400eb888d8932802473af6ce417c704a1a5372"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "04609746d3168471445982c8dfed19e7fb71d3c7567082de832e620b06549582"),
+        (0, "d45663868eb1858f834570f5fcee1e055f9dd71351a4f3d91bb23d516e776529"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "b1943d3e0f6603871217ec590840d6be2c7c77830052e0e9047a1639c0947062"),
+        (0, "55c00b2bf4d304d281ac7af8381e920fd95f0ef48dd8d0ad54333da09ecc3f11"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "4ffc60d9af8d5dbd6cf5346a96be7f2a781075dcf0c4abc37b561516a32ca9fa"),
+        (0, "aeab4bbf1113f4fd004318565df8bc2ed10ff4e24a4e48087bb604a021d40bc9"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "47d320f9464e35bf292fb0da33f189152a2266d21799d6b1b94932eee96afd74"),
+        (0, "e54eee419c6ce9f64d0fb6244e65dba3af0d7949c859f56e613a940e26d358d2"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight
