@@ -46,6 +46,9 @@ def hom_bundle(source: BundleDescriptor, target: BundleDescriptor) -> list[Bundl
     N check each summand is built with ``tuple.__new__``: its power a+b-2j is
     >= 0, and at most 2 ``cli.MAX_m`` for two checked descriptors.
     """
+    if type(source) is not BundleDescriptor or type(target) is not BundleDescriptor:
+        raise ValueError("source and target must be BundleDescriptors, got "
+                         f"{type(source).__name__} and {type(target).__name__}")
     dm, dx, dy, N = dualize(source)
     m, x, y, target_N = target
     if N != target_N:

@@ -9,24 +9,25 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 6) writes each board as ``{"runs": [...],
+A game document (schema version 7) writes each board as ``{"runs": [...],
 "copies": c}``.  A run, ``[x, y, m, k]`` or ``[x, y, "opaque", copies, k]``,
 is k >= 1 boxes of one content in consecutive SOD slots at (x, y),
 (x + 1, y), ..., (x + k - 1, y); a new run starts wherever y or the content
 changes or x does not step by 1.  Spelling the runs out in order gives the
 boxes in SOD order.  A ``gr2`` box is an array, ``[x, y, m]`` for
 ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``, and
-a move is its ``kind``, ``positions``, ``params`` and ``oracle``.  A maximal
-run of k >= 2 consecutive moves of one kind and one params, each with at
-least one position and each position one column right of the move before
-it, (x, y) to (x + 1, y), is one entry ``{"kind", "positions", "params",
-"oracle", "count": k}``: its ``positions`` are the first move's (the j-th
-move's, from 0, are those moved j columns right) and its ``oracle`` lists
-the k moves' oracles.  Spelling the runs out in order gives the log.  The
-document writes each distinct oracle check and each distinct move
-transcript once, where it first appears.  A move's ``oracle`` is either an
-int k, "the transcript of move k" (k counts the log's moves, not the
-entries), or a list of entries in three shapes, told apart by shape alone:
+a move is ``{kind: [positions, params, oracle]}``, ``params`` the values of
+the kind's parameters in ``board.MOVES``'s order (an optional last one left
+out when absent).  A maximal run of k >= 2 consecutive moves of one kind
+and one params, each with at least one position and each position one
+column right of the move before it, (x, y) to (x + 1, y), is one entry
+``{kind: [positions, params, oracles, k]}``: the first move's positions
+(the j-th move's, from 0, are those moved j columns right) and the k moves'
+oracles.  Spelling the runs out in order gives the log.  The document
+writes each distinct oracle check and each distinct move transcript once,
+where it first appears.  A move's ``oracle`` is either an int k, "the
+transcript of move k" (k counts the log's moves, not the entries), or a
+list of entries in three shapes, told apart by shape alone:
 
 * ``[source, target, expected]``, a check not written before; checks are
   numbered 0, 1, 2, ... in document order;
@@ -36,12 +37,14 @@ entries), or a list of entries in three shapes, told apart by shape alone:
 
 A check's ``space``, ``got`` and ``ok`` are not written: ``board._question``
 asks only on M, and a refused move is never logged, so every logged check
-got what it expected.  Versions 1 to 5 are still read and re-written by
-their own writers.  Version 5 writes each move as its own entry.  Version 4
-also writes each board as ``{"boxes": [...], "copies": c}``, one array per
-box.  Version 3 also writes each check as the object ``{source, target,
-space, expected, got, ok}`` and each earlier one as its int.  Versions 1
-and 2 also write each box as an object and each move with its ``verdict``,
+got what it expected.  Versions 1 to 6 are still read and re-written by
+their own writers.  Version 6 writes an entry as ``{"kind", "positions",
+"params", "oracle"}``, a run's with ``"count"`` last, and params by name.
+Version 5 also writes each move as its own entry.  Version 4 also writes
+each board as ``{"boxes": [...], "copies": c}``, one array per box.
+Version 3 also writes each check as the object ``{source, target, space,
+expected, got, ok}`` and each earlier one as its int.  Versions 1 and 2
+also write each box as an object and each move with its ``verdict``,
 ``copies_before`` and ``copies_after``, which a replay derives; version 1
 writes every check in full.
 """
@@ -53,10 +56,10 @@ import reprlib
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
-from .board import Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
+from .board import MOVES, Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -119,7 +122,7 @@ def box_to_dict(box: Box) -> dict:
 
 
 def box_to_list(box: Box) -> list:
-    """A box as versions 3 to 6 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    """A box as versions 3 to 7 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
     x, y, content = box
     return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
@@ -165,7 +168,7 @@ def move_to_dict(record: MoveRecord) -> dict:
 
 
 def _runs(entries: list) -> list:
-    """A version 4 to 6 transcript's entries: each maximal run of three or more
+    """A version 4 to 7 transcript's entries: each maximal run of three or more
     consecutive check numbers becomes ``[first, count]``, in one pass."""
     grouped, k, size = [], 0, len(entries)
     while k < size:
@@ -182,7 +185,7 @@ def _runs(entries: list) -> list:
 
 
 def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
-    """The moves of a version 2 to 6 document, one per logged move: a
+    """The moves of a version 2 to 7 document, one per logged move: a
     transcript seen before becomes the index of the move that wrote it, a
     check seen before its number, and from version 4 a new check its triple
     and a run of numbers its ``[first, count]``."""
@@ -232,18 +235,36 @@ def _move_runs(log: tuple[MoveRecord, ...], moves: list[dict]) -> list[dict]:
     return entries
 
 
+def _keyed(entry: dict) -> dict:
+    """A version 6 move entry as version 7 writes it, keyed by its kind."""
+    kind, positions, params, *rest = entry.values()
+    return {kind: [positions, [*params.values()], *rest]}
+
+
+def _unkeyed(entry: Any, path: str) -> dict:
+    """A version 7 move entry as version 6 writes it; a malformed one is refused by ``path``."""
+    if type(entry) is not dict or len(entry) != 1 or [*entry][0] not in MOVES:
+        raise ValueError(f"{path} must be an object of one key, a move kind, got {_repr(entry)}")
+    ((kind, value),) = entry.items()
+    if len(_list(value, f"{path}.{kind}")) not in (3, 4):
+        raise ValueError(f"{path}.{kind} must have 3 or 4 entries, got {len(value)}")
+    names, optional = list(MOVES[kind].params), MOVES[kind].optional
+    if not len(names) - len(optional) <= len(_list(value[1], f"{path}.{kind}[1]")) <= len(names):
+        raise ValueError(f"{path}.{kind}[1] has {len(value[1])} values but {kind} takes {names}")
+    return dict(zip(("kind", "positions", "params", "oracle", "count"),
+                    (kind, value[0], dict(zip(names, value[1])), *value[2:])))
+
+
 def _document(result: GameResult, version: int) -> dict:
-    """The document that schema ``version`` writes for ``result``: version 1
-    writes every transcript in full, versions 2 to 6 each distinct one
-    once, versions 3 to 6 their boxes as arrays and their moves without
-    what their replay derives, versions 4 to 6 each check as a triple and
-    runs of earlier checks as pairs, versions 5 and 6 their boards as row
-    runs, and version 6 its runs of moves as one entry each."""
+    """The document that schema ``version`` writes for ``result``, as the
+    module's docstring describes each version."""
     box = box_to_list if version >= 3 else box_to_dict
     moves = ([move_to_dict(r) for r in result.log] if version == 1
              else _interned_moves(result.log, version))
     if version >= 6:
         moves = _move_runs(result.log, moves)
+    if version >= 7:
+        moves = [_keyed(entry) for entry in moves]
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
@@ -266,19 +287,20 @@ def game_result_to_json(result: GameResult) -> str:
 
 def parse_game_result(text: str | bytes) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    to 6, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    to 7, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 to 6), ``params``
+    (a bool is never an int): ``schema_version`` (1 to 7), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
-    ``residual_f_count`` (an int >= 0), each run's ``count`` (an int >= 2,
-    as many as its ``oracle`` list holds, checked before any move is
-    played) and each move's ``kind``, ``positions`` and ``params``.  The
-    moves, a run's spelt out one column right each time, are played on the
-    runner that ``run_game`` plays, from the start board of the params,
-    validated when some move's ``oracle`` is not ``[]``, so that every
-    recorded check is asked of the oracle again, within ``cli.MAX_m`` and
+    ``residual_f_count`` (an int >= 0), each version 7 entry (one key, a
+    known kind, holding 3 or 4 values, its params as many as the kind
+    takes), each run's count (an int >= 2, as many as its oracles, checked
+    before any move is played) and each move's kind, positions and params.
+    The moves, a run's spelt out one column right each time, are played on
+    the runner that ``run_game`` plays, from the start board of the params,
+    validated when some move's oracle is not ``[]``, so that every recorded
+    check is asked of the oracle again, within ``cli.MAX_m`` and
     ``cli.MAX_twist``; a move the replay refuses is named by its entry's
     path, as in ``moves[7]``.  The runner's finish then splits the final
     board as ``run_game`` does, which gives the column and the flags; only
@@ -286,14 +308,15 @@ def parse_game_result(text: str | bytes) -> GameResult:
     writer of its version writes for that game, keys and their order
     included, though not its whitespace, so a run split or merged by hand
     is refused too; otherwise the message names the first path that
-    differs, as in ``initial.runs[0][3]``, ``moves[14]`` (its keys),
-    ``moves[6].count``, ``moves[3].oracle[0][2]``, ``moves[6].oracle[1]``
-    (the second move of a run) or ``flags``; in versions 3 and 4, as in
-    ``initial.boxes[0][0]``; in version 3, as in ``moves[3].oracle[0].got``;
-    in versions 1 and 2, as in ``initial.boxes[0].x`` or
-    ``moves[14].copies_before``.  Text that is not JSON, that repeats a key
-    of an object or that holds an int past Python's digit limit is a
-    malformed document.
+    differs, as in ``initial.runs[0][3]``, ``moves[6].rule1[3]`` (a run's
+    count), ``moves[3].rule1[2][0][2]``, ``moves[6].rule1[2][1]`` (the
+    second move of a run) or ``flags``; in version 6, as in ``moves[14]``
+    (its keys), ``moves[6].count`` or ``moves[3].oracle[0][2]``; in versions
+    3 and 4, as in ``initial.boxes[0][0]``; in version 3, as in
+    ``moves[3].oracle[0].got``; in versions 1 and 2, as in
+    ``initial.boxes[0].x`` or ``moves[14].copies_before``.  Text that is not
+    JSON, that repeats a key of an object or that holds an int past
+    Python's digit limit is a malformed document.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode(json.detect_encoding(text))
@@ -324,16 +347,19 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     params, residual = d["params"], d["residual_f_count"]
     _sized(residual, "residual_f_count", 0)
     moves = _list(d["moves"], "moves")
+    if version >= 7:
+        moves = [_unkeyed(entry, f"moves[{i}]") for i, entry in enumerate(moves)]
     oracles = []  # each logged move's, those of a run listed in its entry
     for i, move in enumerate(moves):
         if "count" not in move:
             oracles.append(move["oracle"])
             continue
-        count = _sized(move["count"], f"moves[{i}].count", 2)
-        listed = _list(move["oracle"], f"moves[{i}].oracle")
+        at = ([f"moves[{i}].{move['kind']}[{k}]" for k in (2, 3)] if version >= 7
+              else [f"moves[{i}].{key}" for key in ("oracle", "count")])
+        count = _sized(move["count"], at[1], 2)
+        listed = _list(move["oracle"], at[0])
         if len(listed) != count:
-            raise ValueError(f"moves[{i}].oracle has {len(listed)} entries but "
-                             f"moves[{i}].count is {count}")
+            raise ValueError(f"{at[0]} has {len(listed)} entries but {at[1]} is {count}")
         oracles += listed
     try:
         g = _Runner(params["n"], params["eps"], params["mode"], any(o != [] for o in oracles))
@@ -412,15 +438,15 @@ def emit_json_lines(result: GameResult) -> list[str]:
     for i, move in enumerate(doc["moves"]):
         lines += phase_at.pop(played, [])
         lines.append(dumps({"record": "move", "index": i, **move}))
-        played += move.get("count", 1)
+        (entry,) = move.values()
+        played += entry[3] if len(entry) == 4 else 1
     lines += phase_at.pop(played, [])
     if phase_at:
         raise AssertionError(f"phase snapshots inside a run of moves, after {list(phase_at)}")
-    lines.append(dumps({"record": "final", "board": doc["final"]}))
-    lines.append(dumps({"record": "gr2", **doc["gr2"]}))
-    lines.append(dumps({"record": "summary", "residual_f_count": doc["residual_f_count"],
-                        "flags": doc["flags"]}))
-    return lines
+    return lines + [dumps({"record": "final", "board": doc["final"]}),
+                    dumps({"record": "gr2", **doc["gr2"]}),
+                    dumps({"record": "summary", "residual_f_count": doc["residual_f_count"],
+                           "flags": doc["flags"]})]
 
 
 def emit_text(result: GameResult) -> list[str]:

@@ -59,9 +59,16 @@ class BundleDescriptor(_Record, namedtuple("BundleDescriptor", "m x y N")):
 INDETERMINATE = "indeterminate"
 
 
+def _descriptor(d: object) -> BundleDescriptor:
+    """``d`` itself, refusing with ``ValueError`` anything that is not a ``BundleDescriptor``."""
+    if type(d) is not BundleDescriptor:
+        raise ValueError(f"d must be a BundleDescriptor, got {type(d).__name__}")
+    return d
+
+
 def sym_filtration(d: BundleDescriptor) -> list[tuple[int, int]]:
     """Line-bundle graded pieces of d, sub-most first: (x+m-2j, y+j), j=m..0."""
-    m, x, y, _ = d
+    m, x, y, _ = _descriptor(d)
     if m < 0:
         raise ValueError("symmetric powers must be >= 0")
     return list(zip(range(x - m, x + m + 1, 2), range(y + m, y - 1, -1)))
@@ -86,8 +93,8 @@ def clebsch_gordan_rank2(a: int, b: int) -> list[tuple[int, int]]:
 
 
 def dualize(d: BundleDescriptor) -> BundleDescriptor:
-    """Dual descriptor, unchecked; det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
-    m, x, y, N = d
+    """Dual descriptor, fields unchecked; det U2 = O(0,-1), so Sym^m U2 = Sym^m U2v(0,-m)."""
+    m, x, y, N = _descriptor(d)
     return tuple.__new__(BundleDescriptor, (m, -x, -y - m, N))
 
 

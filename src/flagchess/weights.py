@@ -58,14 +58,21 @@ def _game_N(n: int, eps: int) -> int:
     return 2 * _sized(n, "n", 2, _MAX_n) + _sized(eps, "eps", 0, 1)
 
 
+def _weight(w: object) -> Weight:
+    """``w`` as a tuple, refusing with ``ValueError`` anything but a tuple or list of ints."""
+    if type(w) not in (tuple, list) or any(type(c) is not int for c in w):
+        raise ValueError(f"a weight must be a tuple or list of ints, got {_shown(w)}")
+    return tuple(w)
+
+
 def simple_reflection(w: Weight, i: int) -> Weight:
     """Reflect w at the i-th simple root (1-indexed), in fundamental coordinates.
 
     Coordinate i is negated and its old value is added to the neighbours i-1
     and i+1 where they exist; everything else is untouched.
     """
-    _sized(i, "reflection index", 1, len(w))
-    c = list(w)
+    c = list(_weight(w))
+    _sized(i, "reflection index", 1, len(c))
     v = c[i - 1]
     c[i - 1] = -v
     if i >= 2:
@@ -96,7 +103,7 @@ def bwb_regularize(w_plus_rho: Weight) -> Regularization:
     terminates in type A (equivalently: suffix sums either repeat, or sorting
     them counts inversions).
     """
-    w = tuple(w_plus_rho)
+    w = _weight(w_plus_rho)
     steps: list[tuple[int, Weight]] = []
     while True:
         if any(c == 0 for c in w):
@@ -115,7 +122,7 @@ def weyl_dim(dominant: Weight) -> int:
     takes the product of (lambda_i - lambda_j + j - i)/(j - i) over i < j as
     one integer numerator over one integer denominator, divided once.
     """
-    if any(c < 0 for c in dominant):
+    if any(c < 0 for c in _weight(dominant)):
         raise ValueError(f"weight {dominant} is not dominant")
     lam = _suffix_sums(dominant)
     num = den = 1
@@ -213,4 +220,8 @@ def euler_char(g: GradedDims) -> int:
     """The alternating sum of the dims; an Indeterminate answer has none."""
     if isinstance(g, str):
         raise ValueError(f"an {g!r} answer has no Euler characteristic")
+    if type(g) not in (tuple, list) or not all(
+            type(p) in (tuple, list) and len(p) == 2 and type(p[0]) is type(p[1]) is int
+            for p in g):
+        raise ValueError(f"graded dims must be (degree, dim) pairs of ints, got {_shown(g)}")
     return sum(v if k % 2 == 0 else -v for k, v in g)

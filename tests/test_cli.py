@@ -22,9 +22,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import deadline
-from flagchess import (INDETERMINATE, Board, BundleDescriptor, Box, GameResult, LemmaPoint,
-                       LemmaReport, MoveRefused, Opaque, OracleCheck, SymBlock, check_lemma, cli,
-                       cover_degree, line_bundle_cohomology, play, render, replay, rho, run_game)
+from flagchess import (INDETERMINATE, MOVES, Board, BundleDescriptor, Box, GameResult,
+                       LemmaPoint, LemmaReport, MoveRefused, Opaque, OracleCheck, SymBlock,
+                       check_lemma, cli, cover_degree, line_bundle_cohomology, play, render,
+                       replay, rho, run_game)
 from flagchess import board as board_module, games as games_module
 from flagchess.cli import (
     EXIT_FLAGGED,
@@ -81,17 +82,48 @@ def written(result, version: int = SCHEMA_VERSION) -> str:
 
 def is_check(entry) -> bool:
     """Whether a transcript entry writes a check: version 3's object or the
-    ``[source, target, expected]`` of versions 4 to 6, never a ``[first, count]`` run."""
+    ``[source, target, expected]`` of versions 4 to 7, never a ``[first, count]`` run."""
     return type(entry) is dict or type(entry) is list and len(entry) == 3
 
 
+# The path of a lone move's oracle or a run's list of oracles: ``moves[i].oracle``
+# up to version 6, ``moves[i].<kind>[2]`` in version 7.
+AT_ORACLE = r"moves\[\d+\]\.(oracle|\w+\[2\])"
+
+
+def entry_fields(move: dict) -> tuple[str, list, dict, int | list, int | None]:
+    """A version 2 to 7 move entry's kind, positions, params (by name), oracle
+    and run count (None for a lone move), read as ``render``'s docstring
+    states them, with no code of the writer's: version 7 keys the entry by
+    its kind and lists the params' values in ``MOVES`` order."""
+    if "kind" in move:
+        return move["kind"], move["positions"], move["params"], move["oracle"], move.get("count")
+    ((kind, value),) = move.items()
+    assert len(value) in (3, 4)
+    positions, values, oracle, *count = value
+    names = list(MOVES[kind].params)
+    assert len(names) - len(MOVES[kind].optional) <= len(values) <= len(names)
+    return kind, positions, dict(zip(names, values)), oracle, (count or [None])[0]
+
+
+def entry_count(move: dict) -> int:
+    """How many logged moves a version 2 to 7 entry writes."""
+    return entry_fields(move)[4] or 1
+
+
 def oracle_sites(moves: list) -> list[tuple[str, dict | list, str | int]]:
-    """Where each logged move's oracle is written in a version 2 to 6
+    """Where each logged move's oracle is written in a version 2 to 7
     document's moves, in log order: its path, and the object or list that
-    holds it and its key there.  A version 6 run lists its moves' oracles."""
+    holds it and its key there.  A version 6 or 7 run lists its moves' oracles."""
     sites: list[tuple[str, dict | list, str | int]] = []
     for i, move in enumerate(moves):
-        if "count" in move:
+        if "kind" not in move:  # version 7: {kind: [positions, params, oracle, count?]}
+            ((kind, value),) = move.items()
+            if len(value) == 4:
+                sites += [(f"moves[{i}].{kind}[2][{k}]", value[2], k) for k in range(value[3])]
+            else:
+                sites.append((f"moves[{i}].{kind}[2]", value, 2))
+        elif "count" in move:
             sites += [(f"moves[{i}].oracle[{k}]", move["oracle"], k)
                       for k in range(move["count"])]
         else:
@@ -100,31 +132,32 @@ def oracle_sites(moves: list) -> list[tuple[str, dict | list, str | int]]:
 
 
 def written_checks(moves: list) -> list:
-    """The checks a version 3 to 6 document writes, in their numbering."""
+    """The checks a version 3 to 7 document writes, in their numbering."""
     return [e for _, holder, key in oracle_sites(moves) if type(holder[key]) is list
             for e in holder[key] if is_check(e)]
 
 
 def spelt_out_moves(moves: list) -> list[dict]:
-    """A version 6 document's moves, one per logged move, each run spelt out
-    as ``render``'s docstring states it, with no code of the writer's: the
-    k-th move of a run has the run's kind and params, its positions moved
-    k columns right, and the k-th oracle."""
+    """A version 6 or 7 document's moves, one per logged move in version 5's
+    form, each run spelt out as ``render``'s docstring states it, with no
+    code of the writer's: the k-th move of a run has the run's kind and
+    params, its positions moved k columns right, and the k-th oracle."""
     log = []
     for move in moves:
-        if "count" not in move:
-            log.append(move)
+        kind, positions, params, oracle, count = entry_fields(move)
+        if count is None:
+            log.append({"kind": kind, "positions": positions, "params": params, "oracle": oracle})
             continue
-        assert type(move["count"]) is int and move["count"] >= 2
-        assert len(move["oracle"]) == move["count"] and move["positions"]
-        log += [{"kind": move["kind"], "positions": [[x + k, y] for x, y in move["positions"]],
-                 "params": move["params"], "oracle": oracle}
-                for k, oracle in enumerate(move["oracle"])]
+        assert type(count) is int and count >= 2
+        assert len(oracle) == count and positions
+        log += [{"kind": kind, "positions": [[x + k, y] for x, y in positions],
+                 "params": params, "oracle": move_oracle}
+                for k, move_oracle in enumerate(oracle)]
     return log
 
 
 def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
-    """Each logged move's transcript, read from a version 4 to 6 document's
+    """Each logged move's transcript, read from a version 4 to 7 document's
     entries as ``render``'s docstring states them, with no code of the writer's."""
     checks, transcripts = [], []
     for _, holder, key in oracle_sites(moves):
@@ -150,7 +183,7 @@ def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
 
 
 def regrouped(oracle: list) -> list:
-    """A version 4 to 6 transcript's entries grouped afresh: the run entries
+    """A version 4 to 7 transcript's entries grouped afresh: the run entries
     spelt out, then each maximal stretch of three or more consecutive check
     numbers (consecutive entries whose index minus number is the same)
     made ``[first, count]``."""
@@ -599,11 +632,14 @@ class TestEmitFormats:
         assert kinds[1] == "initial"
         assert kinds[-2] == "gr2"
         assert kinds[-1] == "summary"
-        # 15 moves in 14 entries, a run of two rule1 feeds among them, numbered by entry
+        # 15 moves in 14 entries, a run of two rule1 feeds among them, numbered by
+        # entry, each keyed by its kind after the record's own two keys
         moves = [r for r in records if r["record"] == "move"]
         assert [m["index"] for m in moves] == list(range(14))
-        assert sum(m.get("count", 1) for m in moves) == 15
-        assert [m["count"] for m in moves if "count" in m] == [2]
+        entries = [{k: v for k, v in m.items() if k not in ("record", "index")} for m in moves]
+        assert all(len(e) == 1 and set(e) <= set(MOVES) for e in entries)
+        assert sum(map(entry_count, entries)) == 15
+        assert [entry_fields(e)[:5:4] for e in entries if entry_count(e) > 1] == [("rule1", 2)]
         phase_names = [r["name"] for r in records if r["record"] == "phase"]
         assert phase_names == ["align", "phase1", "serre", "phase2", "endgame"]
         assert records[0]["schema_version"] == SCHEMA_VERSION
@@ -674,9 +710,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1 to 6 are versions: a bool or a float that equals one is not
+        # only the ints 1 to 7 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 7, True, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, "1"):
+        for version in (99, 0, 8, True, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -885,14 +921,15 @@ class TestWireSchema:
     @pytest.mark.parametrize("key, value", [
         ("verdict", "applied"), ("copies_before", 15), ("copies_after", 15)])
     def test_a_move_carrying_a_field_the_replay_derives_is_refused(self, game, key, value):
-        # version 3 drops each of these, with its right value too
+        # version 3 drops each of these, with its right value too; version 7 (tested
+        # in TestKeyedMoves) refuses an entry of more than one key before the replay
         def edit(doc):
             doc["moves"][0][key] = value
         with pytest.raises(ValueError, match=rf"^moves\[0\] has keys \['kind', 'positions', "
                                              rf"'params', 'oracle', '{key}'\] but the replayed "
                                              r"game writes \['kind', 'positions', 'params', "
                                              r"'oracle'\]$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 6))
 
     @pytest.mark.parametrize("value", ["flag", "m", None])
     def test_oracle_space_must_be_m(self, game, value):
@@ -960,7 +997,7 @@ class TestWireSchema:
             triple = self.first_check(doc)
             assert triple[2] == []
             triple[2] = expected
-        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle\[\d+\]\[2\] (is|has) .* "
+        with pytest.raises(ValueError, match=rf"^{AT_ORACLE}\[\d+\]\[2\] (is|has) .* "
                                              r"but the replayed game writes (0|\[\])$"):
             parse_game_result(self.edited(game, edit))
 
@@ -1011,11 +1048,13 @@ class TestWireSchema:
         # the forgery that json would read past, keeping the last value
         ('"residual_f_count":', '"residual_f_count":"forged","residual_f_count":',
          "residual_f_count"),
+        ('{"serre_translate":', '{"serre_translate":[],"serre_translate":', "serre_translate"),
         ('{"kind":', '{"kind":"push_right","kind":', "kind"),
         ('"steps":1}', '"steps":2,"steps":1}', "steps")],
-        ids=["top-level", "move", "move-params"])
+        ids=["top-level", "move", "version-6-move", "move-params"])
     def test_a_repeated_key_is_refused(self, game, old, new, key):
-        text = game_result_to_json(game(2, 1))
+        # version 6 writes a move as an object with its params by name
+        text = written(game(2, 1), 6 if old in ('{"kind":', '"steps":1}') else SCHEMA_VERSION)
         assert old in text
         found = ValueError(f"the key {key!r} is repeated in an object")
         refusal = f"malformed game document: {found!r}"
@@ -1083,7 +1122,7 @@ class TestWireSchema:
     @pytest.mark.parametrize("indent", [None, 1], ids=["default-separators", "indent-1"])
     @pytest.mark.parametrize("keys, path", [
         (("final", "runs", 0, 2), r"final\.runs\[0\]\[2\]"),
-        (("moves", 5, "oracle", 0, 0, 1), r"moves\[5\]\.oracle\[0\]\[0\]\[1\]")],
+        (("moves", 5, "rule1", 2, 0, 0, 1), r"moves\[5\]\.rule1\[2\]\[0\]\[0\]\[1\]")],
         ids=["final-box", "first-check"])
     def test_a_changed_leaf_in_other_whitespace_is_refused_by_its_path(self, game, indent,
                                                                        keys, path):
@@ -1098,10 +1137,10 @@ class TestWireSchema:
 
     def test_replay_rejects_mistyped_move_parameters(self, game):
         doc = json.loads(game_result_to_json(game(2, 1)))
-        assert doc["moves"][0]["params"] == {"y": 2, "direction": "left", "steps": 1}
+        assert doc["moves"][0] == {"serre_translate": [[], [2, "left", 1], []]}
         for name, value in (("steps", "1"), ("steps", True), ("y", [2])):
             bad = copy.deepcopy(doc)
-            bad["moves"][0]["params"][name] = value
+            bad["moves"][0]["serre_translate"][1][("y", "direction", "steps").index(name)] = value
             # the parser replays the log, so the refusal comes from parsing
             with pytest.raises(ValueError, match="^the moves do not replay from the initial "
                                                  f"board: .*parameter {name} must be an int"):
@@ -1137,13 +1176,14 @@ class TestWireSchema:
 
     @pytest.mark.parametrize("where", ["top level", "move"])
     def test_an_unknown_key_is_refused(self, game, where):
+        # into a version 6 move, which is an object of named fields
         def edit(doc):
             (doc if where == "top level" else doc["moves"][0])["note"] = "x"
         path, last = (("the document", "flags") if where == "top level"
                       else (r"moves\[0\]", "oracle"))
         with pytest.raises(ValueError, match=rf"^{path} has keys \[.*'{last}', 'note'\] but the "
                                              rf"replayed game writes \[.*'{last}'\]$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 6 if where == "move" else SCHEMA_VERSION))
 
     def test_reordered_box_keys_are_refused(self, game):
         def edit(doc):
@@ -1175,32 +1215,34 @@ class TestWireSchema:
         records = [json.loads(line) for line in lines]
         moves = [r for r in records if r["record"] == "move"]
         assert len(moves) == len(result.log)
-        assert [m["kind"] for m in moves] == [r.kind for r in result.log]
+        assert [key for m in moves for key in m if key not in ("record", "index")] == [
+            r.kind for r in result.log]
 
 
 class TestOracleReferences:
-    """Versions 2 to 6 write each distinct oracle check and transcript once,
-    and versions 4 to 6 each run of three or more earlier checks as one pair."""
+    """Versions 2 to 7 write each distinct oracle check and transcript once,
+    and versions 4 to 7 each run of three or more earlier checks as one pair."""
 
-    # what versions 1 to 5 wrote for ``game --n 3 --eps 1 --emit json``
+    # what versions 1 to 6 wrote for ``game --n 3 --eps 1 --emit json``
     FIXTURES = {version: Path(__file__).with_name(f"game_n3_eps1_v{version}.json")
-                for version in (1, 2, 3, 4, 5)}
+                for version in (1, 2, 3, 4, 5, 6)}
     V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_an_older_document_parses_as_its_current_form(self, capsys, version):
         older = self.FIXTURES[version].read_text()
         _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
         assert json.loads(older)["schema_version"] == version
-        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 6
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 7
         expected = parse_game_result(older)
         assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
-        assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95, 5: 0.9}[version]
+        assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95, 5: 0.9,
+                                            6: 0.7}[version]
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
         older = self.FIXTURES[version].read_text()
         assert written(parse_game_result(older), version) + "\n" == older
@@ -1257,7 +1299,7 @@ class TestOracleReferences:
 
     def test_each_distinct_check_and_transcript_is_written_once(self, game):
         result = game(3, 1, validate=True)
-        for version in (3, 4, 6):
+        for version in (3, 4, 6, 7):
             moves = json.loads(written(result, version))["moves"]
             assert len(written_checks(moves)) == len({c for r in result.log for c in r.oracle})
             oracles = [holder[key] for _, holder, key in oracle_sites(moves)]
@@ -1382,7 +1424,7 @@ class TestOracleReferences:
             holder[key] = value
         else:
             holder[key][j] = value
-        with pytest.raises(ValueError, match=r"^moves\[\d+\]\.oracle(\[\d+\]){0,2} is .* but "
+        with pytest.raises(ValueError, match=rf"^{AT_ORACLE}(\[\d+\]){{0,2}} is .* but "
                                              "the replayed game writes"):
             parse_game_result(json.dumps(doc))
 
@@ -1477,11 +1519,10 @@ class TestMoveRuns:
             assert len(moves) < len(result.log)
         for move, following in zip(moves, moves[1:]):
             # each run maximal: the next entry does not carry it on
-            step = move.get("count", 1)
-            assert not (move["positions"] and following["kind"] == move["kind"]
-                        and following["params"] == move["params"]
-                        and following["positions"] == [[x + step, y]
-                                                       for x, y in move["positions"]])
+            kind, positions, params, _, _ = entry_fields(move)
+            step = entry_count(move)
+            assert not (positions and entry_fields(following)[:3] == (
+                kind, [[x + step, y] for x, y in positions], params))
 
     @pytest.mark.parametrize("mode", ["fibration", "flip"])
     @pytest.mark.parametrize("eps", [0, 1])
@@ -1490,8 +1531,8 @@ class TestMoveRuns:
         # json-lines puts each snapshot between two entries; the log is the
         # same with validation off
         result = game(n, eps, mode, validate=False)
-        starts = list(itertools.accumulate((move.get("count", 1) for move in
-                                            game_result_to_dict(result)["moves"]), initial=0))
+        starts = list(itertools.accumulate(map(entry_count, game_result_to_dict(result)["moves"]),
+                                           initial=0))
         assert starts[-1] == len(result.log)
         assert {count for _, _, count in result.phases} <= set(starts)
         records = [json.loads(line)["record"] for line in emit_json_lines(result)]
@@ -1510,7 +1551,8 @@ class TestMoveRuns:
 
     @pytest.mark.parametrize("case", ["split-first", "split-last", "merged"])
     def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, case):
-        doc = json.loads(game_result_to_json(game(3, 1)))
+        # in version 6's form; version 7's is in TestKeyedMoves
+        doc = json.loads(written(game(3, 1), 6))
         run, following = doc["moves"][13:15]
         assert (run["kind"], run["positions"], run["count"]) == ("rule1", [[-1, 5], [-2, 6]], 3)
         assert (following["kind"], following["positions"], following["count"]) == (
@@ -1547,7 +1589,8 @@ class TestMoveRuns:
              "oracle-int"])
     def test_a_bad_count_is_refused_before_any_move_is_played(self, game, monkeypatch, count,
                                                               oracle, refusal):
-        doc = json.loads(game_result_to_json(game(3, 1)))
+        # in version 6's form; version 7's is in TestKeyedMoves
+        doc = json.loads(written(game(3, 1), 6))
         run = doc["moves"][13]
         run["count"] = count
         if type(oracle) is int and oracle < 5:
@@ -1559,6 +1602,119 @@ class TestMoveRuns:
             raise AssertionError("a move was played")
         monkeypatch.setattr(games_module, "play", played)
         with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            parse_game_result(json.dumps(doc))
+
+
+class TestKeyedMoves:
+    """Version 7 writes each move entry as an object of one key, its kind,
+    holding ``[positions, params, oracle]``, a run's oracles listed and its
+    count last, and the params as values in ``MOVES[kind].params`` order."""
+
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_entry_holds_what_version_6_writes(self, game, n, eps, mode):
+        result = game(n, eps, mode)
+        keyed = json.loads(written(result, 7))["moves"]
+        named = json.loads(written(result, 6))["moves"]
+        assert all(type(e) is dict and len(e) == 1 and set(e) <= set(MOVES) for e in keyed)
+        assert [entry_fields(e) for e in keyed] == [entry_fields(e) for e in named]
+        assert len(written(result, 7)) < len(written(result, 6))
+
+    def test_an_optional_param_left_out_is_read_as_absent(self, game):
+        # the flip game opens with a twist that writes its note; left out, the
+        # twist is played without one, as version 6 reads params without "note"
+        doc = json.loads(game_result_to_json(game(3, 1, "flip")))
+        assert doc["moves"][0] == {"global_twist": [[], [2, 6, "normalize-flip-start"], []]}
+        doc["moves"][0]["global_twist"][1].pop()
+        parsed = parse_game_result(json.dumps(doc))
+        assert parsed.log[0].params == (("dx", 2), ("dy", 6))
+        assert game_result_to_json(parsed) == dumps(doc)
+
+    @pytest.mark.parametrize("i, entry, refusal", [
+        (3, [[], [5, "left", 4], []],
+         "moves[3] must be an object of one key, a move kind, got [[], [5, 'left', 4], []]"),
+        (3, {}, "moves[3] must be an object of one key, a move kind, got {}"),
+        (3, {"serre_translate": [[], [5, "left", 4], []], "rule1": [[], [], []]},
+         "moves[3] must be an object of one key, a move kind, got {'serre_translate': "
+         "[[], [5, 'left', 4], []], 'rule1': [[], [], []]}"),
+        (3, {"kind": "serre_translate", "positions": [], "params": {"y": 5}, "oracle": []},
+         "moves[3] must be an object of one key, a move kind, got {'kind': 'serre_translate', "
+         "'positions': [], 'params': {'y': 5}, 'oracle': []}"),
+        (3, {"serre_translates": [[], [5, "left", 4], []]},
+         "moves[3] must be an object of one key, a move kind, got {'serre_translates': "
+         "[[], [5, 'left', 4], []]}"),
+        (3, {"serre_translate": {}}, "moves[3].serre_translate must be a list, got {}"),
+        (3, {"serre_translate": [[], [5, "left", 4]]},
+         "moves[3].serre_translate must have 3 or 4 entries, got 2"),
+        (3, {"serre_translate": [[], [5, "left", 4], [], 2, 0]},
+         "moves[3].serre_translate must have 3 or 4 entries, got 5"),
+        (3, {"serre_translate": [[], [5, "left", 4, 1], []]},
+         "moves[3].serre_translate[1] has 4 values but serre_translate takes "
+         "['y', 'direction', 'steps']"),
+        (3, {"serre_translate": [[], [5, "left"], []]},
+         "moves[3].serre_translate[1] has 2 values but serre_translate takes "
+         "['y', 'direction', 'steps']"),
+        (5, {"rule1": [[[-1, 4], [-2, 5]], [0], []]},
+         "moves[5].rule1[1] has 1 values but rule1 takes []"),
+        (3, {"serre_translate": [[], {"y": 5, "direction": "left", "steps": 4}, []]},
+         "moves[3].serre_translate[1] must be a list, got {'y': 5, 'direction': 'left', "
+         "'steps': 4}"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5, 5], 1]},
+         "moves[13].rule1[3] must be >= 2, got 1"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5], 0]},
+         "moves[13].rule1[3] must be >= 2, got 0"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5], True]},
+         "moves[13].rule1[3] must be an int, got True"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5], "2"]},
+         "moves[13].rule1[3] must be an int, got '2'"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5, 5], 10**12]},
+         "moves[13].rule1[2] has 3 entries but moves[13].rule1[3] is 1000000000000"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5], 3]},
+         "moves[13].rule1[2] has 2 entries but moves[13].rule1[3] is 3"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], [5, 5, 5, 5], 3]},
+         "moves[13].rule1[2] has 4 entries but moves[13].rule1[3] is 3"),
+        (13, {"rule1": [[[-1, 5], [-2, 6]], [], 5, 3]}, "moves[13].rule1[2] must be a list, got 5")],
+        ids=["array", "empty-object", "two-kinds", "version-6-object", "unknown-kind",
+             "value-object", "two-values", "five-values", "params-one-more", "params-one-short",
+             "params-for-none", "params-object", "count-one", "count-zero", "count-bool",
+             "count-str", "count-10**12", "oracles-short", "oracles-long", "oracles-int"])
+    def test_a_malformed_entry_is_refused_by_its_path_before_any_move_is_played(
+            self, game, monkeypatch, i, entry, refusal):
+        doc = json.loads(game_result_to_json(game(3, 1)))
+        assert [entry_fields(doc["moves"][k])[::4] for k in (3, 5, 13)] == [
+            ("serre_translate", None), ("rule1", None), ("rule1", 3)]
+        doc["moves"][i] = entry
+
+        def played(*args):
+            raise AssertionError("a move was played")
+        monkeypatch.setattr(games_module, "play", played)
+        with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("case", ["split-first", "split-last", "merged"])
+    def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, case):
+        doc = json.loads(game_result_to_json(game(3, 1)))
+        run, following = doc["moves"][13]["rule1"], doc["moves"][14]["rule1"]
+        assert (run[0], run[1], run[3]) == ([[-1, 5], [-2, 6]], [], 3)
+        assert (following[0], following[1], following[3]) == ([[0, 4], [-1, 5]], [], 2)
+        positions, params, oracles, _ = run
+        shifted = [[x + 1, y] for x, y in positions]
+        if case == "split-first":  # a lone move, then a run of two
+            entries = [[positions, params, oracles[0]], [shifted, params, oracles[1:], 2]]
+            refusal = (r"moves\[13\]\.rule1\[2\] is 5 but the replayed game writes "
+                       r"\[5, \[0, 1, 3\], \[0, 3, 5, 6\]\]")
+        elif case == "split-last":  # a run of two, then a lone move
+            entries = [[positions, params, oracles[:2], 2],
+                       [[[x + 1, y] for x, y in shifted], params, oracles[2]]]
+            refusal = r"moves\[13\]\.rule1\[2\] has 2 entries but the replayed game writes 3"
+        else:  # with the run that follows it, which starts a row below
+            entries = [[positions, params, oracles + following[2], 5]]
+            refusal = (r"the moves do not replay from the initial board: rule1: .* "
+                       r"at moves\[13\]")
+        doc["moves"][13:15] = [{"rule1": e} for e in entries] + (
+            [{"rule1": following}] if case != "merged" else [])
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
             parse_game_result(json.dumps(doc))
 
 
@@ -1585,7 +1741,7 @@ class TestReplayedChecks:
         self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.expected")
         doc = self.document(game)
         self.first_written(doc)[2] = [[0, 7]]
-        self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\[2\]")
+        self.refused(doc, rf"{AT_ORACLE}\[\d+\]\[2\]")
 
     def test_a_forged_source_is_refused(self, game):
         for version, key, field in ((3, "source", r"\.source"), (4, 0, r"\[0\]")):
@@ -1662,11 +1818,8 @@ class TestReplayedChecks:
         # on the n=3, eps=1 start board row 2 fills x = -2..4; 10**9 left
         # steps wrap its boxes by N = 7 and leave its first at x = -(10**9) - 2
         doc = json.loads(game_result_to_json(run_game(3, 1, validate=False)))
-        doc["moves"] = [
-            {"kind": "serre_translate", "positions": [],
-             "params": {"y": 2, "direction": "left", "steps": 10**9}, "oracle": []},
-            {"kind": "transpose", "positions": [[3, 1], [-(10**9) - 2, 2]], "params": {},
-             "oracle": 0}]
+        doc["moves"] = [{"serre_translate": [[], [2, "left", 10**9], []]},
+                        {"transpose": [[[3, 1], [-(10**9) - 2, 2]], [], 0]}]
 
         def refuse(source, target):
             raise AssertionError("the oracle was asked")

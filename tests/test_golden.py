@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "c795137691a835b77a11a42873f9f05e1f1331086f53c116f8dec8f4028b0d4e"),
+        (1, "af6bab7f0c1ec797c7680df4fb7117cc7c615053f90f7ab7ea0b06ade6973ca6"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "866bcadc4566b2dbba7762e2fdf5e29d56cc8975a0b9a8c5bf02ae499888efdd"),
+        (1, "1d0e2462d033cd7b87614790dec52b0120de2cc7d6a6b2d83f6a96db1e90a16a"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "b9b0ca9d738d07d7971a385f970e06c87419993ddc34f22494ab282f6cfc7359"),
+        (0, "c36fa24aeac2e78e32bffedd79bc9da2fbe29021e082231584654506da234639"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "cd80f32437e496ec536288cf339d75d39261f754a21a51186bbc77f21b782d20"),
+        (0, "1052e3357f96bf4019d1b34d61ff89a4ba39b891a6ce0586610b94debaa8b120"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "2fbf88b53b4b7fc965002c80ed622e2a6f97bbc53e75583152ddc7fafadd4e7f"),
+        (0, "bc6598e433ea824774c4d4a072857ffa380fc2af5819542e9241c08682c669db"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "1619665378315ed82d3205ae57eebf3ad18122ebd54d8f62d774016ccb2cb6d1"),
+        (0, "17c8fc808107bca9f2909e065b51d8a12f8ce71ada753e3dcb5bcccbc4f8d768"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "82a9abfcbd48436010b833b5ad39b33efbd5027e884181bfe51c861dd87c279e"),
+        (0, "81c160191c0fb85a7d7d718f97215846eb0ab5f42f19a6ff708068310cbebc2e"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "917a6fae66ef3afe7a10b4cc9c2cb870a3104fcccd3037edd1c624011609857c"),
+        (0, "1647437dea99f144982f4d882f91df5569c08b6674b92656d1b0ad7dd1c730e7"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "4c0865d48222c1dbb6e49a66fce8080ae919d599183b02e2bea700ffc84097e7"),
+        (1, "160a97c0bf88761ddcfdb700908e7d13546ab07c7e17c23172bdb9b9626e4bd3"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "4bd25cb15dc216a65a7e3d2734400eb888d8932802473af6ce417c704a1a5372"),
+        (1, "fcc336fad56f0a51023f21d92e3f8b34ebe71cf0edab190fc757014fda6c2328"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "d45663868eb1858f834570f5fcee1e055f9dd71351a4f3d91bb23d516e776529"),
+        (0, "33bc8092718a810d4f3c5de26d46cf0705ba71623f8d2a3a293b7a1ee35287ce"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "55c00b2bf4d304d281ac7af8381e920fd95f0ef48dd8d0ad54333da09ecc3f11"),
+        (0, "cca7d029910a98efa9b5c8065914aea874df6157279651e177521105e65f4414"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "aeab4bbf1113f4fd004318565df8bc2ed10ff4e24a4e48087bb604a021d40bc9"),
+        (0, "78ad350931c80a1abf39a1924afca607a670383748e6db31cd216680239bb621"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "e54eee419c6ce9f64d0fb6244e65dba3af0d7949c859f56e613a940e26d358d2"),
+        (0, "6520a97df338c80a09733e2c704d287ab6124fbd177879a471a99ab69706f18f"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight
@@ -284,6 +284,31 @@ def test_move_outcomes_are_pinned(game):
     calls, digest = MOVE_OUTCOMES
     results = [game(n, eps, mode) for n in (2, 3, 4) for eps in (0, 1) for mode in ("fibration", "flip")]
     assert move_outcomes(calls, results) == digest
+
+
+def test_every_record_lists_its_params_in_the_table_order(game):
+    # version 7 writes a move's params as their values in MOVES[kind].params
+    # order, so each move_* must record them so, whatever order they are given in
+    rng = random.Random(5)
+    results = [game(n, eps, mode) for n in (2, 3, 4) for eps in (0, 1) for mode in ("fibration", "flip")]
+    phase_boards = [board for result in results for _, board, _ in result.phases]
+    steps = [(board, record) for result in results
+             for board, record in zip(itertools.accumulate(result.log, apply_record,
+                                                           initial=result.initial), result.log)]
+    recorded = set()
+    for _ in range(2000):
+        board, kind, positions, params = _random_call(rng, phase_boards, steps)
+        try:
+            _, record = play(board, kind, positions, dict(reversed(params.items())), False)
+        except (MoveRefused, ValueError):
+            continue
+        names = [name for name, _ in record.params]
+        spec = MOVES[kind]
+        assert names == [name for name in spec.params if name in names]
+        assert set(spec.params) - set(spec.optional) <= set(names)
+        recorded.add((kind, len(names)))
+    assert {kind for kind, _ in recorded} == set(MOVES)
+    assert {("global_twist", 2), ("global_twist", 3)} <= recorded
 
 
 # One digest over the exact answers of ext_on_flag and ext_on_M: sources and

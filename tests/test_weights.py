@@ -34,10 +34,12 @@ from flagchess import (
     condition3_bound,
     corrected_flip_board,
     cover_degree,
+    dualize,
     euler_char,
     ext_on_flag,
     ext_on_M,
     h0_twisted_quotient,
+    hom_bundle,
     initial_board_fibration,
     line_bundle_cohomology,
     reference_residual_count,
@@ -207,6 +209,9 @@ class TestRho:
             rho(2)
 
 
+_D = BundleDescriptor(1, 0, 0, 5)
+
+
 class TestSizesAreBounded:
     """Every size the library takes is refused by one rule, in one set of
     words, with ``ValueError`` at once: a size that is not an int (a bool
@@ -228,8 +233,26 @@ class TestSizesAreBounded:
          rf"need int powers >= 0, the lesser <= {2 * MAX_m}, got \(1, 1\.5\)"),
         (lambda: clebsch_gordan_rank2(True, 1),
          rf"need int powers >= 0, the lesser <= {2 * MAX_m}, got \(True, 1\)"),
+        (lambda: hom_bundle(None, _D), "source and target must be BundleDescriptors, got "
+                                        "NoneType and BundleDescriptor"),
+        (lambda: hom_bundle(_D, 1.5), "source and target must be BundleDescriptors, got "
+                                      "BundleDescriptor and float"),
+        (lambda: dualize(None), "d must be a BundleDescriptor, got NoneType"),
+        (lambda: sym_filtration(None), "d must be a BundleDescriptor, got NoneType"),
+        (lambda: bwb_regularize(None), r"a weight must be a tuple or list of ints, got None"),
+        (lambda: bwb_regularize((1, "x")),
+         r"a weight must be a tuple or list of ints, got \(1, 'x'\)"),
+        (lambda: simple_reflection(None, 1), r"a weight must be a tuple or list of ints, got None"),
+        (lambda: weyl_dim(None), r"a weight must be a tuple or list of ints, got None"),
+        (lambda: weyl_dim((1, "x")), r"a weight must be a tuple or list of ints, got \(1, 'x'\)"),
+        (lambda: euler_char(None), r"graded dims must be \(degree, dim\) pairs of ints, got None"),
+        (lambda: euler_char(1.5), r"graded dims must be \(degree, dim\) pairs of ints, got 1\.5"),
     ], ids=["line_bundle_cohomology-x-float", "line_bundle_cohomology-x-str",
-            "clebsch_gordan_rank2-b-float", "clebsch_gordan_rank2-a-bool"])
+            "clebsch_gordan_rank2-b-float", "clebsch_gordan_rank2-a-bool",
+            "hom_bundle-source-None", "hom_bundle-target-float", "dualize-None",
+            "sym_filtration-None", "bwb_regularize-None", "bwb_regularize-str",
+            "simple_reflection-None", "weyl_dim-None", "weyl_dim-str", "euler_char-None",
+            "euler_char-float"])
     def test_a_check_in_its_own_words_refuses_a_non_int(self, call, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
