@@ -31,7 +31,7 @@ EXIT_USAGE = 3
 # Size bounds: past one, argparse exits 3 before any command runs.  At the
 # bounds the slowest commands (game at n = 28, lemma A6 at n = 100) take
 # about 0.75-1.2 s and 5.5-7 s on a 2-core Xeon; the game's JSON document is
-# about 64 KB and its peak memory about 24 MB.  The twist bound keeps every
+# about 55 KB and its peak memory about 24 MB.  The twist bound keeps every
 # printed dimension under Python's 4,300-digit limit on int-to-str conversion.
 MAX_GAME_n = 28  # game
 MAX_n = _MAX_n  # lemma, degree, conditions; every (n, eps) of the library

@@ -9,27 +9,30 @@ document's moves (asking the oracle again where the document records its
 checks) to the same finish, and refuses the document unless the writer of
 its version writes it for that game.
 
-A game document (schema version 7) writes each board as ``{"runs": [...],
+A game document (schema version 8) writes each board as ``{"runs": [...],
 "copies": c}``.  A run, ``[x, y, m, k]`` or ``[x, y, "opaque", copies, k]``,
 is k >= 1 boxes of one content in consecutive SOD slots at (x, y),
 (x + 1, y), ..., (x + k - 1, y); a new run starts wherever y or the content
 changes or x does not step by 1.  Spelling the runs out in order gives the
 boxes in SOD order.  A ``gr2`` box is an array, ``[x, y, m]`` for
 ``SymBlock(m)`` and ``[x, y, "opaque", copies]`` for ``Opaque(copies)``, and
-a move is ``{kind: [positions, params, oracle]}``, ``params`` the values of
-the kind's parameters in ``board.MOVES``'s order (an optional last one left
-out when absent).  A maximal run of k >= 2 consecutive moves of one kind
-and one params, each with at least one position and each position one
-column right of the move before it, (x, y) to (x + 1, y), is one entry
-``{kind: [positions, params, oracles, k]}``: the first move's positions
-(the j-th move's, from 0, are those moved j columns right) and the k moves'
-oracles.  Spelling the runs out in order gives the log.  The document
-writes each distinct oracle check and each distinct move transcript once,
-where it first appears.  A move's ``oracle`` is either an int k, "the
-transcript of move k" (k counts the log's moves, not the entries), or a
-list of entries in three shapes, told apart by shape alone:
+a move is ``{kind: [positions, params, oracle]}``, ``positions`` one flat
+list ``[x1, y1, x2, y2, ...]``, ``params`` the values of the kind's
+parameters in ``board.MOVES``'s order (an optional last one left out when
+absent).  A maximal run of k >= 2 consecutive moves of one kind and one
+params, each with at least one position and each position one column right
+of the move before it, (x, y) to (x + 1, y), is one entry ``{kind:
+[positions, params, oracles, k]}``: the first move's positions (the j-th
+move's, from 0, are those moved j columns right) and the k moves' oracles.
+Spelling the runs out in order gives the log.  The document writes each
+distinct oracle check and each distinct move transcript once, where it
+first appears.  A move's ``oracle`` is either an int k, "the transcript of
+move k" (k counts the log's moves, not the entries), or a list of entries
+in three shapes, told apart by shape alone:
 
-* ``[source, target, expected]``, a check not written before; checks are
+* ``[m, x, y, m', x', y', ...]``, a check not written before: its source's
+  and target's (m, x, y), then the (degree, dim) pairs of its expected
+  answer, flattened, so an even number, six or more, of ints; checks are
   numbered 0, 1, 2, ... in document order;
 * ``[first, count]``, a maximal run of three or more consecutive earlier
   check numbers, ``first`` to ``first + count - 1``;
@@ -37,29 +40,31 @@ list of entries in three shapes, told apart by shape alone:
 
 A check's ``space``, ``got`` and ``ok`` are not written: ``board._question``
 asks only on M, and a refused move is never logged, so every logged check
-got what it expected.  Versions 1 to 6 are still read and re-written by
-their own writers.  Version 6 writes an entry as ``{"kind", "positions",
-"params", "oracle"}``, a run's with ``"count"`` last, and params by name.
-Version 5 also writes each move as its own entry.  Version 4 also writes
-each board as ``{"boxes": [...], "copies": c}``, one array per box.
-Version 3 also writes each check as the object ``{source, target, space,
-expected, got, ok}`` and each earlier one as its int.  Versions 1 and 2
-also write each box as an object and each move with its ``verdict``,
-``copies_before`` and ``copies_after``, which a replay derives; version 1
-writes every check in full.
+got what it expected.  Versions 1 to 7 are still read and re-written by
+their own writers.  Version 7 writes a new check as ``[source, target,
+expected]`` and positions as ``[x, y]`` pairs.  Version 6 also writes an
+entry as ``{"kind", "positions", "params", "oracle"}``, a run's with
+``"count"`` last, and params by name.  Version 5 also writes each move as
+its own entry.  Version 4 also writes each board as ``{"boxes": [...],
+"copies": c}``, one array per box.  Version 3 also writes each check as the
+object ``{source, target, space, expected, got, ok}`` and each earlier one
+as its int.  Versions 1 and 2 also write each box as an object and each
+move with its ``verdict``, ``copies_before`` and ``copies_after``, which a
+replay derives; version 1 writes every check in full.
 """
 
 from __future__ import annotations
 
 import json
 import reprlib
+from itertools import chain
 from typing import Any, Callable
 
 from . import _EMIT_FORMATS as EMIT_FORMATS, _shown, _sized
 from .board import MOVES, Board, Box, MoveRecord, MoveRefused, Opaque, OracleCheck
 from .games import GameResult, _Runner
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 # One encoder for every document: ``json.dumps`` with a separators argument
@@ -122,7 +127,7 @@ def box_to_dict(box: Box) -> dict:
 
 
 def box_to_list(box: Box) -> list:
-    """A box as versions 3 to 7 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
+    """A box as versions 3 to 8 write it: ``[x, y, m]`` or ``[x, y, "opaque", copies]``."""
     x, y, content = box
     return [x, y, "opaque", content.copies] if type(content) is Opaque else [x, y, content.m]
 
@@ -168,7 +173,7 @@ def move_to_dict(record: MoveRecord) -> dict:
 
 
 def _runs(entries: list) -> list:
-    """A version 4 to 7 transcript's entries: each maximal run of three or more
+    """A version 4 to 8 transcript's entries: each maximal run of three or more
     consecutive check numbers becomes ``[first, count]``, in one pass."""
     grouped, k, size = [], 0, len(entries)
     while k < size:
@@ -185,10 +190,10 @@ def _runs(entries: list) -> list:
 
 
 def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
-    """The moves of a version 2 to 7 document, one per logged move: a
+    """The moves of a version 2 to 8 document, one per logged move: a
     transcript seen before becomes the index of the move that wrote it, a
     check seen before its number, and from version 4 a new check its triple
-    and a run of numbers its ``[first, count]``."""
+    (from version 8 flat) and a run of numbers its ``[first, count]``."""
     check_number: dict[OracleCheck, int] = {}
     writer: dict[tuple[OracleCheck, ...], int] = {}
     known: dict[int, int] = {}  # by object, so that a shared transcript is hashed once
@@ -207,7 +212,8 @@ def _interned_moves(log: tuple[MoveRecord, ...], version: int) -> list[dict]:
             if j is None:
                 check_number[check] = len(check_number)
                 oracle.append(_check_to_dict(check) if version < 4
-                              else [check.source, check.target, check.expected])
+                              else [check.source, check.target, check.expected] if version < 8
+                              else [*check.source, *check.target, *chain(*check.expected)])
             else:
                 oracle.append(j)
         moves.append(_move_dict(record, _runs(oracle) if version >= 4 else oracle, version))
@@ -235,14 +241,15 @@ def _move_runs(log: tuple[MoveRecord, ...], moves: list[dict]) -> list[dict]:
     return entries
 
 
-def _keyed(entry: dict) -> dict:
-    """A version 6 move entry as version 7 writes it, keyed by its kind."""
+def _keyed(entry: dict, version: int) -> dict:
+    """A version 6 move entry as version 7 writes it, keyed by its kind, or
+    as version 8 does, its positions flat."""
     kind, positions, params, *rest = entry.values()
-    return {kind: [positions, [*params.values()], *rest]}
+    return {kind: [[*chain(*positions)] if version >= 8 else positions, [*params.values()], *rest]}
 
 
-def _unkeyed(entry: Any, path: str) -> dict:
-    """A version 7 move entry as version 6 writes it; a malformed one is refused by ``path``."""
+def _unkeyed(entry: Any, path: str, version: int) -> dict:
+    """A version 7 or 8 entry as version 6 writes it; a malformed one is refused by ``path``."""
     if type(entry) is not dict or len(entry) != 1 or [*entry][0] not in MOVES:
         raise ValueError(f"{path} must be an object of one key, a move kind, got {_repr(entry)}")
     ((kind, value),) = entry.items()
@@ -251,8 +258,13 @@ def _unkeyed(entry: Any, path: str) -> dict:
     names, optional = list(MOVES[kind].params), MOVES[kind].optional
     if not len(names) - len(optional) <= len(_list(value[1], f"{path}.{kind}[1]")) <= len(names):
         raise ValueError(f"{path}.{kind}[1] has {len(value[1])} values but {kind} takes {names}")
+    positions = _list(value[0], f"{path}.{kind}[0]")
+    if version >= 8:  # one flat list, read back as (x, y) pairs
+        if len(positions) % 2:
+            raise ValueError(f"{path}.{kind}[0] has {len(positions)} coordinates, not pairs")
+        positions = [positions[k:k + 2] for k in range(0, len(positions), 2)]
     return dict(zip(("kind", "positions", "params", "oracle", "count"),
-                    (kind, value[0], dict(zip(names, value[1])), *value[2:])))
+                    (kind, positions, dict(zip(names, value[1])), *value[2:])))
 
 
 def _document(result: GameResult, version: int) -> dict:
@@ -264,7 +276,7 @@ def _document(result: GameResult, version: int) -> dict:
     if version >= 6:
         moves = _move_runs(result.log, moves)
     if version >= 7:
-        moves = [_keyed(entry) for entry in moves]
+        moves = [_keyed(entry, version) for entry in moves]
     return {
         "schema_version": version,
         "params": {"n": result.n, "eps": result.eps, "mode": result.mode},
@@ -287,16 +299,18 @@ def game_result_to_json(result: GameResult) -> str:
 
 def parse_game_result(text: str | bytes) -> GameResult:
     """Exact inverse of :func:`game_result_to_json`; reads schema versions 1
-    to 7, from text or JSON bytes.  Every refusal is a ``ValueError``.
+    to 8, from text or JSON bytes.  Every refusal is a ``ValueError``.
 
     Only the document's inputs are read, and each is checked for its form
-    (a bool is never an int): ``schema_version`` (1 to 7), ``params``
+    (a bool is never an int): ``schema_version`` (1 to 8), ``params``
     (``n``, ``eps`` and ``mode``, which the runner refuses as ``run_game``
     does, the message led by ``params.``, before any board is built),
-    ``residual_f_count`` (an int >= 0), each version 7 entry (one key, a
-    known kind, holding 3 or 4 values, its params as many as the kind
-    takes), each run's count (an int >= 2, as many as its oracles, checked
-    before any move is played) and each move's kind, positions and params.
+    ``residual_f_count`` (an int >= 0), each version 7 or 8 entry (one key,
+    a known kind, holding 3 or 4 values, its params as many as the kind
+    takes, version 8's positions an even number of coordinates, refused as
+    in ``moves[5].rule1[0]``), each run's count (an int >= 2, as many as its
+    oracles, checked before any move is played) and each move's kind,
+    positions and params.
     The moves, a run's spelt out one column right each time, are played on
     the runner that ``run_game`` plays, from the start board of the params,
     validated when some move's oracle is not ``[]``, so that every recorded
@@ -348,7 +362,7 @@ def _game_result_from_dict(d: dict, text: str) -> GameResult:
     _sized(residual, "residual_f_count", 0)
     moves = _list(d["moves"], "moves")
     if version >= 7:
-        moves = [_unkeyed(entry, f"moves[{i}]") for i, entry in enumerate(moves)]
+        moves = [_unkeyed(entry, f"moves[{i}]", version) for i, entry in enumerate(moves)]
     oracles = []  # each logged move's, those of a run listed in its entry
     for i, move in enumerate(moves):
         if "count" not in move:

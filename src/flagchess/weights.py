@@ -123,7 +123,7 @@ def weyl_dim(dominant: Weight) -> int:
     one integer numerator over one integer denominator, divided once.
     """
     if any(c < 0 for c in _weight(dominant)):
-        raise ValueError(f"weight {dominant} is not dominant")
+        raise ValueError(f"weight {_shown(dominant)} is not dominant")
     lam = _suffix_sums(dominant)
     num = den = 1
     for i in range(len(lam)):

@@ -81,43 +81,59 @@ def written(result, version: int = SCHEMA_VERSION) -> str:
 
 
 def is_check(entry) -> bool:
-    """Whether a transcript entry writes a check: version 3's object or the
-    ``[source, target, expected]`` of versions 4 to 7, never a ``[first, count]`` run."""
-    return type(entry) is dict or type(entry) is list and len(entry) == 3
+    """Whether a transcript entry writes a check: version 3's object, the
+    ``[source, target, expected]`` of versions 4 to 7 or version 8's flat list
+    of six or more ints, never a ``[first, count]`` run."""
+    return type(entry) is dict or type(entry) is list and len(entry) != 2
+
+
+def check_fields(entry: list) -> tuple[tuple, tuple, tuple]:
+    """A written check's source, target and expected answer: a version 4 to 7
+    triple, or version 8's ``[m, x, y, m', x', y']`` followed by the answer's
+    (degree, dim) pairs, flattened."""
+    if len(entry) == 3:
+        source, target, expected = entry
+        return tuple(source), tuple(target), tuple(map(tuple, expected))
+    assert len(entry) >= 6 and len(entry) % 2 == 0
+    return tuple(entry[:3]), tuple(entry[3:6]), tuple(zip(entry[6::2], entry[7::2]))
 
 
 # The path of a lone move's oracle or a run's list of oracles: ``moves[i].oracle``
-# up to version 6, ``moves[i].<kind>[2]`` in version 7.
+# up to version 6, ``moves[i].<kind>[2]`` from version 7.
 AT_ORACLE = r"moves\[\d+\]\.(oracle|\w+\[2\])"
 
 
 def entry_fields(move: dict) -> tuple[str, list, dict, int | list, int | None]:
-    """A version 2 to 7 move entry's kind, positions, params (by name), oracle
-    and run count (None for a lone move), read as ``render``'s docstring
-    states them, with no code of the writer's: version 7 keys the entry by
-    its kind and lists the params' values in ``MOVES`` order."""
+    """A version 2 to 8 move entry's kind, positions (as pairs), params (by
+    name), oracle and run count (None for a lone move), read as ``render``'s
+    docstring states them, with no code of the writer's: version 7 keys the
+    entry by its kind and lists the params' values in ``MOVES`` order, and
+    version 8 writes the positions as one flat list of coordinates."""
     if "kind" in move:
         return move["kind"], move["positions"], move["params"], move["oracle"], move.get("count")
     ((kind, value),) = move.items()
     assert len(value) in (3, 4)
     positions, values, oracle, *count = value
+    if positions and type(positions[0]) is int:
+        assert len(positions) % 2 == 0
+        positions = [positions[k:k + 2] for k in range(0, len(positions), 2)]
     names = list(MOVES[kind].params)
     assert len(names) - len(MOVES[kind].optional) <= len(values) <= len(names)
     return kind, positions, dict(zip(names, values)), oracle, (count or [None])[0]
 
 
 def entry_count(move: dict) -> int:
-    """How many logged moves a version 2 to 7 entry writes."""
+    """How many logged moves a version 2 to 8 entry writes."""
     return entry_fields(move)[4] or 1
 
 
 def oracle_sites(moves: list) -> list[tuple[str, dict | list, str | int]]:
-    """Where each logged move's oracle is written in a version 2 to 7
+    """Where each logged move's oracle is written in a version 2 to 8
     document's moves, in log order: its path, and the object or list that
-    holds it and its key there.  A version 6 or 7 run lists its moves' oracles."""
+    holds it and its key there.  A version 6 to 8 run lists its moves' oracles."""
     sites: list[tuple[str, dict | list, str | int]] = []
     for i, move in enumerate(moves):
-        if "kind" not in move:  # version 7: {kind: [positions, params, oracle, count?]}
+        if "kind" not in move:  # from version 7: {kind: [positions, params, oracle, count?]}
             ((kind, value),) = move.items()
             if len(value) == 4:
                 sites += [(f"moves[{i}].{kind}[2][{k}]", value[2], k) for k in range(value[3])]
@@ -132,32 +148,41 @@ def oracle_sites(moves: list) -> list[tuple[str, dict | list, str | int]]:
 
 
 def written_checks(moves: list) -> list:
-    """The checks a version 3 to 7 document writes, in their numbering."""
+    """The checks a version 3 to 8 document writes, in their numbering."""
     return [e for _, holder, key in oracle_sites(moves) if type(holder[key]) is list
             for e in holder[key] if is_check(e)]
 
 
 def spelt_out_moves(moves: list) -> list[dict]:
-    """A version 6 or 7 document's moves, one per logged move in version 5's
+    """A version 6 to 8 document's moves, one per logged move in version 5's
     form, each run spelt out as ``render``'s docstring states it, with no
     code of the writer's: the k-th move of a run has the run's kind and
-    params, its positions moved k columns right, and the k-th oracle."""
+    params, its positions moved k columns right, and the k-th oracle, each
+    check in it written as version 5's ``[source, target, expected]``."""
+    def triples(oracle):
+        if type(oracle) is int:
+            return oracle
+        return [[list(part) if k < 2 else [*map(list, part)]
+                 for k, part in enumerate(check_fields(e))] if is_check(e) else e
+                for e in oracle]
+
     log = []
     for move in moves:
         kind, positions, params, oracle, count = entry_fields(move)
         if count is None:
-            log.append({"kind": kind, "positions": positions, "params": params, "oracle": oracle})
+            log.append({"kind": kind, "positions": positions, "params": params,
+                        "oracle": triples(oracle)})
             continue
         assert type(count) is int and count >= 2
         assert len(oracle) == count and positions
         log += [{"kind": kind, "positions": [[x + k, y] for x, y in positions],
-                 "params": params, "oracle": move_oracle}
+                 "params": params, "oracle": triples(move_oracle)}
                 for k, move_oracle in enumerate(oracle)]
     return log
 
 
 def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
-    """Each logged move's transcript, read from a version 4 to 7 document's
+    """Each logged move's transcript, read from a version 4 to 8 document's
     entries as ``render``'s docstring states them, with no code of the writer's."""
     checks, transcripts = [], []
     for _, holder, key in oracle_sites(moves):
@@ -174,16 +199,15 @@ def read_transcripts(moves: list) -> list[tuple[OracleCheck, ...]]:
                 assert count >= 3 and first + count <= len(checks)
                 transcript += checks[first:first + count]
             else:
-                source, target, expected = entry
-                expected = tuple(map(tuple, expected))
-                checks.append(OracleCheck(tuple(source), tuple(target), "M", expected, expected))
+                source, target, expected = check_fields(entry)
+                checks.append(OracleCheck(source, target, "M", expected, expected))
                 transcript.append(checks[-1])
         transcripts.append(tuple(transcript))
     return transcripts
 
 
 def regrouped(oracle: list) -> list:
-    """A version 4 to 7 transcript's entries grouped afresh: the run entries
+    """A version 4 to 8 transcript's entries grouped afresh: the run entries
     spelt out, then each maximal stretch of three or more consecutive check
     numbers (consecutive entries whose index minus number is the same)
     made ``[first, count]``."""
@@ -710,9 +734,9 @@ class TestWireSchema:
             assert parse_game_result(game_result_to_json(result)) == result
 
     def test_schema_version_is_checked(self, game):
-        # only the ints 1 to 7 are versions: a bool or a float that equals one is not
+        # only the ints 1 to 8 are versions: a bool or a float that equals one is not
         doc = json.loads(game_result_to_json(game(2, 1)))
-        for version in (99, 0, 8, True, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, "1"):
+        for version in (99, 0, 9, True, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, "1"):
             doc["schema_version"] = version
             with pytest.raises(ValueError, match=f"unsupported schema version {version!r}$"):
                 parse_game_result(json.dumps(doc))
@@ -992,14 +1016,15 @@ class TestWireSchema:
     @pytest.mark.parametrize("expected", [[["x", "y"]], [[1]], [[2, 1], [1, 1]], [[1, 0]],
                                           [[1, True]], [[0, 1], [0, 1]], {}, "indeterminate"])
     def test_a_triple_holds_the_recorded_answer(self, game, expected):
-        # the first check the replay asks expects nothing; its triple writes that third
+        # the first check the replay asks expects nothing; its version 7 triple
+        # writes that third (version 8's flat checks are in TestFlatChecks)
         def edit(doc):
             triple = self.first_check(doc)
             assert triple[2] == []
             triple[2] = expected
         with pytest.raises(ValueError, match=rf"^{AT_ORACLE}\[\d+\]\[2\] (is|has) .* "
                                              r"but the replayed game writes (0|\[\])$"):
-            parse_game_result(self.edited(game, edit))
+            parse_game_result(self.edited(game, edit, 7))
 
     @pytest.mark.parametrize("version", [2, 3])
     @pytest.mark.parametrize("field", ["moves", "initial.boxes", "final.boxes", "gr2.boxes",
@@ -1122,7 +1147,7 @@ class TestWireSchema:
     @pytest.mark.parametrize("indent", [None, 1], ids=["default-separators", "indent-1"])
     @pytest.mark.parametrize("keys, path", [
         (("final", "runs", 0, 2), r"final\.runs\[0\]\[2\]"),
-        (("moves", 5, "rule1", 2, 0, 0, 1), r"moves\[5\]\.rule1\[2\]\[0\]\[0\]\[1\]")],
+        (("moves", 5, "rule1", 2, 0, 1), r"moves\[5\]\.rule1\[2\]\[0\]\[1\]")],
         ids=["final-box", "first-check"])
     def test_a_changed_leaf_in_other_whitespace_is_refused_by_its_path(self, game, indent,
                                                                        keys, path):
@@ -1223,26 +1248,26 @@ class TestOracleReferences:
     """Versions 2 to 7 write each distinct oracle check and transcript once,
     and versions 4 to 7 each run of three or more earlier checks as one pair."""
 
-    # what versions 1 to 6 wrote for ``game --n 3 --eps 1 --emit json``
+    # what versions 1 to 7 wrote for ``game --n 3 --eps 1 --emit json``
     FIXTURES = {version: Path(__file__).with_name(f"game_n3_eps1_v{version}.json")
-                for version in (1, 2, 3, 4, 5, 6)}
+                for version in (1, 2, 3, 4, 5, 6, 7)}
     V1 = FIXTURES[1]
     ARGV = ("game", "--n", "3", "--eps", "1", "--validate", "--emit")
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_an_older_document_parses_as_its_current_form(self, capsys, version):
         older = self.FIXTURES[version].read_text()
         _, current, _ = run_cli(capsys, *self.ARGV, "json")
         _, stream, _ = run_cli(capsys, *self.ARGV, "json-lines")
         assert json.loads(older)["schema_version"] == version
-        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 7
+        assert json.loads(current)["schema_version"] == SCHEMA_VERSION == 8
         expected = parse_game_result(older)
         assert parse_game_result(current) == expected
         assert parse_game_result(json.dumps(rebuilt_document(stream))) == expected
         assert len(current) < len(older) * {1: 0.5, 2: 0.5, 3: 0.85, 4: 0.95, 5: 0.9,
-                                            6: 0.7}[version]
+                                            6: 0.7, 7: 0.95}[version]
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_an_older_document_is_rewritten_byte_for_byte_by_its_writer(self, version):
         older = self.FIXTURES[version].read_text()
         assert written(parse_game_result(older), version) + "\n" == older
@@ -1359,7 +1384,7 @@ class TestOracleReferences:
 
     @pytest.mark.parametrize("size", [2, 4])
     def test_a_triple_of_another_size_is_refused(self, game, size):
-        doc = json.loads(game_result_to_json(game(4, 1)))
+        doc = json.loads(written(game(4, 1), 7))
         oracle, path, j = self.entry_site(doc, lambda o, j: is_check(o[j]))
         oracle[j] = [*oracle[j], [[0, 1]]][:size]
         self.refused(doc, path, j, f" has {size} entries but the replayed game writes 3")
@@ -1692,21 +1717,25 @@ class TestKeyedMoves:
         with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
             parse_game_result(json.dumps(doc))
 
+    @pytest.mark.parametrize("version", [7, 8])
     @pytest.mark.parametrize("case", ["split-first", "split-last", "merged"])
-    def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, case):
-        doc = json.loads(game_result_to_json(game(3, 1)))
+    def test_a_run_split_or_merged_by_hand_is_refused_by_its_path(self, game, case, version):
+        doc = json.loads(written(game(3, 1), version))
         run, following = doc["moves"][13]["rule1"], doc["moves"][14]["rule1"]
-        assert (run[0], run[1], run[3]) == ([[-1, 5], [-2, 6]], [], 3)
-        assert (following[0], following[1], following[3]) == ([[0, 4], [-1, 5]], [], 2)
+        assert [entry_fields(doc["moves"][k])[1] for k in (13, 14)] == [
+            [[-1, 5], [-2, 6]], [[0, 4], [-1, 5]]]
+        assert (run[1], run[3], following[1], following[3]) == ([], 3, [], 2)
         positions, params, oracles, _ = run
-        shifted = [[x + 1, y] for x, y in positions]
+
+        def moved(k):  # the run's positions k columns right, in the version's form
+            pairs = [[x + k, y] for x, y in entry_fields(doc["moves"][13])[1]]
+            return [*itertools.chain(*pairs)] if version == 8 else pairs
         if case == "split-first":  # a lone move, then a run of two
-            entries = [[positions, params, oracles[0]], [shifted, params, oracles[1:], 2]]
+            entries = [[positions, params, oracles[0]], [moved(1), params, oracles[1:], 2]]
             refusal = (r"moves\[13\]\.rule1\[2\] is 5 but the replayed game writes "
                        r"\[5, \[0, 1, 3\], \[0, 3, 5, 6\]\]")
         elif case == "split-last":  # a run of two, then a lone move
-            entries = [[positions, params, oracles[:2], 2],
-                       [[[x + 1, y] for x, y in shifted], params, oracles[2]]]
+            entries = [[positions, params, oracles[:2], 2], [moved(2), params, oracles[2]]]
             refusal = r"moves\[13\]\.rule1\[2\] has 2 entries but the replayed game writes 3"
         else:  # with the run that follows it, which starts a row below
             entries = [[positions, params, oracles + following[2], 5]]
@@ -1715,6 +1744,129 @@ class TestKeyedMoves:
         doc["moves"][13:15] = [{"rule1": e} for e in entries] + (
             [{"rule1": following}] if case != "merged" else [])
         with pytest.raises(ValueError, match=f"^{refusal}$"):
+            parse_game_result(json.dumps(doc))
+
+
+def flattened(doc: dict) -> dict:
+    """A version 7 document as ``render``'s docstring states version 8, with
+    no code of the writer's: each entry's positions one flat list of
+    coordinates, and each check written out ``[m, x, y, m', x', y']``
+    followed by its answer's (degree, dim) pairs, flattened."""
+    def check(entry):
+        if type(entry) is not list or len(entry) != 3:
+            return entry
+        source, target, expected = entry
+        return [*source, *target, *(v for pair in expected for v in pair)]
+
+    def oracle(o):
+        return o if type(o) is int else [check(e) for e in o]
+    moves = []
+    for move in doc["moves"]:
+        ((kind, value),) = move.items()
+        positions, params, oracles, *count = value
+        oracles = [oracle(o) for o in oracles] if count else oracle(oracles)
+        moves.append({kind: [[c for p in positions for c in p], params, oracles, *count]})
+    return {**doc, "schema_version": 8, "moves": moves}
+
+
+class TestFlatChecks:
+    """Version 8 writes each new check as one flat list of ints and each
+    move's positions as one flat list of coordinates."""
+
+    @pytest.mark.parametrize("validate", [True, False], ids=["validated", "unvalidated"])
+    @pytest.mark.parametrize("mode", ["fibration", "flip"])
+    @pytest.mark.parametrize("eps", [0, 1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_each_entry_holds_what_version_7_writes_flattened(self, game, n, eps, mode,
+                                                             validate):
+        result = game(n, eps, mode, validate)
+        current = json.loads(game_result_to_json(result))
+        assert current == flattened(json.loads(written(result, 7)))
+        assert read_transcripts(current["moves"]) == [r.oracle for r in result.log]
+        # each new check is six ints and its answer's pairs; a run [first, count] is two
+        for check in written_checks(current["moves"]):
+            assert len(check) >= 6 and len(check) % 2 == 0
+            assert all(type(v) is int for v in check)
+
+    @pytest.mark.parametrize("version, positions, refusal", [
+        (8, [-1, 4, -2], "moves[5].rule1[0] has 3 coordinates, not pairs"),
+        (8, [-1], "moves[5].rule1[0] has 1 coordinates, not pairs"),
+        (8, {"x": -1}, "moves[5].rule1[0] must be a list, got {'x': -1}"),
+        (8, 5, "moves[5].rule1[0] must be a list, got 5"),
+        (7, {"x": -1}, "moves[5].rule1[0] must be a list, got {'x': -1}"),
+        (7, 5, "moves[5].rule1[0] must be a list, got 5")],
+        ids=["three", "one", "object", "int", "version-7-object", "version-7-int"])
+    def test_positions_that_are_not_pairs_are_refused_before_any_move_is_played(
+            self, game, monkeypatch, version, positions, refusal):
+        doc = json.loads(written(game(3, 1), version))
+        assert entry_fields(doc["moves"][5])[1] == [[-1, 4], [-2, 5]]
+        doc["moves"][5]["rule1"][0] = positions
+
+        def played(*args):
+            raise AssertionError("a move was played")
+        monkeypatch.setattr(games_module, "play", played)
+        with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            parse_game_result(json.dumps(doc))
+
+    def test_version_7_positions_in_a_version_8_document_are_refused(self, game):
+        doc = json.loads(game_result_to_json(game(3, 1)))
+        doc["moves"][5]["rule1"][0] = [[-1, 4], [-2, 5]]
+        with pytest.raises(ValueError, match=r"^the moves do not replay from the initial "
+                                             r"board: rule1 takes 2 positions, got 1 at moves\[5\]$"):
+            parse_game_result(json.dumps(doc))
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda c: c.append(1), r"\[0\] has 7 entries but the replayed game writes 6"),
+        (lambda c: c.pop(), r"\[0\] has 5 entries but the replayed game writes 6"),
+        (lambda c: c.extend([1, 1, 1]), r"\[0\] has 9 entries but the replayed game writes 6"),
+        (lambda c: c.__setitem__(0, False), r"\[0\]\[0\] is False but the replayed game writes 0"),
+        (lambda c: c.__setitem__(5, True), r"\[0\]\[5\] is True but the replayed game writes 1"),
+        (lambda c: c.__setitem__(4, -1.0), r"\[0\]\[4\] is -1.0 but the replayed game writes -1"),
+        (lambda c: c.__setitem__(slice(None), [[0, 2, 0], [0, -1, 1], []]),
+         r"\[0\]\[0\] is \[0, 2, 0\] but the replayed game writes 0"),
+        (lambda c: c.__setitem__(slice(None), [0, 2, 0, 0, -1, 1, [1, 1]]),
+         r"\[0\] has 7 entries but the replayed game writes 6")],
+        ids=["odd-one-more", "odd-one-short", "odd-three-more", "bool-false", "bool-true",
+             "float", "version-7-triple", "nested-answer"])
+    def test_a_malformed_check_is_refused_by_its_path(self, game, edit, refusal):
+        doc = json.loads(game_result_to_json(game(3, 1, validate=True)))
+        check = doc["moves"][5]["rule1"][2][0]
+        assert check == [0, 2, 0, 0, -1, 1]
+        edit(check)
+        with pytest.raises(ValueError, match=rf"^moves\[5\]\.rule1\[2\]{refusal}$"):
+            parse_game_result(json.dumps(doc))
+
+    def test_a_check_answer_changed_is_refused_by_its_path(self, game):
+        doc = json.loads(game_result_to_json(game(3, 1, validate=True)))
+        check = doc["moves"][5]["rule1"][2][3]
+        assert check == [0, 1, 0, 0, -1, 1, 1, 1]
+        check[7] = 7
+        with pytest.raises(ValueError, match=r"^moves\[5\]\.rule1\[2\]\[3\]\[7\] is 7 but the "
+                                             r"replayed game writes 1$"):
+            parse_game_result(json.dumps(doc))
+
+    # The bytes ``game --validate`` prints: the eight documents of the benchmark's
+    # game-validated workload (mean 10,680 B; 11,822.5 B in version 7) and the
+    # n = 16, eps = 1 document that CI gates at 25,000 B.  A writer change that
+    # moves a size updates these in the same change and says why.
+    BYTES = {(8, 0, "json"): 4865, (8, 0, "json-lines"): 8676,
+             (8, 1, "json"): 5703, (8, 1, "json-lines"): 10299,
+             (12, 0, "json"): 9907, (12, 0, "json-lines"): 15940,
+             (12, 1, "json"): 11451, (12, 1, "json-lines"): 18599,
+             (16, 1, "json"): 19191}
+
+    @pytest.mark.parametrize("n, eps, fmt", sorted(BYTES))
+    def test_a_validated_document_has_its_pinned_size(self, capsys, n, eps, fmt):
+        _, out, _ = run_cli(capsys, "game", "--n", str(n), "--eps", str(eps), "--validate",
+                            "--emit", fmt)
+        assert len(out.encode()) == self.BYTES[n, eps, fmt]
+
+    def test_a_version_8_check_in_a_version_7_document_is_refused(self, game):
+        doc = json.loads(written(game(3, 1, validate=True), 7))
+        assert doc["moves"][5]["rule1"][2][0] == [[0, 2, 0], [0, -1, 1], []]
+        doc["moves"][5]["rule1"][2][0] = [0, 2, 0, 0, -1, 1]
+        with pytest.raises(ValueError, match=r"^moves\[5\]\.rule1\[2\]\[0\]\[0\] is 0 but the "
+                                             r"replayed game writes \[0, 2, 0\]$"):
             parse_game_result(json.dumps(doc))
 
 
@@ -1739,15 +1891,21 @@ class TestReplayedChecks:
         doc = self.document(game, 3)
         self.first_written(doc).update(expected=[[0, 7]], got=[[0, 7]])
         self.refused(doc, r"moves\[\d+\]\.oracle\[\d+\]\.expected")
-        doc = self.document(game)
+        doc = self.document(game, 7)
         self.first_written(doc)[2] = [[0, 7]]
         self.refused(doc, rf"{AT_ORACLE}\[\d+\]\[2\]")
+        doc = self.document(game)  # version 8: the answer's pairs follow the six ints
+        self.first_written(doc).extend([0, 7])
+        self.refused(doc, rf"{AT_ORACLE}\[\d+\]")
 
     def test_a_forged_source_is_refused(self, game):
         for version, key, field in ((3, "source", r"\.source"), (4, 0, r"\[0\]")):
             doc = self.document(game, version)
             self.first_written(doc)[key] = [0, 99, 0]
             self.refused(doc, rf"moves\[\d+\]\.oracle\[\d+\]{field}")
+        doc = self.document(game)  # version 8: the source's x is the check's second int
+        self.first_written(doc)[1] = 99
+        self.refused(doc, rf"{AT_ORACLE}\[\d+\]\[1\]")
 
     def test_two_swapped_checks_are_refused(self, game):
         for version in (3, 4):
@@ -1819,7 +1977,7 @@ class TestReplayedChecks:
         # steps wrap its boxes by N = 7 and leave its first at x = -(10**9) - 2
         doc = json.loads(game_result_to_json(run_game(3, 1, validate=False)))
         doc["moves"] = [{"serre_translate": [[], [2, "left", 10**9], []]},
-                        {"transpose": [[[3, 1], [-(10**9) - 2, 2]], [], 0]}]
+                        {"transpose": [[3, 1, -(10**9) - 2, 2], [], 0]}]
 
         def refuse(source, target):
             raise AssertionError("the oracle was asked")

@@ -29,53 +29,53 @@ GOLDEN = {
     "game --n 3 --eps 0 --mode fibration --emit latex --validate":
         (1, "6bd4f1e53be8b59f62448105035b15c2ea195148063314d484d99d41e892ebb3"),
     "game --n 3 --eps 0 --mode fibration --emit json --validate":
-        (1, "af6bab7f0c1ec797c7680df4fb7117cc7c615053f90f7ab7ea0b06ade6973ca6"),
+        (1, "84f145b2443dc32dcbf14d12e8eca74cfb828b9c889d26f2ebe68f9124c173cb"),
     "game --n 3 --eps 0 --mode fibration --emit json-lines --validate":
-        (1, "1d0e2462d033cd7b87614790dec52b0120de2cc7d6a6b2d83f6a96db1e90a16a"),
+        (1, "f17d2b93ee50301768669cc1f22777337a326405dde1c267cc351ca3833e305e"),
     "game --n 3 --eps 0 --mode flip --emit text --validate":
         (0, "c52a24e03572878fe9a590d0209a9916221a8f173460d6b6c08134231368ef29"),
     "game --n 3 --eps 0 --mode flip --emit latex --validate":
         (0, "555857086d9798f39939a1e5d3604e895f8a79fd03cb553e9ab0cba83490f029"),
     "game --n 3 --eps 0 --mode flip --emit json --validate":
-        (0, "c36fa24aeac2e78e32bffedd79bc9da2fbe29021e082231584654506da234639"),
+        (0, "9f03adad635792777fbcacea0d53b201334231ee24e05e98f5c99af49684cf92"),
     "game --n 3 --eps 0 --mode flip --emit json-lines --validate":
-        (0, "1052e3357f96bf4019d1b34d61ff89a4ba39b891a6ce0586610b94debaa8b120"),
+        (0, "b43d58bd8e82d51e3302445bbf72a6f990b3b316e139a19ff63568e56669df6a"),
     "game --n 3 --eps 1 --mode fibration --emit text --validate":
         (0, "d84ca53bcc7b6a51ad5d4dfed073e0853b426dfdbf62c90bbaa8de2353baa4a0"),
     "game --n 3 --eps 1 --mode fibration --emit latex --validate":
         (0, "550c57c87e70b1857c02b2afca25b2ebba01841c7f8bfe36b17832110ed02745"),
     "game --n 3 --eps 1 --mode fibration --emit json --validate":
-        (0, "bc6598e433ea824774c4d4a072857ffa380fc2af5819542e9241c08682c669db"),
+        (0, "06ce5d3146485c11b56e246925bb1dae072bfbf74928b116f3866c7cbab91145"),
     "game --n 3 --eps 1 --mode fibration --emit json-lines --validate":
-        (0, "17c8fc808107bca9f2909e065b51d8a12f8ce71ada753e3dcb5bcccbc4f8d768"),
+        (0, "8bd852802e4a0b038ee1a30140cf1803864acabb3dab4b72e9b8972a3cf40f3c"),
     "game --n 3 --eps 1 --mode flip --emit text --validate":
         (0, "57746dc44482b1ed9783f850a21da6b214763de5c883ac9fbf01e17063785953"),
     "game --n 3 --eps 1 --mode flip --emit latex --validate":
         (0, "efa9528cd39773df425d4eed6e4f5e28fb2eb5d364c05477b3eb33e46b101500"),
     "game --n 3 --eps 1 --mode flip --emit json --validate":
-        (0, "81c160191c0fb85a7d7d718f97215846eb0ab5f42f19a6ff708068310cbebc2e"),
+        (0, "06a6668f076c2ba595e8e92f6970c1fe9cfc3e0d94543f2e7914a56c7d659f4c"),
     "game --n 3 --eps 1 --mode flip --emit json-lines --validate":
-        (0, "1647437dea99f144982f4d882f91df5569c08b6674b92656d1b0ad7dd1c730e7"),
+        (0, "13aae250287ba8067c7bc4125d460f91a4fd87d5f0dba7fd5af7c8e4ac85f85c"),
     "game --n 2 --eps 0 --emit text":
         (1, "a2606d583db287e39e5bcc7ef06505a2469a0247e989cce072e81a73f55dec1b"),
     "game --n 2 --eps 0 --emit latex":
         (1, "7212fb25eba92856582c5651e651724b28cff847108c51a3ad9356a92445997b"),
     "game --n 2 --eps 0 --emit json":
-        (1, "160a97c0bf88761ddcfdb700908e7d13546ab07c7e17c23172bdb9b9626e4bd3"),
+        (1, "19b03204fdbaf16f8b4373269a7244395f82b33d0e65ebfd2a494cb98d127464"),
     "game --n 2 --eps 0 --emit json-lines":
-        (1, "fcc336fad56f0a51023f21d92e3f8b34ebe71cf0edab190fc757014fda6c2328"),
+        (1, "de5984ff404c638de6d85a9b6a861ee0d40d8a378e07abe605e9fb00dca0ebfe"),
     "game --n 5 --eps 1 --emit text":
         (0, "88035dd75bded347becb376e3e6a4158e27e98f66bd47a239ece803c0ff78c35"),
     "game --n 5 --eps 1 --emit latex":
         (0, "32a73b02fd8a323d49063d7714f5d648e2c874f41be2ad10e3969ae2fc348655"),
     "game --n 5 --eps 1 --emit json":
-        (0, "33bc8092718a810d4f3c5de26d46cf0705ba71623f8d2a3a293b7a1ee35287ce"),
+        (0, "b0a2040bc43728719c4ebd39218611fe65398117f0426ca1b652fa8ab53058d6"),
     "game --n 5 --eps 1 --emit json-lines":
-        (0, "cca7d029910a98efa9b5c8065914aea874df6157279651e177521105e65f4414"),
+        (0, "5962d60ce6825fa5fe86c3ad99a980452f2204708ca13d00bc1552ac00181861"),
     "game --n 5 --eps 1 --emit json --no-validate":
-        (0, "78ad350931c80a1abf39a1924afca607a670383748e6db31cd216680239bb621"),
+        (0, "d9a38a76735238420f476ffa04ea09697bc3e2722178d2e50cadb7ccadb2042f"),
     "game --n 5 --eps 1 --emit json-lines --no-validate":
-        (0, "6520a97df338c80a09733e2c704d287ab6124fbd177879a471a99ab69706f18f"),
+        (0, "78fcda6c44d8c5d943addd33f776e4faf49e7df0ae9be8c90b69e994980eff5a"),
     "bwb --N 7 --x 2 --y -9":
         (0, "0a3504a2a1aabe24f79845063da72030e42ecb9ce1e85ec2ae97aa0bf3f18870"),
     # 200 reflections down to H^200 at the N bound: pins the printed dominant weight

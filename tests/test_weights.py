@@ -322,7 +322,8 @@ class TestSizesAreBounded:
          "(an int of 5,001 digits, an int of 5,001 digits)"),
         (lambda: line_bundle_cohomology(5, 10**4299, 0),
          "(an int of 4,300 digits, 0) is past the Bott evaluator's reach 4000000401"),
-    ], ids=["descriptor-type", "clebsch_gordan_rank2", "line_bundle_cohomology"])
+        (lambda: weyl_dim((-1, 10**5000)), "weight (-1, an int of 5,001 digits) is not dominant"),
+    ], ids=["descriptor-type", "clebsch_gordan_rank2", "line_bundle_cohomology", "weyl_dim"])
     def test_an_int_past_the_digit_limit_is_shown_by_its_size(self, call, message):
         with deadline(1), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call()
